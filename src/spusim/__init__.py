@@ -33,8 +33,8 @@ from .linalg import (InversionResult, MomentReport, SamplingPlan,
                      average_relative_error_per_element, invert_matrix,
                      moment_errors, parameter_study, relative_frobenius_error,
                      sample_gaussian)
-from .noise import (IdealGaussianSource, LfsrState, NoiseChainConfig, gold_bit,
-                    gold_bits, lfsr_bits, lfsr_step, pdm_gate, rc_filter)
+from .noise import (LfsrState, NoiseChainConfig, gold_bit, gold_bits, lfsr_bits,
+                    lfsr_step, pdm_gate, rc_filter)
 from .perf import (DigitalCostParams, SpuCostParams, crossover, digital_energy,
                    digital_time, fit_digital_baseline, load_digital_baseline,
                    performance_curves, reference_digital_baseline, spu_energy,

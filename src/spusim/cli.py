@@ -40,11 +40,13 @@ FLOAT_FMT = "%.17g"
 
 
 def load_matrix(path: str, sym_tol: float = 1e-9) -> np.ndarray:
-    """Plain CSV, row-major, no header; validated square and symmetric."""
+    """Plain CSV, row-major, no header; validated finite, square and symmetric."""
     try:
         m = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise MatrixFormatError(f"cannot read matrix file {path!r}: {err}") from err
+    if not np.all(np.isfinite(m)):
+        raise MatrixFormatError(f"{path}: matrix has NaN or infinite entries")
     if m.shape[0] != m.shape[1]:
         raise MatrixFormatError(f"{path}: matrix must be square, got {m.shape}")
     scale = np.linalg.norm(m) or 1.0
@@ -125,11 +127,14 @@ def cmd_sample(args) -> _Run:
         return_compilation=True)
     run.add("samples", batch.to_csv(run.path("samples.csv")))
     if args.export_noise > 0:
-        from .noise import gold_bits, pdm_enable, rc_filter
-        bits = gold_bits(args.chain_seed_a, args.chain_seed_b, args.export_noise)
+        from .noise import NoiseChainConfig, gold_bits, pdm_enable, rc_filter
+        chain = NoiseChainConfig(seed_a=args.chain_seed_a, seed_b=args.chain_seed_b)
+        bits = gold_bits(chain.seed_a, chain.seed_b, args.export_noise)
         gated = (bits.astype(float) * 2 - 1) * pdm_enable(args.export_noise,
                                                           args.noise_level)
-        filtered = rc_filter(gated, time_constant=8.0, dt=1.0)
+        # time in bit periods; NoiseChainConfig.matched keeps the same RC-to-bit ratio
+        filtered = rc_filter(gated, time_constant=chain.rc_time_constant * chain.bit_rate,
+                             dt=1.0)
         run.add("noise_stream", write_csv(
             run.path("noise_stream.csv"), "bit_index,bit,gated,filtered",
             np.column_stack([np.arange(args.export_noise), bits, gated, filtered])))

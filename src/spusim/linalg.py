@@ -24,7 +24,7 @@ from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
 from .langevin import TrajectoryConfig, correlation_time, integrate_circuit
 from .noise import NoiseChainConfig
-from .samples import SampleBatch
+from .samples import SampleBatch, prefix_covariances
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,8 @@ def _as_target(target, kind: str = "precision") -> TargetSpec:
 def _scaled_noise(params: CircuitParams, level: float) -> CircuitParams:
     if level == 1.0:
         return params
-    cells = tuple(
-        type(c)(inductance=c.inductance, resistance=c.resistance,
-                noise_psd=c.noise_psd * level, capacitance=c.capacitance,
-                bank_config=c.bank_config)
-        for c in params.cells
-    )
-    return CircuitParams(cells=cells, coupling_capacitances=params.coupling_capacitances,
-                         maxwell=params.maxwell, quantized=params.quantized,
-                         coupling_states=params.coupling_states,
-                         coupling_correction=params.coupling_correction)
+    return replace(params, cells=tuple(replace(c, noise_psd=c.noise_psd * level)
+                                       for c in params.cells))
 
 
 def sample_gaussian(target, plan: SamplingPlan | None = None,
@@ -170,16 +162,6 @@ def checkpoint_counts(n_total: int, n_checkpoints: int = 20, start: int = 30) ->
     return np.unique(counts)
 
 
-def _prefix_covariances(values: np.ndarray, counts: np.ndarray):
-    """Unbiased mean-subtracted covariances of the first n rows, per count."""
-    for n in counts:
-        x = values[:n]
-        mu = x.mean(axis=0)
-        xc = x - mu
-        cov = xc.T @ xc / (n - 1)
-        yield n, 0.5 * (cov + cov.T)
-
-
 @dataclass(frozen=True)
 class InversionResult:
     """Sampled inverse with its convergence record against the dense oracle."""
@@ -196,8 +178,16 @@ class InversionResult:
 
 
 def relative_frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """|| estimate - reference ||_F / || reference ||_F."""
-    return float(np.linalg.norm(estimate - reference) / np.linalg.norm(reference))
+    """|| estimate - reference ||_F / || reference ||_F.
+
+    Raises ValueError when the ratio is not finite, as when a norm
+    overflows for entries near the float range.
+    """
+    err = float(np.linalg.norm(estimate - reference) / np.linalg.norm(reference))
+    if not math.isfinite(err):
+        raise ValueError(f"relative Frobenius error is {err}: a norm overflowed "
+                         f"or the estimate is not finite")
+    return err
 
 
 def average_relative_error_per_element(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -236,7 +226,7 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
     counts = checkpoint_counts(batch.n_samples, n_checkpoints)
     errors = np.empty(len(counts))
     estimate = None
-    for i, (n, cov) in enumerate(_prefix_covariances(batch.time_major(), counts)):
+    for i, (n, cov) in enumerate(prefix_covariances(batch.time_major(), counts)):
         errors[i] = relative_frobenius_error(cov, exact)
         estimate = cov
     return InversionResult(estimate=estimate, exact=exact, n_series=counts,
@@ -276,12 +266,9 @@ def moment_errors(batch: SampleBatch, target, n_checkpoints: int = 20) -> Moment
     skew_err = np.empty(len(counts))
     kurt_err = np.empty(len(counts))
     ordered = batch.time_major()
-    for i, n in enumerate(counts):
-        x = ordered[:n]
-        mu = x.mean(axis=0)
-        xc = x - mu
-        cov = xc.T @ xc / (n - 1)
-        cov_err[i] = np.linalg.norm(0.5 * (cov + cov.T) - sigma) / sigma_norm
+    for i, (n, cov) in enumerate(prefix_covariances(ordered, counts)):
+        cov_err[i] = np.linalg.norm(cov - sigma) / sigma_norm
+        xc = ordered[:n] - ordered[:n].mean(axis=0)
         std = xc.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         z = xc / std
@@ -363,7 +350,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
         counts = checkpoint_counts(batch.n_samples, n_checkpoints, start=10)
         if plan.n_samples <= batch.n_samples:
             counts = np.unique(np.append(counts, plan.n_samples))
-        for n, cov in _prefix_covariances(batch.time_major(), counts):
+        for n, cov in prefix_covariances(batch.time_major(), counts):
             err = relative_frobenius_error(cov, sigma)
             result.rows.append(StudyRow(
                 axis="sampling_rate", value=rate, n_samples=int(n),

@@ -1,11 +1,11 @@
-"""Pseudo-random noise chain of the emulated device, plus the ideal source.
+"""Pseudo-random noise chain of the emulated device.
 
 The hardware-faithful chain is: two 16-bit maximal-length LFSRs combined by
 XOR (a gold-code stream), duty-cycled by pulse-density modulation to set the
 effective noise variance, and smoothed by a first-order RC low-pass so the
-marginal distribution approaches a Gaussian.  The ideal source draws exact
-Gaussian current-noise increments and is the default for algorithm-level
-experiments; the chain is the opt-in mode for studying noise-source
+marginal distribution approaches a Gaussian.  Algorithm-level experiments
+default to exact Gaussian noise, which the integrator in ``langevin`` draws
+itself; the chain is the opt-in mode for studying noise-source
 non-idealities.
 
 The LFSR is a Fibonacci (external-XOR) register with feedback taps at bit
@@ -188,37 +188,13 @@ class NoiseChainConfig:
         return cls(bit_rate=bit_rate, rc_time_constant=rc_bits / bit_rate, **kwargs)
 
 
-class IdealGaussianSource:
-    """Exact Gaussian current-noise increments (the mathematical reference).
-
-    Each draw block has i.i.d. mean-zero entries with per-component variance
-    2 * kappa0 * dt, the charge increment a white current noise of two-sided
-    PSD kappa0 deposits over one step.  Deterministic under the seed.
-    """
-
-    def __init__(self, seed: int, dimension: int, kappa0, dt: float, chains: int = 1):
-        kappa0 = np.broadcast_to(np.asarray(kappa0, dtype=float), (dimension,))
-        if np.any(kappa0 < 0) or dt <= 0:
-            raise ValueError("kappa0 must be non-negative and dt positive")
-        self.dimension = dimension
-        self.chains = chains
-        self.dt = dt
-        self._amp = np.sqrt(2.0 * kappa0 * dt)
-        self._rng = np.random.default_rng(seed)
-
-    def increments(self, n_steps: int) -> np.ndarray:
-        """Charge-noise increments of shape (n_steps, chains, dimension)."""
-        out = self._rng.standard_normal((n_steps, self.chains, self.dimension))
-        out *= self._amp
-        return out
-
-
 class ChainNoiseSource:
     """Current-noise increments produced by the emulated LFSR chain.
 
-    Every (chain, cell) lane runs its own gold-code pair; lanes differ by
-    the phase offsets of the underlying maximal-length cycle, drawn from the
-    master seed.  The bit stream is PDM-gated, RC-filtered, optionally
+    Every (chain, cell) lane runs its own gold-code pair.  Each lane's two
+    LFSRs start at the phases of ``seed_a`` and ``seed_b`` in the underlying
+    maximal-length cycle, each advanced by an offset drawn from the master
+    seed.  The bit stream is PDM-gated, RC-filtered, optionally
     soft-saturated, and scaled so its in-band current PSD matches
     duty_cycle * kappa0 at full duty calibration.  Bits are piecewise
     constant over ``substeps_per_bit`` integrator steps.
@@ -244,8 +220,11 @@ class ChainNoiseSource:
         self._gain = np.sqrt(2.0 * kappa0 * config.bit_rate)
         rng = np.random.default_rng(seed)
         lanes = chains * dimension
-        self._phase_a = rng.integers(0, LFSR_PERIOD, size=lanes)
-        self._phase_b = rng.integers(0, LFSR_PERIOD, size=lanes)
+        _, phase = _cycle()
+        self._phase_a = (phase[config.seed_a]
+                         + rng.integers(0, LFSR_PERIOD, size=lanes)) % LFSR_PERIOD
+        self._phase_b = (phase[config.seed_b]
+                         + rng.integers(0, LFSR_PERIOD, size=lanes)) % LFSR_PERIOD
         clash = self._phase_a == self._phase_b
         self._phase_b[clash] = (self._phase_b[clash] + 1 + np.arange(clash.sum())) % LFSR_PERIOD
         self._bit_index = 0

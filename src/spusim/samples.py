@@ -1,10 +1,15 @@
-"""Sample batches and covariance accumulation.
+"""Sample batches and the one covariance accumulator behind every estimate.
 
 A ``SampleBatch`` is a matrix of readout samples (rows = time points,
 columns = cells) with sampling-rate metadata.  Batches produced by
 multi-chain runs are stored chain-major: the first ``n // chains`` rows
 belong to chain 0, and so on; merging independent chains in chain-index
 order keeps every artifact deterministic.
+
+Every sample covariance in the package (a batch's covariance, the inverse
+estimate and the error-versus-sample-count series) comes from
+``OnlineCovariance``; ``prefix_covariances`` reads the covariance of the
+first n rows at each checkpoint n in a single pass over the rows.
 
 On-disk format: CSV with header ``t,v0,...,v{d-1}`` (SI units) plus a JSON
 sidecar (same stem, ``.json``) carrying the run metadata.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -67,13 +73,9 @@ class SampleBatch:
         t = self.start_time + (1.0 + np.arange(self.samples_per_chain)) / self.sample_rate
         return np.tile(t, self.chains)
 
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        """Mean-subtracted sample covariance, exactly symmetrized."""
-        if self.n_samples < 2:
-            raise ValueError("need at least two samples for a covariance")
-        x = self.values - self.values.mean(axis=0)
-        cov = x.T @ x / (self.n_samples - ddof)
-        return 0.5 * (cov + cov.T)
+    def covariance(self) -> np.ndarray:
+        """Unbiased mean-subtracted sample covariance, exactly symmetrized."""
+        return OnlineCovariance(self.dimension).add(self.values).covariance()
 
     def scaled(self, column_factors: np.ndarray) -> "SampleBatch":
         """Column-wise rescale (used by the calibration post-processing)."""
@@ -167,8 +169,26 @@ class OnlineCovariance:
         self.count = total
         return self
 
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        if self.count <= ddof:
-            raise ValueError("not enough samples accumulated")
-        cov = self._m2 / (self.count - ddof)
+    def covariance(self) -> np.ndarray:
+        """Unbiased (n - 1) covariance of the rows seen so far, exactly symmetrized."""
+        if self.count < 2:
+            raise ValueError("need at least two samples for a covariance")
+        cov = self._m2 / (self.count - 1)
         return 0.5 * (cov + cov.T)
+
+
+def prefix_covariances(rows: np.ndarray, counts) -> Iterator[tuple[int, np.ndarray]]:
+    """Covariance of the first n rows for each n of increasing ``counts``.
+
+    One pass: the rows between consecutive checkpoints are added to a single
+    accumulator, so each row is centered and multiplied once however many
+    checkpoints there are.
+    """
+    acc = OnlineCovariance(rows.shape[1])
+    start = 0
+    for n in counts:
+        if n <= start:
+            raise ValueError("checkpoint counts must be strictly increasing")
+        acc.add(rows[start:n])
+        start = n
+        yield int(n), acc.covariance()

@@ -35,6 +35,23 @@ class TestLoadMatrix:
             load_matrix(str(p))
 
 
+class TestBadMatrixInput:
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, entry):
+        p = tmp_path / f"{entry}.csv"
+        p.write_text(f"1,0\n0,{entry}\n")
+        assert main(["invert", "--matrix", str(p), "--outdir", str(tmp_path / "o")]) == 3
+        assert str(p) in capsys.readouterr().err
+
+    def test_overflowing_error_is_not_a_result(self, tmp_path, capsys):
+        m = write_matrix(tmp_path / "tiny.csv", np.diag([1e-300, 1.0]))
+        out = tmp_path / "o"
+        assert main(["invert", "--matrix", m, "--n", "400", "--chains", "4",
+                     "--outdir", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestSampleVerb:
     def test_identity_covariance(self, tmp_path):
         m = write_matrix(tmp_path / "p.csv", np.eye(4))
@@ -58,6 +75,20 @@ class TestSampleVerb:
         m = write_matrix(tmp_path / "bad.csv", np.diag([1.0, -1.0]))
         assert main(["sample", "--precision", m,
                      "--outdir", str(tmp_path / "o")]) == 4
+
+    def test_chain_seeds_select_the_noise(self, tmp_path):
+        m = write_matrix(tmp_path / "p.csv", np.eye(2))
+
+        def samples(name, seed_a, seed_b):
+            out = tmp_path / name
+            assert main(["sample", "--precision", m, "--noise-mode", "lfsr-chain",
+                         "--n", "64", "--chains", "2", "--chain-seed-a", seed_a,
+                         "--chain-seed-b", seed_b, "--outdir", str(out)]) == 0
+            return read(out / "samples.csv")
+
+        first = samples("a", "0x0042", "0x7FFF")
+        assert samples("b", "0x0042", "0x7FFF") == first
+        assert samples("c", "0xACE1", "0x1D2F") != first
 
 
 class TestInvertVerb:

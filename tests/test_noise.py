@@ -1,13 +1,12 @@
-"""Tests for the pseudo-random noise chain and the ideal source."""
+"""Tests for the pseudo-random noise chain."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spusim.noise import (LFSR_PERIOD, ChainNoiseSource, IdealGaussianSource,
-                          LfsrState, NoiseChainConfig, gold_bit, gold_bits,
-                          lfsr_bits, lfsr_period, lfsr_step, pdm_enable, pdm_gate,
-                          rc_filter)
+from spusim.noise import (LFSR_PERIOD, ChainNoiseSource, LfsrState, NoiseChainConfig,
+                          gold_bit, gold_bits, lfsr_bits, lfsr_period, lfsr_step,
+                          pdm_enable, pdm_gate, rc_filter)
 
 # output of the first 64 steps from seed 0x0001, pinned at first implementation
 GOLDEN_SEED1_64 = "0000000000000001000100010001101000011010010110110100100010111100"
@@ -125,23 +124,6 @@ class TestRcFilter:
         y = rc_filter(bits, time_constant=150.0, dt=1.0)
         decimated = y[2000::600]  # roughly independent draws
         assert stats.normaltest(decimated).pvalue > 0.01
-
-
-class TestIdealSource:
-    def test_zero_psd_gives_zero(self):
-        src = IdealGaussianSource(seed=0, dimension=3, kappa0=0.0, dt=0.1)
-        assert np.all(src.increments(100) == 0.0)
-
-    def test_variance_matches(self):
-        src = IdealGaussianSource(seed=1, dimension=2, kappa0=1.0, dt=1.0, chains=4)
-        x = src.increments(250_000).reshape(-1, 2)
-        np.testing.assert_allclose(x.var(axis=0), [2.0, 2.0], rtol=0.01)
-        np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=0.02)
-
-    def test_deterministic_under_seed(self):
-        a = IdealGaussianSource(seed=7, dimension=4, kappa0=0.5, dt=0.01).increments(50)
-        b = IdealGaussianSource(seed=7, dimension=4, kappa0=0.5, dt=0.01).increments(50)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestChainSource:

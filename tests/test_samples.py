@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spusim.errors import DimensionMismatchError
-from spusim.samples import OnlineCovariance, SampleBatch
+from spusim.linalg import checkpoint_counts
+from spusim.samples import OnlineCovariance, SampleBatch, prefix_covariances
 
 
 def make_batch(seed=0, n=600, d=3, chains=2):
@@ -77,3 +78,28 @@ class TestOnlineCovariance:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             OnlineCovariance(3).add(np.zeros((5, 2)))
+
+
+class TestPrefixCovariances:
+    @staticmethod
+    def shifted_rows():
+        rng = np.random.default_rng(8)
+        return np.vstack([rng.standard_normal((n, 4)) * s + rng.uniform(-40, 40, 4)
+                          for n, s in [(250, 1.0), (400, 3.0), (350, 0.5)]])
+
+    @pytest.mark.parametrize("counts", [
+        checkpoint_counts(1000, 20),
+        # the sampling-rate study appends the requested sample budget
+        np.unique(np.append(checkpoint_counts(1000, 12, start=10), 333)),
+    ])
+    def test_matches_np_cov_on_each_prefix(self, counts):
+        rows = self.shifted_rows()
+        series = list(prefix_covariances(rows, counts))
+        assert [n for n, _ in series] == counts.tolist()
+        for n, cov in series:
+            np.testing.assert_array_equal(cov, cov.T)
+            np.testing.assert_allclose(cov, np.cov(rows[:n].T, ddof=1), rtol=1e-10)
+
+    def test_counts_must_increase(self):
+        with pytest.raises(ValueError):
+            list(prefix_covariances(self.shifted_rows(), [10, 10]))
