@@ -30,8 +30,10 @@ from .compiler import TargetSpec
 from .device import SpuEmulator
 from .errors import (DimensionMismatchError, MatrixFormatError,
                      NotPositiveDefiniteError, SpuSimError)
+from .langevin import correlation_time
 from .linalg import (SamplingPlan, invert_matrix, moment_errors, parameter_study,
                      sample_gaussian)
+from .noise import ChainNoiseSource, NoiseChainConfig
 from .perf import (SpuCostParams, crossover, load_digital_baseline,
                    performance_curves)
 from .svgplot import line_plot
@@ -126,29 +128,40 @@ def cmd_sample(args) -> _Run:
         chain_seeds=(args.chain_seed_a, args.chain_seed_b),
         return_compilation=True)
     run.add("samples", batch.to_csv(run.path("samples.csv")))
+    params = comp.params(use_quantized=args.quantize)
     if args.export_noise > 0:
-        from .noise import NoiseChainConfig, gold_bits, pdm_enable, rc_filter
-        chain = NoiseChainConfig(seed_a=args.chain_seed_a, seed_b=args.chain_seed_b)
-        bits = gold_bits(chain.seed_a, chain.seed_b, args.export_noise)
-        gated = (bits.astype(float) * 2 - 1) * pdm_enable(args.export_noise,
-                                                          args.noise_level)
-        # time in bit periods; NoiseChainConfig.matched keeps the same RC-to-bit ratio
-        filtered = rc_filter(gated, time_constant=chain.rc_time_constant * chain.bit_rate,
-                             dt=1.0)
         run.add("noise_stream", write_csv(
             run.path("noise_stream.csv"), "bit_index,bit,gated,filtered",
-            np.column_stack([np.arange(args.export_noise), bits, gated, filtered])))
+            _lane0_noise(args, params)))
     report = moment_errors(batch, target)
     run.add("moments", write_csv(
         run.path("moments.csv"), "n_samples,cov_err,skew_err,kurt_err",
         list(report.rows())))
-    params = comp.params(use_quantized=args.quantize)
     device_json = run.path("compiled_device.json")
     device_json.write_text(params.to_json())
     run.add("compiled_device", device_json)
     run.results.update(comp.summary())
     run.results["final_covariance_error"] = float(report.covariance_error[-1])
     return run
+
+
+def _lane0_noise(args, params) -> np.ndarray:
+    """Rows (bit index, gold bit, gated, filtered) of lane 0 (chain 0, cell 0)
+    of the chain source that ``sample --noise-mode lfsr-chain`` drives.
+
+    Per-bit values depend on the bit rate only through the RC-to-bit ratio,
+    which ``NoiseChainConfig.matched`` fixes, so component tolerances, which
+    move the matched bit rate, do not change them.
+    """
+    chain = NoiseChainConfig.matched(correlation_time(params), duty_cycle=args.noise_level,
+                                     seed_a=args.chain_seed_a, seed_b=args.chain_seed_b)
+    source = ChainNoiseSource(chain, seed=args.seed + 1, dimension=params.dimension,
+                              kappa0=params.kappa_vector, dt=1.0 / chain.bit_rate,
+                              chains=args.chains)
+    n = args.export_noise
+    blocks = [source.stages(min(8192, n - k)) for k in range(0, n, 8192)]
+    bits, gated, filtered = (np.concatenate([b[i][0] for b in blocks]) for i in range(3))
+    return np.column_stack([np.arange(n), bits, gated, filtered])
 
 
 def cmd_invert(args) -> _Run:

@@ -38,6 +38,8 @@ def _validate_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MatrixFormatError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise MatrixFormatError(f"{name} has NaN or infinite entries")
     scale = np.linalg.norm(m)
     if scale == 0 or np.linalg.norm(m - m.T) > 1e-12 * scale:
         raise MatrixFormatError(f"{name} must be symmetric")

@@ -18,9 +18,14 @@ linear-Gaussian, so recorded samples are drawn exactly from the law of the
 stepped chain by compounding the one-step transition over the record stride
 (binary doubling of the transition matrix and injected covariance).  This
 is not an approximation of the integrator; it reproduces its distribution
-at the record times exactly and makes equilibrium sampling cheap.  The
-explicit step-by-step path is retained for the LFSR noise chain and for
-generic potentials.
+at the record times exactly and makes equilibrium sampling cheap.
+
+The LFSR noise chain is exogenous to the linear circuit (gating, filtering
+and saturation act before injection), so n steps driven by it also compose
+exactly: z <- M^n z + c_n + sum_j M^(n-1-j) N eta_j.  The chain path
+advances whole blocks of steps that way, one matrix product per block, on
+the same noise stream the step-by-step recursion would consume.  Generic
+(non-quadratic) potentials are stepped explicitly.
 """
 
 from __future__ import annotations
@@ -274,7 +279,7 @@ class TrajectoryConfig:
     chains: int = 1
     zero_noise: bool = False
     decorrelate_multiple: float = 5.0
-    max_steps: int = 100_000_000  # guard for runaway explicit-stepping runs
+    max_steps: int = 100_000_000  # guard for runaway chain-noise runs
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
@@ -320,7 +325,7 @@ class _LinearSystem:
     State layout z = [x, p] (flux then charge for circuits).  ``m_step`` is
     the 2d x 2d transition, ``c_step`` the drift offset, ``s_step`` the
     injected noise covariance, and ``n_inject`` maps per-step momentum noise
-    into the state (used by the explicit path for external noise sources).
+    into the state (used by the block path for external noise sources).
     """
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt, offset=None):
@@ -464,7 +469,7 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
         total_steps = burn_steps + per_chain * stride
         if total_steps > cfg.max_steps:
             raise ValueError(
-                f"chain-noise run needs {total_steps:.3g} explicit steps "
+                f"chain-noise run needs {total_steps:.3g} integrator steps "
                 f"(> max_steps {cfg.max_steps:.3g}); the chain bit rate is likely "
                 "mismatched to the circuit timescale -- see "
                 "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
@@ -516,30 +521,77 @@ def _run_fast(sys_: _LinearSystem, z: np.ndarray, rng, per_chain: int,
     return recs
 
 
+_MAX_BLOCK_STEPS = 4096
+_KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
+_MIN_DRAW_STEPS = 1024  # noise is drawn a block at a time, but at least this many steps
+
+
+def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
+    """Injection kernels of a ``steps``-step block, stacked for row-vector noise.
+
+    Rows j*d..(j+1)*d hold (M^(steps-1-j) N)^T, so a block's noise laid out
+    as (chains, steps*d) injects with one product.  The last n*d rows are
+    the kernels of an n-step block.
+    """
+    d = sys_.dimension
+    stack = np.empty((steps, d, 2 * d))
+    kernel = sys_.n_inject.T
+    for j in range(steps - 1, -1, -1):
+        stack[j] = kernel
+        kernel = kernel @ sys_.m_step.T
+    return stack.reshape(steps * d, 2 * d)
+
+
 def _run_explicit(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                   stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
+    """Step the chain through an external noise source, one block at a time.
+
+    The noise is exogenous to the linear circuit, so n steps compose
+    exactly: z <- z (M^n)^T + c_n + sum_j eta_j (M^(n-1-j) N)^T.  Each block
+    of at most ``width`` steps is one product with the kernel stack; blocks
+    end at every record.
+    """
     chains = z.shape[0]
-    d2 = 2 * sys_.dimension
-    recs = np.empty((chains, per_chain, d2))
-    total = burn_steps + per_chain * stride
-    done = 0
-    next_record = burn_steps + stride
-    k = 0
-    block = 4096
-    while done < total:
-        nb = min(block, total - done)
-        eta = None if zero_noise else source.increments(nb)
-        for j in range(nb):
-            z = z @ sys_.m_step.T + sys_.c_step
-            if eta is not None:
-                z += eta[j] @ sys_.n_inject.T
-            done += 1
-            if done == next_record:
-                if not np.all(np.isfinite(z)):
-                    raise RuntimeError(f"non-finite state at step {done} (record {k})")
-                recs[:, k, :] = z
-                k += 1
-                next_record += stride
+    d = sys_.dimension
+    width = max(1, min(_MAX_BLOCK_STEPS, max(stride, burn_steps),
+                       _KERNEL_BYTES // (2 * d * d * 8)))
+    kernels = None if zero_noise else _kernel_stack(sys_, width)
+    transitions = {}
+    remaining = burn_steps + per_chain * stride  # noise steps not yet drawn
+    eta = np.empty((chains, 0, d))  # drawn noise, chain-major
+    pos = 0
+
+    def advance(z, n):
+        nonlocal remaining, eta, pos
+        if n not in transitions:
+            mn, cn, _ = sys_.compound(n)
+            transitions[n] = mn.T, cn
+        mt, cn = transitions[n]
+        z = z @ mt + cn
+        if kernels is not None:
+            if pos + n > eta.shape[1]:
+                eta = eta[:, pos:].copy()  # the undrawn steps; frees the spent block
+                draw = min(remaining, max(width, _MIN_DRAW_STEPS))
+                eta = np.concatenate([eta, source.increments(draw).transpose(1, 0, 2)], axis=1)
+                remaining -= draw
+                pos = 0
+            z += eta[:, pos:pos + n].reshape(chains, n * d) @ kernels[(width - n) * d:]
+            pos += n
+        return z
+
+    def run(z, steps):
+        for start in range(0, steps, width):
+            z = advance(z, min(width, steps - start))
+        return z
+
+    z = run(z, burn_steps)
+    recs = np.empty((chains, per_chain, 2 * d))
+    for k in range(per_chain):
+        z = run(z, stride)
+        if not np.all(np.isfinite(z)):
+            raise RuntimeError(
+                f"non-finite state at step {burn_steps + (k + 1) * stride} (record {k})")
+        recs[:, k, :] = z
     return recs
 
 

@@ -13,7 +13,9 @@ positions 16, 15, 13 and 4, i.e. the primitive polynomial
 x^16 + x^15 + x^13 + x^4 + 1.  From any nonzero seed the state sequence
 walks one cycle of length 2^16 - 1, so arbitrary streams can be read out of
 a single precomputed period at the seed's phase offset; this is exact, not
-an approximation.
+an approximation.  ``ChainNoiseSource`` keeps that period twice over, so
+each lane's next bits from each register are one contiguous slice starting
+at the lane's phase: no per-bit modulo index is built.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ def _cycle() -> tuple[np.ndarray, np.ndarray]:
     bits.setflags(write=False)
     phase.setflags(write=False)
     return bits, phase
+
+
+@lru_cache(maxsize=1)
+def _doubled_cycle() -> np.ndarray:
+    """The output period twice over, so a window of up to one period that
+    starts anywhere in the first copy is a contiguous slice."""
+    bits = np.tile(_cycle()[0], 2)
+    bits.setflags(write=False)
+    return bits
 
 
 def lfsr_bits(seed: int, n: int) -> np.ndarray:
@@ -197,7 +208,9 @@ class ChainNoiseSource:
     seed.  The bit stream is PDM-gated, RC-filtered, optionally
     soft-saturated, and scaled so its in-band current PSD matches
     duty_cycle * kappa0 at full duty calibration.  Bits are piecewise
-    constant over ``substeps_per_bit`` integrator steps.
+    constant over ``substeps_per_bit`` integrator steps.  ``increments``
+    gives the per-step charge increments the integrator injects; ``stages``
+    exposes the per-bit values of every stage.
     """
 
     def __init__(self, config: NoiseChainConfig, seed: int, dimension: int,
@@ -231,16 +244,25 @@ class ChainNoiseSource:
         self._rc_state = np.zeros(lanes)
         self._leftover: np.ndarray | None = None
 
-    def _bit_block(self, n_bits: int) -> np.ndarray:
-        bits, _ = _cycle()
-        idx = (np.arange(self._bit_index, self._bit_index + n_bits, dtype=np.int64)) % LFSR_PERIOD
-        stream = (bits[(self._phase_a[:, None] + idx[None, :]) % LFSR_PERIOD]
-                  ^ bits[(self._phase_b[:, None] + idx[None, :]) % LFSR_PERIOD])
-        pm = stream.astype(np.float64) * 2.0 - 1.0
-        enable = pdm_enable(n_bits, self.config.duty_cycle, offset=self._bit_index)
-        pm *= enable[None, :]
+    def stages(self, n_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every lane by ``n_bits`` bits; each stage as a (lanes, n_bits) array.
+
+        Returns the gold-code bits (0/1), the PDM-gated +-1 stream and the
+        RC-filtered (and, if configured, saturated) value per bit, before
+        the current gain.  At most one LFSR period can be read per call.
+        """
+        if not 0 < n_bits <= LFSR_PERIOD:
+            raise ValueError(f"n_bits must be in [1, {LFSR_PERIOD}], got {n_bits}")
+        windows = np.lib.stride_tricks.sliding_window_view(_doubled_cycle(), n_bits)
+        start = self._bit_index % LFSR_PERIOD
+        stream = (windows[(self._phase_a + start) % LFSR_PERIOD]
+                  ^ windows[(self._phase_b + start) % LFSR_PERIOD])
+        gated = stream.astype(np.float64)
+        gated *= 2.0
+        gated -= 1.0
         cfg = self.config
-        filtered = rc_filter(pm, cfg.rc_time_constant, 1.0 / cfg.bit_rate,
+        gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)
+        filtered = rc_filter(gated, cfg.rc_time_constant, 1.0 / cfg.bit_rate,
                              initial=self._rc_state)
         self._rc_state = filtered[:, -1].copy()
         self._bit_index += n_bits
@@ -248,7 +270,7 @@ class ChainNoiseSource:
             # fixed hardware headroom, expressed in full-duty RMS units
             v = cfg.saturation * _filtered_rms(cfg)
             filtered = v * np.tanh(filtered / v)
-        return filtered  # (lanes, n_bits)
+        return stream, gated, filtered
 
     def increments(self, n_steps: int) -> np.ndarray:
         """Charge increments current * dt of shape (n_steps, chains, dimension)."""
@@ -261,8 +283,9 @@ class ChainNoiseSource:
             filled = take
         while filled < n_steps:
             n_bits = max(1, min(8192, -(-(n_steps - filled) // self.substeps_per_bit)))
-            block = self._bit_block(n_bits)
-            vals = np.repeat(block, self.substeps_per_bit, axis=1)
+            block = self.stages(n_bits)[2]
+            vals = (block if self.substeps_per_bit == 1
+                    else np.repeat(block, self.substeps_per_bit, axis=1))
             take = min(n_steps - filled, vals.shape[1])
             out[filled:filled + take] = vals[:, :take].T
             if take < vals.shape[1]:

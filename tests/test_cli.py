@@ -43,6 +43,13 @@ class TestBadMatrixInput:
         assert main(["invert", "--matrix", str(p), "--outdir", str(tmp_path / "o")]) == 3
         assert str(p) in capsys.readouterr().err
 
+    def test_non_finite_library_target_exit_code(self, tmp_path, capsys):
+        # a NaN observation noise reaches the compiler through the GPR
+        # kernel matrix, not through load_matrix
+        assert main(["gpr", "--noise", "nan", "--inverter-samples", "2000",
+                     "--outdir", str(tmp_path / "o")]) == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_overflowing_error_is_not_a_result(self, tmp_path, capsys):
         m = write_matrix(tmp_path / "tiny.csv", np.diag([1e-300, 1.0]))
         out = tmp_path / "o"
@@ -89,6 +96,30 @@ class TestSampleVerb:
         first = samples("a", "0x0042", "0x7FFF")
         assert samples("b", "0x0042", "0x7FFF") == first
         assert samples("c", "0xACE1", "0x1D2F") != first
+
+    def test_export_noise_is_lane_zero_of_the_run(self, tmp_path):
+        from spusim.noise import ChainNoiseSource, NoiseChainConfig
+        m = write_matrix(tmp_path / "p.csv", np.eye(2))
+        n_bits, level = 9000, 0.6
+
+        def stream(seed):
+            out = tmp_path / f"s{seed}"
+            assert main(["sample", "--precision", m, "--n", "8", "--chains", "2",
+                         "--seed", str(seed), "--noise-level", str(level),
+                         "--export-noise", str(n_bits), "--outdir", str(out)]) == 0
+            return np.loadtxt(out / "noise_stream.csv", delimiter=",", skiprows=1)
+
+        first = stream(1)
+        assert not np.array_equal(first[:, 3], stream(2)[:, 3])
+        # lane 0 of the source a seed-1 run drives: source seed 2, 2 chains x 2
+        # cells, unit gain so increments are the per-bit filtered values
+        chain = NoiseChainConfig(duty_cycle=level, bit_rate=1.0, rc_time_constant=8.0)
+        source = ChainNoiseSource(chain, seed=2, dimension=2, kappa0=0.5, dt=1.0, chains=2)
+        np.testing.assert_allclose(first[:, 3], source.increments(n_bits)[:, 0, 0],
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(first[:, 0], np.arange(n_bits))
+        np.testing.assert_array_equal(first[:, 2], (2 * first[:, 1] - 1)
+                                      * (first[:, 2] != 0))
 
 
 class TestInvertVerb:

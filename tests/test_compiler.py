@@ -177,3 +177,11 @@ class TestTargetSpec:
         p[0, 1] = 1e-3
         with pytest.raises(MatrixFormatError):
             TargetSpec(p)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected_at_the_boundary(self, entry):
+        from spusim.linalg import invert_matrix
+        with pytest.raises(MatrixFormatError, match="NaN or infinite"):
+            TargetSpec(np.array([[1.0, entry], [entry, 1.0]]))
+        with pytest.raises(MatrixFormatError, match="NaN or infinite"):
+            invert_matrix([[1.0, entry], [entry, 1.0]])

@@ -357,3 +357,94 @@ class TestBurnInRule:
         # first recorded sample of each chain sits right after burn-in
         first = batch.per_chain()[:, 0, 0]
         assert first.var(ddof=1) == pytest.approx(target, rel=0.02)
+
+
+def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_noise):
+    """Per-step oracle for the block engine: one transition per integrator step."""
+    total = burn_steps + per_chain * stride
+    eta = (np.zeros((total, z.shape[0], sys_.dimension)) if zero_noise
+           else source.increments(total))
+    recs = []
+    for step in range(total):
+        z = z @ sys_.m_step.T + sys_.c_step + eta[step] @ sys_.n_inject.T
+        if step >= burn_steps and (step + 1 - burn_steps) % stride == 0:
+            recs.append(z)
+    return np.stack(recs, axis=1)
+
+
+class TestBlockEngine:
+    """``_run_explicit`` compounds whole blocks; it must match per-step stepping."""
+
+    DT = 0.05
+
+    def system(self, d=3, seed=40, offset=None, gamma=1.0):
+        from spusim.langevin import _LinearSystem
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        return _LinearSystem(m_inv=0.5 * (m_inv + m_inv.T),
+                             a_mat=np.diag(rng.uniform(0.5, 2.0, d)),
+                             gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3),
+                             dt=self.DT, offset=offset)
+
+    def source(self, chains, d=3, sub=1, **chain_kw):
+        from spusim.noise import ChainNoiseSource, NoiseChainConfig
+        bit_period = sub * self.DT
+        chain = NoiseChainConfig(bit_rate=1.0 / bit_period,
+                                 rc_time_constant=8.0 * bit_period, **chain_kw)
+        return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=0.7, dt=self.DT,
+                                chains=chains)
+
+    def compare(self, sys_, chains, per_chain, stride, burn_steps, zero_noise=False, **src_kw):
+        from spusim.langevin import _run_explicit
+        z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
+        args = (per_chain, stride, burn_steps, zero_noise)
+        got = _run_explicit(sys_, z0.copy(), self.source(chains, **src_kw), *args)
+        want = _stepped_reference(sys_, z0.copy(), self.source(chains, **src_kw), *args)
+        assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stride_above_block_and_not_a_multiple(self, monkeypatch):
+        import spusim.langevin as lg
+        monkeypatch.setattr(lg, "_MAX_BLOCK_STEPS", 64)
+        self.compare(self.system(), chains=3, per_chain=5, stride=150, burn_steps=100)
+
+    def test_default_block_with_long_stride(self):
+        self.compare(self.system(), chains=2, per_chain=2, stride=4500, burn_steps=300)
+
+    def test_no_burn_in_stride_one(self):
+        self.compare(self.system(), chains=2, per_chain=300, stride=1, burn_steps=0)
+
+    def test_substeps_per_bit(self):
+        self.compare(self.system(), chains=2, per_chain=7, stride=37, burn_steps=50, sub=3)
+
+    def test_duty_cycle_and_saturation(self):
+        self.compare(self.system(), chains=2, per_chain=6, stride=90, burn_steps=40,
+                     duty_cycle=0.3, saturation=1.2)
+
+    def test_zero_noise(self):
+        self.compare(self.system(), chains=2, per_chain=8, stride=25, burn_steps=30,
+                     zero_noise=True)
+
+    def test_drift_offset(self):
+        sys_ = self.system(offset=np.array([0.5, -1.0, 2.0]))
+        assert np.any(sys_.c_step != 0)
+        self.compare(sys_, chains=3, per_chain=6, stride=70, burn_steps=20)
+
+    def test_many_chains(self):
+        self.compare(self.system(d=2), chains=9, per_chain=4, stride=200, burn_steps=150, d=2)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_state_names_the_record(self):
+        from spusim.langevin import _run_explicit
+        sys_ = self.system(gamma=-100.0)  # anti-damped: grows ~6x per step
+        z0 = np.ones((2, 6))
+        with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ \(record \d+\)"):
+            _run_explicit(sys_, z0, self.source(2), per_chain=20, stride=100,
+                          burn_steps=0, zero_noise=False)
+
+    def test_max_steps_guard(self):
+        params = random_psd_params(2, 43)
+        cfg = TrajectoryConfig(n_samples=10, seed=44, max_steps=1000)
+        with pytest.raises(ValueError, match="max_steps"):
+            integrate_circuit(params, cfg, noise="lfsr-chain")

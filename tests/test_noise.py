@@ -155,3 +155,33 @@ class TestChainSource:
         v_free = free.increments(100_000).var()
         v_sat = sat.increments(100_000).var()
         assert v_sat < 0.8 * v_free
+
+    def test_increments_match_per_lane_reference(self):
+        # byte-identical to the chain assembled lane by lane from lfsr_bits,
+        # over uneven call sizes (which split bits across calls) and past the
+        # 2^16 - 1 cycle wrap
+        from spusim.noise import _cycle, _filtered_rms
+        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
+                               saturation=1.5)
+        sub, chains, d, dt = 3, 2, 2, 1.0 / 3
+        kappa0 = np.array([0.7, 1.9])
+        src = ChainNoiseSource(cfg, seed=12, dimension=d, kappa0=kappa0, dt=dt, chains=chains)
+        sizes = [1, 5, 24_575, 2, 100_000, 85_417]
+        got = np.concatenate([src.increments(n) for n in sizes])
+        n_steps = sum(sizes)
+        n_bits = -(-n_steps // sub)
+        assert n_bits > LFSR_PERIOD
+        _, phase = _cycle()
+        register = np.empty(LFSR_PERIOD, dtype=np.int64)
+        register[phase[1:]] = np.arange(1, LFSR_PERIOD + 1)
+        v = cfg.saturation * _filtered_rms(cfg)
+        want = np.empty((n_steps, chains * d))
+        for lane in range(chains * d):
+            bits = (lfsr_bits(int(register[src._phase_a[lane]]), n_bits)
+                    ^ lfsr_bits(int(register[src._phase_b[lane]]), n_bits))
+            gated = (bits.astype(float) * 2.0 - 1.0) * pdm_enable(n_bits, cfg.duty_cycle)
+            filtered = rc_filter(gated, cfg.rc_time_constant, 1.0 / cfg.bit_rate)
+            want[:, lane] = np.repeat(v * np.tanh(filtered / v), sub)[:n_steps]
+        want = want.reshape(n_steps, chains, d)
+        want *= np.sqrt(2.0 * kappa0 * cfg.bit_rate) * dt
+        assert np.array_equal(got, want)
