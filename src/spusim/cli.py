@@ -289,6 +289,14 @@ def cmd_calibrate(args) -> _Run:
     return run
 
 
+def _selected_cells(cell, n_cells: int):
+    if cell is None:
+        return range(n_cells)
+    if not 0 <= cell < n_cells:
+        raise ValueError(f"--cell {cell} is out of range for {n_cells} cells")
+    return [cell]
+
+
 def cmd_spectroscopy(args) -> _Run:
     run = _Run(args)
     if args.device:
@@ -297,7 +305,7 @@ def cmd_spectroscopy(args) -> _Run:
                                   fit_circuit_params)
         from .langevin import TrajectoryConfig, integrate_circuit
         params = CircuitParams.from_json(Path(args.device).read_text())
-        cells = range(params.dimension) if args.cell is None else [args.cell]
+        cells = _selected_cells(args.cell, params.dimension)
         fits = {}
         for cell in cells:
             mask = np.zeros(params.dimension)
@@ -319,7 +327,7 @@ def cmd_spectroscopy(args) -> _Run:
     else:
         device = SpuEmulator(n_cells=args.cells, tolerance_sigma=args.tolerance,
                              tolerance_seed=args.seed)
-        cells = range(args.cells) if args.cell is None else [args.cell]
+        cells = _selected_cells(args.cell, args.cells)
         fits = {}
         for cell in cells:
             fit, spectrum = characterize_cell(device, cell, bank_config=args.bank,
@@ -348,24 +356,12 @@ def cmd_spectroscopy(args) -> _Run:
     return run
 
 
-def _parse_pairs(values):
-    out = set()
-    for item in values or ():
-        i, j = item.split(",")
-        out.add((int(i), int(j)))
-    return out
-
-
 def cmd_faultscan(args) -> _Run:
     run = _Run(args)
-    scale = {}
-    for item in args.scale_cap or ():
-        cell, factor = item.split(":")
-        scale[int(cell)] = float(factor)
     device = SpuEmulator(n_cells=args.cells,
-                         dead_couplings=_parse_pairs(args.kill_coupling),
-                         dead_cells=frozenset(int(c) for c in args.kill_cell or ()),
-                         capacitance_scale=scale)
+                         dead_couplings=set(args.kill_coupling or ()),
+                         dead_cells=frozenset(args.kill_cell or ()),
+                         capacitance_scale=dict(args.scale_cap or ()))
     report = two_cell_fault_scan(device, bank_config=args.bank,
                                  n_samples=args.n, seed=args.seed)
     path = run.path("faultscan.json")
@@ -431,6 +427,23 @@ def cmd_study(args) -> _Run:
     return run
 
 
+def _cell_value(kind: type, form: str):
+    """argparse type that parses ``form`` ("I,J" or "I:FACTOR") to (int, kind)."""
+    def parse(text: str):
+        try:
+            cell, value = text.split(form[1])
+            return int(cell), kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
+
+
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spusim",
@@ -468,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first LFSR seed of the noise chain (nonzero 16-bit)")
     p.add_argument("--chain-seed-b", type=lambda s: int(s, 0), default=0x1D2F,
                    help="second LFSR seed of the noise chain")
-    p.add_argument("--export-noise", type=int, default=0, metavar="N_BITS",
+    p.add_argument("--export-noise", type=_non_negative_int, default=0, metavar="N_BITS",
                    help="also write N_BITS of the noise-chain pipeline "
                         "(bit, gated, filtered) to noise_stream.csv")
     p.set_defaults(func=cmd_sample)
@@ -546,11 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 16_384)
     p.add_argument("--cells", type=int, default=8)
     p.add_argument("--bank", type=int, default=3)
-    p.add_argument("--kill-coupling", action="append", metavar="I,J",
+    p.add_argument("--kill-coupling", action="append", type=_cell_value(int, "I,J"), metavar="I,J",
                    help="inject a dead coupling (repeatable)")
-    p.add_argument("--kill-cell", action="append", metavar="I",
+    p.add_argument("--kill-cell", action="append", type=int, metavar="I",
                    help="inject a dead noise source (repeatable)")
-    p.add_argument("--scale-cap", action="append", metavar="I:FACTOR",
+    p.add_argument("--scale-cap", action="append", type=_cell_value(float, "I:FACTOR"),
+                   metavar="I:FACTOR",
                    help="inject a shifted in-cell capacitance (repeatable)")
     p.set_defaults(func=cmd_faultscan)
 

@@ -65,6 +65,13 @@ class SpuEmulator:
         self.dead_couplings = frozenset(
             (min(i, j), max(i, j)) for i, j in self.dead_couplings)
         self.dead_cells = frozenset(self.dead_cells)
+        for i, j in sorted(self.dead_couplings):
+            if i == j:
+                raise ValueError(f"dead coupling {i},{j} must join two different cells")
+        cells = {c for pair in self.dead_couplings for c in pair}
+        for cell in sorted(cells | self.dead_cells | set(self.capacitance_scale)):
+            if not 0 <= cell < self.n_cells:
+                raise ValueError(f"cell index {cell} is out of range for {self.n_cells} cells")
 
     def _vec(self, value) -> np.ndarray:
         return np.broadcast_to(np.asarray(value, dtype=float), (self.n_cells,)).copy()

@@ -13,19 +13,13 @@ stationary covariance converges to the continuous one linearly in dt and,
 with the default step-size rule, the residual bias stays well below one
 percent.
 
-For linear systems driven by the ideal Gaussian source the chain is
-linear-Gaussian, so recorded samples are drawn exactly from the law of the
-stepped chain by compounding the one-step transition over the record stride
-(binary doubling of the transition matrix and injected covariance).  This
-is not an approximation of the integrator; it reproduces its distribution
-at the record times exactly and makes equilibrium sampling cheap.
-
-The LFSR noise chain is exogenous to the linear circuit (gating, filtering
-and saturation act before injection), so n steps driven by it also compose
-exactly: z <- M^n z + c_n + sum_j M^(n-1-j) N eta_j.  The chain path
-advances whole blocks of steps that way, one matrix product per block, on
-the same noise stream the step-by-step recursion would consume.  Generic
-(non-quadratic) potentials are stepped explicitly.
+Both noise sources, ideal Gaussian and the LFSR chain (whose gating,
+filtering and saturation act before injection), are exogenous to the linear
+circuit, so n steps compose exactly: z <- M^n z + c_n + w_n.  One block
+engine advances every linear run that way, drawing w_n from the exact law of
+the compounded step (binary doubling) or injecting the chain's increments
+through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
+the record times exactly.  Generic potentials are stepped explicitly.
 """
 
 from __future__ import annotations
@@ -324,8 +318,8 @@ class _LinearSystem:
 
     State layout z = [x, p] (flux then charge for circuits).  ``m_step`` is
     the 2d x 2d transition, ``c_step`` the drift offset, ``s_step`` the
-    injected noise covariance, and ``n_inject`` maps per-step momentum noise
-    into the state (used by the block path for external noise sources).
+    injected noise covariance of the ideal source, and ``n_inject`` maps
+    per-step momentum noise of an external source into the state.
     """
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt, offset=None):
@@ -452,9 +446,7 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
 
     if isinstance(noise, str) and noise == "ideal":
         dt, stride, burn_steps = _resolve_steps(params, cfg)
-        sys_ = _LinearSystem.from_circuit(params, dt)
-        z = _initial_state(params, initial_state, chains, rng)
-        recs = _run_fast(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
+        source = rng
     else:
         if isinstance(noise, str) and noise == "lfsr-chain":
             noise = NoiseChainConfig.matched(correlation_time(params))
@@ -474,11 +466,11 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                 "mismatched to the circuit timescale -- see "
                 "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
             )
-        sys_ = _LinearSystem.from_circuit(params, dt)
-        z = _initial_state(params, initial_state, chains, rng)
         source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=d,
                                   kappa0=params.kappa_vector, dt=dt, chains=chains)
-        recs = _run_explicit(sys_, z, source, per_chain, stride, burn_steps, cfg.zero_noise)
+    sys_ = _LinearSystem.from_circuit(params, dt)
+    z = _initial_state(params, initial_state, chains, rng)
+    recs = _run_linear(sys_, z, source, per_chain, stride, burn_steps, cfg.zero_noise)
 
     if record == "voltage":
         values = recs[:, :, d:] @ sys_.m_inv.T
@@ -496,34 +488,9 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                        chains=chains, meta=meta)
 
 
-def _run_fast(sys_: _LinearSystem, z: np.ndarray, rng, per_chain: int,
-              stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
-    chains = z.shape[0]
-    d2 = 2 * sys_.dimension
-    if burn_steps:
-        mb, cb, sb = sys_.compound(burn_steps)
-        z = z @ mb.T + cb
-        if not zero_noise:
-            z += rng.standard_normal((chains, d2)) @ _factor(sb).T
-    ms, cs, ss = sys_.compound(stride)
-    fs = None if zero_noise else _factor(ss)
-    recs = np.empty((chains, per_chain, d2))
-    for k in range(per_chain):
-        z = z @ ms.T + cs
-        if fs is not None:
-            z += rng.standard_normal((chains, d2)) @ fs.T
-        if not np.all(np.isfinite(z)):
-            raise RuntimeError(
-                f"non-finite state at record {k} "
-                f"(steps {burn_steps + k * stride}..{burn_steps + (k + 1) * stride})"
-            )
-        recs[:, k, :] = z
-    return recs
-
-
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
-_MIN_DRAW_STEPS = 1024  # noise is drawn a block at a time, but at least this many steps
+_MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
 
 
 def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
@@ -542,52 +509,68 @@ def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
     return stack.reshape(steps * d, 2 * d)
 
 
-def _run_explicit(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                  stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
-    """Step the chain through an external noise source, one block at a time.
+def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
+                stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
+    """Advance the linear chain in exact blocks; record it after every stride.
 
-    The noise is exogenous to the linear circuit, so n steps compose
-    exactly: z <- z (M^n)^T + c_n + sum_j eta_j (M^(n-1-j) N)^T.  Each block
-    of at most ``width`` steps is one product with the kernel stack; blocks
-    end at every record.
+    The noise is exogenous to the linear system, so n steps compose exactly:
+    z <- z (M^n)^T + c_n + xi W_n.  With the ideal source (a numpy
+    ``Generator``) xi is one standard normal draw of width 2d and
+    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride.
+    With a ``ChainNoiseSource`` xi is the block's increments laid out as
+    (chains, n*d) and W_n the last n*d rows of the kernel stack; blocks then
+    hold at most ``width`` steps.  Blocks end at every record.
     """
     chains = z.shape[0]
     d = sys_.dimension
-    width = max(1, min(_MAX_BLOCK_STEPS, max(stride, burn_steps),
-                       _KERNEL_BYTES // (2 * d * d * 8)))
-    kernels = None if zero_noise else _kernel_stack(sys_, width)
-    transitions = {}
-    remaining = burn_steps + per_chain * stride  # noise steps not yet drawn
-    eta = np.empty((chains, 0, d))  # drawn noise, chain-major
+    ideal = isinstance(source, np.random.Generator)
+    width = max(stride, burn_steps)
+    if not ideal:
+        width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // (2 * d * d * 8)))
+        kernels = None if zero_noise else _kernel_stack(sys_, width)
+    remaining = burn_steps + per_chain * stride  # chain noise steps not yet drawn
+    eta = np.empty((chains, 0, d))  # drawn chain noise, chain-major
     pos = 0
+    cache = {}  # n -> ((M^n)^T, c_n, W_n, n)
 
-    def advance(z, n):
+    def noise(n):
         nonlocal remaining, eta, pos
-        if n not in transitions:
-            mn, cn, _ = sys_.compound(n)
-            transitions[n] = mn.T, cn
-        mt, cn = transitions[n]
-        z = z @ mt + cn
-        if kernels is not None:
-            if pos + n > eta.shape[1]:
-                eta = eta[:, pos:].copy()  # the undrawn steps; frees the spent block
-                draw = min(remaining, max(width, _MIN_DRAW_STEPS))
-                eta = np.concatenate([eta, source.increments(draw).transpose(1, 0, 2)], axis=1)
-                remaining -= draw
-                pos = 0
-            z += eta[:, pos:pos + n].reshape(chains, n * d) @ kernels[(width - n) * d:]
-            pos += n
-        return z
+        if ideal:
+            return source.standard_normal((chains, 2 * d))
+        if pos + n > eta.shape[1]:
+            eta = eta[:, pos:].copy()  # the undrawn steps; frees the spent block
+            draw = min(remaining, max(width, _MIN_DRAW_STEPS))
+            eta = np.concatenate([eta, source.increments(draw).transpose(1, 0, 2)], axis=1)
+            remaining -= draw
+            pos = 0
+        pos += n
+        return eta[:, pos - n:pos].reshape(chains, n * d)
 
-    def run(z, steps):
+    def blocks(steps):
+        """The cached blocks, at most ``width`` steps each, that make up ``steps``."""
+        plan = []
         for start in range(0, steps, width):
-            z = advance(z, min(width, steps - start))
+            n = min(width, steps - start)
+            if n not in cache:
+                m_n, c_n, s_n = sys_.compound(n)
+                w_n = (None if zero_noise else _factor(s_n).T if ideal
+                       else kernels[(width - n) * d:])
+                cache[n] = m_n.T, c_n, w_n, n
+            plan.append(cache[n])
+        return plan
+
+    def run(z, plan):
+        for mt, c_n, w_n, n in plan:
+            z = z @ mt + c_n
+            if w_n is not None:
+                z += noise(n) @ w_n
         return z
 
-    z = run(z, burn_steps)
+    z = run(z, blocks(burn_steps))
+    stride_blocks = blocks(stride)
     recs = np.empty((chains, per_chain, 2 * d))
     for k in range(per_chain):
-        z = run(z, stride)
+        z = run(z, stride_blocks)
         if not np.all(np.isfinite(z)):
             raise RuntimeError(
                 f"non-finite state at step {burn_steps + (k + 1) * stride} (record {k})")
@@ -595,15 +578,14 @@ def _run_explicit(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
     return recs
 
 
-def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig,
-                  force_loop: bool = False):
+def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
     """Semi-implicit Euler-Maruyama for the underdamped Langevin equations.
 
     Returns recorded positions and momenta, shaped (n, d) for a single
-    chain and (chains, n, d) otherwise.  Quadratic potentials driven by the
-    ideal source take the exact compounded-step path; ``force_loop`` forces
-    explicit stepping (needed for non-quadratic gradients, used in tests
-    for cross-validation).
+    chain and (chains, n, d) otherwise.  A ``QuadraticPotential`` makes the
+    system linear, so it runs on the exact block engine of
+    ``integrate_circuit``; any other gradient callable is stepped
+    explicitly, one integrator step at a time.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
@@ -620,8 +602,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig,
     per_chain = cfg.samples_per_chain
     rng = np.random.default_rng(cfg.seed)
     m_inv = spec.mass_inverse(d)
-    quad = isinstance(spec.grad_potential, QuadraticPotential)
-    if quad and not force_loop:
+    if isinstance(spec.grad_potential, QuadraticPotential):
         sys_ = _LinearSystem(
             m_inv=m_inv,
             a_mat=spec.grad_potential.matrix,
@@ -631,7 +612,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig,
             offset=spec.grad_potential.offset,
         )
         z = np.concatenate([x0, p0], axis=1)
-        recs = _run_fast(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
+        recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
         xs, ps = recs[:, :, :d], recs[:, :, d:]
     else:
         grad = spec.grad_potential

@@ -180,10 +180,11 @@ class InversionResult:
 def relative_frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> float:
     """|| estimate - reference ||_F / || reference ||_F.
 
-    Raises ValueError when the ratio is not finite, as when a norm
-    overflows for entries near the float range.
+    Raises ValueError, and no RuntimeWarning, when the ratio is not finite,
+    as when a norm overflows for entries near the float range.
     """
-    err = float(np.linalg.norm(estimate - reference) / np.linalg.norm(reference))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.linalg.norm(estimate - reference) / np.linalg.norm(reference))
     if not math.isfinite(err):
         raise ValueError(f"relative Frobenius error is {err}: a norm overflowed "
                          f"or the estimate is not finite")
@@ -338,6 +339,8 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
         return result
 
     rates = sorted(float(r) for r in grid)
+    if not all(math.isfinite(r) and r > 0 for r in rates):
+        raise ValueError(f"sampling rates must be positive and finite, got {grid}")
     fastest = rates[-1]
     strides = [max(1, round(fastest / r)) for r in rates]
     # record enough fast samples that the slowest rate still reaches n_samples

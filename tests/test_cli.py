@@ -207,6 +207,50 @@ class TestFaultscanVerb:
         assert any(f["drive"] == 0 and f["probe"] == 2 for f in report["flags"])
 
 
+class TestCellIndexInput:
+    @pytest.mark.parametrize("flag,value", [
+        ("--kill-coupling", "1,9"), ("--kill-coupling", "2,2"),
+        ("--kill-cell", "9"), ("--kill-cell", "-1"), ("--scale-cap", "9:2")])
+    def test_faultscan_out_of_range_exit_code(self, tmp_path, capsys, flag, value):
+        assert main(["faultscan", "--cells", "8", flag, value,
+                     "--outdir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert value.split(",")[-1].split(":")[0] in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--kill-coupling", "1"), ("--kill-coupling", "1,x"), ("--scale-cap", "1"),
+        ("--scale-cap", "1:x"), ("--scale-cap", "1:2:3"), ("--kill-cell", "x")])
+    def test_faultscan_malformed_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["faultscan", flag, value, "--outdir", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_negative_export_noise_is_usage_error(self, tmp_path, capsys):
+        m = write_matrix(tmp_path / "p.csv", np.eye(2))
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--precision", m, "--export-noise", "-3",
+                  "--outdir", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "--export-noise" in capsys.readouterr().err
+
+    def test_spectroscopy_cell_out_of_range(self, tmp_path, capsys):
+        assert main(["spectroscopy", "--cells", "2", "--cell", "9",
+                     "--outdir", str(tmp_path / "o")]) == 1
+        assert "--cell 9" in capsys.readouterr().err
+
+    def test_spectroscopy_device_cell_out_of_range(self, tmp_path, capsys):
+        from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+        params = CircuitParams.build(
+            [UnitCell(1.5e-6, 40.0, 2e-13, bank_config=3)], CouplingConfig.none(1))
+        device_path = tmp_path / "device.json"
+        device_path.write_text(params.to_json())
+        assert main(["spectroscopy", "--device", str(device_path), "--cell", "9",
+                     "--outdir", str(tmp_path / "o")]) == 1
+        assert "--cell 9" in capsys.readouterr().err
+
+
 class TestPerfVerb:
     def test_curves_and_crossover(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -228,6 +272,11 @@ class TestStudyVerb:
         assert code == 0
         rows = np.loadtxt(out / "study.csv", delimiter=",", skiprows=1)
         assert set(np.unique(rows[:, 0])) == {0.5, 1.0}
+
+    def test_zero_sampling_rate_exit_code(self, tmp_path, capsys):
+        assert main(["study", "--axis", "sampling_rate", "--grid", "0",
+                     "--outdir", str(tmp_path / "o")]) == 1
+        assert "positive and finite" in capsys.readouterr().err
 
 
 class TestCovarianceTarget:

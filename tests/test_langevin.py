@@ -1,12 +1,15 @@
 """Tests for the Langevin integrators and analytic references."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
 from spusim.errors import NotPositiveDefiniteError
 from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
-                             TrajectoryConfig, autocorrelation, correlation_time,
+                             TrajectoryConfig, _factor, _LinearSystem, _run_linear,
+                             autocorrelation, correlation_time,
                              discrete_stationary_covariance, hamiltonian,
                              hamiltonian_iv, integrate_circuit, integrate_odl,
                              integrate_udl, inverse_transform, stationary_reference,
@@ -21,6 +24,11 @@ CELL7 = dict(inductance=1.77e-6, resistance=76.7, noise_psd=0.206e-12,
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def stepped(spec):
+    """The same problem behind a plain callable, so ``integrate_udl`` steps it explicitly."""
+    return dataclasses.replace(spec, grad_potential=spec.grad_potential.__call__)
 
 
 def random_psd_params(d, seed, lo=0.5, hi=2.0):
@@ -256,7 +264,7 @@ class TestUdlOdl:
         cfg = TrajectoryConfig(dt=0.02, n_samples=40_000, record_stride=60,
                                burn_in=15.0, seed=20, chains=40)
         xf, _ = integrate_udl(spec, np.zeros(2), np.zeros(2), cfg)
-        xl, _ = integrate_udl(spec, np.zeros(2), np.zeros(2), cfg, force_loop=True)
+        xl, _ = integrate_udl(stepped(spec), np.zeros(2), np.zeros(2), cfg)
         target = np.linalg.inv(a)
         covf = np.cov(xf.reshape(-1, 2).T)
         covl = np.cov(xl.reshape(-1, 2).T)
@@ -290,8 +298,7 @@ class TestUdlOdl:
         n = 1000
         cfg = TrajectoryConfig(dt=period / n, n_samples=n, record_stride=1,
                                burn_in=0.0, seed=0, zero_noise=True)
-        xs, ps = integrate_udl(spec, np.array([1.0]), np.array([0.0]), cfg,
-                               force_loop=True)
+        xs, ps = integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
         energy = 0.5 * ps[:, 0] ** 2 + 0.5 * xs[:, 0] ** 2
         assert abs(energy[-1] - 0.5) / 0.5 < 0.01
         assert np.max(np.abs(energy - 0.5)) / 0.5 < 0.01
@@ -326,8 +333,7 @@ class TestUdlOdl:
         cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1,
                                burn_in=0.0, seed=0, zero_noise=True)
         with pytest.raises(RuntimeError, match="step"):
-            integrate_udl(spec, np.array([1.0]), np.array([0.0]), cfg,
-                          force_loop=True)
+            integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
 
 
 class TestBurnInRule:
@@ -372,13 +378,28 @@ def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_nois
     return np.stack(recs, axis=1)
 
 
+def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
+    """Ideal-source oracle: one exact Gaussian draw for the burn-in, then one per record."""
+    def block(z, n):
+        m, c, s = sys_.compound(n)
+        z = z @ m.T + c
+        return z if zero_noise else z + rng.standard_normal(z.shape) @ _factor(s).T
+
+    if burn_steps:
+        z = block(z, burn_steps)
+    recs = []
+    for _ in range(per_chain):
+        z = block(z, stride)
+        recs.append(z)
+    return np.stack(recs, axis=1)
+
+
 class TestBlockEngine:
-    """``_run_explicit`` compounds whole blocks; it must match per-step stepping."""
+    """``_run_linear`` compounds whole blocks; it must match the references."""
 
     DT = 0.05
 
     def system(self, d=3, seed=40, offset=None, gamma=1.0):
-        from spusim.langevin import _LinearSystem
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
@@ -396,10 +417,9 @@ class TestBlockEngine:
                                 chains=chains)
 
     def compare(self, sys_, chains, per_chain, stride, burn_steps, zero_noise=False, **src_kw):
-        from spusim.langevin import _run_explicit
         z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
         args = (per_chain, stride, burn_steps, zero_noise)
-        got = _run_explicit(sys_, z0.copy(), self.source(chains, **src_kw), *args)
+        got = _run_linear(sys_, z0.copy(), self.source(chains, **src_kw), *args)
         want = _stepped_reference(sys_, z0.copy(), self.source(chains, **src_kw), *args)
         assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -434,14 +454,49 @@ class TestBlockEngine:
     def test_many_chains(self):
         self.compare(self.system(d=2), chains=9, per_chain=4, stride=200, burn_steps=150, d=2)
 
+    @pytest.mark.parametrize("burn_steps,zero_noise,offset", [
+        (0, False, None),  # no burn-in draw at all
+        (250, False, None),  # burn-in longer than the stride
+        (40, True, None),
+        (250, False, np.array([0.5, -1.0, 2.0])),  # non-zero c_step
+        (70, True, np.array([0.5, -1.0, 2.0])),
+    ])
+    def test_ideal_source_matches_per_record_draws(self, burn_steps, zero_noise, offset):
+        sys_ = self.system(offset=offset)
+        z0 = np.random.default_rng(42).standard_normal((3, 6))
+        args = (9, 70, burn_steps, zero_noise)
+        got = _run_linear(sys_, z0.copy(), np.random.default_rng(43), *args)
+        want = _per_record_reference(sys_, z0.copy(), np.random.default_rng(43), *args)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_equal_burn_in_and_stride_compound_once(self, monkeypatch, ideal):
+        calls = []
+        compound = _LinearSystem.compound
+
+        def counted(sys_, n):
+            calls.append(n)
+            return compound(sys_, n)
+
+        monkeypatch.setattr(_LinearSystem, "compound", counted)
+        source = np.random.default_rng(44) if ideal else self.source(2)
+        _run_linear(self.system(), np.zeros((2, 6)), source, per_chain=5, stride=120,
+                    burn_steps=120, zero_noise=False)
+        assert calls == [120]
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_state_names_the_record(self):
-        from spusim.langevin import _run_explicit
         sys_ = self.system(gamma=-100.0)  # anti-damped: grows ~6x per step
-        z0 = np.ones((2, 6))
         with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ \(record \d+\)"):
-            _run_explicit(sys_, z0, self.source(2), per_chain=20, stride=100,
-                          burn_steps=0, zero_noise=False)
+            _run_linear(sys_, np.ones((2, 6)), self.source(2), per_chain=20, stride=100,
+                        burn_steps=0, zero_noise=False)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_ideal_source_non_finite_state_names_the_record(self):
+        sys_ = self.system(gamma=-100.0)
+        with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ \(record \d+\)"):
+            _run_linear(sys_, np.ones((2, 6)), np.random.default_rng(45), per_chain=60,
+                        stride=10, burn_steps=0, zero_noise=False)
 
     def test_max_steps_guard(self):
         params = random_psd_params(2, 43)

@@ -1,5 +1,7 @@
 """Tests for equilibrium-sampling linear algebra and error metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -183,6 +185,13 @@ class TestErrorMetrics:
         assert average_relative_error_per_element(cov, np.eye(3)) == pytest.approx(
             report.covariance_error[-1] / 3.0, rel=1e-9)
 
+    def test_overflowing_norm_raises_without_warning(self):
+        estimate = np.diag([1e300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                relative_frobenius_error(estimate, np.diag([1e-300, 1.0]))
+
     def test_checkpoint_counts_end_at_total(self):
         counts = checkpoint_counts(12345, 10)
         assert counts[-1] == 12345
@@ -241,3 +250,14 @@ class TestParameterStudy:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             parameter_study("noise_level", [], np.eye(2))
+
+    @pytest.mark.parametrize("rate", [0.0, -1e6, float("nan"), float("inf")])
+    def test_bad_sampling_rate_rejected_before_sampling(self, monkeypatch, rate):
+        import spusim.linalg as la
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the rates")
+
+        monkeypatch.setattr(la, "sample_gaussian", no_sampling)
+        with pytest.raises(ValueError, match="positive and finite"):
+            parameter_study("sampling_rate", [1e6, rate], np.eye(2))
