@@ -225,6 +225,8 @@ def characterize_cell(device: SpuEmulator, cell: int, bank_config: int = 3,
                       sample_rate: float = 12e6, chains: int = 64,
                       **fit_kwargs) -> tuple[CellFitResult, PowerSpectrum]:
     """Noise-driven spectroscopy of one cell on an emulated device."""
+    if not 0 <= cell < device.n_cells:
+        raise ValueError(f"cell {cell} is out of range for {device.n_cells} cells")
     mask = np.zeros(device.n_cells)
     mask[cell] = 1.0
     batch = device.sample(bank_config=bank_config, coupling="none",
@@ -290,8 +292,10 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     designed resonance when coupled and silence at coupling 0; deviations
     are flagged as absent, frequency-shifted or unexpected.
     """
-    report = FaultScanReport()
     d = device.n_cells
+    if d < 2:
+        raise ValueError(f"the pairwise fault scan needs at least two cells, got {d}")
+    report = FaultScanReport()
     run_seed = seed
     for drive in range(d):
         for probe in range(drive, d):

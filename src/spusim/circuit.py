@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +249,15 @@ class CircuitParams:
     @property
     def dimension(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def maxwell_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the Maxwell matrix, computed once per instance.
+
+        The positive-definiteness check, the correlation time and the step
+        size all read them, so a run decomposes the matrix once.
+        """
+        return _readonly(np.linalg.eigvalsh(self.maxwell))
 
     @property
     def l_vector(self) -> np.ndarray:

@@ -47,11 +47,25 @@ def _validate_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
 
 
 def _validate_pd(matrix: np.ndarray, name: str) -> None:
-    lam = min_eigenvalue(matrix)
+    """Positive definite, and resolvably so.
+
+    An eigensolver resolves eigenvalues only to about d * eps * lambda_max, so
+    a smaller minimum is indistinguishable from zero: such a target is
+    numerically singular and its inverse is not determined by the matrix.
+    """
+    eigs = np.linalg.eigvalsh(matrix)
+    lam, lam_max = float(eigs[0]), float(eigs[-1])
     if lam <= 0:
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (min eigenvalue {lam:.6g}); "
             "preprocess_non_psd can produce a PSD proxy",
+            min_eigenvalue=lam,
+        )
+    resolution = matrix.shape[0] * np.finfo(float).eps * lam_max
+    if lam <= resolution:
+        raise NotPositiveDefiniteError(
+            f"{name} is numerically singular: min eigenvalue {lam:.6g} is within "
+            f"the eigensolver's resolution d * eps * max eigenvalue = {resolution:.6g}",
             min_eigenvalue=lam,
         )
 

@@ -62,6 +62,8 @@ class SpuEmulator:
     capacitance_scale: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_cells < 1:
+            raise ValueError(f"a board needs at least one cell, got n_cells={self.n_cells}")
         self.dead_couplings = frozenset(
             (min(i, j), max(i, j)) for i, j in self.dead_couplings)
         self.dead_cells = frozenset(self.dead_cells)

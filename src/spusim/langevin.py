@@ -20,6 +20,15 @@ engine advances every linear run that way, drawing w_n from the exact law of
 the compounded step (binary doubling) or injecting the chain's increments
 through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
 the record times exactly.  Generic potentials are stepped explicitly.
+
+The step is held as a stack of independent blocks.  With scalar R, L and
+kappa0 (every compiled target) every operator of the step is a polynomial
+in C^-1, and on an uncoupled board every operator is diagonal; either way
+one orthogonal change of basis splits the 2d-dimensional chain into d
+normal modes, each an independent 2 x 2 chain with the same law and the
+same integrator bias.  The engine then steps the stack of d blocks and
+rotates states in and records out once; when no basis splits the step it
+steps one dense 2d x 2d block.  The split is measured on the operators.
 """
 
 from __future__ import annotations
@@ -114,7 +123,7 @@ def correlation_time(params: CircuitParams) -> float:
     cells decorrelate on ~2 R C and strongly overdamped ones on ~L/R, so
     empirical decay times can deviate by a factor of about two.
     """
-    lam_max = float(np.linalg.eigvalsh(params.maxwell)[-1])
+    lam_max = float(params.maxwell_eigenvalues[-1])
     return float(np.max(params.r_vector)) * lam_max
 
 
@@ -199,7 +208,7 @@ def discrete_stationary_covariance(params: CircuitParams, dt: float) -> np.ndarr
     Useful to separate integrator bias from Monte Carlo error in tests.
     """
     sys_ = _LinearSystem.from_circuit(params, dt)
-    return sla.solve_discrete_lyapunov(sys_.m_step, sys_.s_step)
+    return sla.solve_discrete_lyapunov(sys_.expand(sys_.m_step), sys_.expand(sys_.s_step))
 
 
 @dataclass(frozen=True)
@@ -302,7 +311,7 @@ def suggest_dt(params: CircuitParams, steps_per_tau: float = 200.0,
     radians.  The last two dominate for ill-conditioned matrices, where a
     flat tau_corr rule would leave percent-level stationary bias.
     """
-    eigs = np.linalg.eigvalsh(params.maxwell)
+    eigs = params.maxwell_eigenvalues
     r_min = float(np.min(params.r_vector))
     tau_corr = correlation_time(params)
     tau_fast = r_min * float(eigs[0])
@@ -313,17 +322,89 @@ def suggest_dt(params: CircuitParams, steps_per_tau: float = 200.0,
                max_phase_step / w_max)
 
 
+_DECOUPLED_RTOL = 1e-12  # largest off-diagonal entry a rotated operator may keep, relative
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack (of a plain matrix too)."""
+    return a.swapaxes(-1, -2)
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every matrix of a stack times its own vector."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _rotated_diagonal(q: np.ndarray, op: np.ndarray) -> np.ndarray | None:
+    """Diagonal of Q^T op Q, or None when its off-diagonal part is not negligible."""
+    diag = np.diag(op)
+    if np.array_equal(op, np.diag(np.full_like(diag, diag[0]))):
+        return diag.copy()  # a multiple of the identity is diagonal in every basis
+    rotated = q.T @ op @ q
+    diag = np.diag(rotated).copy()
+    off = np.max(np.abs(rotated - np.diag(diag)))
+    return diag if off <= _DECOUPLED_RTOL * np.max(np.abs(rotated)) else None
+
+
+def _normal_modes(m_inv, a_mat, gamma_vec, amps):
+    """Basis Q and per-mode diagonals of a step that splits into d modes, or None.
+
+    The candidate is the eigenbasis of ``m_inv + a_mat``.  It is kept only if
+    it diagonalizes the mass inverse, the potential, the damping and the
+    noise covariance; every block of M, S and N is a product of those four,
+    so the rotated step is then block-diagonal over the (x, p) pair of each
+    mode.
+    """
+    q = np.linalg.eigh(m_inv + a_mat)[1]
+    diagonals = []
+    for op in (m_inv, a_mat, np.diag(gamma_vec), np.diag(amps ** 2)):
+        diag = _rotated_diagonal(q, op)
+        if diag is None:
+            return None
+        diagonals.append(diag)
+    return q, diagonals
+
+
 class _LinearSystem:
     """One semi-implicit EM step of a linear Langevin system, as affine-Gaussian map.
 
-    State layout z = [x, p] (flux then charge for circuits).  ``m_step`` is
-    the 2d x 2d transition, ``c_step`` the drift offset, ``s_step`` the
+    State layout z = [x, p] (flux then charge for circuits).  The step is
+    held in a basis Q as a stack of independent blocks.  When one orthogonal
+    Q diagonalizes the mass inverse, the potential, the damping and the
+    noise covariance (every compiled target, every uncoupled board), the
+    2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
+    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i, so the state
+    is laid out (d, chains, 2).  Otherwise ``basis`` is None (Q = I) and the
+    stack is one dense 2d x 2d block, held as a plain matrix on states of
+    shape (chains, 2d).  The split is measured, never configured: the
+    candidate basis is kept only if the rotated operators are diagonal to
+    ``_DECOUPLED_RTOL``.
+
+    ``m_step`` is the transition, ``c_step`` the drift offset, ``s_step`` the
     injected noise covariance of the ideal source, and ``n_inject`` maps
-    per-step momentum noise of an external source into the state.
+    per-step momentum noise of an external source, in the basis, into the
+    state: shapes (d, 2, 2), (d, 2), (d, 2, 2), (d, 2, 1) per mode, or
+    (2d, 2d), (2d,), (2d, 2d), (2d, d) dense.
     """
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt, offset=None):
         d = m_inv.shape[0]
+        self.dt = dt
+        self.dimension = d
+        self.m_inv = m_inv
+        modes = _normal_modes(m_inv, a_mat, gamma_vec, amps)
+        if modes is not None:
+            self.basis, (lam, alpha, gamma, amps_sq) = modes
+            # the dense step below, mode by mode
+            dt_lam, damp = dt * lam, 1.0 - dt * (gamma * lam)
+            self.m_step = np.stack([np.stack([1.0 - dt_lam * (dt * alpha), dt_lam * damp], -1),
+                                    np.stack([-dt * alpha, damp], -1)], -2)
+            b = np.zeros(d) if offset is None else self.basis.T @ offset
+            self.c_step = np.stack([dt_lam * (dt * b), dt * b], -1)
+            self.n_inject = np.stack([dt_lam, np.ones(d)], -1)[..., None]
+            self.s_step = (amps_sq * dt)[:, None, None] * (self.n_inject @ _t(self.n_inject))
+            return
+        self.basis = None
         eye = np.eye(d)
         gm = gamma_vec[:, None] * m_inv
         dt_minv = dt * m_inv
@@ -338,9 +419,6 @@ class _LinearSystem:
         self.n_inject = np.vstack([dt_minv, eye])
         q_p = np.diag(amps ** 2 * dt)
         self.s_step = self.n_inject @ q_p @ self.n_inject.T
-        self.dt = dt
-        self.dimension = d
-        self.m_inv = m_inv
 
     @classmethod
     def from_circuit(cls, params: CircuitParams, dt: float) -> "_LinearSystem":
@@ -353,10 +431,10 @@ class _LinearSystem:
         )
 
     def compound(self, n_steps: int):
-        """(M, c, S) of ``n_steps`` composed steps, by binary doubling."""
+        """(M, c, S) of ``n_steps`` composed steps, block by block, by binary doubling."""
         if n_steps < 1:
-            d2 = 2 * self.dimension
-            return np.eye(d2), np.zeros(d2), np.zeros((d2, d2))
+            eye = np.broadcast_to(np.eye(self.m_step.shape[-1]), self.m_step.shape).copy()
+            return eye, np.zeros_like(self.c_step), np.zeros_like(self.s_step)
         mk = ck = sk = None
         mc, cc, sc = self.m_step, self.c_step, self.s_step
         n = n_steps
@@ -365,20 +443,69 @@ class _LinearSystem:
                 if mk is None:
                     mk, ck, sk = mc, cc, sc
                 else:
-                    mk, ck, sk = mc @ mk, mc @ ck + cc, mc @ sk @ mc.T + sc
+                    mk, ck, sk = mc @ mk, _apply(mc, ck) + cc, mc @ sk @ _t(mc) + sc
             n >>= 1
             if n:
-                mc, cc, sc = mc @ mc, mc @ cc + cc, mc @ sc @ mc.T + sc
+                mc, cc, sc = mc @ mc, _apply(mc, cc) + cc, mc @ sc @ _t(mc) + sc
         return mk, ck, sk
+
+    def to_blocks(self, z: np.ndarray) -> np.ndarray:
+        """Cell-basis states (chains, 2d) in the layout the blocks act on."""
+        if self.basis is None:
+            return z
+        d = self.dimension
+        pair = np.stack([z[:, :d] @ self.basis, z[:, d:] @ self.basis])
+        return np.ascontiguousarray(pair.transpose(2, 1, 0))
+
+    def stored(self, z: np.ndarray) -> np.ndarray:
+        """A block-layout state as records keep it, chains first: (chains, 2d)
+        dense, (chains, 2, d) per mode, so each half is a run of d values."""
+        return z if self.basis is None else z.transpose(1, 2, 0)
+
+    def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
+        """x (``half`` 0) or p (1) of records shaped (chains, n) + stored, in the cell basis."""
+        d = self.dimension
+        if self.basis is None:
+            return recs[..., half * d:(half + 1) * d]
+        return recs[:, :, half] @ self.basis.T
+
+    def noise_buffer(self, steps: int, chains: int) -> np.ndarray:
+        """Room for ``steps`` steps of laid-out increments, steps on axis -2:
+        (chains, steps, d) dense, (d, steps, chains) per mode."""
+        d = self.dimension
+        return np.empty((chains, steps, d) if self.basis is None else (d, steps, chains))
+
+    def lay_noise(self, eta: np.ndarray, out: np.ndarray) -> None:
+        """Write step-major per-cell increments (steps, chains, d) into a
+        ``noise_buffer`` slice, rotated into the basis by one GEMM."""
+        if self.basis is None:
+            out[...] = eta.transpose(1, 0, 2)
+        else:
+            np.matmul(self.basis.T, eta.reshape(-1, self.dimension).T,
+                      out=out.reshape(self.dimension, -1))
+
+    def noise_operand(self, block: np.ndarray) -> np.ndarray:
+        """n steps of laid-out increments as the left operand of the kernel
+        product: (chains, n*d) dense, (d, chains, n) per mode."""
+        if self.basis is None:
+            return block.reshape(block.shape[0], -1)
+        return block.swapaxes(-1, -2)
+
+    def expand(self, stack: np.ndarray) -> np.ndarray:
+        """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
+        if self.basis is None:
+            return stack
+        q = self.basis
+        return np.block([[(q * stack[:, i, j]) @ q.T for j in (0, 1)] for i in (0, 1)])
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
-    """Square root of a symmetric PSD matrix (Cholesky, eigh fallback)."""
+    """Square roots of symmetric PSD matrices, one per block (Cholesky, eigh fallback)."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
-        return v * np.sqrt(np.clip(w, 0.0, None))
+        return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig,
@@ -436,7 +563,8 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     string "lfsr-chain" selects that chain with default settings).
     Deterministic under ``cfg.seed``.
     """
-    assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
+    if params.maxwell_eigenvalues[0] <= 0:
+        assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
     if record not in ("voltage", "charge", "current"):
         raise ValueError(f"unknown record kind {record!r}")
     d = params.dimension
@@ -469,15 +597,15 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
         source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=d,
                                   kappa0=params.kappa_vector, dt=dt, chains=chains)
     sys_ = _LinearSystem.from_circuit(params, dt)
-    z = _initial_state(params, initial_state, chains, rng)
+    z = sys_.to_blocks(_initial_state(params, initial_state, chains, rng))
     recs = _run_linear(sys_, z, source, per_chain, stride, burn_steps, cfg.zero_noise)
 
-    if record == "voltage":
-        values = recs[:, :, d:] @ sys_.m_inv.T
-    elif record == "charge":
-        values = recs[:, :, d:]
-    else:
-        values = recs[:, :, :d] / params.l_vector
+    values = sys_.cells(recs, 0 if record == "current" else 1)
+    del recs  # a modal readout is a fresh array: free the records before the product
+    if record == "current":
+        values = values / params.l_vector
+    elif record == "voltage":
+        values = values @ sys_.m_inv.T
     burn = burn_steps * dt
     meta = {
         "dt": dt, "record_stride": stride, "burn_in": burn, "seed": cfg.seed,
@@ -491,60 +619,71 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
+_CHUNK_RECORDS = 32  # ideal-source records drawn, premultiplied and checked together
 
 
 def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
     """Injection kernels of a ``steps``-step block, stacked for row-vector noise.
 
-    Rows j*d..(j+1)*d hold (M^(steps-1-j) N)^T, so a block's noise laid out
-    as (chains, steps*d) injects with one product.  The last n*d rows are
-    the kernels of an n-step block.
+    In every block, rows j*r..(j+1)*r hold (M^(steps-1-j) N)^T, where r is
+    the noise width of a step (d dense, 1 per mode), so a block's noise laid
+    out as (..., chains, steps*r) injects with one product.  The last n*r
+    rows are the kernels of an n-step block.
     """
-    d = sys_.dimension
-    stack = np.empty((steps, d, 2 * d))
-    kernel = sys_.n_inject.T
+    kernel = _t(sys_.n_inject)
+    mt = _t(sys_.m_step)
+    stack = np.empty(kernel.shape[:-2] + (steps,) + kernel.shape[-2:])
     for j in range(steps - 1, -1, -1):
-        stack[j] = kernel
-        kernel = kernel @ sys_.m_step.T
-    return stack.reshape(steps * d, 2 * d)
+        stack[..., j, :, :] = kernel
+        kernel = kernel @ mt
+    return stack.reshape(kernel.shape[:-2] + (steps * kernel.shape[-2], kernel.shape[-1]))
 
 
 def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                 stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
     """Advance the linear chain in exact blocks; record it after every stride.
 
-    The noise is exogenous to the linear system, so n steps compose exactly:
-    z <- z (M^n)^T + c_n + xi W_n.  With the ideal source (a numpy
-    ``Generator``) xi is one standard normal draw of width 2d and
-    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride.
-    With a ``ChainNoiseSource`` xi is the block's increments laid out as
-    (chains, n*d) and W_n the last n*d rows of the kernel stack; blocks then
-    hold at most ``width`` steps.  Blocks end at every record.
+    ``z`` is in the system's block layout (``_LinearSystem.to_blocks``); the
+    records are shaped (chains, per_chain) + the stored layout of one chain
+    (``_LinearSystem.stored``).  The noise is exogenous to the linear
+    system, so n steps compose exactly: z <- z (M^n)^T + c_n + xi W_n, every
+    block of the stack at once.  With the ideal source (a numpy
+    ``Generator``) xi is a standard normal draw shaped like z and
+    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride; the
+    draws of ``_CHUNK_RECORDS`` records are taken in one call, which reads
+    the stream in the order of separate calls, and premultiplied in one
+    product.  With a ``ChainNoiseSource`` xi is the block's increments,
+    rotated into the basis and laid out as (..., chains, n*r)
+    (``_LinearSystem.noise_operand``), and W_n the last n*r rows of the
+    kernel stack; blocks then hold at most ``width`` steps, and the noise is
+    drawn into one buffer.  Blocks end at every record, and every chunk of
+    records is checked for a non-finite state, naming the first bad record.
     """
-    chains = z.shape[0]
-    d = sys_.dimension
+    chains = z.shape[-2]
     ideal = isinstance(source, np.random.Generator)
     width = max(stride, burn_steps)
     if not ideal:
-        width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // (2 * d * d * 8)))
+        width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
         kernels = None if zero_noise else _kernel_stack(sys_, width)
+        r = sys_.n_inject.shape[-1]
     remaining = burn_steps + per_chain * stride  # chain noise steps not yet drawn
-    eta = np.empty((chains, 0, d))  # drawn chain noise, chain-major
-    pos = 0
+    draw_steps = max(width, _MIN_DRAW_STEPS)
+    # drawn chain noise, steps pos..end unused; room for a block's leftover and a draw
+    eta = None if ideal or zero_noise else sys_.noise_buffer(width + draw_steps, chains)
+    pos = end = 0
     cache = {}  # n -> ((M^n)^T, c_n, W_n, n)
 
-    def noise(n):
-        nonlocal remaining, eta, pos
-        if ideal:
-            return source.standard_normal((chains, 2 * d))
-        if pos + n > eta.shape[1]:
-            eta = eta[:, pos:].copy()  # the undrawn steps; frees the spent block
-            draw = min(remaining, max(width, _MIN_DRAW_STEPS))
-            eta = np.concatenate([eta, source.increments(draw).transpose(1, 0, 2)], axis=1)
+    def chain_noise(n):
+        nonlocal remaining, pos, end
+        if pos + n > end:
+            left = end - pos
+            eta[..., :left, :] = eta[..., pos:end, :].copy()
+            draw = min(remaining, draw_steps)
+            sys_.lay_noise(source.increments(draw), eta[..., left:left + draw, :])
+            pos, end = 0, left + draw
             remaining -= draw
-            pos = 0
         pos += n
-        return eta[:, pos - n:pos].reshape(chains, n * d)
+        return sys_.noise_operand(eta[..., pos - n:pos, :])
 
     def blocks(steps):
         """The cached blocks, at most ``width`` steps each, that make up ``steps``."""
@@ -553,28 +692,40 @@ def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
             n = min(width, steps - start)
             if n not in cache:
                 m_n, c_n, s_n = sys_.compound(n)
-                w_n = (None if zero_noise else _factor(s_n).T if ideal
-                       else kernels[(width - n) * d:])
-                cache[n] = m_n.T, c_n, w_n, n
+                w_n = (None if zero_noise else _t(_factor(s_n)) if ideal
+                       else kernels[..., (width - n) * r:, :])
+                cache[n] = _t(m_n), c_n[..., None, :], w_n, n
             plan.append(cache[n])
         return plan
 
-    def run(z, plan):
+    def ideal_noise(plan, count):
+        """Premultiplied ideal-source noise of ``count`` runs of a one-block plan."""
+        if not ideal or not plan or plan[0][2] is None:
+            return [None] * count
+        return source.standard_normal((count,) + z.shape) @ plan[0][2]
+
+    def run(z, plan, pre):
         for mt, c_n, w_n, n in plan:
             z = z @ mt + c_n
             if w_n is not None:
-                z += noise(n) @ w_n
+                z += pre if ideal else chain_noise(n) @ w_n
         return z
 
-    z = run(z, blocks(burn_steps))
-    stride_blocks = blocks(stride)
-    recs = np.empty((chains, per_chain, 2 * d))
-    for k in range(per_chain):
-        z = run(z, stride_blocks)
-        if not np.all(np.isfinite(z)):
+    burn_plan = blocks(burn_steps)
+    z = run(z, burn_plan, ideal_noise(burn_plan, 1)[0])
+    stride_plan = blocks(stride)
+    recs = np.empty((chains, per_chain) + sys_.stored(z).shape[1:])
+    for k0 in range(0, per_chain, _CHUNK_RECORDS):
+        count = min(_CHUNK_RECORDS, per_chain - k0)
+        pre = ideal_noise(stride_plan, count)
+        for k in range(count):
+            z = run(z, stride_plan, pre[k])
+            recs[:, k0 + k] = sys_.stored(z)
+        finite = np.isfinite(recs[:, k0:k0 + count]).reshape(chains, count, -1).all(axis=(0, 2))
+        if not finite.all():
+            k = k0 + int(np.argmin(finite))
             raise RuntimeError(
                 f"non-finite state at step {burn_steps + (k + 1) * stride} (record {k})")
-        recs[:, k, :] = z
     return recs
 
 
@@ -611,9 +762,9 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
             dt=dt,
             offset=spec.grad_potential.offset,
         )
-        z = np.concatenate([x0, p0], axis=1)
+        z = sys_.to_blocks(np.concatenate([x0, p0], axis=1))
         recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
-        xs, ps = recs[:, :, :d], recs[:, :, d:]
+        xs, ps = sys_.cells(recs, 0), sys_.cells(recs, 1)
     else:
         grad = spec.grad_potential
         gm = spec.damping * m_inv

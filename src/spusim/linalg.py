@@ -219,10 +219,7 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
         batch = sample_gaussian(spec, plan, backend=backend, seed=seed, **sample_kwargs)
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
-            f"cannot invert an indefinite matrix (min eigenvalue "
-            f"{err.min_eigenvalue:.6g}); preprocess_non_psd offers a shifted proxy",
-            min_eigenvalue=err.min_eigenvalue,
-        ) from err
+            f"cannot invert: {err}", min_eigenvalue=err.min_eigenvalue) from err
     exact = np.linalg.inv(spec.matrix)
     counts = checkpoint_counts(batch.n_samples, n_checkpoints)
     errors = np.empty(len(counts))

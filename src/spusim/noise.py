@@ -63,17 +63,37 @@ def gold_bit(state_a: LfsrState, state_b: LfsrState) -> tuple[tuple[LfsrState, L
 
 @lru_cache(maxsize=1)
 def _cycle() -> tuple[np.ndarray, np.ndarray]:
-    """One full output period starting from state 1, and the state -> phase map."""
-    bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
+    """One full output period starting from state 1, and the state -> phase map.
+
+    The output bits obey s[n] = XOR of s[n - t] over the taps t and, since
+    squaring a polynomial over GF(2) squares its argument, the same
+    recurrence with every lag scaled by m = 2^j.  Each pass fills a chunk as
+    long as the smallest scaled lag 4m from bits already known; m doubles
+    once 32m bits are known, so the period takes about fifty numpy passes.
+    The register at step k holds bits s[k..k+15], MSB first, so the phase
+    map reads every 16-bit window of the sequence at once.
+    """
+    total = LFSR_PERIOD + LFSR_BITS  # one period plus the wrapped register
+    s = np.zeros(total, dtype=np.uint8)
+    s[LFSR_BITS - 1] = 1  # register value 1: only its lowest bit set
+    filled, m = LFSR_BITS, 1
+    while filled < total:
+        if filled >= 2 * LFSR_BITS * m:
+            m *= 2
+        stop = min(filled + min(TAPS) * m, total)
+        chunk = np.zeros(stop - filled, dtype=np.uint8)
+        for tap in TAPS:
+            chunk ^= s[filled - tap * m:stop - tap * m]
+        s[filled:stop] = chunk
+        filled = stop
+    assert np.array_equal(s[LFSR_PERIOD:], s[:LFSR_BITS]), \
+        "LFSR cycle did not close after one full period"
+    states = np.zeros(LFSR_PERIOD, dtype=np.int64)
+    for i in range(LFSR_BITS):  # shift in window position i of every step at once
+        states = (states << 1) | s[i:i + LFSR_PERIOD]
     phase = np.zeros(LFSR_PERIOD + 1, dtype=np.int64)
-    r = 1
-    for k in range(LFSR_PERIOD):
-        phase[r] = k
-        fb = ((r >> _TAP_SHIFTS[0]) ^ (r >> _TAP_SHIFTS[1])
-              ^ (r >> _TAP_SHIFTS[2]) ^ (r >> _TAP_SHIFTS[3])) & 1
-        bits[k] = (r >> (LFSR_BITS - 1)) & 1
-        r = ((r << 1) | fb) & LFSR_PERIOD
-    assert r == 1, "LFSR cycle did not close after one full period"
+    phase[states] = np.arange(LFSR_PERIOD)
+    bits = s[:LFSR_PERIOD].copy()
     bits.setflags(write=False)
     phase.setflags(write=False)
     return bits, phase

@@ -269,3 +269,19 @@ class TestPowerSpectrumType:
             PowerSpectrum(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0, 10.0)
         with pytest.raises(ValueError):
             PowerSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 1.0, 10.0)
+
+
+class TestBoardBoundaries:
+    @pytest.mark.parametrize("n_cells", [0, -1])
+    def test_board_needs_a_cell(self, n_cells):
+        with pytest.raises(ValueError, match="at least one cell"):
+            SpuEmulator(n_cells=n_cells)
+
+    def test_fault_scan_needs_two_cells(self):
+        with pytest.raises(ValueError, match="at least two cells"):
+            two_cell_fault_scan(SpuEmulator(n_cells=1))
+
+    @pytest.mark.parametrize("cell", [-1, 3, 9])
+    def test_characterize_cell_index_checked(self, cell):
+        with pytest.raises(ValueError, match=f"cell {cell} is out of range for 3 cells"):
+            characterize_cell(SpuEmulator(n_cells=3), cell, n_samples=1000)

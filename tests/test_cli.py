@@ -51,11 +51,21 @@ class TestBadMatrixInput:
         assert "NaN or infinite" in capsys.readouterr().err
 
     def test_overflowing_error_is_not_a_result(self, tmp_path, capsys):
-        m = write_matrix(tmp_path / "tiny.csv", np.diag([1e-300, 1.0]))
+        # well conditioned, but the inverse's norm overflows
+        m = write_matrix(tmp_path / "tiny.csv", np.diag([1e-160, 2e-160]))
         out = tmp_path / "o"
         assert main(["invert", "--matrix", m, "--n", "400", "--chains", "4",
                      "--outdir", str(out)]) == 1
         assert "not finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
+    def test_numerically_singular_exit_code(self, tmp_path, capsys):
+        m = write_matrix(tmp_path / "singular.csv", np.diag([1e-300, 1.0]))
+        out = tmp_path / "o"
+        assert main(["invert", "--matrix", m, "--n", "200000", "--chains", "4",
+                     "--outdir", str(out)]) == 4
+        assert "numerically singular" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
 
@@ -249,6 +259,22 @@ class TestCellIndexInput:
         assert main(["spectroscopy", "--device", str(device_path), "--cell", "9",
                      "--outdir", str(tmp_path / "o")]) == 1
         assert "--cell 9" in capsys.readouterr().err
+
+
+class TestBoardSizeInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["faultscan", "--cells", "0"], "at least one cell"),
+        (["faultscan", "--cells", "-1"], "at least one cell"),
+        (["faultscan", "--cells", "1"], "at least two cells"),
+        (["spectroscopy", "--cells", "0", "--n", "1000"], "at least one cell"),
+        (["calibrate", "--cells", "0", "--n", "1000"], "at least one cell"),
+    ])
+    def test_empty_board_exit_code(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(argv + ["--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestPerfVerb:

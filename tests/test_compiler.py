@@ -38,6 +38,17 @@ class TestCompilePrecision:
             compile_precision(p)
         assert err.value.min_eigenvalue == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("compile_target", [compile_precision, compile_covariance])
+    def test_numerically_singular_rejected(self, compile_target):
+        # 1e-300 is below the eigensolver's resolution 2 * eps * 1 of zero
+        with pytest.raises(NotPositiveDefiniteError, match="numerically singular") as err:
+            compile_target(np.diag([1e-300, 1.0]))
+        assert err.value.min_eigenvalue == 1e-300
+
+    def test_ill_conditioned_but_resolvable_accepted(self):
+        res = compile_precision(np.diag([1e-12, 1.0]))
+        assert res.ideal_maxwell[0, 0] == 1e-12
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(MatrixFormatError):
             compile_precision(np.array([[1.0, 0.2], [0.0, 1.0]]))

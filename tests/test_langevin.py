@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import spusim.langevin as langevin
 from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+from spusim.compiler import compile_covariance, compile_precision
+from spusim.device import SpuEmulator
 from spusim.errors import NotPositiveDefiniteError
 from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                              TrajectoryConfig, _factor, _LinearSystem, _run_linear,
@@ -503,3 +506,145 @@ class TestBlockEngine:
         cfg = TrajectoryConfig(n_samples=10, seed=44, max_steps=1000)
         with pytest.raises(ValueError, match="max_steps"):
             integrate_circuit(params, cfg, noise="lfsr-chain")
+
+
+def _dense_twin(monkeypatch, **system_kw):
+    """The same step with the modal split refused, i.e. one dense 2d x 2d block."""
+    with monkeypatch.context() as m:
+        m.setattr(langevin, "_normal_modes", lambda *args: None)
+        return _LinearSystem(**system_kw)
+
+
+def _cell_vector(sys_, c):
+    """Per-mode (d, 2) vectors of a modal system as one cell-basis 2d vector."""
+    return np.concatenate([sys_.basis @ c[:, 0], sys_.basis @ c[:, 1]])
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestModalEngine:
+    """Decoupled systems step as d independent 2 x 2 blocks; the dense block is the reference."""
+
+    DT = 0.05
+
+    def modal_kw(self, d=4, seed=50, offset=None, gamma=0.8):
+        # scalar potential, damping and noise with a general mass inverse:
+        # every operator is a polynomial in m_inv, as for a compiled target
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        return dict(m_inv=0.5 * (m_inv + m_inv.T), a_mat=np.eye(d) * 1.7,
+                    gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3), dt=self.DT,
+                    offset=offset)
+
+    def chain(self, chains, d):
+        from spusim.noise import ChainNoiseSource, NoiseChainConfig
+        cfg = NoiseChainConfig(bit_rate=1.0 / self.DT, rc_time_constant=8.0 * self.DT)
+        return ChainNoiseSource(cfg, seed=51, dimension=d, kappa0=0.7, dt=self.DT,
+                                chains=chains)
+
+    @pytest.mark.parametrize("n", [1, 2, 777, 4000])
+    def test_compound_rotated_back_matches_dense(self, monkeypatch, n):
+        kw = self.modal_kw(d=16, offset=np.linspace(-1.0, 2.0, 16))
+        modal = _LinearSystem(**kw)
+        dense = _dense_twin(monkeypatch, **kw)
+        assert modal.basis is not None and dense.basis is None
+        m_m, c_m, s_m = modal.compound(n)
+        m_d, c_d, s_d = dense.compound(n)
+        assert m_m.shape == (16, 2, 2) and m_d.shape == (32, 32)
+        _assert_close(modal.expand(m_m), m_d)
+        _assert_close(_cell_vector(modal, c_m), c_d)
+        _assert_close(modal.expand(s_m), s_d)
+
+    @pytest.mark.parametrize("stride,burn_steps,zero_noise,offset", [
+        (70, 20, False, None),
+        (150, 100, False, None),  # stride above the block width set below
+        (1, 0, False, None),
+        (45, 30, True, np.array([0.5, -1.0, 2.0, 0.3])),  # drift only, from a random start
+        (45, 30, False, np.array([0.5, -1.0, 2.0, 0.3])),
+    ])
+    def test_chain_records_match_dense_layout(self, monkeypatch, stride, burn_steps,
+                                              zero_noise, offset):
+        monkeypatch.setattr(langevin, "_MAX_BLOCK_STEPS", 64)
+        kw = self.modal_kw(offset=offset)
+        modal = _LinearSystem(**kw)
+        dense = _dense_twin(monkeypatch, **kw)
+        z0 = np.random.default_rng(52).standard_normal((3, 8))
+        args = (6, stride, burn_steps, zero_noise)
+        got = _run_linear(modal, modal.to_blocks(z0), self.chain(3, 4), *args)
+        want = _run_linear(dense, z0.copy(), self.chain(3, 4), *args)
+        assert got.shape == (3, 6, 2, 4) and want.shape == (3, 6, 8)
+        for half in (0, 1):
+            _assert_close(modal.cells(got, half), dense.cells(want, half))
+
+    @pytest.mark.parametrize("burn_steps", [0, 90])
+    def test_modal_ideal_source_matches_per_record_draws(self, burn_steps):
+        # chunked draws read the stream as separate per-record draws would
+        sys_ = _LinearSystem(**self.modal_kw(offset=np.ones(4)))
+        z0 = sys_.to_blocks(np.random.default_rng(53).standard_normal((3, 8)))
+        per_chain, stride = 70, 40  # more records than one chunk, and a partial chunk
+
+        def block(z, n, rng):
+            m, c, s = sys_.compound(n)
+            z = z @ langevin._t(m) + c[..., None, :]
+            return z + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
+
+        rng = np.random.default_rng(54)
+        z = block(z0, burn_steps, rng) if burn_steps else z0
+        want = []
+        for _ in range(per_chain):
+            z = block(z, stride, rng)
+            want.append(sys_.stored(z))
+        got = _run_linear(sys_, z0.copy(), np.random.default_rng(54), per_chain, stride,
+                          burn_steps, False)
+        assert np.array_equal(got, np.stack(want, axis=1))
+
+    def test_layout_follows_the_block_structure(self):
+        dt = 1e-9
+        # a compiled target decouples, in either readout
+        target = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        for comp in (compile_precision(target), compile_covariance(target)):
+            assert _LinearSystem.from_circuit(comp.ideal_params, 0.01).basis is not None
+        # an uncoupled board with scattered R, L, C and one driven cell: a permutation
+        board = SpuEmulator(n_cells=6, tolerance_sigma=0.05, tolerance_seed=3)
+        sys_ = _LinearSystem.from_circuit(board.true_params(3, "none", np.eye(6)[2]), dt)
+        assert sys_.basis is not None
+        assert np.array_equal(np.abs(sys_.basis), np.abs(sys_.basis).round())
+        # a coupled board with per-cell inductance scatter stays dense
+        rng = np.random.default_rng(55)
+        cells = [UnitCell(1e-6 * (1.0 + 0.1 * rng.standard_normal()), 50.0, 1e-13,
+                          bank_config=2) for _ in range(5)]
+        coupled = CircuitParams.build(cells, CouplingConfig.all_positive(5))
+        assert _LinearSystem.from_circuit(coupled, dt).basis is None
+        # a driven pair of the fault scan: the noise mask couples the pair's modes
+        pair = np.zeros((4, 4), dtype=np.int8)
+        pair[0, 2] = pair[2, 0] = 1
+        scan = SpuEmulator(n_cells=4).true_params(3, pair, np.eye(4)[0])
+        assert _LinearSystem.from_circuit(scan, dt).basis is None
+        # a matrix mass that does not commute with the potential stays dense
+        assert TestBlockEngine().system().basis is None
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("modal,stride", [(False, 10), (True, 9)])
+    def test_non_finite_mid_chunk_names_its_record(self, modal, stride):
+        if modal:
+            sys_ = _LinearSystem(**self.modal_kw(d=3, gamma=-20.0))
+        else:
+            sys_ = TestBlockEngine().system(gamma=-20.0)
+        assert (sys_.basis is not None) == modal
+        z = z0 = sys_.to_blocks(np.ones((2, 6)))
+        m, c, _ = sys_.compound(stride)
+        first_bad = 0
+        while np.all(np.isfinite(z)):  # the zero-noise chain, record by record
+            z = z @ langevin._t(m) + c[..., None, :]
+            first_bad += 1
+        first_bad -= 1
+        assert first_bad % langevin._CHUNK_RECORDS != 0  # inside a chunk
+        with pytest.raises(RuntimeError) as err:
+            _run_linear(sys_, z0, np.random.default_rng(56), first_bad + 40, stride,
+                        0, True)
+        step = (first_bad + 1) * stride
+        assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"

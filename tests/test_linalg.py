@@ -122,6 +122,34 @@ class TestInvertMatrix:
         with pytest.raises(NotPositiveDefiniteError):
             invert_matrix(np.diag([1.0, -1.0]), SamplingPlan(n_samples=100))
 
+    def test_numerically_singular_rejected_before_sampling(self, monkeypatch):
+        import spusim.linalg
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a numerically singular target")
+
+        monkeypatch.setattr(spusim.linalg, "integrate_circuit", no_integration)
+        with pytest.raises(NotPositiveDefiniteError, match="cannot invert.*singular"):
+            invert_matrix(np.diag([1e-300, 1.0]), SamplingPlan(n_samples=100))
+
+    def test_one_maxwell_eigendecomposition_per_run(self, monkeypatch):
+        # the PD check, the correlation time and the step size share one
+        # spectrum of the compiled Maxwell matrix
+        from spusim.compiler import compile_precision
+        from spusim.langevin import integrate_circuit
+        params = compile_precision(random_psd(6, 8)).ideal_params
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.array_equal(m, params.maxwell))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cfg = SamplingPlan(n_samples=600, chains=6).trajectory_config(params, seed=3)
+        integrate_circuit(params, cfg)
+        assert sum(calls) == 1
+
     def test_reproducible_error_series(self):
         a = random_psd(3, 7)
         plan = SamplingPlan(n_samples=3000, chains=6)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spusim.noise import (LFSR_PERIOD, ChainNoiseSource, LfsrState, NoiseChainConfig,
-                          gold_bit, gold_bits, lfsr_bits, lfsr_period, lfsr_step,
-                          pdm_enable, pdm_gate, rc_filter)
+from spusim.noise import (LFSR_BITS, LFSR_PERIOD, ChainNoiseSource, LfsrState,
+                          NoiseChainConfig, _cycle, gold_bit, gold_bits, lfsr_bits,
+                          lfsr_period, lfsr_step, pdm_enable, pdm_gate, rc_filter)
 
 # output of the first 64 steps from seed 0x0001, pinned at first implementation
 GOLDEN_SEED1_64 = "0000000000000001000100010001101000011010010110110100100010111100"
@@ -38,6 +38,23 @@ class TestLfsr:
             state, bit = lfsr_step(state)
             stepped.append(bit)
         np.testing.assert_array_equal(stepped, lfsr_bits(0xBEEF, 200))
+
+    def test_cycle_matches_the_stepped_register(self):
+        # the register stepped one bit at a time is the oracle for the
+        # vectorized recurrence: same output bits, same state -> phase map
+        bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
+        phase = np.zeros(LFSR_PERIOD + 1, dtype=np.int64)
+        r = 1
+        for k in range(LFSR_PERIOD):
+            phase[r] = k
+            fb = ((r >> 15) ^ (r >> 14) ^ (r >> 12) ^ (r >> 3)) & 1
+            bits[k] = (r >> (LFSR_BITS - 1)) & 1
+            r = ((r << 1) | fb) & LFSR_PERIOD
+        assert r == 1
+        got_bits, got_phase = _cycle()
+        assert np.array_equal(got_bits, bits)
+        assert np.array_equal(got_phase, phase)
+        assert got_bits.dtype == bits.dtype and got_phase.dtype == phase.dtype
 
     @pytest.mark.parametrize("seed", [0x0001, 0x8000, 0x5A5A, 0xFFFF])
     def test_period_via_cycle_phase(self, seed):
