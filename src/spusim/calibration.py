@@ -1,15 +1,14 @@
 """Device characterization: noise-driven spectroscopy, fault scanning, and
 post-processing calibration.
 
-Spectroscopy drives a cell with wideband noise and fits the analytic
-response of the damped resonator to the measured power spectrum and sample
+Spectroscopy drives a cell with wideband noise and fits the exact spectrum
+of the sampled damped resonator to the measured power spectrum and sample
 variance.  One caveat is fundamental: the voltage record of a single cell
 determines only three parameter combinations (resonance frequency,
 linewidth, and variance); the family (L/c, R/c, c^2 kappa0, c C) produces
-an identical voltage process for every c > 0.  The fit therefore anchors
-the noise PSD weakly to its configured drive level, which pins that scale
-direction; the three identifiable combinations are genuinely estimated
-from the data.
+an identical voltage process for every c > 0.  The fit therefore estimates
+exactly those three combinations from the data and pins the noise PSD to
+its configured drive level, which fixes the scale direction.
 
 The scaling-vector calibration corrects the parallel-loading non-uniformity
 in post-processing: take identity-configuration baseline samples, scale
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize, signal
 
-from .circuit import loading_variance_model
+from .circuit import CircuitParams, loading_variance_model
 from .device import SpuEmulator
 from .errors import DeadCellError
 from .samples import SampleBatch
@@ -37,7 +36,6 @@ class PowerSpectrum:
 
     frequencies: np.ndarray
     density: np.ndarray
-    resolution_bandwidth: float
     sample_rate: float
 
     def __post_init__(self):
@@ -80,37 +78,37 @@ def estimate_spectrum(batch: SampleBatch, segment_length: int = 4096,
     return PowerSpectrum(
         frequencies=freqs[1:],
         density=psd.mean(axis=0)[1:],
-        resolution_bandwidth=1.5 * fs / segment_length,  # Hann ENBW
         sample_rate=fs,
     )
 
 
 def analytic_cell_spectrum(freqs: np.ndarray, inductance: float, resistance: float,
                            noise_psd: float, capacitance: float,
-                           sample_rate: float | None = None,
-                           n_alias: int = 6) -> np.ndarray:
-    """One-sided voltage PSD of a single noise-driven cell (V^2/Hz).
+                           sample_rate: float) -> np.ndarray:
+    """One-sided voltage PSD of a single noise-driven cell sampled at ``sample_rate``.
 
-    The continuum response is S(w) = (2 kappa0 / C^2) / ((1/RC)^2 +
-    (w - 1/(w L C))^2); sampling folds images at multiples of the sampling
-    rate back into the band, so ``n_alias`` folded terms are added when the
-    rate is known.  Integrating the unaliased density over all frequencies
-    gives the stationary variance R kappa0 / C.
+    The cell's (flux, charge) state sampled every 1/fs is exactly a VAR(1)
+    process x' = A x + w with A = expm(F/fs), stationary covariance
+    S = diag(L R kappa0, C R kappa0) and innovation covariance
+    Q = S - A S A^T.  Its voltage v = h^T x, h = (0, 1/C), has the PSD
+    (2/fs) h^T H Q H^* h with H = (I - A e^{-i theta})^-1, theta = 2 pi f/fs:
+    the continuum spectrum with every alias folded in, and integrating it
+    over (0, fs/2) gives the stationary variance R kappa0 / C.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    from scipy.linalg import expm
 
-    def two_sided(w):
-        w = np.where(np.abs(w) < 1e-12, 1e-12, w)
-        band = (1.0 / (resistance * capacitance)) ** 2
-        detune = w - 1.0 / (w * inductance * capacitance)
-        return (2.0 * noise_psd / capacitance ** 2) / (band + detune ** 2)
-
-    total = two_sided(2 * np.pi * freqs)
-    if sample_rate is not None and n_alias > 0:
-        for k in range(1, n_alias + 1):
-            total = total + two_sided(2 * np.pi * (k * sample_rate - freqs))
-            total = total + two_sided(2 * np.pi * (k * sample_rate + freqs))
-    return 2.0 * total
+    a = expm(np.array([[0.0, 1.0 / capacitance],
+                       [-1.0 / inductance, -1.0 / (resistance * capacitance)]])
+             / sample_rate)
+    s = resistance * noise_psd * np.diag([inductance, capacitance])
+    q = s - a @ s @ a.T
+    z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float) / sample_rate)
+    # C h^T adj(I - A z), and det(I - A z)
+    u1, u2 = a[1, 0] * z, 1.0 - a[0, 0] * z
+    det = 1.0 - np.trace(a) * z + np.linalg.det(a) * z * z
+    quad = (q[0, 0] * np.abs(u1) ** 2 + q[1, 1] * np.abs(u2) ** 2
+            + 2.0 * q[0, 1] * (u1 * u2.conj()).real)
+    return (2.0 / sample_rate) * quad / (capacitance ** 2 * np.abs(det) ** 2)
 
 
 @dataclass(frozen=True)
@@ -140,90 +138,85 @@ class CellFitResult:
     cost: float
     cost_spectrum: float
     cost_variance: float
-    cost_anchor: float
     converged: bool
     n_evaluations: int
 
 
-def default_cell_model(theta: np.ndarray, freqs: np.ndarray,
-                       sample_rate: float) -> tuple[np.ndarray, float]:
-    """Analytic aliased spectrum + variance for parameters (L, R, kappa0, C)."""
-    l, r, k, c = theta
-    return (analytic_cell_spectrum(freqs, l, r, k, c, sample_rate=sample_rate),
-            r * k / c)
+# fitted part of the spectrum, as fractions of the Nyquist frequency
+FIT_BAND = (0.05, 0.95)
 
 
 def fit_circuit_params(spectrum: PowerSpectrum, variance: float,
-                       init: CellEstimate, bounds_factor: tuple[float, float] = (0.1, 10.0),
-                       model=None, restarts: int = 5, seed: int = 0,
-                       band: tuple[float, float] = (0.05, 0.95),
-                       anchor_weight: float = 1.0,
-                       max_iterations: int = 2000) -> CellFitResult:
-    """Fit (L, R, kappa0, C) of one cell to its spectrum and variance.
+                       init: CellEstimate) -> CellFitResult:
+    """Fit one cell's resonance frequency, linewidth and variance.
 
-    Derivative-free simplex search in log-parameter space with random
-    restarts inside ``bounds_factor`` times the initial guess.  The cost is
-    the log-spectrum squared distance over ``band`` (a fraction of the
-    Nyquist range) plus the squared relative variance error, each
-    normalized to order one at the initial guess, plus the weak noise-PSD
-    anchor described in the module docstring.  If no restart converges the
-    best point found is returned with ``converged=False``.
+    Levenberg-Marquardt over the logs of (f0, linewidth, variance), started
+    at ``init``, with the noise PSD pinned to ``init.noise_psd`` (see the
+    module docstring).  The residuals are the log-spectrum misfit over
+    ``FIT_BAND`` divided by sqrt(N), so that its squared sum is the mean
+    squared misfit, and log(model variance / ``variance``).  The fitted
+    combinations map back to R = sqrt(var / (kappa0 2 pi lw)),
+    C = R kappa0 / var and L = 1 / ((2 pi f0)^2 C).
     """
-    if model is None:
-        model = default_cell_model
     f = spectrum.frequencies
     nyq = spectrum.sample_rate / 2.0
-    mask = (f >= band[0] * nyq) & (f <= band[1] * nyq)
+    mask = (f >= FIT_BAND[0] * nyq) & (f <= FIT_BAND[1] * nyq)
     fb = f[mask]
     log_meas = np.log(spectrum.density[mask])
-    theta0 = np.log(init.as_array())
-    lo = theta0 + math.log(bounds_factor[0])
-    hi = theta0 + math.log(bounds_factor[1])
-
-    def terms(log_theta):
-        psd, var = model(np.exp(log_theta), fb, spectrum.sample_rate)
-        spec_term = float(np.mean((np.log(psd) - log_meas) ** 2))
-        var_term = float((var / variance - 1.0) ** 2)
-        anchor_term = float((log_theta[2] - theta0[2]) ** 2)
-        return spec_term, var_term, anchor_term
-
-    s0, v0, _ = terms(theta0)
-    w_spec = 1.0 / max(s0, 1e-3)
-    w_var = 1.0 / max(v0, 1e-3)
-
-    def cost(log_theta):
-        if np.any(log_theta < lo - 1e-9) or np.any(log_theta > hi + 1e-9):
-            return 1e12
-        s, v, a = terms(log_theta)
-        return w_spec * s + w_var * v + anchor_weight * a
-
-    rng = np.random.default_rng(seed)
-    best = None
-    converged = False
+    root_n = math.sqrt(fb.size)
+    kappa = init.noise_psd
     n_eval = 0
-    for r in range(max(1, restarts)):
-        x0 = theta0 if r == 0 else rng.uniform(
-            np.maximum(lo, theta0 - math.log(2)), np.minimum(hi, theta0 + math.log(2)))
-        res = optimize.minimize(cost, x0, method="Nelder-Mead",
-                                options={"maxiter": max_iterations,
-                                         "xatol": 1e-8, "fatol": 1e-12})
-        n_eval += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-        converged = converged or bool(res.success)
-    theta = np.clip(best.x, lo, hi)
-    s, v, a = terms(theta)
-    est = CellEstimate(*np.exp(theta))
-    return CellFitResult(estimate=est, cost=float(best.fun),
-                         cost_spectrum=w_spec * s, cost_variance=w_var * v,
-                         cost_anchor=anchor_weight * a,
-                         converged=converged, n_evaluations=n_eval)
+
+    def estimate(log_x) -> CellEstimate:
+        f0, lw, var = np.exp(log_x)
+        r = math.sqrt(var / (kappa * 2 * math.pi * lw))
+        c = r * kappa / var
+        return CellEstimate(1.0 / ((2 * math.pi * f0) ** 2 * c), r, kappa, c)
+
+    def residuals(log_x):
+        nonlocal n_eval
+        n_eval += 1
+        psd = analytic_cell_spectrum(fb, *estimate(log_x).as_array(),
+                                     spectrum.sample_rate)
+        return np.append((np.log(psd) - log_meas) / root_n,
+                         log_x[2] - math.log(variance))
+
+    l, r, c = init.inductance, init.resistance, init.capacitance
+    x0 = np.log([1.0 / (2 * math.pi * math.sqrt(l * c)),
+                 1.0 / (2 * math.pi * r * c), init.variance()])
+    res = optimize.least_squares(residuals, x0, method="lm")
+    spec_term = float(np.sum(res.fun[:-1] ** 2))
+    var_term = float(res.fun[-1] ** 2)
+    return CellFitResult(estimate=estimate(res.x), cost=spec_term + var_term,
+                         cost_spectrum=spec_term, cost_variance=var_term,
+                         converged=bool(res.success), n_evaluations=n_eval)
+
+
+def fit_cell(batch: SampleBatch, params: CircuitParams,
+             cell: int) -> tuple[CellFitResult, PowerSpectrum]:
+    """Fit ``cell`` of a noise-driven ``batch``, starting from its values in ``params``.
+
+    Raises DeadCellError before any fit when the cell's configured drive is
+    not positive or its measured variance is zero or not finite.
+    """
+    nominal = params.cells[cell]
+    if not nominal.noise_psd > 0:
+        raise DeadCellError(f"cell {cell} has no noise drive "
+                            f"(noise_psd {nominal.noise_psd}) to fit against")
+    variance = float(batch.values[:, cell].var(ddof=1))
+    if not (math.isfinite(variance) and variance > 0):
+        raise DeadCellError(f"cell {cell} shows no usable signal "
+                            f"(measured variance {variance})")
+    spectrum = estimate_spectrum(batch, cell=cell)
+    init = CellEstimate(nominal.inductance, nominal.resistance,
+                        nominal.noise_psd, nominal.capacitance)
+    return fit_circuit_params(spectrum, variance, init), spectrum
 
 
 def characterize_cell(device: SpuEmulator, cell: int, bank_config: int = 3,
                       n_samples: int = 1_000_000, seed: int = 0,
-                      sample_rate: float = 12e6, chains: int = 64,
-                      **fit_kwargs) -> tuple[CellFitResult, PowerSpectrum]:
+                      sample_rate: float = 12e6,
+                      chains: int = 64) -> tuple[CellFitResult, PowerSpectrum]:
     """Noise-driven spectroscopy of one cell on an emulated device."""
     if not 0 <= cell < device.n_cells:
         raise ValueError(f"cell {cell} is out of range for {device.n_cells} cells")
@@ -232,17 +225,7 @@ def characterize_cell(device: SpuEmulator, cell: int, bank_config: int = 3,
     batch = device.sample(bank_config=bank_config, coupling="none",
                           n_samples=n_samples, sample_rate=sample_rate,
                           seed=seed, chains=chains, noise_mask=mask)
-    spectrum = estimate_spectrum(batch, cell=cell)
-    variance = float(batch.values[:, cell].var(ddof=1))
-    nominal = device.nominal_params(bank_config=bank_config)
-    init = CellEstimate(
-        inductance=nominal.cells[cell].inductance,
-        resistance=nominal.cells[cell].resistance,
-        noise_psd=nominal.cells[cell].noise_psd,
-        capacitance=nominal.cells[cell].capacitance,
-    )
-    fit = fit_circuit_params(spectrum, variance, init, seed=seed, **fit_kwargs)
-    return fit, spectrum
+    return fit_cell(batch, device.nominal_params(bank_config=bank_config), cell)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from . import __version__
 from .apps import (Dataset1D, KernelSpec, gpr_posterior, linear_least_squares,
                    sngp_patch_sample, synthetic_two_moons_posterior)
 from .calibration import (characterize_cell, apply_scaling, compute_scaling_vector,
-                          fit_loading_model, two_cell_fault_scan)
+                          fit_cell, fit_loading_model, two_cell_fault_scan)
 from .compiler import TargetSpec
 from .device import SpuEmulator
 from .errors import (DimensionMismatchError, MatrixFormatError,
@@ -301,13 +301,10 @@ def cmd_spectroscopy(args) -> _Run:
     run = _Run(args)
     if args.device:
         from .circuit import CircuitParams
-        from .calibration import (CellEstimate, estimate_spectrum,
-                                  fit_circuit_params)
         from .langevin import TrajectoryConfig, integrate_circuit
         params = CircuitParams.from_json(Path(args.device).read_text())
-        cells = _selected_cells(args.cell, params.dimension)
         fits = {}
-        for cell in cells:
+        for cell in _selected_cells(args.cell, params.dimension):
             mask = np.zeros(params.dimension)
             mask[cell] = 1.0
             kappa = params.kappa_vector * mask
@@ -316,25 +313,14 @@ def cmd_spectroscopy(args) -> _Run:
             batch = integrate_circuit(solo, TrajectoryConfig(
                 n_samples=args.n, sample_rate=args.rate, seed=args.seed + cell,
                 chains=args.chains))
-            spectrum = estimate_spectrum(batch, cell=cell)
-            init = CellEstimate(params.cells[cell].inductance,
-                                params.cells[cell].resistance,
-                                params.cells[cell].noise_psd,
-                                params.cells[cell].capacitance)
-            fit = fit_circuit_params(spectrum, float(batch.values[:, cell].var(ddof=1)),
-                                     init, seed=args.seed + cell)
-            fits[cell] = (fit, spectrum)
+            fits[cell] = fit_cell(batch, params, cell)
     else:
         device = SpuEmulator(n_cells=args.cells, tolerance_sigma=args.tolerance,
                              tolerance_seed=args.seed)
-        cells = _selected_cells(args.cell, args.cells)
-        fits = {}
-        for cell in cells:
-            fit, spectrum = characterize_cell(device, cell, bank_config=args.bank,
-                                              n_samples=args.n, seed=args.seed + cell,
-                                              sample_rate=args.rate,
-                                              chains=args.chains)
-            fits[cell] = (fit, spectrum)
+        fits = {cell: characterize_cell(device, cell, bank_config=args.bank,
+                                        n_samples=args.n, seed=args.seed + cell,
+                                        sample_rate=args.rate, chains=args.chains)
+                for cell in _selected_cells(args.cell, args.cells)}
     report = {}
     for cell, (fit, spectrum) in fits.items():
         run.add(f"spectrum_cell{cell}", write_csv(

@@ -225,8 +225,7 @@ def test_criterion_7_spectroscopy_plant_and_recover():
                             r * rng.uniform(0.85, 1.18),
                             k,  # configured drive level, pins the scale direction
                             c * rng.uniform(0.85, 1.18))
-        fit = fit_circuit_params(spectrum, variance, init, restarts=3,
-                                 seed=70 + cell)
+        fit = fit_circuit_params(spectrum, variance, init)
         err = np.abs(fit.estimate.as_array() / np.array([l, r, k, c]) - 1.0)
         worst = max(worst, float(err.max()))
         details.append(f"cell {cell}: {100 * err.max():.1f}%")

@@ -58,13 +58,30 @@ class TestEstimateSpectrum:
             estimate_spectrum(batch, segment_length=4096)
 
 
+def alias_sum_oracle(freqs, l, r, k, c, sample_rate, n_alias=4000):
+    """One-sided PSD as the continuum spectrum summed over 2 n_alias + 1 images."""
+    w = 2 * np.pi * (freqs[None, :]
+                     + np.arange(-n_alias, n_alias + 1)[:, None] * sample_rate)
+    two_sided = (2 * k / c ** 2) / ((1 / (r * c)) ** 2 + (w - 1 / (w * l * c)) ** 2)
+    return 2 * two_sided.sum(axis=0)
+
+
 class TestAnalyticSpectrum:
+    @pytest.mark.parametrize("cell", [0, 7])
+    def test_matches_long_alias_sum(self, cell):
+        l, r, k, c = CHARACTERIZED_CELLS[cell]
+        fs = 12e6
+        f = np.linspace(0.05, 0.95, 200) * fs / 2
+        exact = analytic_cell_spectrum(f, l, r, k, c, fs)
+        np.testing.assert_allclose(exact, alias_sum_oracle(f, l, r, k, c, fs),
+                                   rtol=2e-4)
+
     def test_integral_is_stationary_variance(self):
         l, r, k, c = CHARACTERIZED_CELLS[0]
-        f = np.linspace(1.0, 200e6, 2_000_000)
-        psd = analytic_cell_spectrum(f, l, r, k, c)  # unaliased
-        var = np.trapezoid(psd, f)
-        assert var == pytest.approx(r * k / c, rel=0.01)
+        fs = 12e6
+        f = np.linspace(0.0, fs / 2, 200_001)
+        var = np.trapezoid(analytic_cell_spectrum(f, l, r, k, c, fs), f)
+        assert var == pytest.approx(r * k / c, rel=1e-3)
 
     def test_matches_welch_of_simulation(self):
         l, r, k, c = CHARACTERIZED_CELLS[7]
@@ -73,8 +90,7 @@ class TestAnalyticSpectrum:
         batch = integrate_circuit(params, TrajectoryConfig(
             n_samples=500_000, sample_rate=12e6, seed=3, chains=32))
         spec = estimate_spectrum(batch)
-        model = analytic_cell_spectrum(spec.frequencies, l, r, k, c,
-                                       sample_rate=12e6)
+        model = analytic_cell_spectrum(spec.frequencies, l, r, k, c, 12e6)
         band = (spec.frequencies > 0.3e6) & (spec.frequencies < 5.5e6)
         log_resid = np.log(spec.density[band] / model[band])
         assert abs(log_resid.mean()) < 0.05
@@ -85,7 +101,7 @@ class TestFitCircuitParams:
         device = SpuEmulator(n_cells=1, inductance=1.5e-6, resistance=60.0,
                              noise_psd=1e-13)
         fit, _ = characterize_cell(device, cell=0, bank_config=3,
-                                   n_samples=400_000, seed=4, restarts=2)
+                                   n_samples=400_000, seed=4)
         est = fit.estimate
         assert est.inductance == pytest.approx(1.5e-6, rel=0.10)
         assert est.resistance == pytest.approx(60.0, rel=0.10)
@@ -103,7 +119,7 @@ class TestFitCircuitParams:
         rng = np.random.default_rng(6)
         init = CellEstimate(l * rng.uniform(0.85, 1.18), r * rng.uniform(0.85, 1.18),
                             k, c * rng.uniform(0.85, 1.18))
-        fit = fit_circuit_params(spec, var, init, restarts=3, seed=6)
+        fit = fit_circuit_params(spec, var, init)
         recovered = fit.estimate.as_array()
         np.testing.assert_allclose(recovered, [l, r, k, c], rtol=0.10)
 
@@ -116,18 +132,16 @@ class TestFitCircuitParams:
         spec = estimate_spectrum(batch)
         var = float(batch.values.var(ddof=1))
         init = CellEstimate(l, r, k, c)
-        fit = fit_circuit_params(spec, var, init, restarts=1, seed=7)
+        fit = fit_circuit_params(spec, var, init)
         cost_true = fit.cost
 
-        # reuse the fit's cost surface through a second call with zero
-        # iterations is awkward; instead recompute the terms directly
-        from spusim.calibration import default_cell_model
         nyq = spec.sample_rate / 2
         mask = (spec.frequencies >= 0.05 * nyq) & (spec.frequencies <= 0.95 * nyq)
         fb, log_meas = spec.frequencies[mask], np.log(spec.density[mask])
 
         def crude_cost(theta):
-            psd, vm = default_cell_model(theta, fb, spec.sample_rate)
+            psd = analytic_cell_spectrum(fb, *theta, spec.sample_rate)
+            vm = theta[1] * theta[2] / theta[3]
             return (np.mean((np.log(psd) - log_meas) ** 2)
                     + (vm / var - 1.0) ** 2)
 
@@ -266,9 +280,9 @@ class TestLoadingModelFit:
 class TestPowerSpectrumType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerSpectrum(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0, 10.0)
+            PowerSpectrum(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 10.0)
         with pytest.raises(ValueError):
-            PowerSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 1.0, 10.0)
+            PowerSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 10.0)
 
 
 class TestBoardBoundaries:
@@ -285,3 +299,13 @@ class TestBoardBoundaries:
     def test_characterize_cell_index_checked(self, cell):
         with pytest.raises(ValueError, match=f"cell {cell} is out of range for 3 cells"):
             characterize_cell(SpuEmulator(n_cells=3), cell, n_samples=1000)
+
+    def test_dead_cell_fails_before_the_fit(self):
+        device = SpuEmulator(n_cells=2, dead_cells={0})
+        with pytest.raises(DeadCellError, match="cell 0 shows no usable signal"):
+            characterize_cell(device, 0, n_samples=20_000, chains=4)
+
+    def test_undriven_cell_fails_before_the_fit(self):
+        device = SpuEmulator(n_cells=2, noise_psd=np.array([1e-13, 0.0]))
+        with pytest.raises(DeadCellError, match="cell 1 has no noise drive"):
+            characterize_cell(device, 1, n_samples=20_000, chains=4)

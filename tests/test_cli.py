@@ -342,6 +342,19 @@ class TestSpectroscopyVerb:
         report = json.loads((out / "fit.json").read_text())
         assert report["0"]["resistance_ohm"] == pytest.approx(40.0, rel=0.1)
 
+    def test_undriven_device_cell_exit_code(self, tmp_path, capsys):
+        from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+        params = CircuitParams.build(
+            [UnitCell(1.5e-6, 40.0, 2e-13, bank_config=3),
+             UnitCell(1.5e-6, 40.0, 0.0, bank_config=3)], CouplingConfig.none(2))
+        device_path = tmp_path / "device.json"
+        device_path.write_text(params.to_json())
+        out = tmp_path / "out"
+        assert main(["spectroscopy", "--device", str(device_path), "--cell", "1",
+                     "--n", "20000", "--chains", "4", "--outdir", str(out)]) == 1
+        assert "error: cell 1 has no noise drive" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestLsqDesignRoute:
     def test_design_and_response_files(self, tmp_path):
