@@ -217,7 +217,11 @@ def characterize_cell(device: SpuEmulator, cell: int, bank_config: int = 3,
                       n_samples: int = 1_000_000, seed: int = 0,
                       sample_rate: float = 12e6,
                       chains: int = 64) -> tuple[CellFitResult, PowerSpectrum]:
-    """Noise-driven spectroscopy of one cell on an emulated device."""
+    """Noise-driven spectroscopy of one cell on an emulated device.
+
+    Only ``cell`` is driven and the board is uncoupled, so the integration
+    steps that cell alone; its step size follows that cell.
+    """
     if not 0 <= cell < device.n_cells:
         raise ValueError(f"cell {cell} is out of range for {device.n_cells} cells")
     mask = np.zeros(device.n_cells)
@@ -274,6 +278,10 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     couplings off).  A healthy pair shows a probe-spectrum peak near the
     designed resonance when coupled and silence at coupling 0; deviations
     are flagged as absent, frequency-shifted or unexpected.
+
+    Each run steps only the cells that can move: the driven cell and, when
+    the pair is coupled, the probe; the step size follows them.  The other
+    cells, and an uncoupled probe, read exact zeros.
     """
     d = device.n_cells
     if d < 2:

@@ -29,13 +29,15 @@ normal modes, each an independent 2 x 2 chain with the same law and the
 same integrator bias.  The engine then steps the stack of d blocks and
 rotates states in and records out once; when no basis splits the step it
 steps one dense 2d x 2d block.  The split is measured on the operators.
+A circuit run steps only the cells that can move; undriven cells at rest
+that no coupling joins to a moving cell stay exactly at rest.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -148,7 +150,7 @@ def stationary_reference(params: CircuitParams) -> StationaryReference:
     rk = params.r_vector * params.kappa_vector
     if np.any(rk <= 0):
         raise ValueError("all cells need positive R * kappa0 for a Gibbs reference")
-    if not np.allclose(rk, rk[0], rtol=1e-9):
+    if not np.allclose(rk, rk[0], rtol=1e-9, atol=0.0):
         raise ValueError(
             "R * kappa0 differs between cells (no single temperature); "
             "use stationary_state_covariance for the exact reference"
@@ -191,7 +193,7 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
     if method not in ("auto", "gibbs", "lyapunov"):
         raise ValueError(f"unknown method {method!r}")
     rk = params.r_vector * params.kappa_vector
-    uniform = np.allclose(rk, rk[0], rtol=1e-9) and rk[0] > 0
+    uniform = np.allclose(rk, rk[0], rtol=1e-9, atol=0.0) and rk[0] > 0
     if method == "gibbs" or (method == "auto" and uniform):
         if not uniform:
             raise ValueError("Gibbs formula needs uniform R * kappa0")
@@ -295,6 +297,9 @@ class TrajectoryConfig:
             raise ValueError("record_stride must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
+        rate = self.sample_rate
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sample_rate must be positive and finite, got {rate}")
 
     @property
     def samples_per_chain(self) -> int:
@@ -550,6 +555,35 @@ def _initial_state(params: CircuitParams, initial, chains: int, rng) -> np.ndarr
     raise DimensionMismatchError(f"cannot interpret initial state of shape {z.shape}")
 
 
+def _moving_cells(params: CircuitParams, z: np.ndarray | None) -> np.ndarray | None:
+    """Indices of the cells that can leave rest, or None when all or none can.
+
+    A cell moves when it is driven (kappa0 > 0), starts away from rest in
+    any chain of the start state ``z`` (None: at rest), or shares a nonzero
+    Maxwell entry with a moving cell; L and R act per cell, so the
+    capacitive couplings are the only path between cells.  Every other
+    cell stays exactly at rest.
+    """
+    moving = params.kappa_vector > 0
+    if z is not None:
+        moving = moving | (z != 0).any(axis=0).reshape(2, -1).any(axis=0)
+    coupled = params.maxwell != 0
+    frontier = moving
+    while frontier.any():
+        frontier = coupled[frontier].any(axis=0) & ~moving
+        moving = moving | frontier
+    return None if moving.all() or not moving.any() else np.flatnonzero(moving)
+
+
+def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
+    """The circuit of ``cells`` alone, its matrices sliced exactly."""
+    ix = np.ix_(cells, cells)
+    states = None if params.coupling_states is None else params.coupling_states[ix]
+    return replace(params, cells=tuple(params.cells[i] for i in cells),
+                   coupling_capacitances=params.coupling_capacitances[ix],
+                   maxwell=params.maxwell[ix], coupling_states=states)
+
+
 def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                       noise: str | NoiseChainConfig = "ideal",
                       record: str = "voltage",
@@ -562,6 +596,14 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     source or a ``NoiseChainConfig`` for the hardware-faithful chain (the
     string "lfsr-chain" selects that chain with default settings).
     Deterministic under ``cfg.seed``.
+
+    Only the cells that can move are stepped: the driven cells, the cells
+    that start away from rest, and every cell coupled to them through the
+    Maxwell matrix.  The others stay exactly at rest and read 0.0.  The
+    step size, record stride, burn-in and the matched chain follow the
+    stepped cells alone; ``meta["cells_stepped"]`` counts them.  When every
+    cell moves (every compiled target) or none does, the whole board is
+    stepped.
     """
     if params.maxwell_eigenvalues[0] <= 0:
         assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
@@ -571,6 +613,15 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     chains = cfg.chains
     per_chain = cfg.samples_per_chain
     rng = np.random.default_rng(cfg.seed)
+    # the zero and the stationary start rest wherever no drive reaches, so only
+    # a given state can move a cell; the others are built for the stepped cells
+    given = not (initial_state is None or isinstance(initial_state, str))
+    z = _initial_state(params, initial_state, chains, rng) if given else None
+    moving = _moving_cells(params, z)
+    if moving is not None:
+        params = _sub_circuit(params, moving)
+        if given:
+            z = z[:, np.concatenate([moving, d + moving])]
 
     if isinstance(noise, str) and noise == "ideal":
         dt, stride, burn_steps = _resolve_steps(params, cfg)
@@ -594,11 +645,13 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                 "mismatched to the circuit timescale -- see "
                 "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
             )
-        source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=d,
+        source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
                                   kappa0=params.kappa_vector, dt=dt, chains=chains)
     sys_ = _LinearSystem.from_circuit(params, dt)
-    z = sys_.to_blocks(_initial_state(params, initial_state, chains, rng))
-    recs = _run_linear(sys_, z, source, per_chain, stride, burn_steps, cfg.zero_noise)
+    if not given:
+        z = _initial_state(params, initial_state, chains, rng)
+    recs = _run_linear(sys_, sys_.to_blocks(z), source, per_chain, stride, burn_steps,
+                       cfg.zero_noise)
 
     values = sys_.cells(recs, 0 if record == "current" else 1)
     del recs  # a modal readout is a fresh array: free the records before the product
@@ -606,10 +659,14 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
         values = values / params.l_vector
     elif record == "voltage":
         values = values @ sys_.m_inv.T
+    if moving is not None:
+        stepped, values = values, np.zeros((chains, per_chain, d))
+        values[..., moving] = stepped
     burn = burn_steps * dt
     meta = {
         "dt": dt, "record_stride": stride, "burn_in": burn, "seed": cfg.seed,
         "record": record, "noise": "ideal" if noise == "ideal" else "lfsr-chain",
+        "cells_stepped": params.dimension,
     }
     return SampleBatch(values.reshape(chains * per_chain, d),
                        sample_rate=1.0 / (stride * dt), start_time=burn,

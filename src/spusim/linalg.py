@@ -50,10 +50,11 @@ class SamplingPlan:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.sampling_rate is not None and self.sampling_rate <= 0:
-            raise ValueError("sampling_rate must be positive")
+        rate = self.sampling_rate
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sampling_rate must be positive and finite, got {rate}")
         if not 0.0 < self.noise_level <= 1e6:
-            raise ValueError("noise_level must be positive")
+            raise ValueError(f"noise_level must be in (0, 1e6], got {self.noise_level}")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 

@@ -355,6 +355,53 @@ class TestSpectroscopyVerb:
         assert "error: cell 1 has no noise drive" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_device_json_steps_only_the_driven_cell(self, tmp_path, monkeypatch):
+        import spusim.langevin as langevin
+        from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+        params = CircuitParams.build(
+            [UnitCell(1.5e-6, 40.0, 2e-13, bank_config=b) for b in (1, 2, 3)],
+            CouplingConfig.none(3))
+        device_path = tmp_path / "device.json"
+        device_path.write_text(params.to_json())
+        stepped = []
+        run_linear = langevin._run_linear
+
+        def spy(sys_, *args):
+            stepped.append(sys_.dimension)
+            return run_linear(sys_, *args)
+
+        monkeypatch.setattr(langevin, "_run_linear", spy)
+        assert main(["spectroscopy", "--device", str(device_path), "--n", "20000",
+                     "--chains", "4", "--outdir", str(tmp_path / "out")]) == 0
+        assert stepped == [1, 1, 1]
+
+
+class TestRateAndLevelInput:
+    @pytest.mark.parametrize("rate", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("verb", ["sample", "spectroscopy"])
+    def test_non_finite_rate_exit_code(self, tmp_path, capsys, verb, rate):
+        argv = [verb, f"--rate={rate}", "--n", "1000", "--chains", "2"]
+        if verb == "sample":
+            argv += ["--precision", write_matrix(tmp_path / "p.csv", np.eye(2))]
+        else:
+            argv += ["--cells", "1"]
+        out = tmp_path / "o"
+        assert main(argv + ["--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be positive and finite" in err
+        assert f"got {float(rate)}" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("level", ["1e300", "nan", "0"])
+    def test_noise_level_out_of_range_exit_code(self, tmp_path, capsys, level):
+        m = write_matrix(tmp_path / "p.csv", np.eye(2))
+        out = tmp_path / "o"
+        assert main(["sample", "--precision", m, "--noise-level", level, "--n", "1000",
+                     "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: noise_level must be in (0, 1e6], got {float(level)}" in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestLsqDesignRoute:
     def test_design_and_response_files(self, tmp_path):

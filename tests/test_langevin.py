@@ -1,6 +1,7 @@
 """Tests for the Langevin integrators and analytic references."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                              stationary_state_covariance,
                              stationary_voltage_covariance, suggest_dt,
                              transform_coords)
+from spusim.linalg import SamplingPlan, sample_gaussian
 
 NF = 1e-9
 CELL7 = dict(inductance=1.77e-6, resistance=76.7, noise_psd=0.206e-12,
@@ -143,6 +145,16 @@ class TestStationaryReferences:
             stationary_reference(params)
         sigma_v = stationary_voltage_covariance(params)  # lyapunov path
         np.testing.assert_allclose(np.diag(sigma_v), [1.0, 2.0], rtol=1e-8)
+
+    def test_nonuniform_physical_units_require_lyapunov(self):
+        # R * kappa0 near 5e-12 V^2/Hz: a unit-scale absolute tolerance would call it uniform
+        cells = [UnitCell(1.3e-6, 50.0, k, bank_config=3) for k in (1e-13, 2e-13)]
+        params = CircuitParams.build(cells, CouplingConfig.none(2))
+        with pytest.raises(ValueError, match="differs between cells"):
+            stationary_reference(params)
+        sigma_v = stationary_voltage_covariance(params)
+        np.testing.assert_allclose(np.diag(sigma_v), 50.0 * np.array([1e-13, 2e-13]) / 6.5e-9,
+                                   rtol=1e-8)
 
 
 class TestCircuitIntegration:
@@ -648,3 +660,106 @@ class TestModalEngine:
                         0, True)
         step = (first_bad + 1) * stride
         assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
+
+
+def _board(kappa, pairs=()):
+    """Bank-3 cells with drives ``kappa``, joined (state +1) at ``pairs``."""
+    states = np.zeros((len(kappa), len(kappa)), dtype=np.int8)
+    for i, j in pairs:
+        states[i, j] = states[j, i] = 1
+    cells = [UnitCell(1.3e-6, 50.0, k, bank_config=3) for k in kappa]
+    return CircuitParams.build(cells, CouplingConfig(states))
+
+
+def _full_board(monkeypatch, *args, **kwargs):
+    """``integrate_circuit`` with every cell stepped: the reference of the reduced run."""
+    with monkeypatch.context() as m:
+        m.setattr(langevin, "_moving_cells", lambda *a: None)
+        return integrate_circuit(*args, **kwargs)
+
+
+class TestMovingCells:
+    """Only driven, displaced and coupled cells are stepped; the rest read exact zeros."""
+
+    @pytest.mark.parametrize("record", ["voltage", "charge", "current"])
+    def test_zero_noise_matches_full_board(self, monkeypatch, record):
+        # cell 0 starts displaced and drags its partner 1; cell 3 is driven
+        # (silent under zero noise); cell 2 is neither and stays at rest
+        params = _board([0.0, 0.0, 0.0, 1e-13], pairs=[(0, 1)])
+        start = np.zeros(8)
+        start[0], start[4] = 2e-9, -1e-10  # flux and charge of cell 0
+        cfg = TrajectoryConfig(dt=1e-9, record_stride=50, burn_in=0.0, n_samples=80,
+                               chains=2, zero_noise=True)
+        got = integrate_circuit(params, cfg, record=record, initial_state=start)
+        want = _full_board(monkeypatch, params, cfg, record=record, initial_state=start)
+        assert got.meta["cells_stepped"] == 3 and want.meta["cells_stepped"] == 4
+        assert np.all(got.values[:, 2] == 0.0)
+        assert np.all(got.values[:, [0, 1]] != 0.0)
+        _assert_close(got.values, want.values)
+        assert got.sample_rate == want.sample_rate
+
+    def test_undriven_cells_rest_and_coupled_cells_move(self):
+        # the drive on cell 0 reaches cell 3 through cell 2; cells 1 and 4 rest
+        params = _board([1e-13, 0.0, 0.0, 0.0, 0.0], pairs=[(0, 2), (2, 3)])
+        cfg = TrajectoryConfig(n_samples=2000, chains=4, sample_rate=12e6, seed=8)
+        batch = integrate_circuit(params, cfg)
+        assert batch.meta["cells_stepped"] == 3
+        assert np.all(batch.values[:, [1, 4]] == 0.0)
+        assert np.all(batch.values[:, [0, 2, 3]].var(axis=0) > 0.0)
+        # the step size follows the stepped cells, not the board
+        alone = integrate_circuit(langevin._sub_circuit(params, np.array([0, 2, 3])), cfg)
+        assert batch.meta["dt"] == alone.meta["dt"]
+        assert np.array_equal(batch.values[:, [0, 2, 3]], alone.values)
+
+    def test_stationary_start(self):
+        params = _board([1e-13, 0.0, 0.0, 0.0], pairs=[(0, 1)])
+        cfg = TrajectoryConfig(n_samples=4000, chains=8, burn_in=0.0, seed=9)
+        batch = integrate_circuit(params, cfg, initial_state="stationary")
+        assert batch.meta["cells_stepped"] == 2
+        assert np.all(batch.values[:, [2, 3]] == 0.0)
+        want = stationary_voltage_covariance(params)[:2, :2]
+        got = np.cov(batch.values[:, :2], rowvar=False)
+        assert rel_frobenius(got, want) < 0.1
+
+    # SHA-256 of the samples of boards on which every cell moves, as written
+    # before the moving-cell reduction (numpy 2.4, OpenBLAS, x86-64)
+    TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    DIGESTS = {
+        "ideal": "92185560c27fe5b70d4f559286f392d03507bc18033c9a3357c710eddf85cd83",
+        "lfsr-chain": "36bf63a7f68b028930690dfc7c227edabc8130487742a3fb6d19e3b84a6c6844",
+        "calibrate": "81344f922da5f38cfeb6db71a8530106d5b289d14b98952b8b751aad7ad426b5",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_fully_moving_runs_are_unchanged(self, case):
+        if case == "ideal":
+            batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=600, chains=3), seed=5)
+        elif case == "lfsr-chain":
+            batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=60, chains=2), seed=6,
+                                    noise="lfsr-chain")
+        else:  # the all-driven board of the calibrate verb
+            batch = SpuEmulator(n_cells=4, coupling_resistance=400.0).sample(
+                n_samples=600, seed=7, chains=3)
+        assert batch.meta["cells_stepped"] == batch.dimension
+        digest = hashlib.sha256(np.ascontiguousarray(batch.values).tobytes()).hexdigest()
+        assert digest == self.DIGESTS[case]
+
+    def test_cells_stepped_counts(self, monkeypatch):
+        import spusim.device as device
+        from spusim.calibration import characterize_cell, two_cell_fault_scan
+        stepped = []
+
+        def spy(*args, **kwargs):
+            batch = integrate_circuit(*args, **kwargs)
+            stepped.append(batch.meta["cells_stepped"])
+            return batch
+
+        monkeypatch.setattr(device, "integrate_circuit", spy)
+        characterize_cell(SpuEmulator(n_cells=4), 2, n_samples=20_000, chains=4)
+        assert stepped == [1]
+        stepped.clear()
+        two_cell_fault_scan(SpuEmulator(n_cells=3), n_samples=16_384)
+        # per drive: the self-drive, then couplings +1, -1 and 0 to each later probe
+        assert stepped == [1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1]
+        batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=300, chains=3), seed=1)
+        assert batch.meta["cells_stepped"] == 3
