@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
 
 from .circuit import CircuitParams, loading_variance_model
 from .device import SpuEmulator
@@ -64,6 +63,7 @@ def estimate_spectrum(batch: SampleBatch, segment_length: int = 4096,
 
     Chains are treated as independent records and averaged.  The integral
     of the returned density matches the time-domain variance (Parseval).
+    The estimate is ``_welch``'s, the zero-frequency bin dropped.
     """
     series = batch.per_chain()[:, :, cell]
     if series.shape[1] < segment_length:
@@ -72,14 +72,64 @@ def estimate_spectrum(batch: SampleBatch, segment_length: int = 4096,
             f"segment_length {segment_length}"
         )
     fs = batch.sample_rate
-    noverlap = int(segment_length * overlap)
-    freqs, psd = signal.welch(series, fs=fs, window="hann",
-                              nperseg=segment_length, noverlap=noverlap, axis=1)
+    freqs, psd = _welch(series, fs, segment_length, int(segment_length * overlap))
     return PowerSpectrum(
         frequencies=freqs[1:],
         density=psd.mean(axis=0)[1:],
         sample_rate=fs,
     )
+
+
+def _welch(series: np.ndarray, fs: float, nperseg: int,
+           noverlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Welch's (1967) one-sided PSD of every row of ``series``: (freqs, psd).
+
+    Segments of ``nperseg`` samples start every ``nperseg - noverlap``
+    samples; each loses its mean, is weighted by the periodic Hann window
+    and transformed; the squared magnitudes are scaled to a density
+    (1 / (fs sum w^2)), doubled off the zero and Nyquist bins and averaged
+    over the segments.  These are the settings of
+    ``scipy.signal.welch(window="hann")``.
+    """
+    segments = np.lib.stride_tricks.sliding_window_view(
+        series, nperseg, axis=-1)[..., ::nperseg - noverlap, :]
+    segments = segments - segments.mean(axis=-1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    segments *= window
+    spec = np.fft.rfft(segments, axis=-1)
+    psd = spec.real ** 2 + spec.imag ** 2
+    psd *= 1.0 / (fs * np.sum(window ** 2))
+    psd[..., 1:None if nperseg % 2 else -1] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd.mean(axis=-2)
+
+
+def _expm2(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real 2 x 2 matrix in closed form.
+
+    With s = tr(M)/2 and q^2 = -det(M - sI), exp(M) = e^s [cosh q I +
+    (sinh q / q)(M - sI)]; q is imaginary (cos, sin) for complex
+    eigenvalues, an underdamped cell.  Near q = 0 sinh q / q takes its
+    series.  Large real q, where e^s cosh q would overflow while e^(s+-q)
+    stays finite, takes the two exponentials directly, the eigenvalue
+    nearer zero as det M over the other, free of cancellation.
+    """
+    s = 0.5 * (m[0, 0] + m[1, 1])
+    r = m - s * np.eye(2)
+    q2 = r[0, 0] ** 2 + r[0, 1] * r[1, 0]
+    q = math.sqrt(abs(q2))
+    if q2 > 0 and q > 1.0:
+        # eigenvalues s +- q; the one nearer zero from det M over the other
+        far = s - q if s < 0 else s + q
+        near = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / far
+        hi, lo = (math.exp(near), math.exp(far)) if s < 0 else (math.exp(far), math.exp(near))
+        return 0.5 * (hi + lo) * np.eye(2) + (0.5 * (hi - lo) / q) * r
+    if q < 1e-4:
+        even, odd = 1.0 + q2 / 2.0, 1.0 + q2 / 6.0
+    elif q2 > 0:
+        even, odd = math.cosh(q), math.sinh(q) / q
+    else:
+        even, odd = math.cos(q), math.sin(q) / q
+    return math.exp(s) * (even * np.eye(2) + odd * r)
 
 
 def analytic_cell_spectrum(freqs: np.ndarray, inductance: float, resistance: float,
@@ -95,11 +145,9 @@ def analytic_cell_spectrum(freqs: np.ndarray, inductance: float, resistance: flo
     the continuum spectrum with every alias folded in, and integrating it
     over (0, fs/2) gives the stationary variance R kappa0 / C.
     """
-    from scipy.linalg import expm
-
-    a = expm(np.array([[0.0, 1.0 / capacitance],
-                       [-1.0 / inductance, -1.0 / (resistance * capacitance)]])
-             / sample_rate)
+    a = _expm2(np.array([[0.0, 1.0 / capacitance],
+                         [-1.0 / inductance, -1.0 / (resistance * capacitance)]])
+               / sample_rate)
     s = resistance * noise_psd * np.diag([inductance, capacitance])
     q = s - a @ s @ a.T
     z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float) / sample_rate)
@@ -146,6 +194,70 @@ class CellFitResult:
 FIT_BAND = (0.05, 0.95)
 
 
+def _least_squares(fun, x0, xtol: float = 1e-8,
+                   ftol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Minimize |fun(x)|^2 by Levenberg-Marquardt; returns (x, fun(x), success).
+
+    Moré's (1978) scaled form: the Jacobian J is taken by forward
+    differences, steps h_j = sqrt(eps) |x_j| as in MINPACK; each step
+    solves (J^T J + lam D^2) p = -J^T f, where D holds the largest column
+    norms of J seen so far and lam starts at 1e-3.  A step is taken when
+    it achieves at least 1e-4 of the reduction the linear model predicts,
+    and lam then follows Nielsen's rule; a rejected step doubles its
+    growth.  Success is MINPACK's: every column of J is within 1e-8
+    (cosine) of orthogonal to f, both the achieved and the predicted
+    relative reductions of the cost are at most ``ftol``, or a step is at
+    most ``xtol`` relative to D x.  The evaluation budget is 100 (n + 1).
+    """
+    x = np.array(x0, dtype=float)
+    n = x.size
+    f = fun(x)
+    cost = float(f @ f)
+    budget, nfev = 100 * (n + 1), 1
+    scale, lam, grow = None, 1e-3, 2.0
+    h0 = math.sqrt(np.finfo(float).eps)
+    while nfev < budget:
+        jac = np.empty((f.size, n))
+        for j in range(n):
+            step = x.copy()
+            step[j] += h0 * abs(x[j]) or h0
+            jac[:, j] = (fun(step) - f) / (step[j] - x[j])
+        nfev += n
+        grad = jac.T @ f
+        norms = np.linalg.norm(jac, axis=0)
+        live = norms > 0
+        if cost == 0.0 or np.all(np.abs(grad[live]) <= 1e-8 * norms[live] * math.sqrt(cost)):
+            return x, f, True
+        scale = norms if scale is None else np.maximum(scale, norms)
+        scale = np.where(scale > 0, scale, 1.0)
+        normal = jac.T @ jac
+        while nfev < budget:
+            p = np.linalg.solve(normal + lam * np.diag(scale ** 2), -grad)
+            trial = x + p
+            f_trial = fun(trial)
+            nfev += 1
+            cost_trial = float(f_trial @ f_trial)
+            jp, dp = jac @ p, scale * p
+            predicted = float(jp @ jp + 2.0 * lam * (dp @ dp))
+            actual = cost - cost_trial
+            small_step = math.sqrt(dp @ dp) <= xtol * float(np.linalg.norm(scale * x))
+            if predicted > 0 and actual >= 1e-4 * predicted:
+                converged = (small_step or (actual <= ftol * cost
+                                            and predicted <= ftol * cost))
+                ratio = actual / predicted
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                grow = 2.0
+                x, f, cost = trial, f_trial, cost_trial
+                if converged:
+                    return x, f, True
+                break
+            if small_step:
+                return x, f, True
+            lam *= grow
+            grow *= 2.0
+    return x, f, False
+
+
 def fit_circuit_params(spectrum: PowerSpectrum, variance: float,
                        init: CellEstimate) -> CellFitResult:
     """Fit one cell's resonance frequency, linewidth and variance.
@@ -184,12 +296,12 @@ def fit_circuit_params(spectrum: PowerSpectrum, variance: float,
     l, r, c = init.inductance, init.resistance, init.capacitance
     x0 = np.log([1.0 / (2 * math.pi * math.sqrt(l * c)),
                  1.0 / (2 * math.pi * r * c), init.variance()])
-    res = optimize.least_squares(residuals, x0, method="lm")
-    spec_term = float(np.sum(res.fun[:-1] ** 2))
-    var_term = float(res.fun[-1] ** 2)
-    return CellFitResult(estimate=estimate(res.x), cost=spec_term + var_term,
+    x, fun, success = _least_squares(residuals, x0)
+    spec_term = float(np.sum(fun[:-1] ** 2))
+    var_term = float(fun[-1] ** 2)
+    return CellFitResult(estimate=estimate(x), cost=spec_term + var_term,
                          cost_spectrum=spec_term, cost_variance=var_term,
-                         converged=bool(res.success), n_evaluations=n_eval)
+                         converged=success, n_evaluations=n_eval)
 
 
 def fit_cell(batch: SampleBatch, params: CircuitParams,
@@ -391,9 +503,9 @@ def fit_loading_model(variances: np.ndarray, residual_flag: float = 0.05) -> Loa
         model = a * b / (b + (7 - idx) * a)
         return model / var - 1.0
 
-    res = optimize.least_squares(residuals, np.log([a0, max(b0, 1e-12)]),
-                                 method="lm", xtol=1e-14, ftol=1e-14)
-    a, b = np.exp(res.x)
+    log_ab, _, _ = _least_squares(residuals, np.log([a0, max(b0, 1e-12)]),
+                                  xtol=1e-14, ftol=1e-14)
+    a, b = np.exp(log_ab)
     fitted = np.array([loading_variance_model(a, b, i) for i in range(8)])
     residual = float(np.sqrt(np.mean((fitted / var - 1.0) ** 2)))
     return LoadingFit(a=float(a), b=float(b), residual=residual, fitted=fitted,

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
+import numpy.random  # noqa: F401  every run draws from it: load it with the package
 
 from .circuit import CircuitParams, assert_positive_definite
 from .errors import DimensionMismatchError
@@ -184,8 +184,10 @@ def stationary_state_covariance(params: CircuitParams) -> np.ndarray:
     Valid for arbitrary per-cell R, L, kappa0 (including the non-uniform
     parallel-loading regime where the Gibbs formula does not apply).
     """
+    from scipy.linalg import solve_continuous_lyapunov  # reference path only
+
     f, gg = _drift_and_noise(params)
-    return sla.solve_continuous_lyapunov(f, -gg)
+    return solve_continuous_lyapunov(f, -gg)
 
 
 def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -> np.ndarray:
@@ -209,8 +211,10 @@ def discrete_stationary_covariance(params: CircuitParams, dt: float) -> np.ndarr
 
     Useful to separate integrator bias from Monte Carlo error in tests.
     """
+    from scipy.linalg import solve_discrete_lyapunov  # reference path only
+
     sys_ = _LinearSystem.from_circuit(params, dt)
-    return sla.solve_discrete_lyapunov(sys_.expand(sys_.m_step), sys_.expand(sys_.s_step))
+    return solve_discrete_lyapunov(sys_.expand(sys_.m_step), sys_.expand(sys_.s_step))
 
 
 @dataclass(frozen=True)
@@ -287,12 +291,12 @@ class TrajectoryConfig:
     max_steps: int = 100_000_000  # guard for runaway chain-noise runs
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
+        if self.burn_in is not None and not (math.isfinite(self.burn_in) and self.burn_in >= 0):
+            raise ValueError(f"burn_in must be non-negative and finite, got {self.burn_in}")
         if self.record_stride is not None and self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.chains < 1:

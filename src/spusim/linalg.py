@@ -158,9 +158,10 @@ def checkpoint_counts(n_total: int, n_checkpoints: int = 20, start: int = 30) ->
     if n_total < 4:
         raise ValueError("need at least 4 samples")
     start = min(max(4, start), n_total)
-    counts = np.unique(np.geomspace(start, n_total, n_checkpoints).astype(int))
+    # sorted and deduplicated by hand: np.unique would load numpy.ma
+    counts = np.sort(np.geomspace(start, n_total, n_checkpoints).astype(int))
     counts[-1] = n_total
-    return np.unique(counts)
+    return counts[np.diff(counts, prepend=0) > 0]
 
 
 @dataclass(frozen=True)

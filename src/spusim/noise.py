@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
 
 LFSR_BITS = 16
 LFSR_PERIOD = (1 << LFSR_BITS) - 1
@@ -161,17 +160,74 @@ def rc_filter(stream: np.ndarray, time_constant: float, dt: float,
     """First-order IIR low-pass y[n] = y[n-1] + dt/(dt+tau) * (x[n] - y[n-1]).
 
     DC gain is exactly 1.  Filtering runs along the last axis; ``initial``
-    is the y[-1] state (broadcast across leading axes).
+    is the y[-1] state (broadcast across leading axes).  The recursion is
+    evaluated in blocks (see ``_one_pole``), so it matches the sequential
+    recursion to rounding, not bit for bit.
     """
     if time_constant <= 0 or dt <= 0:
         raise ValueError("time_constant and dt must be strictly positive")
-    x = np.asarray(stream, dtype=float)
+    x = np.moveaxis(np.asarray(stream, dtype=float), -1, 0)
     alpha = dt / (dt + time_constant)
-    zi_shape = x.shape[:-1] + (1,)
-    zi = np.broadcast_to(np.asarray(initial, dtype=float)[..., None]
-                         if np.ndim(initial) else np.full(zi_shape, float(initial)), zi_shape)
-    zi = zi * (1.0 - alpha)
-    y, _ = signal.lfilter([alpha], [1.0, -(1.0 - alpha)], x, axis=-1, zi=zi)
+    state = np.broadcast_to(np.asarray(initial, dtype=float), x.shape[1:]).reshape(-1)
+    y = _one_pole(x.reshape(x.shape[0], -1), 1.0 - alpha, alpha, state)
+    return np.moveaxis(y.reshape(x.shape), 0, -1)
+
+
+_FILTER_BLOCK = 25  # steps per block of the one-pole filter
+
+
+@lru_cache(maxsize=16)
+def _pole_block(pole: float, gain: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The response of a ``size``-step block: T[i, j] = gain pole^(i-j) for
+    i >= j (else 0) to its inputs and p[i] = pole^(i+1) to the state before
+    it.  Powers below the smallest normal float are zeroed, since
+    subnormal operands slow every product they enter."""
+    k = np.arange(size)
+    lag = k[:, None] - k[None, :]
+    t = np.where(lag >= 0, gain * pole ** np.maximum(lag, 0), 0.0)
+    p = pole ** (k + 1.0)
+    tiny = np.finfo(float).tiny
+    t[t < tiny] = 0.0
+    p[p < tiny] = 0.0
+    t.setflags(write=False)
+    p.setflags(write=False)
+    return t, p
+
+
+def _one_pole(x: np.ndarray, pole: float, gain: float, state: np.ndarray,
+              overwrite: bool = False) -> np.ndarray:
+    """y[n] = pole y[n-1] + gain x[n] down axis 0 of a time-major (steps,
+    lanes) array, with y[-1] = ``state`` (lanes,).
+
+    Blocks of B = ``_FILTER_BLOCK`` steps: a block's output is T (x_k +
+    e_0 (pole/gain) s_k), where s_k is the state before it, so every block
+    is one product with the B x B matrix of ``_pole_block``.  The states
+    obey the same recursion over blocks, s_(k+1) = pole^B s_k + u_k with u_k
+    the block's response from rest (row B-1 of T x_k), and are found by
+    this function one level down.  A final partial block takes the leading
+    corner of T.  With ``overwrite`` the states are added into ``x`` itself
+    instead of a copy of it.
+    """
+    steps = x.shape[0]
+    b = _FILTER_BLOCK
+    nb = steps // b
+    t, p = _pole_block(pole, gain, b)
+    y = np.empty(x.shape)
+    if nb:
+        blocks = x[:nb * b].reshape(nb, b, -1)
+        starts = np.empty((nb,) + x.shape[1:])
+        starts[0] = state
+        if nb > 1:
+            starts[1:] = _one_pole(np.matmul(t[-1], blocks[:-1]), pole ** b, 1.0, state,
+                                   overwrite=True)
+        if not overwrite:
+            blocks = blocks.copy()
+        blocks[:, 0] += (pole / gain) * starts
+        np.matmul(t, blocks, out=y[:nb * b].reshape(blocks.shape))
+        state = y[nb * b - 1]
+    tail = steps - nb * b
+    if tail:
+        y[nb * b:] = t[:tail, :tail] @ x[nb * b:] + p[:tail, None] * state
     return y
 
 
@@ -229,8 +285,10 @@ class ChainNoiseSource:
     soft-saturated, and scaled so its in-band current PSD matches
     duty_cycle * kappa0 at full duty calibration.  Bits are piecewise
     constant over ``substeps_per_bit`` integrator steps.  ``increments``
-    gives the per-step charge increments the integrator injects; ``stages``
-    exposes the per-bit values of every stage.
+    gives the per-step charge increments the integrator injects, step-major;
+    ``stages`` exposes the per-bit values of every stage, lane-major.  All
+    lanes are filtered together, time-major (bits on axis 0), by the blocked
+    one-pole filter of ``rc_filter``, so increments need no transpose.
     """
 
     def __init__(self, config: NoiseChainConfig, seed: int, dimension: int,
@@ -263,60 +321,90 @@ class ChainNoiseSource:
         self._bit_index = 0
         self._rc_state = np.zeros(lanes)
         self._leftover: np.ndarray | None = None
+        self._work: np.ndarray | None = None  # gated bits of ``increments``, reused
 
     def stages(self, n_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every lane by ``n_bits`` bits; each stage as a (lanes, n_bits) array.
 
         Returns the gold-code bits (0/1), the PDM-gated +-1 stream and the
         RC-filtered (and, if configured, saturated) value per bit, before
-        the current gain.  At most one LFSR period can be read per call.
+        the current gain.  The gated and filtered stages are computed
+        time-major, bits on axis 0, and returned transposed (views).  At
+        most one LFSR period can be read per call.
         """
         if not 0 < n_bits <= LFSR_PERIOD:
             raise ValueError(f"n_bits must be in [1, {LFSR_PERIOD}], got {n_bits}")
+        stream, gated, filtered = self._advance(n_bits, keep_gated=True)
+        return stream, gated.T, filtered.T
+
+    def _advance(self, n_bits: int, keep_gated: bool):
+        """The next ``n_bits`` bits of every lane: the gold-code bits (lanes,
+        n_bits) and, time-major, the gated and the filtered stages.  Unless
+        ``keep_gated``, the gated stage is built in a buffer kept across
+        calls and consumed by the filter (None is returned for it), so a
+        call allocates little beyond the filtered stage.
+        """
         windows = np.lib.stride_tricks.sliding_window_view(_doubled_cycle(), n_bits)
         start = self._bit_index % LFSR_PERIOD
-        stream = (windows[(self._phase_a + start) % LFSR_PERIOD]
-                  ^ windows[(self._phase_b + start) % LFSR_PERIOD])
-        gated = stream.astype(np.float64)
+        stream = windows[(self._phase_a + start) % LFSR_PERIOD]
+        stream ^= windows[(self._phase_b + start) % LFSR_PERIOD]
+        if keep_gated:
+            gated = np.empty(stream.shape[::-1])
+        else:
+            if self._work is None or len(self._work) < n_bits:
+                self._work = np.empty(stream.shape[::-1])
+            gated = self._work[:n_bits]
+        np.copyto(gated, stream.T)
         gated *= 2.0
         gated -= 1.0
         cfg = self.config
-        gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)
-        filtered = rc_filter(gated, cfg.rc_time_constant, 1.0 / cfg.bit_rate,
-                             initial=self._rc_state)
-        self._rc_state = filtered[:, -1].copy()
+        gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)[:, None]
+        alpha = _rc_alpha(cfg)
+        filtered = _one_pole(gated, 1.0 - alpha, alpha, self._rc_state,
+                             overwrite=not keep_gated)
+        self._rc_state = filtered[-1].copy()
         self._bit_index += n_bits
         if cfg.saturation is not None:
             # fixed hardware headroom, expressed in full-duty RMS units
             v = cfg.saturation * _filtered_rms(cfg)
-            filtered = v * np.tanh(filtered / v)
-        return stream, gated, filtered
+            filtered /= v
+            np.tanh(filtered, out=filtered)
+            filtered *= v
+        return stream, gated if keep_gated else None, filtered
 
     def increments(self, n_steps: int) -> np.ndarray:
-        """Charge increments current * dt of shape (n_steps, chains, dimension)."""
-        out = np.empty((n_steps, self.chains * self.dimension))
-        filled = 0
-        if self._leftover is not None and self._leftover.shape[1] > 0:
-            take = min(n_steps, self._leftover.shape[1])
-            out[:take] = self._leftover[:, :take].T
-            self._leftover = self._leftover[:, take:] if take < self._leftover.shape[1] else None
-            filled = take
-        while filled < n_steps:
-            n_bits = max(1, min(8192, -(-(n_steps - filled) // self.substeps_per_bit)))
-            block = self.stages(n_bits)[2]
-            vals = (block if self.substeps_per_bit == 1
-                    else np.repeat(block, self.substeps_per_bit, axis=1))
-            take = min(n_steps - filled, vals.shape[1])
-            out[filled:filled + take] = vals[:, :take].T
-            if take < vals.shape[1]:
-                self._leftover = vals[:, take:]
-            filled += take
+        """Charge increments current * dt of shape (n_steps, chains, dimension).
+
+        The filtered bits come time-major, so whole runs of steps are
+        sliced out without a copy.
+        """
+        parts, have = [], 0
+        if self._leftover is not None:
+            parts.append(self._leftover[:n_steps])
+            have = len(parts[0])
+            self._leftover = self._leftover[have:] if have < len(self._leftover) else None
+        while have < n_steps:
+            n_bits = max(1, min(8192, -(-(n_steps - have) // self.substeps_per_bit)))
+            vals = self._advance(n_bits, keep_gated=False)[2]
+            if self.substeps_per_bit > 1:
+                vals = np.repeat(vals, self.substeps_per_bit, axis=0)
+            take = min(n_steps - have, len(vals))
+            parts.append(vals[:take])
+            if take < len(vals):
+                self._leftover = vals[take:]
+            have += take
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         out = out.reshape(n_steps, self.chains, self.dimension)
         out *= self._gain * self.dt
         return out
 
 
+def _rc_alpha(cfg: NoiseChainConfig) -> float:
+    """Per-bit gain dt / (dt + tau) of the chain's RC filter, dt one bit period."""
+    return (1.0 / cfg.bit_rate) / (1.0 / cfg.bit_rate + cfg.rc_time_constant)
+
+
 def _filtered_rms(cfg: NoiseChainConfig) -> float:
     """RMS of the RC-filtered full-duty +-1 stream (white-input IIR identity)."""
-    alpha = (1.0 / cfg.bit_rate) / (1.0 / cfg.bit_rate + cfg.rc_time_constant)
+    alpha = _rc_alpha(cfg)
     return float(np.sqrt(alpha / (2.0 - alpha)))

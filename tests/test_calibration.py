@@ -1,9 +1,13 @@
 """Tests for spectroscopy, fault scanning, and scaling-vector calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import CHARACTERIZED_CELLS
+
+import spusim.calibration as calibration
 
 from spusim.calibration import (CellEstimate, LoadingFit, PowerSpectrum,
                                 analytic_cell_spectrum, apply_scaling,
@@ -275,6 +279,128 @@ class TestLoadingModelFit:
         batch = device.sample(bank_config=0, n_samples=300_000, seed=17, chains=32)
         fit = fit_loading_model(batch.values.var(axis=0, ddof=1))
         assert not fit.flagged
+
+
+class TestNumpyOracles:
+    """The numpy Welch, 2 x 2 exponential and Levenberg-Marquardt against scipy."""
+
+    @pytest.fixture(scope="class")
+    def cell_batch(self):
+        l, r, k, c = CHARACTERIZED_CELLS[0]
+        params = CircuitParams.build([UnitCell(l, r, k, capacitance=c)],
+                                     CouplingConfig.none(1))
+        return integrate_circuit(params, TrajectoryConfig(
+            n_samples=160_000, sample_rate=12e6, seed=5, chains=16))
+
+    # the settings of characterize_cell/spectroscopy and of two_cell_fault_scan
+    @pytest.mark.parametrize("segment_length", [4096, 2048])
+    def test_welch_matches_scipy(self, cell_batch, segment_length):
+        from scipy import signal
+        spec = estimate_spectrum(cell_batch, segment_length=segment_length)
+        freqs, psd = signal.welch(cell_batch.per_chain()[:, :, 0], fs=cell_batch.sample_rate,
+                                  window="hann", nperseg=segment_length,
+                                  noverlap=segment_length // 2, axis=1)
+        np.testing.assert_array_equal(spec.frequencies, freqs[1:])
+        want = psd.mean(axis=0)[1:]
+        np.testing.assert_allclose(spec.density, want, rtol=0, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("odd", [1001, 999])
+    def test_welch_odd_segments(self, odd):
+        from scipy import signal
+        x = np.random.default_rng(odd).standard_normal((3, 5000))
+        freqs, psd = calibration._welch(x, 2.0, odd, odd // 3)
+        f_ref, psd_ref = signal.welch(x, fs=2.0, window="hann", nperseg=odd,
+                                      noverlap=odd // 3, axis=1)
+        np.testing.assert_array_equal(freqs, f_ref)
+        np.testing.assert_allclose(psd, psd_ref, rtol=0, atol=1e-12 * psd_ref.max())
+
+    @staticmethod
+    def cell_step(damping):
+        """F / fs of a cell whose R is ``damping`` times critical, sqrt(L/C)/2."""
+        l, c = 1.3e-6, 6.4e-9
+        r = damping * 0.5 * math.sqrt(l / c)
+        return np.array([[0.0, 1.0 / c], [-1.0 / l, -1.0 / (r * c)]]) / 12e6
+
+    # underdamped, critical and near it, overdamped
+    @pytest.mark.parametrize("damping", [30.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 - 1e-7,
+                                         1.0 + 1e-3, 0.01])
+    def test_expm2_matches_scipy(self, damping):
+        from scipy.linalg import expm
+        m = self.cell_step(damping)
+        want = expm(m)
+        np.testing.assert_allclose(calibration._expm2(m), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("damping", [1e-5, 1e-7])
+    def test_expm2_stiff_overdamped(self, damping):
+        # scipy's Pade expm itself errs by 1e-12 and 2e-10 here; the closed
+        # form takes the slow eigenvalue without cancellation
+        mpmath = pytest.importorskip("mpmath")
+        m = self.cell_step(damping)
+        with mpmath.workdps(50):
+            want = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=float)
+        np.testing.assert_allclose(calibration._expm2(m), want, rtol=0,
+                                   atol=1e-15 * np.abs(want).max())
+
+    @staticmethod
+    def captured(monkeypatch, fit):
+        """Run ``fit`` with the numpy solver, capturing its problem and answer."""
+        calls = []
+        solve = calibration._least_squares
+
+        def spy(fun, x0, **kwargs):
+            out = solve(fun, x0, **kwargs)
+            calls.append((fun, np.array(x0), kwargs, out))
+            return out
+
+        monkeypatch.setattr(calibration, "_least_squares", spy)
+        result = fit()
+        (call,) = calls
+        return result, call
+
+    def test_lm_matches_scipy_on_spectrum_fit(self, monkeypatch, cell_batch):
+        from scipy.optimize import least_squares
+        l, r, k, c = CHARACTERIZED_CELLS[0]
+        spec = estimate_spectrum(cell_batch)
+        var = float(cell_batch.values.var(ddof=1))
+        init = CellEstimate(1.1 * l, 0.9 * r, k, 1.12 * c)
+        fit, (fun, x0, kwargs, (x, _, success)) = self.captured(
+            monkeypatch, lambda: fit_circuit_params(spec, var, init))
+        ref = least_squares(fun, x0, method="lm", **kwargs)
+        assert success and ref.success and fit.converged
+        # x is log(f0, linewidth, variance)
+        np.testing.assert_allclose(np.exp(x), np.exp(ref.x), rtol=1e-8)
+
+    @pytest.mark.parametrize("case", ["exact", "monotone", "constant", "non-monotone"])
+    def test_lm_matches_scipy_on_loading_fit(self, monkeypatch, case):
+        from scipy.optimize import least_squares
+        if case == "exact":
+            data = np.array([loading_variance_model(1.0, 5.0, i) for i in range(8)])
+        elif case == "monotone":
+            data = np.array([loading_variance_model(2.0, 3.0, i) for i in range(8)])
+            data *= np.exp(np.random.default_rng(16).normal(0, 0.02, 8))
+        elif case == "constant":
+            data = np.full(8, 2.0)
+        else:
+            data = np.array([1.0, 2.0, 0.5, 2.2, 0.8, 2.5, 0.7, 3.0])
+        fit, (fun, x0, kwargs, (x, f, success)) = self.captured(
+            monkeypatch, lambda: fit_loading_model(data))
+        ref = least_squares(fun, x0, method="lm", **kwargs)
+        assert success and ref.success
+        a, b = np.exp(ref.x)
+        want = np.array([loading_variance_model(a, b, i) for i in range(8)])
+        if case == "constant":
+            # b runs off to a flat direction (b >> a); the fitted curve is the optimum
+            assert fit.degenerate and b > 1e4 * a
+            np.testing.assert_allclose(fit.fitted, want, rtol=1e-8)
+        elif case == "non-monotone":
+            # a large-residual valley: forward differences fix its floor only
+            # to about 5e-7 (scipy's answer is 4e-7 from the exact-derivative
+            # optimum), while both costs agree to rounding
+            np.testing.assert_allclose(np.exp(x), np.exp(ref.x), rtol=1e-6)
+            assert f @ f == pytest.approx(ref.fun @ ref.fun, rel=1e-12)
+        else:
+            np.testing.assert_allclose(np.exp(x), np.exp(ref.x), rtol=1e-8)
 
 
 class TestPowerSpectrumType:

@@ -424,3 +424,41 @@ class TestUnknownFlags:
         with pytest.raises(SystemExit) as err:
             main(["invert", "--nope"])
         assert err.value.code == 2
+
+
+class TestNumpyOnlyPath:
+    def test_cli_import_and_verbs_load_no_scipy(self, tmp_path):
+        # a fresh interpreter: importing the CLI, and small runs of the verbs
+        # the benchmark times, must not load scipy (about 1 s of start-up)
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import spusim
+        write_matrix(tmp_path / "p.csv", np.array([[1.2, 0.3], [0.3, 0.9]]))
+        out = tmp_path / "out"
+        script = f"""
+import json, sys
+import spusim.cli
+spusim.cli.build_parser()
+loaded = {{"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}
+runs = {{
+    "sample": ["sample", "--precision", {str(tmp_path / "p.csv")!r},
+               "--noise-mode", "lfsr-chain", "--n", "200", "--chains", "2"],
+    "faultscan": ["faultscan", "--cells", "2"],
+    "spectroscopy": ["spectroscopy", "--cells", "2", "--cell", "1", "--n", "16384",
+                     "--chains", "2"],
+}}
+for name, argv in runs.items():
+    code = spusim.cli.main(argv + ["--outdir", {str(out)!r} + "/" + name])
+    loaded[name] = [code] + sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == {"import": [], "sample": [0], "faultscan": [0],
+                          "spectroscopy": [0]}
