@@ -32,5 +32,12 @@ class DeadCellError(SpuSimError):
     """A cell produced no usable signal where one was required."""
 
 
+class NonFiniteStateError(SpuSimError, RuntimeError):
+    """A simulated state overflowed to NaN or infinity.
+
+    Also a ``RuntimeError``, so callers may catch either class.
+    """
+
+
 class QuantizationError(SpuSimError):
     """No realizable hardware configuration could be found."""

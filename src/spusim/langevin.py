@@ -19,7 +19,10 @@ circuit, so n steps compose exactly: z <- M^n z + c_n + w_n.  One block
 engine advances every linear run that way, drawing w_n from the exact law of
 the compounded step (binary doubling) or injecting the chain's increments
 through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
-the record times exactly.  Generic potentials are stepped explicitly.
+the record times exactly.  Ideal draws are taken and premultiplied for a
+chunk of records at a time, into buffers reused for the whole run, and
+each block steps the state between two reused buffers, so the record loop
+allocates no array per record.  Generic potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -36,7 +39,6 @@ that no coupling joins to a moving cell stay exactly at rest.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,7 +46,7 @@ import numpy as np
 import numpy.random  # noqa: F401  every run draws from it: load it with the package
 
 from .circuit import CircuitParams, assert_positive_definite
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteStateError
 from .noise import ChainNoiseSource, NoiseChainConfig
 from .samples import SampleBatch
 
@@ -471,6 +473,35 @@ class _LinearSystem:
         dense, (chains, 2, d) per mode, so each half is a run of d values."""
         return z if self.basis is None else z.transpose(1, 2, 0)
 
+    def by_record(self, recs: np.ndarray) -> np.ndarray:
+        """Records shaped (chains, n) + stored as a record-major view in the
+        block layout: (n, chains, 2d) dense, (n, d, chains, 2) per mode."""
+        return recs.swapaxes(0, 1) if self.basis is None else recs.transpose(1, 3, 0, 2)
+
+    def premultiply(self, xi: np.ndarray, w: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray | None) -> np.ndarray:
+        """Draws ``xi``, shaped (count,) + a state, times each block's factor
+        ``w``, written into the flat buffer ``out``; returned record-major.
+
+        Per mode, with two chains or more, this is one GEMM per mode over
+        every record and chain, after a transposed copy into the flat buffer
+        ``scratch`` (None where no copy is made, as for one mode).  Otherwise
+        it is one product per record, stacked in one call, as separate
+        records would run it: a merged GEMM rounds differently where numpy
+        runs each record as a matrix-vector product (one chain) and, dense,
+        at some shapes.
+        """
+        o = out[:xi.size]
+        if self.basis is None or xi.shape[-2] == 1:
+            return np.matmul(xi, w, out=o.reshape(xi.shape))
+        d = self.dimension
+        by_mode = xi.swapaxes(0, 1)
+        if d > 1:
+            by_mode = scratch[:xi.size].reshape(by_mode.shape)
+            by_mode[...] = xi.swapaxes(0, 1)
+        np.matmul(by_mode.reshape(d, -1, 2), w, out=o.reshape(d, -1, 2))
+        return o.reshape(by_mode.shape).swapaxes(0, 1)
+
     def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
         """x (``half`` 0) or p (1) of records shaped (chains, n) + stored, in the cell basis."""
         d = self.dimension
@@ -523,11 +554,11 @@ def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig,
         dt = cfg.dt if cfg.dt is not None else suggest_dt(params)
     tau = correlation_time(params)
     if dt > tau / 50.0:
-        warnings.warn(
-            f"dt = {dt:.3g} exceeds tau_corr/50 = {tau / 50:.3g}; "
-            "discretization bias may be significant",
-            stacklevel=3,
-        )
+        import logging  # rarely needed; importing it costs a CLI start-up about 4 ms
+
+        logging.getLogger("spusim").warning(
+            "dt = %.3g exceeds tau_corr/50 = %.3g; discretization bias may be significant",
+            dt, tau / 50.0)
     if cfg.sample_rate is not None:
         stride = max(1, round(1.0 / (cfg.sample_rate * dt)))
         if not lock_dt:
@@ -680,7 +711,7 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
-_CHUNK_RECORDS = 32  # ideal-source records drawn, premultiplied and checked together
+_CHUNK_BYTES = 64 << 10  # each reused ideal-noise buffer; sets the records of a chunk
 
 
 def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
@@ -700,6 +731,7 @@ def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
     return stack.reshape(kernel.shape[:-2] + (steps * kernel.shape[-2], kernel.shape[-1]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                 stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
     """Advance the linear chain in exact blocks; record it after every stride.
@@ -710,15 +742,18 @@ def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
     system, so n steps compose exactly: z <- z (M^n)^T + c_n + xi W_n, every
     block of the stack at once.  With the ideal source (a numpy
     ``Generator``) xi is a standard normal draw shaped like z and
-    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride; the
-    draws of ``_CHUNK_RECORDS`` records are taken in one call, which reads
-    the stream in the order of separate calls, and premultiplied in one
-    product.  With a ``ChainNoiseSource`` xi is the block's increments,
-    rotated into the basis and laid out as (..., chains, n*r)
-    (``_LinearSystem.noise_operand``), and W_n the last n*r rows of the
-    kernel stack; blocks then hold at most ``width`` steps, and the noise is
-    drawn into one buffer.  Blocks end at every record, and every chunk of
-    records is checked for a non-finite state, naming the first bad record.
+    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride.
+    The records run in chunks of ``_CHUNK_BYTES`` of state; a chunk's draws
+    are taken in one call into a reused buffer, which reads the stream in
+    the order of separate calls, and premultiplied in one call
+    (``_LinearSystem.premultiply``).  With a ``ChainNoiseSource`` xi is the
+    block's increments, rotated into the basis and laid out as
+    (..., chains, n*r) (``_LinearSystem.noise_operand``), and W_n the last
+    n*r rows of the kernel stack; blocks then hold at most ``width`` steps,
+    and the noise is drawn into one buffer.  Each block steps the state
+    into the other of two buffers; blocks end at every record, and every
+    chunk of records is checked for a non-finite state, naming the first
+    bad record.
     """
     chains = z.shape[-2]
     ideal = isinstance(source, np.random.Generator)
@@ -732,7 +767,7 @@ def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
     # drawn chain noise, steps pos..end unused; room for a block's leftover and a draw
     eta = None if ideal or zero_noise else sys_.noise_buffer(width + draw_steps, chains)
     pos = end = 0
-    cache = {}  # n -> ((M^n)^T, c_n, W_n, n)
+    cache = {}  # n -> ((M^n)^T, c_n or None when zero, W_n or None without noise, n)
 
     def chain_noise(n):
         nonlocal remaining, pos, end
@@ -755,41 +790,51 @@ def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                 m_n, c_n, s_n = sys_.compound(n)
                 w_n = (None if zero_noise else _t(_factor(s_n)) if ideal
                        else kernels[..., (width - n) * r:, :])
-                cache[n] = _t(m_n), c_n[..., None, :], w_n, n
+                cache[n] = _t(m_n), c_n[..., None, :] if c_n.any() else None, w_n, n
             plan.append(cache[n])
         return plan
 
-    def ideal_noise(plan, count):
-        """Premultiplied ideal-source noise of ``count`` runs of a one-block plan."""
-        if not ideal or not plan or plan[0][2] is None:
-            return [None] * count
-        return source.standard_normal((count,) + z.shape) @ plan[0][2]
-
-    def run(z, plan, pre):
-        for mt, c_n, w_n, n in plan:
-            z = z @ mt + c_n
-            if w_n is not None:
-                z += pre if ideal else chain_noise(n) @ w_n
-        return z
-
-    burn_plan = blocks(burn_steps)
-    z = run(z, burn_plan, ideal_noise(burn_plan, 1)[0])
-    stride_plan = blocks(stride)
+    burn_plan, stride_plan = blocks(burn_steps), blocks(stride)
+    chunk = max(1, min(per_chain, _CHUNK_BYTES // z.nbytes))
+    if ideal and not zero_noise:
+        draws, products = np.empty(chunk * z.size), np.empty(chunk * z.size)
+        transposed = sys_.basis is not None and sys_.dimension > 1 and chains > 1
+        scratch = np.empty(chunk * z.size) if transposed else None
+    elif not zero_noise:
+        injected = np.empty_like(z)
+    state = np.empty((2,) + z.shape)
+    state[0] = z
+    z, nxt = state
     recs = np.empty((chains, per_chain) + sys_.stored(z).shape[1:])
-    for k0 in range(0, per_chain, _CHUNK_RECORDS):
-        count = min(_CHUNK_RECORDS, per_chain - k0)
-        pre = ideal_noise(stride_plan, count)
+    records = sys_.by_record(recs)
+    runs = [(burn_plan, None, 1)] if burn_plan else []
+    runs += [(stride_plan, k0, min(chunk, per_chain - k0)) for k0 in range(0, per_chain, chunk)]
+    for plan, k0, count in runs:
+        if ideal and plan[0][2] is not None:
+            xi = draws[:count * z.size].reshape((count,) + z.shape)
+            source.standard_normal(out=xi)
+            noise = sys_.premultiply(xi, plan[0][2], products, scratch)
         for k in range(count):
-            z = run(z, stride_plan, pre[k])
-            recs[:, k0 + k] = sys_.stored(z)
+            for mt, c_n, w_n, n in plan:
+                np.matmul(z, mt, out=nxt)
+                if c_n is not None:
+                    nxt += c_n
+                if w_n is not None:
+                    nxt += noise[k] if ideal else np.matmul(chain_noise(n), w_n, out=injected)
+                z, nxt = nxt, z
+            if k0 is not None:
+                records[k0 + k] = z
+        if k0 is None:
+            continue
         finite = np.isfinite(recs[:, k0:k0 + count]).reshape(chains, count, -1).all(axis=(0, 2))
         if not finite.all():
             k = k0 + int(np.argmin(finite))
-            raise RuntimeError(
+            raise NonFiniteStateError(
                 f"non-finite state at step {burn_steps + (k + 1) * stride} (record {k})")
     return recs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
     """Semi-implicit Euler-Maruyama for the underdamped Langevin equations.
 
@@ -842,7 +887,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
             x = x + dt * (p @ m_inv.T)
             if step > burn_steps and (step - burn_steps) % stride == 0:
                 if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
-                    raise RuntimeError(f"non-finite state at step {step} (record {k})")
+                    raise NonFiniteStateError(f"non-finite state at step {step} (record {k})")
                 xs[:, k], ps[:, k] = x, p
                 k += 1
     if chains == 1:
@@ -850,6 +895,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
     return xs, ps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def integrate_odl(spec: GenericLangevinSpec, x0, cfg: TrajectoryConfig):
     """Euler-Maruyama for the overdamped Langevin equation.
 
@@ -880,7 +926,7 @@ def integrate_odl(spec: GenericLangevinSpec, x0, cfg: TrajectoryConfig):
             x += noise_amp * rng.standard_normal((chains, d))
         if step > burn_steps and (step - burn_steps) % stride == 0:
             if not np.all(np.isfinite(x)):
-                raise RuntimeError(f"non-finite state at step {step} (record {k})")
+                raise NonFiniteStateError(f"non-finite state at step {step} (record {k})")
             xs[:, k] = x
             k += 1
     return xs[0] if chains == 1 else xs

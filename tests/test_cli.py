@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,47 @@ class TestBadMatrixInput:
                      "--outdir", str(out)]) == 4
         assert "numerically singular" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+class TestNonFiniteState:
+    """An overflowing simulation exits 1 with one ``error:`` line and no traceback."""
+
+    def run(self, tmp_path, *flags):
+        # a fresh interpreter, so stderr is what a shell sees; the integrator
+        # step is 1000x the stable one, and the state overflows within the run
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import spusim
+        matrix = write_matrix(tmp_path / "p.csv", np.array([[2.0, 0.5], [0.5, 1.0]]))
+        argv = [*flags, "sample", "--precision", matrix, "--n", "200", "--chains", "2",
+                "--outdir", str(tmp_path / "o")]
+        script = f"""
+import sys
+import spusim.cli, spusim.langevin as lg
+stable = lg.suggest_dt
+lg.suggest_dt = lambda params, **kw: 1000.0 * stable(params, **kw)
+sys.exit(spusim.cli.main({argv!r}))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_exit_code_and_one_line(self, tmp_path):
+        proc = self.run(tmp_path, "--log-level", "ERROR")
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert re.fullmatch(r"error: non-finite state at step \d+ \(record \d+\)", line)
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_default_log_level_shows_the_step_warning(self, tmp_path):
+        proc = self.run(tmp_path)
+        assert proc.returncode == 1
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith("dt = ") and "exceeds tau_corr/50" in warning
+        assert error.startswith("error: non-finite state")
 
 
 class TestSampleVerb:

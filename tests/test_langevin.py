@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import spusim.langevin as langevin
 from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
 from spusim.compiler import compile_covariance, compile_precision
 from spusim.device import SpuEmulator
-from spusim.errors import NotPositiveDefiniteError
+from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimError
 from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                              TrajectoryConfig, _factor, _LinearSystem, _run_linear,
                              autocorrelation, correlation_time,
@@ -358,6 +359,37 @@ class TestUdlOdl:
         with pytest.raises(RuntimeError, match="step"):
             integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
 
+    @pytest.mark.parametrize("run", ["udl", "udl-stepped", "odl"])
+    def test_non_finite_state_has_its_own_error(self, run):
+        spec = GenericLangevinSpec(mass=1.0, damping=1e-3, beta=1.0,
+                                   grad_potential=QuadraticPotential(np.eye(1)))
+        cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1, burn_in=0.0)
+        x0 = np.array([1.0])
+        with pytest.raises(NonFiniteStateError, match="non-finite state") as err:
+            if run == "odl":
+                integrate_odl(spec, x0, cfg)
+            else:
+                integrate_udl(spec if run == "udl" else stepped(spec), x0, x0, cfg)
+        assert isinstance(err.value, SpuSimError) and isinstance(err.value, RuntimeError)
+
+
+class TestStepSizeLog:
+    def test_coarse_step_is_logged(self, caplog):
+        params = random_psd_params(2, 60)
+        cfg = TrajectoryConfig(dt=correlation_time(params) / 40.0, n_samples=20,
+                               record_stride=5, burn_in=0.0)
+        with caplog.at_level(logging.WARNING, logger="spusim"):
+            integrate_circuit(params, cfg)
+        [record] = caplog.records
+        assert record.name == "spusim" and record.levelno == logging.WARNING
+        assert "exceeds tau_corr/50" in record.getMessage()
+
+    def test_suggested_step_is_not_logged(self, caplog):
+        params = random_psd_params(2, 60)
+        with caplog.at_level(logging.DEBUG, logger="spusim"):
+            integrate_circuit(params, TrajectoryConfig(n_samples=20))
+        assert caplog.records == []
+
 
 class TestBurnInRule:
     def test_exponential_autocorrelation_below_one_percent_after_5tau(self):
@@ -414,6 +446,22 @@ def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_nois
     for _ in range(per_chain):
         z = block(z, stride)
         recs.append(z)
+    return np.stack(recs, axis=1)
+
+
+def _modal_per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
+    """``_per_record_reference`` for a stack of per-mode blocks; records as stored."""
+    def block(z, n):
+        m, c, s = sys_.compound(n)
+        z = z @ langevin._t(m) + c[..., None, :]
+        return z if zero_noise else z + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
+
+    if burn_steps:
+        z = block(z, burn_steps)
+    recs = []
+    for _ in range(per_chain):
+        z = block(z, stride)
+        recs.append(sys_.stored(z))
     return np.stack(recs, axis=1)
 
 
@@ -622,6 +670,42 @@ class TestModalEngine:
                           burn_steps, False)
         assert np.array_equal(got, np.stack(want, axis=1))
 
+    @pytest.mark.parametrize("modal", [False, True])
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("burn_steps,zero_noise,drift", [
+        (0, False, False),
+        (90, False, True),  # a burn-in draw, then records with a drift offset
+        (90, True, True),  # drift only: no draws
+        (40, True, False),  # neither drift nor noise
+    ])
+    def test_chunk_boundaries_match_per_record_draws(self, monkeypatch, modal, chains,
+                                                     burn_steps, zero_noise, drift):
+        if modal:
+            sys_ = _LinearSystem(**self.modal_kw(
+                offset=np.array([0.5, -1.0, 2.0, 0.3]) if drift else None))
+            reference = _modal_per_record_reference
+        else:
+            sys_ = TestBlockEngine().system(offset=np.array([0.5, -1.0, 2.0]) if drift else None)
+            reference = _per_record_reference
+        assert (sys_.basis is not None) == modal
+        z0 = sys_.to_blocks(
+            np.random.default_rng(57).standard_normal((chains, 2 * sys_.dimension)))
+        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 4 * z0.nbytes)  # 4 records a chunk
+        counts = []
+        premultiply = _LinearSystem.premultiply
+
+        def counted(self, xi, *args):
+            counts.append(xi.shape[0])
+            return premultiply(self, xi, *args)
+
+        monkeypatch.setattr(_LinearSystem, "premultiply", counted)
+        args = (11, 40, burn_steps, zero_noise)
+        got = _run_linear(sys_, z0.copy(), np.random.default_rng(58), *args)
+        want = reference(sys_, z0.copy(), np.random.default_rng(58), *args)
+        assert np.array_equal(got, want)
+        # 11 records in chunks of 4, 4 and a partial 3, after the burn-in's draw
+        assert counts == ([] if zero_noise else [1] * (burn_steps > 0) + [4, 4, 3])
+
     def test_layout_follows_the_block_structure(self):
         dt = 1e-9
         # a compiled target decouples, in either readout
@@ -649,7 +733,7 @@ class TestModalEngine:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("modal,stride", [(False, 10), (True, 9)])
-    def test_non_finite_mid_chunk_names_its_record(self, modal, stride):
+    def test_non_finite_mid_chunk_names_its_record(self, monkeypatch, modal, stride):
         if modal:
             sys_ = _LinearSystem(**self.modal_kw(d=3, gamma=-20.0))
         else:
@@ -662,7 +746,8 @@ class TestModalEngine:
             z = z @ langevin._t(m) + c[..., None, :]
             first_bad += 1
         first_bad -= 1
-        assert first_bad % langevin._CHUNK_RECORDS != 0  # inside a chunk
+        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # 32 records a chunk
+        assert first_bad % 32 != 0  # inside a chunk
         with pytest.raises(RuntimeError) as err:
             _run_linear(sys_, z0, np.random.default_rng(56), first_bad + 40, stride,
                         0, True)
