@@ -25,8 +25,8 @@ from .errors import (DeadCellError, DimensionMismatchError, MatrixFormatError,
                      NotPositiveDefiniteError, QuantizationError, SpuSimError)
 from .langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                        StationaryReference, TrajectoryConfig, correlation_time,
-                       hamiltonian, hamiltonian_iv, integrate_circuit, integrate_odl,
-                       integrate_udl, inverse_transform, stationary_reference,
+                       hamiltonian, hamiltonian_iv, integrate_circuit, integrate_circuits,
+                       integrate_odl, integrate_udl, inverse_transform, stationary_reference,
                        stationary_state_covariance, stationary_voltage_covariance,
                        suggest_dt, transform_coords)
 from .linalg import (InversionResult, MomentReport, SamplingPlan,

@@ -26,6 +26,7 @@ import numpy as np
 from .circuit import CircuitParams, loading_variance_model
 from .device import SpuEmulator
 from .errors import DeadCellError
+from .langevin import integrate_circuits
 from .samples import SampleBatch
 
 
@@ -382,7 +383,7 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
                         sample_rate: float = 12e6, seed: int = 0,
                         segment_length: int = 2048, prominence_db: float = 6.0,
                         freq_tolerance: float = 0.15,
-                        signal_floor: float = 1e-4) -> FaultScanReport:
+                        signal_floor: float = 1e-4, chains: int = 8) -> FaultScanReport:
     """Pairwise drive/probe spectroscopy over all couplings.
 
     One cell is driven with noise while another is measured; every
@@ -391,60 +392,64 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     designed resonance when coupled and silence at coupling 0; deviations
     are flagged as absent, frequency-shifted or unexpected.
 
-    Each run steps only the cells that can move: the driven cell and, when
-    the pair is coupled, the probe; the step size follows them.  The other
-    cells, and an uncoupled probe, read exact zeros.
+    Each run is the device's ``sample`` run with ``chains`` chains and seed
+    ``seed`` plus its index.  It steps only the cells that can move: the
+    driven cell and, when the pair is coupled, the probe; the step size
+    follows them.  The other cells, and an uncoupled probe, read exact
+    zeros.  All runs go to one ``integrate_circuits`` call, which steps
+    runs of equal shape as one stack; the records come back in scan order.
     """
     d = device.n_cells
     if d < 2:
         raise ValueError(f"the pairwise fault scan needs at least two cells, got {d}")
-    report = FaultScanReport()
-    run_seed = seed
+    tests = []
     for drive in range(d):
         for probe in range(drive, d):
-            coupling_states = (0,) if drive == probe else (1, -1, 0)
-            for state in coupling_states:
+            for state in (0,) if drive == probe else (1, -1, 0):
                 matrix = np.zeros((d, d), dtype=np.int8)
                 if drive != probe:
                     matrix[drive, probe] = state
                     matrix[probe, drive] = state
                 mask = np.zeros(d)
                 mask[drive] = drive_level
-                batch = device.sample(bank_config=bank_config, coupling=matrix,
-                                      n_samples=n_samples, sample_rate=sample_rate,
-                                      seed=run_seed, chains=8, noise_mask=mask)
-                run_seed += 1
-                nominal = device.nominal_params(bank_config=bank_config,
-                                                coupling=matrix)
-                f_exp = 1.0 / (2 * np.pi * math.sqrt(
-                    nominal.cells[probe].inductance * nominal.maxwell[probe, probe]))
-                drive_var = float(batch.values[:, drive].var(ddof=1))
-                probe_var = float(batch.values[:, probe].var(ddof=1))
-                has_signal = probe_var > signal_floor * max(drive_var, 1e-300)
-                peak_db = -np.inf
-                f_peak = None
-                if has_signal:
-                    spec = estimate_spectrum(batch, segment_length=segment_length,
-                                             cell=probe)
-                    med = float(np.median(spec.density))
-                    f_peak = spec.peak_frequency()
-                    top = float(spec.density.max())
-                    peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf
-                found = has_signal and peak_db >= prominence_db
-                expected = (drive == probe) or state != 0
-                flag = None
-                if expected and not found:
-                    flag = "absent"
-                elif expected and found and abs(f_peak - f_exp) > freq_tolerance * f_exp:
-                    flag = "frequency-shifted"
-                elif not expected and found:
-                    flag = "unexpected"
-                report.records.append(FaultRecord(
-                    drive=drive, probe=probe, coupling=state,
-                    expected_peak=expected, peak_found=found,
-                    peak_frequency=f_peak, expected_frequency=f_exp,
-                    peak_db=float(peak_db), flag=flag))
-    return report
+                tests.append((drive, probe, state, matrix, mask))
+    # a generator: each run's whole-board params are dropped once it is prepared
+    runs = (device.sample_run(bank_config=bank_config, coupling=matrix, n_samples=n_samples,
+                              sample_rate=sample_rate, seed=seed + i, chains=chains,
+                              noise_mask=mask)
+            for i, (_, _, _, matrix, mask) in enumerate(tests))
+    records = [None] * len(tests)
+    for i, batch in integrate_circuits(runs):
+        drive, probe, state, matrix, _ = tests[i]
+        nominal = device.nominal_params(bank_config=bank_config, coupling=matrix)
+        f_exp = 1.0 / (2 * np.pi * math.sqrt(
+            nominal.cells[probe].inductance * nominal.maxwell[probe, probe]))
+        drive_var = float(batch.values[:, drive].var(ddof=1))
+        probe_var = float(batch.values[:, probe].var(ddof=1))
+        has_signal = probe_var > signal_floor * max(drive_var, 1e-300)
+        peak_db = -np.inf
+        f_peak = None
+        if has_signal:
+            spec = estimate_spectrum(batch, segment_length=segment_length, cell=probe)
+            med = float(np.median(spec.density))
+            f_peak = spec.peak_frequency()
+            top = float(spec.density.max())
+            peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf
+        found = has_signal and peak_db >= prominence_db
+        expected = (drive == probe) or state != 0
+        flag = None
+        if expected and not found:
+            flag = "absent"
+        elif expected and found and abs(f_peak - f_exp) > freq_tolerance * f_exp:
+            flag = "frequency-shifted"
+        elif not expected and found:
+            flag = "unexpected"
+        records[i] = FaultRecord(drive=drive, probe=probe, coupling=state,
+                                 expected_peak=expected, peak_found=found,
+                                 peak_frequency=f_peak, expected_frequency=f_exp,
+                                 peak_db=float(peak_db), flag=flag)
+        del batch  # free these samples before the next run's readout
+    return FaultScanReport(records)
 
 
 @dataclass(frozen=True)

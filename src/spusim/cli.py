@@ -351,7 +351,7 @@ def cmd_faultscan(args) -> _Run:
                          dead_cells=frozenset(args.kill_cell or ()),
                          capacitance_scale=dict(args.scale_cap or ()))
     report = two_cell_fault_scan(device, bank_config=args.bank,
-                                 n_samples=args.n, seed=args.seed)
+                                 n_samples=args.n, seed=args.seed, chains=args.chains)
     path = run.path("faultscan.json")
     path.write_text(json.dumps(report.summary(), indent=2, sort_keys=True))
     run.add("faultscan", path)
@@ -445,11 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub_kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
-    def common(p, n_default=10_000):
+    def common(p, n_default=10_000, chains=32):
         p.add_argument("--outdir", default=None,
                        help="output directory (default env SPUSIM_OUTDIR or ./spusim-out)")
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        p.add_argument("--chains", type=int, default=32,
+        p.add_argument("--chains", type=int, default=chains,
                        help="independent chains, merged in chain-index order")
         p.add_argument("--n", type=int, default=n_default, help="sample count")
 
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectroscopy)
 
     p = sub.add_parser("faultscan", **sub_kwargs, help="pairwise drive/probe fault scan")
-    common(p, 16_384)
+    common(p, 16_384, chains=8)
     p.add_argument("--cells", type=int, default=8)
     p.add_argument("--bank", type=int, default=3)
     p.add_argument("--kill-coupling", action="append", type=_cell_value(int, "I,J"), metavar="I,J",

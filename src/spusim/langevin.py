@@ -31,9 +31,16 @@ one orthogonal change of basis splits the 2d-dimensional chain into d
 normal modes, each an independent 2 x 2 chain with the same law and the
 same integrator bias.  The engine then steps the stack of d blocks and
 rotates states in and records out once; when no basis splits the step it
-steps one dense 2d x 2d block.  The split is measured on the operators.
-A circuit run steps only the cells that can move; undriven cells at rest
-that no coupling joins to a moving cell stay exactly at rest.
+steps a stack of one dense 2d x 2d block.  The split is measured on the
+operators.  A circuit run steps only the cells that can move; undriven
+cells at rest that no coupling joins to a moving cell stay exactly at rest.
+
+Because every run is a stack of equal blocks, many small runs step as one:
+``integrate_circuits`` concatenates the blocks of ideal-source runs of the
+same shape into one stack, so a record of the whole stack costs one product,
+while each run keeps its own step, stride, burn-in and seeded stream and
+its records equal those of the run alone.  ``integrate_circuit`` is its
+one-run case.
 """
 
 from __future__ import annotations
@@ -341,6 +348,12 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _stack(a: np.ndarray, tail: int = 2) -> np.ndarray:
+    """``a`` as a stack of its last ``tail`` axes: a per-mode (d, ...) stack
+    as it is, a dense operator, vector or state as a stack of one block."""
+    return a.reshape((-1,) + a.shape[a.ndim - tail:])
+
+
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Every matrix of a stack times its own vector."""
     return (m @ v[..., None])[..., 0]
@@ -380,22 +393,26 @@ class _LinearSystem:
     """One semi-implicit EM step of a linear Langevin system, as affine-Gaussian map.
 
     State layout z = [x, p] (flux then charge for circuits).  The step is
-    held in a basis Q as a stack of independent blocks.  When one orthogonal
-    Q diagonalizes the mass inverse, the potential, the damping and the
-    noise covariance (every compiled target, every uncoupled board), the
-    2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
-    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i, so the state
-    is laid out (d, chains, 2).  Otherwise ``basis`` is None (Q = I) and the
-    stack is one dense 2d x 2d block, held as a plain matrix on states of
-    shape (chains, 2d).  The split is measured, never configured: the
-    candidate basis is kept only if the rotated operators are diagonal to
-    ``_DECOUPLED_RTOL``.
+    held in a basis Q as a stack of K independent b x b blocks, and the
+    block engine sees every system in one layout: states (K, chains, b),
+    operators (K, b, b), records (chains, n, 2, K, b/2), each block's x
+    half then its p half.  When one orthogonal Q diagonalizes the mass
+    inverse, the potential, the damping and the noise covariance (every
+    compiled target, every uncoupled board), the 2d-dimensional chain
+    splits into d normal modes: ``basis`` is Q and the stack holds one
+    2 x 2 block per mode over (Q^T x, Q^T p)_i.  Otherwise ``basis`` is
+    None (Q = I, never multiplied, so no sign of a zero flips) and the
+    stack is one dense 2d x 2d block.  The split is measured, never
+    configured: the candidate basis is kept only if the rotated operators
+    are diagonal to ``_DECOUPLED_RTOL``.
 
     ``m_step`` is the transition, ``c_step`` the drift offset, ``s_step`` the
     injected noise covariance of the ideal source, and ``n_inject`` maps
     per-step momentum noise of an external source, in the basis, into the
-    state: shapes (d, 2, 2), (d, 2), (d, 2, 2), (d, 2, 1) per mode, or
-    (2d, 2d), (2d,), (2d, 2d), (2d, d) dense.
+    state: shapes (d, 2, 2), (d, 2), (d, 2, 2), (d, 2, 1) per mode.  A dense
+    block keeps its plain shapes (2d, 2d), (2d,), (2d, 2d), (2d, d), and
+    states (chains, 2d), as matrix references use them; ``_stack`` views
+    them as a stack of one for free.
     """
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt, offset=None):
@@ -463,7 +480,7 @@ class _LinearSystem:
     def to_blocks(self, z: np.ndarray) -> np.ndarray:
         """Cell-basis states (chains, 2d) in the layout the blocks act on."""
         if self.basis is None:
-            return z
+            return z  # the basis is I: no product, which could flip the sign of a zero
         d = self.dimension
         pair = np.stack([z[:, :d] @ self.basis, z[:, d:] @ self.basis])
         return np.ascontiguousarray(pair.transpose(2, 1, 0))
@@ -471,65 +488,58 @@ class _LinearSystem:
     def stored(self, z: np.ndarray) -> np.ndarray:
         """A block-layout state as records keep it, chains first: (chains, 2d)
         dense, (chains, 2, d) per mode, so each half is a run of d values."""
-        return z if self.basis is None else z.transpose(1, 2, 0)
-
-    def by_record(self, recs: np.ndarray) -> np.ndarray:
-        """Records shaped (chains, n) + stored as a record-major view in the
-        block layout: (n, chains, 2d) dense, (n, d, chains, 2) per mode."""
-        return recs.swapaxes(0, 1) if self.basis is None else recs.transpose(1, 3, 0, 2)
+        return np.moveaxis(z, (-2, -1), (0, 1))
 
     def premultiply(self, xi: np.ndarray, w: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray | None) -> np.ndarray:
-        """Draws ``xi``, shaped (count,) + a state, times each block's factor
-        ``w``, written into the flat buffer ``out``; returned record-major.
+                    scratch: np.ndarray | None) -> None:
+        """Stacked draws ``xi`` (count, K, chains, b) times each block's factor
+        ``w`` (K, b, b), written block-major into ``out`` (K, count, chains, b).
 
-        Per mode, with two chains or more, this is one GEMM per mode over
-        every record and chain, after a transposed copy into the flat buffer
-        ``scratch`` (None where no copy is made, as for one mode).  Otherwise
-        it is one product per record, stacked in one call, as separate
-        records would run it: a merged GEMM rounds differently where numpy
-        runs each record as a matrix-vector product (one chain) and, dense,
-        at some shapes.
+        For 2 x 2 blocks with two chains or more, this is one GEMM per block
+        over every record and chain, after a transposed copy into the flat
+        buffer ``scratch`` when K > 1.  Otherwise it is one product per
+        record, stacked in one call, as separate records would run it: a
+        merged GEMM rounds differently where numpy runs each record as a
+        matrix-vector product (one chain) and, for larger blocks, at some
+        shapes.
         """
-        o = out[:xi.size]
-        if self.basis is None or xi.shape[-2] == 1:
-            return np.matmul(xi, w, out=o.reshape(xi.shape))
-        d = self.dimension
-        by_mode = xi.swapaxes(0, 1)
-        if d > 1:
-            by_mode = scratch[:xi.size].reshape(by_mode.shape)
-            by_mode[...] = xi.swapaxes(0, 1)
-        np.matmul(by_mode.reshape(d, -1, 2), w, out=o.reshape(d, -1, 2))
-        return o.reshape(by_mode.shape).swapaxes(0, 1)
+        k, chains, b = xi.shape[1:]
+        if b > 2 or chains == 1:
+            np.matmul(xi, w, out=out.swapaxes(0, 1))
+            return
+        by_block = xi.swapaxes(0, 1)
+        if k > 1:
+            by_block = scratch[:xi.size].reshape(by_block.shape)
+            by_block[...] = xi.swapaxes(0, 1)
+        np.matmul(by_block.reshape(k, -1, b), w, out=out.reshape(k, -1, b))
 
     def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
-        """x (``half`` 0) or p (1) of records shaped (chains, n) + stored, in the cell basis."""
-        d = self.dimension
-        if self.basis is None:
-            return recs[..., half * d:(half + 1) * d]
-        return recs[:, :, half] @ self.basis.T
+        """x (``half`` 0) or p (1) of records, in the cell basis: records shaped
+        (chains, n) + stored, or a run's slice of a stack's records."""
+        values = recs.reshape(recs.shape[:2] + (2, self.dimension))[:, :, half]
+        return values if self.basis is None else values @ self.basis.T
 
     def noise_buffer(self, steps: int, chains: int) -> np.ndarray:
-        """Room for ``steps`` steps of laid-out increments, steps on axis -2:
-        (chains, steps, d) dense, (d, steps, chains) per mode."""
-        d = self.dimension
-        return np.empty((chains, steps, d) if self.basis is None else (d, steps, chains))
+        """Room for ``steps`` steps of laid-out increments: (K, steps, chains, r)
+        for K blocks that each take r increments a step (1, d dense; d, 1 per mode)."""
+        k, _, r = _stack(self.n_inject).shape
+        return np.empty((k, steps, chains, r))
 
     def lay_noise(self, eta: np.ndarray, out: np.ndarray) -> None:
         """Write step-major per-cell increments (steps, chains, d) into a
         ``noise_buffer`` slice, rotated into the basis by one GEMM."""
         if self.basis is None:
-            out[...] = eta.transpose(1, 0, 2)
+            out[0] = eta
         else:
             np.matmul(self.basis.T, eta.reshape(-1, self.dimension).T,
                       out=out.reshape(self.dimension, -1))
 
-    def noise_operand(self, block: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def noise_operand(block: np.ndarray) -> np.ndarray:
         """n steps of laid-out increments as the left operand of the kernel
-        product: (chains, n*d) dense, (d, chains, n) per mode."""
-        if self.basis is None:
-            return block.reshape(block.shape[0], -1)
-        return block.swapaxes(-1, -2)
+        product: (K, chains, n*r), each chain's increments step by step."""
+        k, n, chains, r = block.shape
+        return block.transpose(0, 2, 1, 3).reshape(k, chains, n * r)
 
     def expand(self, stack: np.ndarray) -> np.ndarray:
         """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
@@ -619,6 +629,109 @@ def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
                    maxwell=params.maxwell[ix], coupling_states=states)
 
 
+class _CircuitRun:
+    """One circuit run, prepared for the block engine: the stepped cells'
+    ``_LinearRun`` and the readout that turns its records into a batch."""
+
+    def __init__(self, params: CircuitParams, cfg: TrajectoryConfig, initial_state=None,
+                 noise: str | NoiseChainConfig = "ideal", record: str = "voltage"):
+        if params.maxwell_eigenvalues[0] <= 0:
+            assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
+        if record not in ("voltage", "charge", "current"):
+            raise ValueError(f"unknown record kind {record!r}")
+        d = params.dimension
+        chains = cfg.chains
+        per_chain = cfg.samples_per_chain
+        rng = np.random.default_rng(cfg.seed)
+        # the zero and the stationary start rest wherever no drive reaches, so only
+        # a given state can move a cell; the others are built for the stepped cells
+        given = not (initial_state is None or isinstance(initial_state, str))
+        z = _initial_state(params, initial_state, chains, rng) if given else None
+        self.moving = moving = _moving_cells(params, z)
+        self.dimension = d
+        if moving is not None:
+            params = _sub_circuit(params, moving)
+            if given:
+                z = z[:, np.concatenate([moving, d + moving])]
+
+        if isinstance(noise, str) and noise == "ideal":
+            dt, stride, burn_steps = _resolve_steps(params, cfg)
+            source = rng
+        else:
+            if isinstance(noise, str) and noise == "lfsr-chain":
+                noise = NoiseChainConfig.matched(correlation_time(params))
+            if not isinstance(noise, NoiseChainConfig):
+                raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
+            # pin dt to an integer fraction of the bit period before deriving strides
+            dt0 = cfg.dt if cfg.dt is not None else suggest_dt(params)
+            bit_period = 1.0 / noise.bit_rate
+            sub = max(1, round(bit_period / dt0))
+            dt, stride, burn_steps = _resolve_steps(params, cfg, dt=bit_period / sub,
+                                                    lock_dt=True)
+            total_steps = burn_steps + per_chain * stride
+            if total_steps > cfg.max_steps:
+                raise ValueError(
+                    f"chain-noise run needs {total_steps:.3g} integrator steps "
+                    f"(> max_steps {cfg.max_steps:.3g}); the chain bit rate is likely "
+                    "mismatched to the circuit timescale -- see "
+                    "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
+                )
+            source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
+                                      kappa0=params.kappa_vector, dt=dt, chains=chains)
+        self.sys_ = sys_ = _LinearSystem.from_circuit(params, dt)
+        if not given:
+            z = _initial_state(params, initial_state, chains, rng)
+        self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
+                                 burn_steps, cfg.zero_noise)
+        self.l_vector = params.l_vector
+        self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
+        self.meta = {
+            "dt": dt, "record_stride": stride, "burn_in": self.start_time, "seed": cfg.seed,
+            "record": record, "noise": "ideal" if noise == "ideal" else "lfsr-chain",
+            "cells_stepped": params.dimension,
+        }
+
+    def readout(self, recs: np.ndarray) -> SampleBatch:
+        """The batch of this run's records, shaped (chains, n, 2, K, b/2)."""
+        record, d = self.meta["record"], self.dimension
+        chains, per_chain = recs.shape[:2]
+        values = self.sys_.cells(recs, 0 if record == "current" else 1)
+        del recs  # a modal readout is a fresh array: free the records before the product
+        if record == "current":
+            values = values / self.l_vector
+        elif record == "voltage":
+            values = values @ self.sys_.m_inv.T
+        if self.moving is not None:
+            stepped, values = values, np.zeros((chains, per_chain, d))
+            values[..., self.moving] = stepped
+        return SampleBatch(values.reshape(chains * per_chain, d), sample_rate=self.sample_rate,
+                           start_time=self.start_time, chains=chains, meta=dict(self.meta))
+
+
+def integrate_circuits(runs, record: str = "voltage"):
+    """Integrate many circuits, stepping compatible runs as one stack of blocks.
+
+    Each run is ``(params, cfg)``, ``(params, cfg, initial_state)`` or
+    ``(params, cfg, initial_state, noise)``, with the arguments of
+    ``integrate_circuit``; every run records ``record``.  Yields
+    ``(index, SampleBatch)`` per run as each stack finishes, in stack
+    order, each batch equal to the one ``integrate_circuit`` returns for
+    that run alone.  Runs on the ideal source with noise on that share the
+    block size, the chain and record counts, whether a burn-in exists and
+    whether a drift exists step together, up to ``_STACK_BYTES`` of
+    records a stack: each record then costs one product per stack.  Every
+    other run steps alone.
+    """
+    prepared = [_CircuitRun(*run, record=record) for run in runs]
+    for stack in _stacks([run.linear for run in prepared]):
+        recs = _run_stack([prepared[i].linear for i in stack])
+        spans = np.cumsum([0] + [prepared[i].linear.z.shape[0] for i in stack])
+        parts = [recs[:, :, :, lo:hi] for lo, hi in zip(spans, spans[1:])]
+        del recs  # the last readout drops the last reference to the records
+        for i in stack:
+            yield i, prepared[i].readout(parts.pop(0))
+
+
 def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                       noise: str | NoiseChainConfig = "ideal",
                       record: str = "voltage",
@@ -638,200 +751,244 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     step size, record stride, burn-in and the matched chain follow the
     stepped cells alone; ``meta["cells_stepped"]`` counts them.  When every
     cell moves (every compiled target) or none does, the whole board is
-    stepped.
+    stepped.  This is the one-run case of ``integrate_circuits``.
     """
-    if params.maxwell_eigenvalues[0] <= 0:
-        assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
-    if record not in ("voltage", "charge", "current"):
-        raise ValueError(f"unknown record kind {record!r}")
-    d = params.dimension
-    chains = cfg.chains
-    per_chain = cfg.samples_per_chain
-    rng = np.random.default_rng(cfg.seed)
-    # the zero and the stationary start rest wherever no drive reaches, so only
-    # a given state can move a cell; the others are built for the stepped cells
-    given = not (initial_state is None or isinstance(initial_state, str))
-    z = _initial_state(params, initial_state, chains, rng) if given else None
-    moving = _moving_cells(params, z)
-    if moving is not None:
-        params = _sub_circuit(params, moving)
-        if given:
-            z = z[:, np.concatenate([moving, d + moving])]
-
-    if isinstance(noise, str) and noise == "ideal":
-        dt, stride, burn_steps = _resolve_steps(params, cfg)
-        source = rng
-    else:
-        if isinstance(noise, str) and noise == "lfsr-chain":
-            noise = NoiseChainConfig.matched(correlation_time(params))
-        if not isinstance(noise, NoiseChainConfig):
-            raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
-        # pin dt to an integer fraction of the bit period before deriving strides
-        dt0 = cfg.dt if cfg.dt is not None else suggest_dt(params)
-        bit_period = 1.0 / noise.bit_rate
-        sub = max(1, round(bit_period / dt0))
-        dt, stride, burn_steps = _resolve_steps(params, cfg, dt=bit_period / sub,
-                                                lock_dt=True)
-        total_steps = burn_steps + per_chain * stride
-        if total_steps > cfg.max_steps:
-            raise ValueError(
-                f"chain-noise run needs {total_steps:.3g} integrator steps "
-                f"(> max_steps {cfg.max_steps:.3g}); the chain bit rate is likely "
-                "mismatched to the circuit timescale -- see "
-                "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
-            )
-        source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
-                                  kappa0=params.kappa_vector, dt=dt, chains=chains)
-    sys_ = _LinearSystem.from_circuit(params, dt)
-    if not given:
-        z = _initial_state(params, initial_state, chains, rng)
-    recs = _run_linear(sys_, sys_.to_blocks(z), source, per_chain, stride, burn_steps,
-                       cfg.zero_noise)
-
-    values = sys_.cells(recs, 0 if record == "current" else 1)
-    del recs  # a modal readout is a fresh array: free the records before the product
-    if record == "current":
-        values = values / params.l_vector
-    elif record == "voltage":
-        values = values @ sys_.m_inv.T
-    if moving is not None:
-        stepped, values = values, np.zeros((chains, per_chain, d))
-        values[..., moving] = stepped
-    burn = burn_steps * dt
-    meta = {
-        "dt": dt, "record_stride": stride, "burn_in": burn, "seed": cfg.seed,
-        "record": record, "noise": "ideal" if noise == "ideal" else "lfsr-chain",
-        "cells_stepped": params.dimension,
-    }
-    return SampleBatch(values.reshape(chains * per_chain, d),
-                       sample_rate=1.0 / (stride * dt), start_time=burn,
-                       chains=chains, meta=meta)
+    return next(integrate_circuits([(params, cfg, initial_state, noise)], record=record))[1]
 
 
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
 _CHUNK_BYTES = 64 << 10  # each reused ideal-noise buffer; sets the records of a chunk
+_STACK_BYTES = 2 << 20  # records of one stack of runs
+_TINY = np.finfo(float).tiny
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """``a`` with its subnormal entries set to zero; products with them are slow."""
+    return a * (np.abs(a) >= _TINY)
 
 
 def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
     """Injection kernels of a ``steps``-step block, stacked for row-vector noise.
 
-    In every block, rows j*r..(j+1)*r hold (M^(steps-1-j) N)^T, where r is
-    the noise width of a step (d dense, 1 per mode), so a block's noise laid
-    out as (..., chains, steps*r) injects with one product.  The last n*r
-    rows are the kernels of an n-step block.
+    In every block of the (K, steps*r, b) stack, rows j*r..(j+1)*r hold
+    (M^(steps-1-j) N)^T, where r is the noise width of a step (d dense, 1
+    per mode), so a block's noise laid out as (K, chains, steps*r) injects
+    with one product.  The last n*r rows are the kernels of an n-step block.
     """
-    kernel = _t(sys_.n_inject)
-    mt = _t(sys_.m_step)
-    stack = np.empty(kernel.shape[:-2] + (steps,) + kernel.shape[-2:])
+    kernel = _t(_stack(sys_.n_inject))
+    mt = _t(_stack(sys_.m_step))
+    stack = np.empty((kernel.shape[0], steps) + kernel.shape[1:])
     for j in range(steps - 1, -1, -1):
-        stack[..., j, :, :] = kernel
+        stack[:, j] = kernel
         kernel = kernel @ mt
-    return stack.reshape(kernel.shape[:-2] + (steps * kernel.shape[-2], kernel.shape[-1]))
+    return stack.reshape(kernel.shape[0], steps * kernel.shape[1], kernel.shape[2])
+
+
+class _LinearRun:
+    """One run of the block engine: the start state as a (K, chains, b)
+    stack of blocks, the noise source and the record plan."""
+
+    def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
+                 stride: int, burn_steps: int, zero_noise: bool):
+        self.sys_, self.z, self.source = sys_, _stack(z), source
+        self.per_chain, self.stride, self.burn_steps = per_chain, stride, burn_steps
+        self.zero_noise = zero_noise
+        self.ideal = isinstance(source, np.random.Generator)
+        width = max(stride, burn_steps)
+        if not self.ideal:
+            width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
+        self.width = width
+
+    @property
+    def key(self):
+        """Runs with equal keys can step as one stack; None for a run that steps alone."""
+        if not self.ideal or self.zero_noise:
+            return None
+        return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any()
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the run's records."""
+        return self.per_chain * self.z.nbytes
+
+    def plans(self):
+        """Block plans of the burn-in and of one stride: lists of blocks
+        (M^n, c_n or None when zero, W_n or None without noise, n), each
+        stacked, of at most ``width`` steps; M^n and an ideal W_n are flushed
+        of subnormals.  c_n is None exactly when the step has no drift."""
+        sys_, width, ideal = self.sys_, self.width, self.ideal
+        kernels = None if ideal or self.zero_noise else _kernel_stack(sys_, width)
+        r = _stack(sys_.n_inject).shape[-1]
+        drift = sys_.c_step.any()
+        cache = {}
+
+        def blocks(steps):
+            plan = []
+            for start in range(0, steps, width):
+                n = min(width, steps - start)
+                if n not in cache:
+                    m_n, c_n, s_n = sys_.compound(n)
+                    c_n = _stack(c_n, 1)[:, None, :] if drift else None
+                    w_n = (None if self.zero_noise else _t(_flushed(_stack(_factor(s_n))))
+                           if ideal else kernels[:, (width - n) * r:, :])
+                    cache[n] = _flushed(_stack(m_n)), c_n, w_n, n
+                plan.append(cache[n])
+            return plan
+
+        return blocks(self.burn_steps), blocks(self.stride)
+
+    def chain_reader(self):
+        """A function n -> the next n steps of the chain's increments as the
+        kernel product's left operand; draws go into one reused buffer."""
+        sys_, chains = self.sys_, self.z.shape[1]
+        remaining = self.burn_steps + self.per_chain * self.stride  # steps not yet drawn
+        draw_steps = max(self.width, _MIN_DRAW_STEPS)
+        # drawn noise, steps pos..end unused; room for a block's leftover and a draw
+        eta = sys_.noise_buffer(self.width + draw_steps, chains)
+        pos = end = 0
+
+        def read(n):
+            nonlocal remaining, pos, end
+            if pos + n > end:
+                left = end - pos
+                eta[:, :left] = eta[:, pos:end].copy()
+                draw = min(remaining, draw_steps)
+                sys_.lay_noise(self.source.increments(draw), eta[:, left:left + draw])
+                pos, end = 0, left + draw
+                remaining -= draw
+            pos += n
+            return sys_.noise_operand(eta[:, pos - n:pos])
+
+        return read
+
+
+def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
+    """Indices of ``runs`` grouped into stacks: runs of one key, in order,
+    up to ``_STACK_BYTES`` of records a stack; a run without a key alone."""
+    groups = {}
+    for i, run in enumerate(runs):
+        groups.setdefault((i,) if run.key is None else run.key, []).append(i)
+    stacks = []
+    for members in groups.values():
+        stack, size = [], 0
+        for i in members:
+            if stack and size + runs[i].nbytes > _STACK_BYTES:
+                stacks.append(stack)
+                stack, size = [], 0
+            stack.append(i)
+            size += runs[i].nbytes
+        stacks.append(stack)
+    return stacks
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
-def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
-    """Advance the linear chain in exact blocks; record it after every stride.
+def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
+    """Advance a stack of linear runs in exact blocks; record after every stride.
 
-    ``z`` is in the system's block layout (``_LinearSystem.to_blocks``); the
-    records are shaped (chains, per_chain) + the stored layout of one chain
-    (``_LinearSystem.stored``).  The noise is exogenous to the linear
-    system, so n steps compose exactly: z <- z (M^n)^T + c_n + xi W_n, every
-    block of the stack at once.  With the ideal source (a numpy
-    ``Generator``) xi is a standard normal draw shaped like z and
-    W_n = chol(S_n)^T, so a block is a whole burn-in or a whole stride.
-    The records run in chunks of ``_CHUNK_BYTES`` of state; a chunk's draws
-    are taken in one call into a reused buffer, which reads the stream in
-    the order of separate calls, and premultiplied in one call
+    The runs share their block size b, chain and record counts and noise
+    source type, and a stack of several runs holds ideal-source runs only
+    (``_stacks``).  Their states step together as one (K, chains, b) stack
+    of blocks; each run keeps its own step, stride, burn-in and noise.  The
+    records are shaped (chains, per_chain, 2, K, b/2), each block's x half
+    then its p half; a run's slice of the block axis, reshaped, is its
+    stored layout (``_LinearSystem.stored``).
+
+    The noise is exogenous to the linear system, so n steps compose
+    exactly: z <- z (M^n)^T + c_n + xi W_n, every block at once, one
+    product per block of the plan for the whole stack.  With the ideal
+    source (a numpy ``Generator``) xi is a standard normal draw shaped like
+    z and W_n = chol(S_n)^T, so a block is a whole burn-in or a whole
+    stride.  The records run in chunks of ``_CHUNK_BYTES`` of state; each
+    run draws a chunk in one call into a reused buffer, which reads its
+    stream in the order of separate calls, and premultiplies it in one call
     (``_LinearSystem.premultiply``).  With a ``ChainNoiseSource`` xi is the
     block's increments, rotated into the basis and laid out as
-    (..., chains, n*r) (``_LinearSystem.noise_operand``), and W_n the last
-    n*r rows of the kernel stack; blocks then hold at most ``width`` steps,
-    and the noise is drawn into one buffer.  Each block steps the state
-    into the other of two buffers; blocks end at every record, and every
-    chunk of records is checked for a non-finite state, naming the first
-    bad record.
+    (K, chains, n*r) (``_LinearSystem.noise_operand``), and W_n the last
+    n*r rows of the kernel stack; blocks then hold at most ``width`` steps.
+    The state steps between two reused buffers; blocks end at every
+    record, and every chunk of records is checked for a non-finite state,
+    naming the first bad record of a run as that run alone would.
     """
-    chains = z.shape[-2]
-    ideal = isinstance(source, np.random.Generator)
-    width = max(stride, burn_steps)
-    if not ideal:
-        width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
-        kernels = None if zero_noise else _kernel_stack(sys_, width)
-        r = sys_.n_inject.shape[-1]
-    remaining = burn_steps + per_chain * stride  # chain noise steps not yet drawn
-    draw_steps = max(width, _MIN_DRAW_STEPS)
-    # drawn chain noise, steps pos..end unused; room for a block's leftover and a draw
-    eta = None if ideal or zero_noise else sys_.noise_buffer(width + draw_steps, chains)
-    pos = end = 0
-    cache = {}  # n -> ((M^n)^T, c_n or None when zero, W_n or None without noise, n)
+    first = runs[0]
+    ideal, noisy, per_chain = first.ideal, not first.zero_noise, first.per_chain
+    spans = np.cumsum([0] + [run.z.shape[0] for run in runs])
+    z = np.concatenate([run.z for run in runs])
+    k_total, chains, b = z.shape
 
-    def chain_noise(n):
-        nonlocal remaining, pos, end
-        if pos + n > end:
-            left = end - pos
-            eta[..., :left, :] = eta[..., pos:end, :].copy()
-            draw = min(remaining, draw_steps)
-            sys_.lay_noise(source.increments(draw), eta[..., left:left + draw, :])
-            pos, end = 0, left + draw
-            remaining -= draw
-        pos += n
-        return sys_.noise_operand(eta[..., pos - n:pos, :])
+    def stacked(plans):
+        """Block j of every run's plan as one block of the stack."""
+        steps = []
+        for blocks in zip(*plans):
+            m_n, c_n, w_n, n = zip(*blocks)
+            # a transposed view: a contiguous (M^n)^T rounds differently
+            steps.append((_t(np.concatenate(m_n)),
+                          None if c_n[0] is None else np.concatenate(c_n),
+                          list(zip(w_n, n))))
+        return steps
 
-    def blocks(steps):
-        """The cached blocks, at most ``width`` steps each, that make up ``steps``."""
-        plan = []
-        for start in range(0, steps, width):
-            n = min(width, steps - start)
-            if n not in cache:
-                m_n, c_n, s_n = sys_.compound(n)
-                w_n = (None if zero_noise else _t(_factor(s_n)) if ideal
-                       else kernels[..., (width - n) * r:, :])
-                cache[n] = _t(m_n), c_n[..., None, :] if c_n.any() else None, w_n, n
-            plan.append(cache[n])
-        return plan
-
-    burn_plan, stride_plan = blocks(burn_steps), blocks(stride)
+    plans = [run.plans() for run in runs]
+    burn_plan = stacked([p[0] for p in plans])
+    stride_plan = stacked([p[1] for p in plans])
+    del plans
     chunk = max(1, min(per_chain, _CHUNK_BYTES // z.nbytes))
-    if ideal and not zero_noise:
-        draws, products = np.empty(chunk * z.size), np.empty(chunk * z.size)
-        transposed = sys_.basis is not None and sys_.dimension > 1 and chains > 1
+    if ideal and noisy:
+        draws = np.empty(chunk * z.size)
+        noise = np.empty((k_total, chunk, chains, b))  # premultiplied draws, block-major
+        transposed = b == 2 and chains > 1 and np.diff(spans).max() > 1
         scratch = np.empty(chunk * z.size) if transposed else None
-    elif not zero_noise:
+    elif noisy:
+        read = first.chain_reader()
         injected = np.empty_like(z)
     state = np.empty((2,) + z.shape)
     state[0] = z
     z, nxt = state
-    recs = np.empty((chains, per_chain) + sys_.stored(z).shape[1:])
-    records = sys_.by_record(recs)
-    runs = [(burn_plan, None, 1)] if burn_plan else []
-    runs += [(stride_plan, k0, min(chunk, per_chain - k0)) for k0 in range(0, per_chain, chunk)]
-    for plan, k0, count in runs:
-        if ideal and plan[0][2] is not None:
-            xi = draws[:count * z.size].reshape((count,) + z.shape)
-            source.standard_normal(out=xi)
-            noise = sys_.premultiply(xi, plan[0][2], products, scratch)
+    zr, nxr = state.reshape(2, k_total, chains, 2, b // 2)  # the same states, halves split
+    recs = np.empty((chains, per_chain, 2, k_total, b // 2))
+    records = recs.transpose(1, 3, 0, 2, 4)
+    segments = [(burn_plan, None, 1)] if burn_plan else []
+    segments += [(stride_plan, k0, min(chunk, per_chain - k0))
+                 for k0 in range(0, per_chain, chunk)]
+    for plan, k0, count in segments:
+        if ideal and noisy:
+            start = 0
+            for run, lo, hi, (w_n, _) in zip(runs, spans, spans[1:], plan[0][2]):
+                xi = draws[start:start + count * run.z.size].reshape((count,) + run.z.shape)
+                run.source.standard_normal(out=xi)
+                run.sys_.premultiply(xi, w_n, noise[lo:hi, :count], scratch)
+                start += xi.size
         for k in range(count):
-            for mt, c_n, w_n, n in plan:
+            for mt, c_n, ws in plan:
                 np.matmul(z, mt, out=nxt)
                 if c_n is not None:
                     nxt += c_n
-                if w_n is not None:
-                    nxt += noise[k] if ideal else np.matmul(chain_noise(n), w_n, out=injected)
-                z, nxt = nxt, z
+                if noisy:  # chain noise steps alone: ws holds its one (W_n, n)
+                    nxt += noise[:, k] if ideal else np.matmul(read(ws[0][1]), ws[0][0],
+                                                               out=injected)
+                z, nxt, zr, nxr = nxt, z, nxr, zr
             if k0 is not None:
-                records[k0 + k] = z
+                records[k0 + k] = zr
         if k0 is None:
             continue
-        finite = np.isfinite(recs[:, k0:k0 + count]).reshape(chains, count, -1).all(axis=(0, 2))
-        if not finite.all():
-            k = k0 + int(np.argmin(finite))
+        if not np.isfinite(recs[:, k0:k0 + count]).all():
+            finite = np.isfinite(recs[:, k0:k0 + count]).all(axis=(0, 2, 4))  # (count, K)
+            k = int(np.argmin(finite.all(axis=1)))
+            run = runs[np.searchsorted(spans, np.argmin(finite[k]), "right") - 1]
             raise NonFiniteStateError(
-                f"non-finite state at step {burn_steps + (k + 1) * stride} (record {k})")
+                f"non-finite state at step {run.burn_steps + (k0 + k + 1) * run.stride} "
+                f"(record {k0 + k})")
     return recs
+
+
+def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
+                stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
+    """One linear run of the block engine (``_run_stack``), ``z`` in the
+    system's block layout (``_LinearSystem.to_blocks``); the records are
+    shaped (chains, per_chain) + the stored layout of one chain
+    (``_LinearSystem.stored``)."""
+    recs = _run_stack([_LinearRun(sys_, z, source, per_chain, stride, burn_steps, zero_noise)])
+    return recs.reshape(recs.shape[:2] + sys_.stored(z).shape[1:])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below

@@ -196,6 +196,18 @@ class TestFaultScan:
         for seed in range(10):
             assert two_cell_fault_scan(device, seed=seed).flags == []
 
+    # SHA-256 of every record of a seeded 4-cell scan, as written when each
+    # run was its own record loop (numpy 2.4, OpenBLAS, x86-64)
+    RECORDS_DIGEST = "e61a327b768c8aa804457eceb954ea68a77dcf77e733f571f58ab6aaf33615ff"
+
+    def test_records_are_unchanged(self):
+        import hashlib
+        report = two_cell_fault_scan(SpuEmulator(n_cells=4, dead_couplings={(1, 3)}), seed=3)
+        rows = [(r.drive, r.probe, r.coupling, r.peak_found, r.peak_frequency, r.peak_db,
+                 r.flag) for r in report.records]
+        assert len(rows) == 22
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.RECORDS_DIGEST
+
 
 class TestScalingVector:
     def test_uniform_baseline_gives_ones(self):

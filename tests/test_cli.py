@@ -258,6 +258,30 @@ class TestFaultscanVerb:
         report = json.loads((out / "faultscan.json").read_text())
         assert any(f["drive"] == 0 and f["probe"] == 2 for f in report["flags"])
 
+    # SHA-256 of the default scan's faultscan.json below, as written when the
+    # scan fixed its chain count at 8 (numpy 2.4, OpenBLAS, x86-64)
+    DEFAULT_DIGEST = "79f0fc260a366a971d069cf9f878929579e3e4debb87d5c480806524ffb37d7b"
+
+    def test_chains_reach_the_scan(self, tmp_path, monkeypatch):
+        import hashlib
+
+        import spusim.calibration as calibration
+        batches = calibration.integrate_circuits
+        chains = []
+
+        def spy(runs):
+            runs = list(runs)
+            chains.append({cfg.chains for _, cfg in runs})
+            return batches(runs)
+
+        monkeypatch.setattr(calibration, "integrate_circuits", spy)
+        argv = ["faultscan", "--cells", "3", "--scale-cap", "1:1.5", "--seed", "4"]
+        assert main(argv + ["--outdir", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--chains", "4", "--outdir", str(tmp_path / "four")]) == 0
+        assert chains == [{8}, {4}]
+        written = (tmp_path / "default" / "faultscan.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.DEFAULT_DIGEST
+
 
 class TestCellIndexInput:
     @pytest.mark.parametrize("flag,value", [
@@ -406,13 +430,13 @@ class TestSpectroscopyVerb:
         device_path = tmp_path / "device.json"
         device_path.write_text(params.to_json())
         stepped = []
-        run_linear = langevin._run_linear
+        run_stack = langevin._run_stack
 
-        def spy(sys_, *args):
-            stepped.append(sys_.dimension)
-            return run_linear(sys_, *args)
+        def spy(runs):
+            stepped.extend(run.sys_.dimension for run in runs)
+            return run_stack(runs)
 
-        monkeypatch.setattr(langevin, "_run_linear", spy)
+        monkeypatch.setattr(langevin, "_run_stack", spy)
         assert main(["spectroscopy", "--device", str(device_path), "--n", "20000",
                      "--chains", "4", "--outdir", str(tmp_path / "out")]) == 0
         assert stepped == [1, 1, 1]

@@ -840,6 +840,7 @@ class TestMovingCells:
         assert digest == self.DIGESTS[case]
 
     def test_cells_stepped_counts(self, monkeypatch):
+        import spusim.calibration as calibration
         import spusim.device as device
         from spusim.calibration import characterize_cell, two_cell_fault_scan
         stepped = []
@@ -852,9 +853,127 @@ class TestMovingCells:
         monkeypatch.setattr(device, "integrate_circuit", spy)
         characterize_cell(SpuEmulator(n_cells=4), 2, n_samples=20_000, chains=4)
         assert stepped == [1]
-        stepped.clear()
+        scanned = {}
+        batches = calibration.integrate_circuits
+
+        def scan_spy(runs):
+            for i, batch in batches(runs):
+                scanned[i] = batch.meta["cells_stepped"]
+                yield i, batch
+
+        monkeypatch.setattr(calibration, "integrate_circuits", scan_spy)
         two_cell_fault_scan(SpuEmulator(n_cells=3), n_samples=16_384)
         # per drive: the self-drive, then couplings +1, -1 and 0 to each later probe
-        assert stepped == [1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1]
+        assert [scanned[i] for i in range(len(scanned))] == [1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1]
         batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=300, chains=3), seed=1)
         assert batch.meta["cells_stepped"] == 3
+
+
+class TestBatchedRuns:
+    """``integrate_circuits`` stacks compatible runs; each must equal its solo run."""
+
+    BOARD = SpuEmulator(n_cells=4, tolerance_sigma=0.05, tolerance_seed=3)
+
+    def pair(self, i, j, state):
+        states = np.zeros((4, 4), dtype=np.int8)
+        states[i, j] = states[j, i] = state
+        return states
+
+    def runs(self):
+        board = self.BOARD
+        cell = np.eye(4)
+        start = np.zeros(8)
+        start[3], start[7] = 2e-9, -1e-10  # cell 3 displaced: it moves with cell 0
+        target = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        compiled = compile_precision(target).ideal_params
+        return [
+            board.sample_run(3, "none", 4000, seed=1, chains=8, noise_mask=cell[0]),
+            board.sample_run(3, self.pair(0, 1, 1), 4000, seed=2, chains=8,
+                             noise_mask=cell[0]),
+            board.sample_run(2, "none", 4000, 6e6, seed=3, chains=8, noise_mask=cell[2]),
+            (*board.sample_run(3, "none", 4000, seed=4, chains=8, noise_mask=cell[0]),
+             start),  # two uncoupled cells: a stack of two modes
+            board.sample_run(3, self.pair(2, 3, -1), 4000, seed=5, chains=8,
+                             noise_mask=cell[3]),
+            board.sample_run(3, "none", 500, seed=6, chains=1, noise_mask=cell[1]),
+            board.sample_run(1, "none", 500, seed=7, chains=1, noise_mask=cell[3]),
+            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8)),
+            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=9, burn_in=0.0)),
+            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), None,
+             "lfsr-chain"),
+            (board.true_params(3, "none", cell[1]),
+             TrajectoryConfig(n_samples=4000, chains=8, dt=1e-9, record_stride=20,
+                              zero_noise=True), start),
+        ]
+
+    def spy_stacks(self, monkeypatch):
+        sizes = []
+        run_stack = langevin._run_stack
+
+        def spy(runs):
+            sizes.append(len(runs))
+            return run_stack(runs)
+
+        monkeypatch.setattr(langevin, "_run_stack", spy)
+        return sizes
+
+    def assert_solo_equal(self, runs, batched):
+        assert sorted(batched) == list(range(len(runs)))
+        for i, run in enumerate(runs):
+            params, cfg, start, noise = run + (None, "ideal")[len(run) - 2:]
+            solo = integrate_circuit(params, cfg, noise=noise, initial_state=start)
+            assert np.array_equal(batched[i].values, solo.values)
+            assert batched[i].meta == solo.meta
+            assert batched[i].sample_rate == solo.sample_rate
+            assert batched[i].start_time == solo.start_time
+
+    def test_batched_runs_equal_solo_runs(self, monkeypatch):
+        runs = self.runs()
+        sizes = self.spy_stacks(monkeypatch)
+        batched = dict(langevin.integrate_circuits(runs))
+        # stacks: the 1-cell, 2-mode and compiled runs with a burn-in; the two
+        # pairs; the two one-chain cells.  The other three runs step alone
+        assert sorted(sizes) == [1, 1, 1, 2, 2, 4]
+        self.assert_solo_equal(runs, batched)
+
+    def test_records_over_the_budget_split_the_stack(self, monkeypatch):
+        runs = self.runs()
+        one = langevin._LinearRun(_LinearSystem(**TestModalEngine().modal_kw(d=1)),
+                                  np.zeros((1, 8, 2)), np.random.default_rng(0), 500, 1, 1,
+                                  False)
+        monkeypatch.setattr(langevin, "_STACK_BYTES", 2 * one.nbytes)  # two 1-cell runs
+        sizes = self.spy_stacks(monkeypatch)
+        batched = dict(langevin.integrate_circuits(runs))
+        # the pairs and the 2- and 3-mode runs each fill a stack; 1-cell runs pair up
+        assert sorted(sizes) == [1, 1, 1, 1, 1, 1, 1, 2, 2]
+        self.assert_solo_equal(runs, batched)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_run_in_a_stack_is_named_as_alone(self, monkeypatch):
+        board = SpuEmulator(n_cells=2)
+        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(2)[0])
+        # a step past the semi-implicit scheme's stability limit: the state grows
+        bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
+                                            record_stride=3))
+        with pytest.raises(NonFiniteStateError) as alone:
+            integrate_circuit(*bad)
+        sizes = self.spy_stacks(monkeypatch)
+        with pytest.raises(NonFiniteStateError) as stacked:
+            dict(langevin.integrate_circuits([good, bad, good]))
+        assert sizes == [3]
+        assert str(stacked.value) == str(alone.value)
+        assert "(record 131)" in str(alone.value)
+
+    def test_flushed_plan_gives_equal_records(self):
+        # over 68,000 steps the compounded transition decays into subnormals
+        sys_ = _LinearSystem(**TestModalEngine().modal_kw())
+        m = np.abs(sys_.compound(68_000)[0])
+        assert np.any((m > 0) & (m < np.finfo(float).tiny))
+        z0 = sys_.to_blocks(np.random.default_rng(59).standard_normal((3, 8)))
+        run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0, False)
+        cached = np.abs(run.plans()[1][0][0])
+        assert not np.any((cached > 0) & (cached < np.finfo(float).tiny))
+        args = (5, 68_000, 0, False)
+        got = _run_linear(sys_, z0.copy(), np.random.default_rng(60), *args)
+        want = _modal_per_record_reference(sys_, z0.copy(), np.random.default_rng(60), *args)
+        assert np.array_equal(got, want)
