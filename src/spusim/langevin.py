@@ -931,7 +931,7 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     plans = [run.plans() for run in runs]
     burn_plan = stacked([p[0] for p in plans])
     stride_plan = stacked([p[1] for p in plans])
-    del plans
+    del plans  # the stack holds its own copies of every M^n
     chunk = max(1, min(per_chain, _CHUNK_BYTES // z.nbytes))
     if ideal and noisy:
         draws = np.empty(chunk * z.size)
