@@ -200,6 +200,28 @@ class TestInvertVerb:
         for csv in ("inverse.csv", "error_series.csv", "exact_inverse.csv"):
             assert read(outs[0] / csv) == read(outs[1] / csv)
 
+    # SHA-256 of the artifacts of a seeded d=16 inversion, as written when
+    # every record kept both halves of the state (numpy 2.4, OpenBLAS, x86-64)
+    DIGESTS = {
+        8: {"inverse.csv": "45da6272eac767ee29e97de0e19cbc9549946f51a76a55deecfc4cdb40bf2211",
+            "error_series.csv":
+                "47723df852747480f208015e1bf4f2d30b125376841ad9d12308312cba78005f"},
+        1: {"inverse.csv": "7e86edad49aed4359791e78a1ae91c384b3348b58d5faf6a9a4a14b46a72bcbb",
+            "error_series.csv":
+                "7ea2377caf7c2c8db354ab0a1732b97cb3ad3b3e5519985ece3e2867f7d0cd9f"},
+    }
+
+    @pytest.mark.parametrize("chains,n", [(8, 4000), (1, 1000)])
+    def test_artifacts_are_unchanged(self, tmp_path, chains, n):
+        import hashlib
+
+        m = write_matrix(tmp_path / "a.csv", random_psd_matrix(16, 16))
+        out = tmp_path / "out"
+        assert main(["invert", "--matrix", m, "--n", str(n), "--chains", str(chains),
+                     "--seed", "3", "--outdir", str(out)]) == 0
+        for name, digest in self.DIGESTS[chains].items():
+            assert hashlib.sha256(read(out / name)).hexdigest() == digest
+
 
 class TestGprVerb:
     def test_demo_run_digital(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 import spusim.langevin as langevin
 from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
-from spusim.compiler import compile_covariance, compile_precision
+from spusim.compiler import TargetSpec, compile_covariance, compile_precision
 from spusim.device import SpuEmulator
 from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimError
 from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
@@ -867,6 +867,40 @@ class TestMovingCells:
         assert [scanned[i] for i in range(len(scanned))] == [1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1]
         batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=300, chains=3), seed=1)
         assert batch.meta["cells_stepped"] == 3
+
+
+class TestReadoutDigests:
+    """SHA-256 of the samples of each readout and of a dense board, as written
+    when every record kept both halves of the state (numpy 2.4, OpenBLAS, x86-64)."""
+
+    TARGET = TestMovingCells.TARGET
+    DIGESTS = {
+        "charge": "955a510a495a579167305f1af57dd6393ca9603f963541e63c074451cfef4c98",
+        "current": "51c7a781b8bf05c534c536d931679af11d83bdf39d2af4037311ac155586f037",
+        "dense": "d232259a92dfd7d56e944c0b92b4914cd5e3f8d36d3e1abd420ae0e02931ff36",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_samples_are_unchanged(self, case):
+        if case == "charge":  # a covariance target reads the charge
+            batch = sample_gaussian(TargetSpec(self.TARGET, "covariance"),
+                                    SamplingPlan(n_samples=600, chains=3), seed=5)
+            assert batch.meta["record"] == "charge"
+        elif case == "current":
+            batch = integrate_circuit(compile_precision(self.TARGET).ideal_params,
+                                      TrajectoryConfig(n_samples=600, chains=3, seed=11),
+                                      record="current")
+        else:  # coupled cells with inductance scatter: one dense block
+            rng = np.random.default_rng(55)
+            cells = [UnitCell(1e-6 * (1.0 + 0.1 * rng.standard_normal()), 50.0, 1e-13,
+                              bank_config=2) for _ in range(5)]
+            params = CircuitParams.build(cells, CouplingConfig.all_positive(5))
+            assert _LinearSystem.from_circuit(params, 1e-9).basis is None
+            batch = integrate_circuit(params, TrajectoryConfig(n_samples=600, chains=3,
+                                                               seed=12))
+            assert batch.meta["cells_stepped"] == 5
+        digest = hashlib.sha256(np.ascontiguousarray(batch.values).tobytes()).hexdigest()
+        assert digest == self.DIGESTS[case]
 
 
 class TestBatchedRuns:
