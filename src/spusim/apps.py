@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import TargetSpec
+from .compiler import TargetSpec, _validate_pd
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .linalg import SamplingPlan, invert_matrix, sample_gaussian
 
@@ -96,6 +96,11 @@ class GprPosterior:
 def _inverse(matrix: np.ndarray, inverter: str, plan: SamplingPlan | None,
              seed: int) -> np.ndarray:
     if inverter == "digital":
+        try:  # the resolution rule of the thermodynamic path, not a bare LinAlgError
+            _validate_pd(matrix, "precision matrix")
+        except NotPositiveDefiniteError as err:
+            raise NotPositiveDefiniteError(
+                f"cannot invert: {err}", min_eigenvalue=err.min_eigenvalue) from err
         return np.linalg.inv(matrix)
     if inverter == "thermodynamic":
         return invert_matrix(matrix, plan, seed=seed).estimate

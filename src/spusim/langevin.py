@@ -20,9 +20,13 @@ engine advances every linear run that way, drawing w_n from the exact law of
 the compounded step (binary doubling) or injecting the chain's increments
 through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
 the record times exactly.  Ideal draws are taken and premultiplied for a
-chunk of records at a time, into buffers reused for the whole run, and
-each block steps the state between two reused buffers, so the record loop
-allocates no array per record.  Generic potentials are stepped explicitly.
+chunk of records at a time, into buffers reused for the whole run, and the
+states of a chunk step through one reused buffer, so the record loop
+allocates no array per record.  A circuit run keeps only the half of each
+state that its readout reads (p for voltage and charge, x for current),
+copied once a chunk into records shaped (chains, n, K, b/2), and a
+whole-board run reads them out in place.  Generic potentials are stepped
+explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -396,13 +400,14 @@ class _LinearSystem:
     held in a basis Q as a stack of K independent b x b blocks, and the
     block engine sees every system in one layout: states (K, chains, b),
     operators (K, b, b), records (chains, n, 2, K, b/2), each block's x
-    half then its p half.  When one orthogonal Q diagonalizes the mass
-    inverse, the potential, the damping and the noise covariance (every
-    compiled target, every uncoupled board), the 2d-dimensional chain
-    splits into d normal modes: ``basis`` is Q and the stack holds one
-    2 x 2 block per mode over (Q^T x, Q^T p)_i.  Otherwise ``basis`` is
-    None (Q = I, never multiplied, so no sign of a zero flips) and the
-    stack is one dense 2d x 2d block.  The split is measured, never
+    half then its p half, or (chains, n, K, b/2) for a circuit run, which
+    keeps only the half its readout reads.  When one orthogonal Q
+    diagonalizes the mass inverse, the potential, the damping and the
+    noise covariance (every compiled target, every uncoupled board), the
+    2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
+    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i.  Otherwise
+    ``basis`` is None (Q = I, never multiplied, so no sign of a zero flips)
+    and the stack is one dense 2d x 2d block.  The split is measured, never
     configured: the candidate basis is kept only if the rotated operators
     are diagonal to ``_DECOUPLED_RTOL``.
 
@@ -682,7 +687,7 @@ class _CircuitRun:
         if not given:
             z = _initial_state(params, initial_state, chains, rng)
         self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
-                                 burn_steps, cfg.zero_noise)
+                                 burn_steps, cfg.zero_noise, half=0 if record == "current" else 1)
         self.l_vector = params.l_vector
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
@@ -691,19 +696,32 @@ class _CircuitRun:
             "cells_stepped": params.dimension,
         }
 
-    def readout(self, recs: np.ndarray) -> SampleBatch:
-        """The batch of this run's records, shaped (chains, n, 2, K, b/2)."""
-        record, d = self.meta["record"], self.dimension
-        chains, per_chain = recs.shape[:2]
-        values = self.sys_.cells(recs, 0 if record == "current" else 1)
-        del recs  # a modal readout is a fresh array: free the records before the product
+    def values(self, half: np.ndarray) -> np.ndarray:
+        """The readout of kept halves (..., d stepped) in the block basis."""
+        sys_, record = self.sys_, self.meta["record"]
+        values = half if sys_.basis is None else half @ sys_.basis.T
         if record == "current":
-            values = values / self.l_vector
-        elif record == "voltage":
-            values = values @ self.sys_.m_inv.T
-        if self.moving is not None:
-            stepped, values = values, np.zeros((chains, per_chain, d))
-            values[..., self.moving] = stepped
+            return values / self.l_vector
+        if record == "voltage":
+            return values @ sys_.m_inv.T  # two products, as the UDL readout rounds
+        return values
+
+    def readout(self, recs: np.ndarray) -> SampleBatch:
+        """The batch of this run's records, shaped (chains, n, K, b/2).
+
+        A whole-board run that owns its records reads out in place, a chain
+        at a time, so the batch holds no second copy of them.
+        """
+        chains, per_chain, d = recs.shape[0], recs.shape[1], self.dimension
+        halves = recs.reshape(chains, per_chain, -1)
+        if self.moving is None and halves.flags.c_contiguous:
+            for chain in halves:
+                chain[...] = self.values(chain)
+            values = halves
+        else:  # a slice of a stack, or the stepped cells of a larger board
+            values = np.zeros((chains, per_chain, d))
+            values[..., slice(None) if self.moving is None else self.moving] = \
+                self.values(halves)
         return SampleBatch(values.reshape(chains * per_chain, d), sample_rate=self.sample_rate,
                            start_time=self.start_time, chains=chains, meta=dict(self.meta))
 
@@ -726,7 +744,7 @@ def integrate_circuits(runs, record: str = "voltage"):
     for stack in _stacks([run.linear for run in prepared]):
         recs = _run_stack([prepared[i].linear for i in stack])
         spans = np.cumsum([0] + [prepared[i].linear.z.shape[0] for i in stack])
-        parts = [recs[:, :, :, lo:hi] for lo, hi in zip(spans, spans[1:])]
+        parts = [recs[:, :, lo:hi] for lo, hi in zip(spans, spans[1:])]
         del recs  # the last readout drops the last reference to the records
         for i in stack:
             yield i, prepared[i].readout(parts.pop(0))
@@ -788,13 +806,15 @@ def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
 
 class _LinearRun:
     """One run of the block engine: the start state as a (K, chains, b)
-    stack of blocks, the noise source and the record plan."""
+    stack of blocks, the noise source and the record plan.  ``half`` is the
+    half of each block that the records keep: 0 for x, 1 for p, None for
+    both."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                 stride: int, burn_steps: int, zero_noise: bool):
+                 stride: int, burn_steps: int, zero_noise: bool, half: int | None = None):
         self.sys_, self.z, self.source = sys_, _stack(z), source
         self.per_chain, self.stride, self.burn_steps = per_chain, stride, burn_steps
-        self.zero_noise = zero_noise
+        self.zero_noise, self.half = zero_noise, half
         self.ideal = isinstance(source, np.random.Generator)
         width = max(stride, burn_steps)
         if not self.ideal:
@@ -806,11 +826,13 @@ class _LinearRun:
         """Runs with equal keys can step as one stack; None for a run that steps alone."""
         if not self.ideal or self.zero_noise:
             return None
-        return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any()
+        return (self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any(),
+                self.half)
 
     @property
     def nbytes(self) -> int:
-        """Size of the run's records."""
+        """Size of the run's full states over all its records: the measure of
+        the stack budget, whether the records keep one half or both."""
         return self.per_chain * self.z.nbytes
 
     def plans(self):
@@ -887,13 +909,15 @@ def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
 def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     """Advance a stack of linear runs in exact blocks; record after every stride.
 
-    The runs share their block size b, chain and record counts and noise
-    source type, and a stack of several runs holds ideal-source runs only
-    (``_stacks``).  Their states step together as one (K, chains, b) stack
-    of blocks; each run keeps its own step, stride, burn-in and noise.  The
-    records are shaped (chains, per_chain, 2, K, b/2), each block's x half
-    then its p half; a run's slice of the block axis, reshaped, is its
-    stored layout (``_LinearSystem.stored``).
+    The runs share their block size b, chain and record counts, kept half
+    and noise source type, and a stack of several runs holds ideal-source
+    runs only (``_stacks``).  Their states step together as one
+    (K, chains, b) stack of blocks; each run keeps its own step, stride,
+    burn-in and noise.  The records keep the runs' ``half`` of each block:
+    shaped (chains, per_chain, K, b/2) for one half, (chains, per_chain, 2,
+    K, b/2) for both, each block's x half then its p half.  A run's slice of
+    the block axis, reshaped, is its stored layout
+    (``_LinearSystem.stored``), or that layout's kept half.
 
     The noise is exogenous to the linear system, so n steps compose
     exactly: z <- z (M^n)^T + c_n + xi W_n, every block at once, one
@@ -907,15 +931,17 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     block's increments, rotated into the basis and laid out as
     (K, chains, n*r) (``_LinearSystem.noise_operand``), and W_n the last
     n*r rows of the kernel stack; blocks then hold at most ``width`` steps.
-    The state steps between two reused buffers; blocks end at every
-    record, and every chunk of records is checked for a non-finite state,
-    naming the first bad record of a run as that run alone would.
+    The states of a chunk live in a reused buffer of ``chunk + 1`` slots:
+    record k steps from slot k into slot k+1, through one spare state when
+    a stride takes several blocks.  Each chunk's full states are checked
+    for a non-finite value, naming the first bad record of a run as that
+    run alone would, before the kept half is copied into the records.
     """
     first = runs[0]
     ideal, noisy, per_chain = first.ideal, not first.zero_noise, first.per_chain
     spans = np.cumsum([0] + [run.z.shape[0] for run in runs])
-    z = np.concatenate([run.z for run in runs])
-    k_total, chains, b = z.shape
+    start = np.concatenate([run.z for run in runs])
+    k_total, chains, b = start.shape
 
     def stacked(plans):
         """Block j of every run's plan as one block of the stack."""
@@ -932,33 +958,40 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     burn_plan = stacked([p[0] for p in plans])
     stride_plan = stacked([p[1] for p in plans])
     del plans  # the stack holds its own copies of every M^n
-    chunk = max(1, min(per_chain, _CHUNK_BYTES // z.nbytes))
+    chunk = max(1, min(per_chain, _CHUNK_BYTES // start.nbytes))
     if ideal and noisy:
-        draws = np.empty(chunk * z.size)
+        draws = np.empty(chunk * start.size)
         noise = np.empty((k_total, chunk, chains, b))  # premultiplied draws, block-major
         transposed = b == 2 and chains > 1 and np.diff(spans).max() > 1
-        scratch = np.empty(chunk * z.size) if transposed else None
+        scratch = np.empty(chunk * start.size) if transposed else None
     elif noisy:
         read = first.chain_reader()
-        injected = np.empty_like(z)
-    state = np.empty((2,) + z.shape)
-    state[0] = z
-    z, nxt = state
-    zr, nxr = state.reshape(2, k_total, chains, 2, b // 2)  # the same states, halves split
-    recs = np.empty((chains, per_chain, 2, k_total, b // 2))
-    records = recs.transpose(1, 3, 0, 2, 4)
+        injected = np.empty_like(start)
+    states = np.empty((chunk + 1,) + start.shape)
+    states[0] = start
+    slots, spare = list(states), np.empty_like(start)
+    halves = states.reshape(chunk + 1, k_total, chains, 2, b // 2)
+    if first.half is None:
+        recs = np.empty((chains, per_chain, 2, k_total, b // 2))
+        records, kept = recs.transpose(1, 3, 0, 2, 4), halves
+    else:
+        recs = np.empty((chains, per_chain, k_total, b // 2))
+        records, kept = recs.transpose(1, 2, 0, 3), halves[:, :, :, first.half]
     segments = [(burn_plan, None, 1)] if burn_plan else []
     segments += [(stride_plan, k0, min(chunk, per_chain - k0))
                  for k0 in range(0, per_chain, chunk)]
     for plan, k0, count in segments:
         if ideal and noisy:
-            start = 0
+            at = 0
             for run, lo, hi, (w_n, _) in zip(runs, spans, spans[1:], plan[0][2]):
-                xi = draws[start:start + count * run.z.size].reshape((count,) + run.z.shape)
+                xi = draws[at:at + count * run.z.size].reshape((count,) + run.z.shape)
                 run.source.standard_normal(out=xi)
                 run.sys_.premultiply(xi, w_n, noise[lo:hi, :count], scratch)
-                start += xi.size
+                at += xi.size
         for k in range(count):
+            # the burn-in steps from the start into slot 0, record k into slot k+1
+            z, last = (start, slots[0]) if k0 is None else (slots[k], slots[k + 1])
+            nxt = last if len(plan) % 2 else spare  # the plan's last block lands in last
             for mt, c_n, ws in plan:
                 np.matmul(z, mt, out=nxt)
                 if c_n is not None:
@@ -966,18 +999,19 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
                 if noisy:  # chain noise steps alone: ws holds its one (W_n, n)
                     nxt += noise[:, k] if ideal else np.matmul(read(ws[0][1]), ws[0][0],
                                                                out=injected)
-                z, nxt, zr, nxr = nxt, z, nxr, zr
-            if k0 is not None:
-                records[k0 + k] = zr
+                z, nxt = nxt, spare if nxt is last else last
         if k0 is None:
             continue
-        if not np.isfinite(recs[:, k0:k0 + count]).all():
-            finite = np.isfinite(recs[:, k0:k0 + count]).all(axis=(0, 2, 4))  # (count, K)
+        done = states[1:count + 1]
+        if not np.isfinite(done).all():
+            finite = np.isfinite(done).all(axis=(2, 3))  # (count, K)
             k = int(np.argmin(finite.all(axis=1)))
             run = runs[np.searchsorted(spans, np.argmin(finite[k]), "right") - 1]
             raise NonFiniteStateError(
                 f"non-finite state at step {run.burn_steps + (k0 + k + 1) * run.stride} "
                 f"(record {k0 + k})")
+        records[k0:k0 + count] = kept[1:count + 1]
+        states[0] = states[count]  # the next chunk steps on from the last record
     return recs
 
 

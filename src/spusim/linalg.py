@@ -226,7 +226,7 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
     counts = checkpoint_counts(batch.n_samples, n_checkpoints)
     errors = np.empty(len(counts))
     estimate = None
-    for i, (n, cov) in enumerate(prefix_covariances(batch.time_major(), counts)):
+    for i, (n, cov) in enumerate(prefix_covariances(batch.values, counts, batch.chains)):
         errors[i] = relative_frobenius_error(cov, exact)
         estimate = cov
     return InversionResult(estimate=estimate, exact=exact, n_series=counts,
@@ -352,7 +352,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
         counts = checkpoint_counts(batch.n_samples, n_checkpoints, start=10)
         if plan.n_samples <= batch.n_samples:
             counts = np.unique(np.append(counts, plan.n_samples))
-        for n, cov in prefix_covariances(batch.time_major(), counts):
+        for n, cov in prefix_covariances(batch.values, counts, batch.chains):
             err = relative_frobenius_error(cov, sigma)
             result.rows.append(StudyRow(
                 axis="sampling_rate", value=rate, n_samples=int(n),

@@ -9,7 +9,8 @@ order keeps every artifact deterministic.
 Every sample covariance in the package (a batch's covariance, the inverse
 estimate and the error-versus-sample-count series) comes from
 ``OnlineCovariance``; ``prefix_covariances`` reads the covariance of the
-first n rows at each checkpoint n in a single pass over the rows.
+first n time-major rows at each checkpoint n in a single pass over the
+rows.
 
 On-disk format: CSV with header ``t,v0,...,v{d-1}`` (SI units) plus a JSON
 sidecar (same stem, ``.json``) carrying the run metadata.
@@ -177,18 +178,27 @@ class OnlineCovariance:
         return 0.5 * (cov + cov.T)
 
 
-def prefix_covariances(rows: np.ndarray, counts) -> Iterator[tuple[int, np.ndarray]]:
+def prefix_covariances(rows: np.ndarray, counts,
+                       chains: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Covariance of the first n rows for each n of increasing ``counts``.
 
-    One pass: the rows between consecutive checkpoints are added to a single
-    accumulator, so each row is centered and multiplied once however many
-    checkpoints there are.
+    ``rows`` are chain-major rows of ``chains`` equal chains (a batch's
+    ``values``), read in time-major order: record k of every chain before
+    record k+1, as ``SampleBatch.time_major`` orders them.  One pass: the
+    rows between consecutive checkpoints are added to a single accumulator,
+    so each row is centered and multiplied once however many checkpoints
+    there are.  Only those rows are gathered, never a time-major copy of
+    the whole batch.
     """
-    acc = OnlineCovariance(rows.shape[1])
+    d = rows.shape[1]
+    per_chain = rows.reshape(chains, -1, d)
+    acc = OnlineCovariance(d)
     start = 0
     for n in counts:
         if n <= start:
             raise ValueError("checkpoint counts must be strictly increasing")
-        acc.add(rows[start:n])
+        lo, hi = start // chains, -(-n // chains)  # the records holding rows start..n-1
+        block = per_chain[:, lo:hi].transpose(1, 0, 2).reshape(-1, d)
+        acc.add(block[start - lo * chains:n - lo * chains])
         start = n
         yield int(n), acc.covariance()

@@ -234,6 +234,17 @@ class TestGprVerb:
         assert np.all(post[:, 2] >= 0)
         assert (out / "train.csv").exists()
 
+    @pytest.mark.parametrize("inverter", ["digital", "thermodynamic"])
+    def test_singular_kernel_exit_code(self, tmp_path, capsys, inverter):
+        # a repeated training point without observation noise: two equal kernel rows
+        train = tmp_path / "train.csv"
+        train.write_text("1,0.5\n1,0.5\n2,0.3\n")
+        out = tmp_path / "out"
+        assert main(["gpr", "--train", str(train), "--noise", "0", "--inverter", inverter,
+                     "--inverter-samples", "2000", "--outdir", str(out)]) == 4
+        assert "numerically singular" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestLsqVerb:
     def test_exact_line(self, tmp_path):

@@ -998,6 +998,24 @@ class TestBatchedRuns:
         assert str(stacked.value) == str(alone.value)
         assert "(record 131)" in str(alone.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("record", ["current", "voltage"])
+    def test_non_finite_one_half_run_is_named_as_both_halves(self, monkeypatch, record):
+        board = SpuEmulator(n_cells=2)
+        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(2)[0])
+        bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
+                                            record_stride=3))
+        run = langevin._CircuitRun(*bad, record=record).linear
+        assert run.half == (0 if record == "current" else 1)
+        with pytest.raises(NonFiniteStateError) as both:  # records keep x and p
+            _run_linear(run.sys_, run.z, np.random.default_rng(bad[1].seed), run.per_chain,
+                        run.stride, run.burn_steps, False)
+        sizes = self.spy_stacks(monkeypatch)
+        with pytest.raises(NonFiniteStateError) as stacked:
+            dict(langevin.integrate_circuits([good, bad, good], record=record))
+        assert sizes == [3]
+        assert str(stacked.value) == str(both.value)
+
     def test_flushed_plan_gives_equal_records(self):
         # over 68,000 steps the compounded transition decays into subnormals
         sys_ = _LinearSystem(**TestModalEngine().modal_kw())
