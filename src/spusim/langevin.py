@@ -519,8 +519,8 @@ class _LinearSystem:
         np.matmul(by_block.reshape(k, -1, b), w, out=out.reshape(k, -1, b))
 
     def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
-        """x (``half`` 0) or p (1) of records, in the cell basis: records shaped
-        (chains, n) + stored, or a run's slice of a stack's records."""
+        """x (``half`` 0) or p (1) of records that keep both halves, in the
+        cell basis: records shaped (chains, n) + stored."""
         values = recs.reshape(recs.shape[:2] + (2, self.dimension))[:, :, half]
         return values if self.basis is None else values @ self.basis.T
 
@@ -697,7 +697,7 @@ class _CircuitRun:
         }
 
     def values(self, half: np.ndarray) -> np.ndarray:
-        """The readout of kept halves (..., d stepped) in the block basis."""
+        """The stepped cells' samples from kept halves (..., d stepped) in the block basis."""
         sys_, record = self.sys_, self.meta["record"]
         values = half if sys_.basis is None else half @ sys_.basis.T
         if record == "current":
@@ -720,8 +720,8 @@ class _CircuitRun:
             values = halves
         else:  # a slice of a stack, or the stepped cells of a larger board
             values = np.zeros((chains, per_chain, d))
-            values[..., slice(None) if self.moving is None else self.moving] = \
-                self.values(halves)
+            cells = slice(None) if self.moving is None else self.moving
+            values[..., cells] = self.values(halves)
         return SampleBatch(values.reshape(chains * per_chain, d), sample_rate=self.sample_rate,
                            start_time=self.start_time, chains=chains, meta=dict(self.meta))
 
