@@ -474,6 +474,43 @@ class TestSpectroscopyVerb:
                      "--chains", "4", "--outdir", str(tmp_path / "out")]) == 0
         assert stepped == [1, 1, 1]
 
+    # SHA-256 of fit.json and one spectrum of a seeded spectroscopy run, as
+    # written when each cell's run was integrated alone over the whole board
+    # (numpy 2.4, OpenBLAS, x86-64): the scattered emulator, and a device file
+    # whose cells 0 and 1 are coupled, so that their runs step two cells
+    DIGESTS = {
+        "emulator": {
+            "fit.json": "255cb2bd013c719d325e1d8a9344e57fd30ae0a25943a5a261aac398ad248d8b",
+            "spectrum_cell1.csv":
+                "1c2542a2e767dd3b55f78a52889958982389cc6858bd3e2c43041f86ffdf345e"},
+        "device": {
+            "fit.json": "616936e7ca673f69416d70376e970acd83f1217c2b3628e5b854bafedf2c69b5",
+            "spectrum_cell1.csv":
+                "14bdbafbc11ceec6ec78afe5f6bdb81182fba4b9ec1a239a7640bc499149a805"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_artifacts_are_unchanged(self, tmp_path, case):
+        import hashlib
+
+        from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+        out = tmp_path / "out"
+        argv = ["--n", "20000", "--chains", "4", "--outdir", str(out)]
+        if case == "emulator":
+            argv += ["--cells", "3", "--tolerance", "0.05", "--seed", "5"]
+        else:
+            states = np.zeros((3, 3), dtype=np.int8)
+            states[0, 1] = states[1, 0] = 1
+            params = CircuitParams.build(
+                [UnitCell(1.5e-6, 40.0, 2e-13, bank_config=b) for b in (3, 2, 3)],
+                CouplingConfig(states))
+            device_path = tmp_path / "device.json"
+            device_path.write_text(params.to_json())
+            argv += ["--device", str(device_path), "--seed", "6"]
+        assert main(["spectroscopy"] + argv) == 0
+        for name, digest in self.DIGESTS[case].items():
+            assert hashlib.sha256(read(out / name)).hexdigest() == digest
+
 
 class TestRateAndLevelInput:
     @pytest.mark.parametrize("rate", ["inf", "nan", "-inf"])
