@@ -12,7 +12,8 @@ from .apps import (Dataset1D, GprPosterior, KernelSpec, gpr_posterior,
                    sngp_patch_sample, synthetic_two_moons_posterior)
 from .calibration import (CellEstimate, CellFitResult, FaultScanReport, LoadingFit,
                           PowerSpectrum, ScalingVector, analytic_cell_spectrum,
-                          apply_scaling, characterize_cell, compute_scaling_vector,
+                          apply_scaling, characterize_cell, characterize_cells,
+                          compute_scaling_vector,
                           estimate_spectrum, fit_circuit_params, fit_loading_model,
                           two_cell_fault_scan)
 from .circuit import (BANK_CAPACITANCES_F, COUPLING_CAPACITANCE_F, CircuitParams,

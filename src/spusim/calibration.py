@@ -26,7 +26,7 @@ import numpy as np
 from .circuit import CircuitParams, loading_variance_model
 from .device import SpuEmulator
 from .errors import DeadCellError
-from .langevin import integrate_circuits
+from .langevin import TrajectoryConfig, integrate_circuits
 from .samples import SampleBatch
 
 
@@ -58,15 +58,27 @@ class PowerSpectrum:
         return float(self.frequencies[mask][idx])
 
 
+def _cell_values(batch: SampleBatch, cell: int) -> np.ndarray:
+    """The samples (n,) of board cell ``cell``.  A batch of a run's stepped
+    cells names them in ``meta["cells"]``; a cell it does not hold rested
+    at 0.0."""
+    cells = batch.meta.get("cells")
+    if cells is None:
+        return batch.values[:, cell]
+    if cell in cells:
+        return batch.values[:, cells.index(cell)]
+    return np.zeros(batch.n_samples)
+
+
 def estimate_spectrum(batch: SampleBatch, segment_length: int = 4096,
                       overlap: float = 0.5, cell: int = 0) -> PowerSpectrum:
-    """Averaged-periodogram (Welch, Hann window) estimate for one cell.
+    """Averaged-periodogram (Welch, Hann window) estimate for one board cell.
 
     Chains are treated as independent records and averaged.  The integral
     of the returned density matches the time-domain variance (Parseval).
     The estimate is ``_welch``'s, the zero-frequency bin dropped.
     """
-    series = batch.per_chain()[:, :, cell]
+    series = _cell_values(batch, cell).reshape(batch.chains, -1)
     if series.shape[1] < segment_length:
         raise ValueError(
             f"batch too short: {series.shape[1]} samples per chain, "
@@ -98,7 +110,9 @@ def _welch(series: np.ndarray, fs: float, nperseg: int,
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     segments *= window
     spec = np.fft.rfft(segments, axis=-1)
-    psd = spec.real ** 2 + spec.imag ** 2
+    del segments
+    psd = spec.real ** 2
+    psd += spec.imag ** 2
     psd *= 1.0 / (fs * np.sum(window ** 2))
     psd[..., 1:None if nperseg % 2 else -1] *= 2.0
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd.mean(axis=-2)
@@ -305,18 +319,24 @@ def fit_circuit_params(spectrum: PowerSpectrum, variance: float,
                          converged=success, n_evaluations=n_eval)
 
 
+def _require_drive(params: CircuitParams, cell: int) -> None:
+    noise_psd = params.cells[cell].noise_psd
+    if not noise_psd > 0:
+        raise DeadCellError(f"cell {cell} has no noise drive "
+                            f"(noise_psd {noise_psd}) to fit against")
+
+
 def fit_cell(batch: SampleBatch, params: CircuitParams,
              cell: int) -> tuple[CellFitResult, PowerSpectrum]:
-    """Fit ``cell`` of a noise-driven ``batch``, starting from its values in ``params``.
+    """Fit board cell ``cell`` of a noise-driven ``batch``, starting from its
+    values in ``params``.
 
     Raises DeadCellError before any fit when the cell's configured drive is
     not positive or its measured variance is zero or not finite.
     """
+    _require_drive(params, cell)
     nominal = params.cells[cell]
-    if not nominal.noise_psd > 0:
-        raise DeadCellError(f"cell {cell} has no noise drive "
-                            f"(noise_psd {nominal.noise_psd}) to fit against")
-    variance = float(batch.values[:, cell].var(ddof=1))
+    variance = float(_cell_values(batch, cell).var(ddof=1))
     if not (math.isfinite(variance) and variance > 0):
         raise DeadCellError(f"cell {cell} shows no usable signal "
                             f"(measured variance {variance})")
@@ -326,23 +346,58 @@ def fit_cell(batch: SampleBatch, params: CircuitParams,
     return fit_circuit_params(spectrum, variance, init), spectrum
 
 
-def characterize_cell(device: SpuEmulator, cell: int, bank_config: int = 3,
+def characterize_cells(device: SpuEmulator | CircuitParams, cells, bank_config: int = 3,
+                       n_samples: int = 1_000_000, seed: int = 0,
+                       sample_rate: float = 12e6,
+                       chains: int = 64) -> dict[int, tuple[CellFitResult, PowerSpectrum]]:
+    """Noise-driven spectroscopy of ``cells`` of one board: {cell: (fit, spectrum)}.
+
+    ``device`` is an emulated board, sampled with its hidden imperfections
+    at ``bank_config`` and uncoupled, and fitted from its nominal values;
+    or a ``CircuitParams`` description, sampled and fitted as given.  The
+    run of a cell drives that cell alone and is seeded ``seed`` plus the
+    cell index.  It steps only the cells that can move (the cell and those
+    coupled to it), and its step size follows them.  Every run goes to one
+    ``integrate_circuits`` call, which steps runs of equal shape as one
+    stack.  A cell out of range raises ValueError, and one with no
+    configured drive DeadCellError, before any run is stepped.
+    """
+    emulated = isinstance(device, SpuEmulator)
+    nominal = device.nominal_params(bank_config=bank_config) if emulated else device
+    d = nominal.dimension
+    cells = list(cells)
+    for cell in cells:
+        if not 0 <= cell < d:
+            raise ValueError(f"cell {cell} is out of range for {d} cells")
+        _require_drive(nominal, cell)
+    runs = []
+    for cell in cells:
+        mask = np.zeros(d)
+        mask[cell] = 1.0
+        if emulated:
+            runs.append(device.sample_run(bank_config=bank_config, coupling="none",
+                                          n_samples=n_samples, sample_rate=sample_rate,
+                                          seed=seed + cell, chains=chains, noise_mask=mask))
+        else:
+            runs.append((CircuitParams.from_maxwell(device.maxwell, device.r_vector,
+                                                    device.l_vector, device.kappa_vector * mask),
+                         TrajectoryConfig(n_samples=n_samples, sample_rate=sample_rate,
+                                          seed=seed + cell, chains=chains)))
+    fits = {}
+    for i, batch in integrate_circuits(runs):
+        fits[cells[i]] = fit_cell(batch, nominal, cells[i])
+        del batch  # a view of its stack's records: let them go before the next stack
+    return {cell: fits[cell] for cell in cells}
+
+
+def characterize_cell(device: SpuEmulator | CircuitParams, cell: int, bank_config: int = 3,
                       n_samples: int = 1_000_000, seed: int = 0,
                       sample_rate: float = 12e6,
                       chains: int = 64) -> tuple[CellFitResult, PowerSpectrum]:
-    """Noise-driven spectroscopy of one cell on an emulated device.
-
-    Only ``cell`` is driven and the board is uncoupled, so the integration
-    steps that cell alone; its step size follows that cell.
-    """
-    if not 0 <= cell < device.n_cells:
-        raise ValueError(f"cell {cell} is out of range for {device.n_cells} cells")
-    mask = np.zeros(device.n_cells)
-    mask[cell] = 1.0
-    batch = device.sample(bank_config=bank_config, coupling="none",
-                          n_samples=n_samples, sample_rate=sample_rate,
-                          seed=seed, chains=chains, noise_mask=mask)
-    return fit_cell(batch, device.nominal_params(bank_config=bank_config), cell)
+    """Noise-driven spectroscopy of one cell: the one-cell case of
+    ``characterize_cells``, so its run is seeded ``seed + cell``."""
+    return characterize_cells(device, [cell], bank_config, n_samples, seed, sample_rate,
+                              chains)[cell]
 
 
 @dataclass(frozen=True)
@@ -424,8 +479,8 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
         nominal = device.nominal_params(bank_config=bank_config, coupling=matrix)
         f_exp = 1.0 / (2 * np.pi * math.sqrt(
             nominal.cells[probe].inductance * nominal.maxwell[probe, probe]))
-        drive_var = float(batch.values[:, drive].var(ddof=1))
-        probe_var = float(batch.values[:, probe].var(ddof=1))
+        drive_var = float(_cell_values(batch, drive).var(ddof=1))
+        probe_var = float(_cell_values(batch, probe).var(ddof=1))
         has_signal = probe_var > signal_floor * max(drive_var, 1e-300)
         peak_db = -np.inf
         f_peak = None
@@ -448,7 +503,7 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
                                  expected_peak=expected, peak_found=found,
                                  peak_frequency=f_peak, expected_frequency=f_exp,
                                  peak_db=float(peak_db), flag=flag)
-        del batch  # free these samples before the next run's readout
+        del batch  # a view of its stack's records: let them go before the next stack
     return FaultScanReport(records)
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .apps import (Dataset1D, KernelSpec, gpr_posterior, linear_least_squares,
                    sngp_patch_sample, synthetic_two_moons_posterior)
-from .calibration import (characterize_cell, apply_scaling, compute_scaling_vector,
-                          fit_cell, fit_loading_model, two_cell_fault_scan)
+from .calibration import (apply_scaling, characterize_cells, compute_scaling_vector,
+                          fit_loading_model, two_cell_fault_scan)
 from .compiler import TargetSpec
 from .device import SpuEmulator
 from .errors import (DimensionMismatchError, MatrixFormatError,
@@ -303,26 +303,15 @@ def cmd_spectroscopy(args) -> _Run:
     run = _Run(args)
     if args.device:
         from .circuit import CircuitParams
-        from .langevin import TrajectoryConfig, integrate_circuit
-        params = CircuitParams.from_json(Path(args.device).read_text())
-        fits = {}
-        for cell in _selected_cells(args.cell, params.dimension):
-            mask = np.zeros(params.dimension)
-            mask[cell] = 1.0
-            kappa = params.kappa_vector * mask
-            solo = CircuitParams.from_maxwell(
-                params.maxwell, params.r_vector, params.l_vector, kappa)
-            batch = integrate_circuit(solo, TrajectoryConfig(
-                n_samples=args.n, sample_rate=args.rate, seed=args.seed + cell,
-                chains=args.chains))
-            fits[cell] = fit_cell(batch, params, cell)
+        device = CircuitParams.from_json(Path(args.device).read_text())
+        n_cells = device.dimension
     else:
         device = SpuEmulator(n_cells=args.cells, tolerance_sigma=args.tolerance,
                              tolerance_seed=args.seed)
-        fits = {cell: characterize_cell(device, cell, bank_config=args.bank,
-                                        n_samples=args.n, seed=args.seed + cell,
-                                        sample_rate=args.rate, chains=args.chains)
-                for cell in _selected_cells(args.cell, args.cells)}
+        n_cells = args.cells
+    fits = characterize_cells(device, _selected_cells(args.cell, n_cells),
+                              bank_config=args.bank, n_samples=args.n, seed=args.seed,
+                              sample_rate=args.rate, chains=args.chains)
     report = {}
     for cell, (fit, spectrum) in fits.items():
         run.add(f"spectrum_cell{cell}", write_csv(

@@ -43,8 +43,11 @@ Because every run is a stack of equal blocks, many small runs step as one:
 ``integrate_circuits`` concatenates the blocks of ideal-source runs of the
 same shape into one stack, so a record of the whole stack costs one product,
 while each run keeps its own step, stride, burn-in and seeded stream and
-its records equal those of the run alone.  ``integrate_circuit`` is its
-one-run case.
+its records equal those of the run alone.  A stack steps no more cells than
+the board its runs came from, so its records take no more memory than one
+run's whole-board batch.  Each run's batch holds its stepped cells only, and
+its ``meta["cells"]`` names them; ``integrate_circuit``, the one-run case,
+pads the batch back to the board.
 """
 
 from __future__ import annotations
@@ -636,7 +639,7 @@ def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
 
 class _CircuitRun:
     """One circuit run, prepared for the block engine: the stepped cells'
-    ``_LinearRun`` and the readout that turns its records into a batch."""
+    ``_LinearRun`` and the readout that turns its records into their batch."""
 
     def __init__(self, params: CircuitParams, cfg: TrajectoryConfig, initial_state=None,
                  noise: str | NoiseChainConfig = "ideal", record: str = "voltage"):
@@ -652,8 +655,7 @@ class _CircuitRun:
         # a given state can move a cell; the others are built for the stepped cells
         given = not (initial_state is None or isinstance(initial_state, str))
         z = _initial_state(params, initial_state, chains, rng) if given else None
-        self.moving = moving = _moving_cells(params, z)
-        self.dimension = d
+        moving = _moving_cells(params, z)
         if moving is not None:
             params = _sub_circuit(params, moving)
             if given:
@@ -687,13 +689,15 @@ class _CircuitRun:
         if not given:
             z = _initial_state(params, initial_state, chains, rng)
         self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
-                                 burn_steps, cfg.zero_noise, half=0 if record == "current" else 1)
+                                 burn_steps, cfg.zero_noise, half=0 if record == "current" else 1,
+                                 board=d)
         self.l_vector = params.l_vector
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
             "dt": dt, "record_stride": stride, "burn_in": self.start_time, "seed": cfg.seed,
             "record": record, "noise": "ideal" if noise == "ideal" else "lfsr-chain",
             "cells_stepped": params.dimension,
+            "cells": list(range(d)) if moving is None else moving.tolist(),
         }
 
     def values(self, half: np.ndarray) -> np.ndarray:
@@ -707,22 +711,17 @@ class _CircuitRun:
         return values
 
     def readout(self, recs: np.ndarray) -> SampleBatch:
-        """The batch of this run's records, shaped (chains, n, K, b/2).
+        """The batch of the stepped cells from this run's records, shaped
+        (chains, n, K, b/2): the run's own records or its slice of a stack's.
 
-        A whole-board run that owns its records reads out in place, a chain
-        at a time, so the batch holds no second copy of them.
+        The records are read out in place, a chain at a time, so the batch
+        is a view of them and holds no second copy.
         """
-        chains, per_chain, d = recs.shape[0], recs.shape[1], self.dimension
+        chains, per_chain = recs.shape[:2]
         halves = recs.reshape(chains, per_chain, -1)
-        if self.moving is None and halves.flags.c_contiguous:
-            for chain in halves:
-                chain[...] = self.values(chain)
-            values = halves
-        else:  # a slice of a stack, or the stepped cells of a larger board
-            values = np.zeros((chains, per_chain, d))
-            cells = slice(None) if self.moving is None else self.moving
-            values[..., cells] = self.values(halves)
-        return SampleBatch(values.reshape(chains * per_chain, d), sample_rate=self.sample_rate,
+        for chain in halves:
+            chain[...] = self.values(chain)
+        return SampleBatch(halves.reshape(chains * per_chain, -1), sample_rate=self.sample_rate,
                            start_time=self.start_time, chains=chains, meta=dict(self.meta))
 
 
@@ -733,19 +732,22 @@ def integrate_circuits(runs, record: str = "voltage"):
     ``(params, cfg, initial_state, noise)``, with the arguments of
     ``integrate_circuit``; every run records ``record``.  Yields
     ``(index, SampleBatch)`` per run as each stack finishes, in stack
-    order, each batch equal to the one ``integrate_circuit`` returns for
-    that run alone.  Runs on the ideal source with noise on that share the
-    block size, the chain and record counts, whether a burn-in exists and
-    whether a drift exists step together, up to ``_STACK_BYTES`` of
-    records a stack: each record then costs one product per stack.  Every
-    other run steps alone.
+    order.  Each batch holds the run's stepped cells only, shaped
+    (n, cells_stepped), and its ``meta["cells"]`` names their board cells,
+    in order; the board's other cells rest at exactly 0.0.  Its columns,
+    ``meta`` otherwise, sample rate and start time equal those that
+    ``integrate_circuit`` returns for that run alone.  Runs on the ideal
+    source with noise on that share the block size, the chain and record
+    counts, whether a burn-in exists and whether a drift exists step
+    together (``_stacks``): each record then costs one product per stack.
+    Every other run steps alone.
     """
     prepared = [_CircuitRun(*run, record=record) for run in runs]
     for stack in _stacks([run.linear for run in prepared]):
         recs = _run_stack([prepared[i].linear for i in stack])
         spans = np.cumsum([0] + [prepared[i].linear.z.shape[0] for i in stack])
         parts = [recs[:, :, lo:hi] for lo, hi in zip(spans, spans[1:])]
-        del recs  # the last readout drops the last reference to the records
+        del recs  # each batch is a view of them: they live until the last one is dropped
         for i in stack:
             yield i, prepared[i].readout(parts.pop(0))
 
@@ -769,16 +771,22 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     step size, record stride, burn-in and the matched chain follow the
     stepped cells alone; ``meta["cells_stepped"]`` counts them.  When every
     cell moves (every compiled target) or none does, the whole board is
-    stepped.  This is the one-run case of ``integrate_circuits``.
+    stepped.  This is the one-run case of ``integrate_circuits``, its batch
+    padded back to the board.
     """
-    return next(integrate_circuits([(params, cfg, initial_state, noise)], record=record))[1]
+    batch = next(integrate_circuits([(params, cfg, initial_state, noise)], record=record))[1]
+    cells = batch.meta.pop("cells")
+    if len(cells) < params.dimension:
+        values = np.zeros((batch.n_samples, params.dimension))
+        values[:, cells] = batch.values
+        batch.values = values
+    return batch
 
 
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
 _CHUNK_BYTES = 64 << 10  # each reused ideal-noise buffer; sets the records of a chunk
-_STACK_BYTES = 2 << 20  # records of one stack of runs
 _TINY = np.finfo(float).tiny
 
 
@@ -808,13 +816,16 @@ class _LinearRun:
     """One run of the block engine: the start state as a (K, chains, b)
     stack of blocks, the noise source and the record plan.  ``half`` is the
     half of each block that the records keep: 0 for x, 1 for p, None for
-    both."""
+    both.  ``board`` counts the cells of the board the run came from (by
+    default the cells it steps)."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                 stride: int, burn_steps: int, zero_noise: bool, half: int | None = None):
+                 stride: int, burn_steps: int, zero_noise: bool, half: int | None = None,
+                 board: int | None = None):
         self.sys_, self.z, self.source = sys_, _stack(z), source
         self.per_chain, self.stride, self.burn_steps = per_chain, stride, burn_steps
         self.zero_noise, self.half = zero_noise, half
+        self.board = sys_.dimension if board is None else board
         self.ideal = isinstance(source, np.random.Generator)
         width = max(stride, burn_steps)
         if not self.ideal:
@@ -828,12 +839,6 @@ class _LinearRun:
             return None
         return (self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any(),
                 self.half)
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the run's full states over all its records: the measure of
-        the stack budget, whether the records keep one half or both."""
-        return self.per_chain * self.z.nbytes
 
     def plans(self):
         """Block plans of the burn-in and of one stride: lists of blocks
@@ -888,19 +893,22 @@ class _LinearRun:
 
 def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
     """Indices of ``runs`` grouped into stacks: runs of one key, in order,
-    up to ``_STACK_BYTES`` of records a stack; a run without a key alone."""
+    while a stack steps no more cells than the board of any run in it; a
+    run without a key alone.  A stack's records then take no more memory
+    than the whole-board batch of any of its runs."""
     groups = {}
     for i, run in enumerate(runs):
         groups.setdefault((i,) if run.key is None else run.key, []).append(i)
     stacks = []
     for members in groups.values():
-        stack, size = [], 0
+        stack, cells, board = [], 0, math.inf
         for i in members:
-            if stack and size + runs[i].nbytes > _STACK_BYTES:
+            run = runs[i]
+            cells, board = cells + run.sys_.dimension, min(board, run.board)
+            if stack and cells > board:
                 stacks.append(stack)
-                stack, size = [], 0
+                stack, cells, board = [], run.sys_.dimension, run.board
             stack.append(i)
-            size += runs[i].nbytes
         stacks.append(stack)
     return stacks
 

@@ -149,10 +149,14 @@ class OnlineCovariance:
             raise DimensionMismatchError(
                 f"rows have dimension {rows.shape[1]}, accumulator {self.dimension}"
             )
+        mean = rows.mean(axis=0)
+        return self._add_centered(rows - mean, mean)
+
+    def _add_centered(self, centered: np.ndarray, mean: np.ndarray) -> "OnlineCovariance":
+        """Merge rows given as their own mean and their deviations from it."""
         other = OnlineCovariance(self.dimension)
-        other.count = rows.shape[0]
-        other.mean = rows.mean(axis=0)
-        centered = rows - other.mean
+        other.count = centered.shape[0]
+        other.mean = mean
         other._m2 = centered.T @ centered
         return self.merge(other)
 
@@ -188,7 +192,7 @@ def prefix_covariances(rows: np.ndarray, counts,
     rows between consecutive checkpoints are added to a single accumulator,
     so each row is centered and multiplied once however many checkpoints
     there are.  Only those rows are gathered, never a time-major copy of
-    the whole batch.
+    the whole batch, and the gathered copy is centered in place.
     """
     d = rows.shape[1]
     per_chain = rows.reshape(chains, -1, d)
@@ -198,7 +202,10 @@ def prefix_covariances(rows: np.ndarray, counts,
         if n <= start:
             raise ValueError("checkpoint counts must be strictly increasing")
         lo, hi = start // chains, -(-n // chains)  # the records holding rows start..n-1
-        block = per_chain[:, lo:hi].transpose(1, 0, 2).reshape(-1, d)
-        acc.add(block[start - lo * chains:n - lo * chains])
+        block = np.array(per_chain[:, lo:hi].swapaxes(0, 1), order="C").reshape(-1, d)
+        block = block[start - lo * chains:n - lo * chains]
+        mean = block.mean(axis=0)
+        block -= mean
+        acc._add_centered(block, mean)
         start = n
         yield int(n), acc.covariance()

@@ -326,6 +326,23 @@ class TestNumpyOracles:
         np.testing.assert_array_equal(freqs, f_ref)
         np.testing.assert_allclose(psd, psd_ref, rtol=0, atol=1e-12 * psd_ref.max())
 
+    @pytest.mark.parametrize("nperseg,noverlap", [(4096, 2048), (999, 333)])
+    def test_welch_equals_its_two_temporary_form(self, nperseg, noverlap):
+        # the form before the segment copy was dropped and |X|^2 formed in place
+        x = np.random.default_rng(nperseg).standard_normal((3, 20_000)) * 1e-3
+        segments = np.lib.stride_tricks.sliding_window_view(
+            x, nperseg, axis=-1)[..., ::nperseg - noverlap, :]
+        segments = segments - segments.mean(axis=-1, keepdims=True)
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+        segments *= window
+        spec = np.fft.rfft(segments, axis=-1)
+        psd = spec.real ** 2 + spec.imag ** 2
+        psd *= 1.0 / (2.0 * np.sum(window ** 2))
+        psd[..., 1:None if nperseg % 2 else -1] *= 2.0
+        freqs, got = calibration._welch(x, 2.0, nperseg, noverlap)
+        np.testing.assert_array_equal(freqs, np.fft.rfftfreq(nperseg, 0.5))
+        np.testing.assert_array_equal(got, psd.mean(axis=-2))
+
     @staticmethod
     def cell_step(damping):
         """F / fs of a cell whose R is ``damping`` times critical, sqrt(L/C)/2."""

@@ -841,18 +841,7 @@ class TestMovingCells:
 
     def test_cells_stepped_counts(self, monkeypatch):
         import spusim.calibration as calibration
-        import spusim.device as device
         from spusim.calibration import characterize_cell, two_cell_fault_scan
-        stepped = []
-
-        def spy(*args, **kwargs):
-            batch = integrate_circuit(*args, **kwargs)
-            stepped.append(batch.meta["cells_stepped"])
-            return batch
-
-        monkeypatch.setattr(device, "integrate_circuit", spy)
-        characterize_cell(SpuEmulator(n_cells=4), 2, n_samples=20_000, chains=4)
-        assert stepped == [1]
         scanned = {}
         batches = calibration.integrate_circuits
 
@@ -862,6 +851,9 @@ class TestMovingCells:
                 yield i, batch
 
         monkeypatch.setattr(calibration, "integrate_circuits", scan_spy)
+        characterize_cell(SpuEmulator(n_cells=4), 2, n_samples=20_000, chains=4)
+        assert scanned == {0: 1}
+        scanned.clear()
         two_cell_fault_scan(SpuEmulator(n_cells=3), n_samples=16_384)
         # per drive: the self-drive, then couplings +1, -1 and 0 to each later probe
         assert [scanned[i] for i in range(len(scanned))] == [1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1]
@@ -904,7 +896,8 @@ class TestReadoutDigests:
 
 
 class TestBatchedRuns:
-    """``integrate_circuits`` stacks compatible runs; each must equal its solo run."""
+    """``integrate_circuits`` stacks compatible runs, at most one board's cells
+    a stack; each batch must equal its solo run's stepped cells."""
 
     BOARD = SpuEmulator(n_cells=4, tolerance_sigma=0.05, tolerance_seed=3)
 
@@ -952,12 +945,20 @@ class TestBatchedRuns:
         return sizes
 
     def assert_solo_equal(self, runs, batched):
+        """Each batch holds exactly its solo run's stepped cells, bit for bit,
+        and the solo run's other cells read exactly 0.0."""
         assert sorted(batched) == list(range(len(runs)))
         for i, run in enumerate(runs):
             params, cfg, start, noise = run + (None, "ideal")[len(run) - 2:]
             solo = integrate_circuit(params, cfg, noise=noise, initial_state=start)
-            assert np.array_equal(batched[i].values, solo.values)
-            assert batched[i].meta == solo.meta
+            meta = dict(batched[i].meta)
+            cells = meta.pop("cells")
+            assert cells == sorted(cells) and len(cells) == solo.meta["cells_stepped"]
+            assert batched[i].values.shape == (solo.n_samples, len(cells))
+            assert np.array_equal(batched[i].values, solo.values[:, cells])
+            assert np.all(np.delete(solo.values, cells, axis=1) == 0.0)
+            assert meta == solo.meta
+            assert batched[i].chains == solo.chains
             assert batched[i].sample_rate == solo.sample_rate
             assert batched[i].start_time == solo.start_time
 
@@ -965,27 +966,45 @@ class TestBatchedRuns:
         runs = self.runs()
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
-        # stacks: the 1-cell, 2-mode and compiled runs with a burn-in; the two
-        # pairs; the two one-chain cells.  The other three runs step alone
-        assert sorted(sizes) == [1, 1, 1, 2, 2, 4]
+        # stacks: the 1-cell and 2-mode runs with a burn-in, four cells of the
+        # 4-cell board; the two pairs; the two one-chain cells.  The compiled
+        # runs (no room beside the cells of a 3-cell target's stack) and the
+        # other two runs step alone
+        assert sorted(sizes) == [1, 1, 1, 1, 2, 2, 3]
         self.assert_solo_equal(runs, batched)
 
-    def test_records_over_the_budget_split_the_stack(self, monkeypatch):
-        runs = self.runs()
-        one = langevin._LinearRun(_LinearSystem(**TestModalEngine().modal_kw(d=1)),
-                                  np.zeros((1, 8, 2)), np.random.default_rng(0), 500, 1, 1,
-                                  False)
-        monkeypatch.setattr(langevin, "_STACK_BYTES", 2 * one.nbytes)  # two 1-cell runs
+    def test_runs_beyond_one_board_split_the_stack(self, monkeypatch):
+        board, cell = self.BOARD, np.eye(4)
+        ones = [board.sample_run(3, "none", 4000, seed=s, chains=8, noise_mask=cell[s % 4])
+                for s in range(6)]
+        pairs = [board.sample_run(3, self.pair(0, 1 + s, 1), 4000, seed=10 + s, chains=8,
+                                  noise_mask=cell[0]) for s in range(3)]
+        compiled = compile_precision(self.runs()[7][0].maxwell).ideal_params
+        runs = ones + pairs + [(compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8))]
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
-        # the pairs and the 2- and 3-mode runs each fill a stack; 1-cell runs pair up
-        assert sorted(sizes) == [1, 1, 1, 1, 1, 1, 1, 2, 2]
+        # 1-cell runs: four fill the board, two more start a stack that has no
+        # room for the 3-cell target (whose board holds three); pairs: two, one
+        assert sizes == [4, 2, 1, 2, 1]
         self.assert_solo_equal(runs, batched)
+
+    def test_board_scans_step_as_few_stacks(self, monkeypatch):
+        from spusim.calibration import characterize_cells, two_cell_fault_scan
+        sizes = self.spy_stacks(monkeypatch)
+        two_cell_fault_scan(SpuEmulator(n_cells=8), n_samples=4096, chains=2)
+        # 36 one-cell runs (self-drives, uncoupled pairs), eight a stack, and
+        # 56 coupled pairs, four a stack: 19 stacks
+        assert sorted(sizes) == [4] * 15 + [8] * 4
+        sizes.clear()
+        board = SpuEmulator(n_cells=8, tolerance_sigma=0.05, tolerance_seed=1)
+        fits = characterize_cells(board, range(8), n_samples=20_000, chains=4)
+        assert sorted(fits) == list(range(8))
+        assert sizes == [8]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_run_in_a_stack_is_named_as_alone(self, monkeypatch):
-        board = SpuEmulator(n_cells=2)
-        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(2)[0])
+        board = SpuEmulator(n_cells=3)  # room for the stack's three cells
+        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
         # a step past the semi-implicit scheme's stability limit: the state grows
         bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
                                             record_stride=3))
@@ -1001,8 +1020,8 @@ class TestBatchedRuns:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("record", ["current", "voltage"])
     def test_non_finite_one_half_run_is_named_as_both_halves(self, monkeypatch, record):
-        board = SpuEmulator(n_cells=2)
-        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(2)[0])
+        board = SpuEmulator(n_cells=3)  # room for the stack's three cells
+        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
         bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
                                             record_stride=3))
         run = langevin._CircuitRun(*bad, record=record).linear

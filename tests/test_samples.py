@@ -100,6 +100,21 @@ class TestPrefixCovariances:
             np.testing.assert_array_equal(cov, cov.T)
             np.testing.assert_allclose(cov, np.cov(rows[:n].T, ddof=1), rtol=1e-10)
 
+    @pytest.mark.parametrize("chains", [1, 4])
+    def test_equals_adding_time_major_slices(self, chains):
+        # the rows are gathered and centered in place: the same bytes as adding
+        # each slice of a time-major copy, and the caller's rows untouched
+        rows = self.shifted_rows()
+        kept = rows.copy()
+        counts = np.unique(np.append(checkpoint_counts(1000, 12, start=10), 333))
+        time_major = SampleBatch(rows, 1.0, chains=chains).time_major()
+        acc, start = OnlineCovariance(4), 0
+        for n, cov in prefix_covariances(rows, counts, chains):
+            acc.add(time_major[start:n])
+            start = n
+            np.testing.assert_array_equal(cov, acc.covariance())
+        np.testing.assert_array_equal(rows, kept)
+
     def test_counts_must_increase(self):
         with pytest.raises(ValueError):
             list(prefix_covariances(self.shifted_rows(), [10, 10]))
