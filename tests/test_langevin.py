@@ -900,6 +900,7 @@ class TestBatchedRuns:
     a stack; each batch must equal its solo run's stepped cells."""
 
     BOARD = SpuEmulator(n_cells=4, tolerance_sigma=0.05, tolerance_seed=3)
+    TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
 
     def pair(self, i, j, state):
         states = np.zeros((4, 4), dtype=np.int8)
@@ -911,8 +912,7 @@ class TestBatchedRuns:
         cell = np.eye(4)
         start = np.zeros(8)
         start[3], start[7] = 2e-9, -1e-10  # cell 3 displaced: it moves with cell 0
-        target = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-        compiled = compile_precision(target).ideal_params
+        compiled = compile_precision(self.TARGET).ideal_params
         return [
             board.sample_run(3, "none", 4000, seed=1, chains=8, noise_mask=cell[0]),
             board.sample_run(3, self.pair(0, 1, 1), 4000, seed=2, chains=8,
@@ -966,10 +966,10 @@ class TestBatchedRuns:
         runs = self.runs()
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
-        # stacks: the 1-cell and 2-mode runs with a burn-in, four cells of the
-        # 4-cell board; the two pairs; the two one-chain cells.  The compiled
-        # runs (no room beside the cells of a 3-cell target's stack) and the
-        # other two runs step alone
+        # stacks: the 1-cell and 2-mode runs with a burn-in, the four cells of
+        # the 4-cell board; the compiled run with a burn-in, whose 3-cell board
+        # has no room beside them; the two pairs; the two one-chain cells.  The
+        # other three runs step alone
         assert sorted(sizes) == [1, 1, 1, 1, 2, 2, 3]
         self.assert_solo_equal(runs, batched)
 
@@ -979,7 +979,7 @@ class TestBatchedRuns:
                 for s in range(6)]
         pairs = [board.sample_run(3, self.pair(0, 1 + s, 1), 4000, seed=10 + s, chains=8,
                                   noise_mask=cell[0]) for s in range(3)]
-        compiled = compile_precision(self.runs()[7][0].maxwell).ideal_params
+        compiled = compile_precision(self.TARGET).ideal_params
         runs = ones + pairs + [(compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8))]
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
