@@ -173,6 +173,28 @@ class TestSampleVerb:
         np.testing.assert_array_equal(first[:, 2], (2 * first[:, 1] - 1)
                                       * (first[:, 2] != 0))
 
+    # SHA-256 of the artifacts of a seeded lfsr-chain run at duty 0.6, as
+    # written by the source that read each register's bits separately and
+    # XORed them (numpy 2.4, OpenBLAS, x86-64)
+    CHAIN_DIGESTS = {
+        "samples.csv": "861e52fc1927fdd9c9b73e3062a510b996071a667b496d95ca37419cb777a2ab",
+        "noise_stream.csv":
+            "29816e8c0d4779e9165ecf33b046994111fc25b26b50d04f2681196d86d16a07",
+    }
+
+    def test_lfsr_chain_artifacts_are_unchanged(self, tmp_path):
+        import hashlib
+
+        m = write_matrix(tmp_path / "p.csv", random_psd_matrix(3, 7))
+        out = tmp_path / "out"
+        assert main(["sample", "--precision", m, "--noise-mode", "lfsr-chain",
+                     "--noise-level", "0.6", "--n", "200", "--chains", "2", "--seed", "4",
+                     "--export-noise", "9000", "--outdir", str(out)]) == 0
+        # a gated-off -1 bit is written as -0
+        assert re.search(rb"^\d+,0,-0,", read(out / "noise_stream.csv"), re.M)
+        for name, digest in self.CHAIN_DIGESTS.items():
+            assert hashlib.sha256(read(out / name)).hexdigest() == digest
+
 
 class TestInvertVerb:
     def test_matches_dense_inverse(self, tmp_path):

@@ -247,3 +247,51 @@ class TestChainSource:
         want = want.reshape(n_steps, chains, d)
         want *= np.sqrt(2.0 * kappa0 * cfg.bit_rate) * dt
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+class TestChainDigests:
+    """SHA-256 of chain-source outputs, as written by the source that read each
+    register's bits separately and XORed them (numpy 2.4, x86-64)."""
+
+    @staticmethod
+    def digest(*arrays):
+        import hashlib
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    SIZES = [1, 5, 24_575, 2, 100_000, 85_417]
+    INCREMENTS = {
+        "gated": "80cfcc88391295d7be9f143a28031ae9858d7e7367e46f3f17084d9adf856515",
+        "one-lane": "a2a3eeac8823facb4778d7cab10a7f863c07aa9a03c47c5935cffbcd6c1aa270",
+    }
+
+    @pytest.mark.parametrize("case", sorted(INCREMENTS))
+    def test_increments_over_uneven_calls(self, case):
+        if case == "gated":  # duty < 1, saturation, three substeps a bit
+            cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
+                                   saturation=1.5)
+            src = ChainNoiseSource(cfg, seed=12, dimension=2, kappa0=np.array([0.7, 1.9]),
+                                   dt=1.0 / 3, chains=2)
+        else:  # full duty, one bit a step
+            cfg = NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0)
+            src = ChainNoiseSource(cfg, seed=13, dimension=1, kappa0=0.4, dt=1.0)
+        parts = [src.increments(n) for n in self.SIZES]
+        assert all(p.shape[1:] == (src.chains, src.dimension) for p in parts)
+        assert self.digest(*parts) == self.INCREMENTS[case]
+
+    STAGES = {
+        300: "81da0dcb779487968a90b0507f9eae763ec8efd8b36782a9141b7dbab1c4832f",
+        8192: "6f06f34d82f64747d7e0cf77322d5e2fcf6e7acd13a93b74f768252171ad9aaa",
+        65_535: "7065b2c08858f8047e330520614f5a41868382cfe251c988bb3036c771f181d6",
+    }
+
+    def test_stages_in_successive_calls(self):
+        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0)
+        src = ChainNoiseSource(cfg, seed=14, dimension=3, kappa0=0.5, dt=1.0, chains=2)
+        for n_bits, want in self.STAGES.items():
+            bits, gated, filtered = src.stages(n_bits)
+            assert bits.dtype == np.uint8 and bits.shape == (6, n_bits)
+            assert np.signbit(gated[gated == 0]).any()  # gated-off -1 bits stay -0.0
+            assert self.digest(bits, gated, filtered) == want
