@@ -3,6 +3,9 @@
 Two maximal-length LFSRs are XOR-combined into a gold-code stream,
 duty-cycled by pulse-density modulation to set the noise level, and
 smoothed by an RC low-pass into an approximately Gaussian current.  The
+two registers share one polynomial, so their XOR is one m-sequence at a
+third phase (the shift-and-add property), and the emulated chain reads
+each lane's bits at that phase directly.  The
 noise-level study at the end reproduces the characteristic U-shape:
 intermediate levels beat both extremes once the chain's non-idealities
 (pulse starvation at low duty, driver compression at high duty) are in

@@ -1,21 +1,28 @@
 """Pseudo-random noise chain of the emulated device.
 
 The hardware-faithful chain is: two 16-bit maximal-length LFSRs combined by
-XOR (a gold-code stream), duty-cycled by pulse-density modulation to set the
-effective noise variance, and smoothed by a first-order RC low-pass so the
-marginal distribution approaches a Gaussian.  Algorithm-level experiments
-default to exact Gaussian noise, which the integrator in ``langevin`` draws
-itself; the chain is the opt-in mode for studying noise-source
-non-idealities.
+XOR (called the gold-code stream here), duty-cycled by pulse-density
+modulation to set the effective noise variance, and smoothed by a
+first-order RC low-pass so the marginal distribution approaches a
+Gaussian.  Algorithm-level experiments default to exact Gaussian noise,
+which the integrator in ``langevin`` draws itself; the chain is the opt-in
+mode for studying noise-source non-idealities.
 
 The LFSR is a Fibonacci (external-XOR) register with feedback taps at bit
 positions 16, 15, 13 and 4, i.e. the primitive polynomial
 x^16 + x^15 + x^13 + x^4 + 1.  From any nonzero seed the state sequence
 walks one cycle of length 2^16 - 1, so arbitrary streams can be read out of
 a single precomputed period at the seed's phase offset; this is exact, not
-an approximation.  ``ChainNoiseSource`` keeps that period twice over, so
-each lane's next bits from each register are one contiguous slice starting
-at the lane's phase: no per-bit modulo index is built.
+an approximation.
+
+Both registers share that one polynomial, so by the shift-and-add property
+of m-sequences (Golomb, "Shift Register Sequences", 1967) the XOR of their
+streams is the same m-sequence at a third phase, the phase of the XORed
+registers.  The two-register stream is therefore not a true Gold code,
+which needs a preferred pair of distinct polynomials (Gold, 1967).
+``ChainNoiseSource`` reads each lane's stream directly at that one phase,
+from a +-1 copy of the period kept twice over: a call's bits for every lane
+are one gather, with no per-bit modulo index and no XOR.
 """
 
 from __future__ import annotations
@@ -51,13 +58,6 @@ def lfsr_step(state: LfsrState) -> tuple[LfsrState, int]:
           ^ (r >> _TAP_SHIFTS[2]) ^ (r >> _TAP_SHIFTS[3])) & 1
     out = (r >> (LFSR_BITS - 1)) & 1
     return LfsrState(((r << 1) | fb) & LFSR_PERIOD), out
-
-
-def gold_bit(state_a: LfsrState, state_b: LfsrState) -> tuple[tuple[LfsrState, LfsrState], int]:
-    """XOR of the two stepped LFSR outputs (one gold-code bit)."""
-    state_a, bit_a = lfsr_step(state_a)
-    state_b, bit_b = lfsr_step(state_b)
-    return (state_a, state_b), bit_a ^ bit_b
 
 
 @lru_cache(maxsize=1)
@@ -99,12 +99,26 @@ def _cycle() -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _doubled_cycle() -> np.ndarray:
-    """The output period twice over, so a window of up to one period that
-    starts anywhere in the first copy is a contiguous slice."""
-    bits = np.tile(_cycle()[0], 2)
-    bits.setflags(write=False)
-    return bits
+def _signed_windows() -> np.ndarray:
+    """Every window of the output period as +-1 (bit 1 -> +1, bit 0 -> -1).
+
+    Entry [i, j] is the signed bit at phase (i + j) mod the period, for i
+    and j below it: one int8 copy of the period twice over, viewed with
+    unit strides on both axes.  Rows [:n] at the lanes' phases as columns
+    are the next n bits of every lane, time-major, in one gather.
+    """
+    signed = np.tile(_cycle()[0].astype(np.int8) * 2 - 1, 2)
+    return np.lib.stride_tricks.as_strided(signed, shape=(LFSR_PERIOD, LFSR_PERIOD),
+                                           strides=(1, 1), writeable=False)
+
+
+def _registers(phases: np.ndarray) -> np.ndarray:
+    """Register contents at each of ``phases``: its next 16 output bits, MSB first."""
+    bits = _cycle()[0]
+    registers = np.zeros(len(phases), dtype=np.int64)
+    for i in range(LFSR_BITS):
+        registers = (registers << 1) | bits[(phases + i) % LFSR_PERIOD]
+    return registers
 
 
 def lfsr_bits(seed: int, n: int) -> np.ndarray:
@@ -116,21 +130,12 @@ def lfsr_bits(seed: int, n: int) -> np.ndarray:
 
 
 def gold_bits(seed_a: int, seed_b: int, n: int) -> np.ndarray:
-    """Gold-code stream: XOR of two LFSR streams with distinct seeds."""
+    """Gold-code stream: XOR of two LFSR streams with distinct seeds.
+
+    It equals ``lfsr_bits(seed_a ^ seed_b, n)``, one stream of the same
+    register (see the module docstring).
+    """
     return lfsr_bits(seed_a, n) ^ lfsr_bits(seed_b, n)
-
-
-def lfsr_period(seed: int, limit: int = 1 << 18) -> int:
-    """Cycle length from ``seed`` by direct iteration (brute-force check)."""
-    state = LfsrState(seed)
-    s, _ = lfsr_step(state)
-    n = 1
-    while s.register != seed:
-        s, _ = lfsr_step(s)
-        n += 1
-        if n > limit:
-            raise RuntimeError(f"no cycle within {limit} steps from seed {seed}")
-    return n
 
 
 def pdm_enable(n: int, duty_cycle: float, offset: int = 0) -> np.ndarray:
@@ -281,14 +286,17 @@ class ChainNoiseSource:
     Every (chain, cell) lane runs its own gold-code pair.  Each lane's two
     LFSRs start at the phases of ``seed_a`` and ``seed_b`` in the underlying
     maximal-length cycle, each advanced by an offset drawn from the master
-    seed.  The bit stream is PDM-gated, RC-filtered, optionally
-    soft-saturated, and scaled so its in-band current PSD matches
-    duty_cycle * kappa0 at full duty calibration.  Bits are piecewise
-    constant over ``substeps_per_bit`` integrator steps.  ``increments``
-    gives the per-step charge increments the integrator injects, step-major;
-    ``stages`` exposes the per-bit values of every stage, lane-major.  All
-    lanes are filtered together, time-major (bits on axis 0), by the blocked
-    one-pole filter of ``rc_filter``, so increments need no transpose.
+    seed.  Both registers run one polynomial, so the XOR of their streams is
+    the same m-sequence at a third phase (the shift-and-add property), that
+    of the XORed registers; each lane reads its bits at that one phase.  The
+    bit stream is PDM-gated, RC-filtered, optionally soft-saturated, and
+    scaled so its in-band current PSD matches duty_cycle * kappa0 at full
+    duty calibration.  Bits are piecewise constant over ``substeps_per_bit``
+    integrator steps.  ``increments`` gives the per-step charge increments
+    the integrator injects, step-major; ``stages`` exposes the per-bit
+    values of every stage, lane-major.  All lanes are filtered together,
+    time-major (bits on axis 0), by the blocked one-pole filter of
+    ``rc_filter``, so increments need no transpose.
     """
 
     def __init__(self, config: NoiseChainConfig, seed: int, dimension: int,
@@ -308,7 +316,8 @@ class ChainNoiseSource:
         self.substeps_per_bit = sub
         # In-band two-sided current PSD of the gated +-1 stream is duty / bit_rate;
         # this gain makes it equal 2 * duty * kappa0 (temperature scales with duty).
-        self._gain = np.sqrt(2.0 * kappa0 * config.bit_rate)
+        gain = np.sqrt(2.0 * kappa0 * config.bit_rate)
+        self._scale = np.tile(gain * dt, chains)  # current * dt per lane, chain-major
         rng = np.random.default_rng(seed)
         lanes = chains * dimension
         _, phase = _cycle()
@@ -318,6 +327,8 @@ class ChainNoiseSource:
                          + rng.integers(0, LFSR_PERIOD, size=lanes)) % LFSR_PERIOD
         clash = self._phase_a == self._phase_b
         self._phase_b[clash] = (self._phase_b[clash] + 1 + np.arange(clash.sum())) % LFSR_PERIOD
+        # distinct phases hold distinct registers, so their XOR is a nonzero state
+        self._phase = phase[_registers(self._phase_a) ^ _registers(self._phase_b)]
         self._bit_index = 0
         self._rc_state = np.zeros(lanes)
         self._leftover: np.ndarray | None = None
@@ -334,31 +345,28 @@ class ChainNoiseSource:
         """
         if not 0 < n_bits <= LFSR_PERIOD:
             raise ValueError(f"n_bits must be in [1, {LFSR_PERIOD}], got {n_bits}")
-        stream, gated, filtered = self._advance(n_bits, keep_gated=True)
-        return stream, gated.T, filtered.T
+        signed, gated, filtered = self._advance(n_bits, keep_gated=True)
+        return (signed.T > 0).astype(np.uint8), gated.T, filtered.T
 
     def _advance(self, n_bits: int, keep_gated: bool):
-        """The next ``n_bits`` bits of every lane: the gold-code bits (lanes,
-        n_bits) and, time-major, the gated and the filtered stages.  Unless
+        """The next ``n_bits`` bits of every lane, time-major: the gold-code
+        bits as +-1 (int8), the gated and the filtered stages.  Unless
         ``keep_gated``, the gated stage is built in a buffer kept across
         calls and consumed by the filter (None is returned for it), so a
         call allocates little beyond the filtered stage.
         """
-        windows = np.lib.stride_tricks.sliding_window_view(_doubled_cycle(), n_bits)
         start = self._bit_index % LFSR_PERIOD
-        stream = windows[(self._phase_a + start) % LFSR_PERIOD]
-        stream ^= windows[(self._phase_b + start) % LFSR_PERIOD]
+        signed = _signed_windows()[:n_bits, (self._phase + start) % LFSR_PERIOD]
         if keep_gated:
-            gated = np.empty(stream.shape[::-1])
+            gated = np.empty(signed.shape)
         else:
             if self._work is None or len(self._work) < n_bits:
-                self._work = np.empty(stream.shape[::-1])
+                self._work = np.empty(signed.shape)
             gated = self._work[:n_bits]
-        np.copyto(gated, stream.T)
-        gated *= 2.0
-        gated -= 1.0
+        np.copyto(gated, signed)
         cfg = self.config
-        gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)[:, None]
+        if cfg.duty_cycle < 1.0:  # a gated-off -1 bit becomes -0.0
+            gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)[:, None]
         alpha = _rc_alpha(cfg)
         filtered = _one_pole(gated, 1.0 - alpha, alpha, self._rc_state,
                              overwrite=not keep_gated)
@@ -370,7 +378,7 @@ class ChainNoiseSource:
             filtered /= v
             np.tanh(filtered, out=filtered)
             filtered *= v
-        return stream, gated if keep_gated else None, filtered
+        return signed, gated if keep_gated else None, filtered
 
     def increments(self, n_steps: int) -> np.ndarray:
         """Charge increments current * dt of shape (n_steps, chains, dimension).
@@ -378,6 +386,11 @@ class ChainNoiseSource:
         The filtered bits come time-major, so whole runs of steps are
         sliced out without a copy.
         """
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        shape = (n_steps, self.chains, self.dimension)
+        if n_steps == 0:
+            return np.empty(shape)
         parts, have = [], 0
         if self._leftover is not None:
             parts.append(self._leftover[:n_steps])
@@ -394,9 +407,8 @@ class ChainNoiseSource:
                 self._leftover = vals[take:]
             have += take
         out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out = out.reshape(n_steps, self.chains, self.dimension)
-        out *= self._gain * self.dt
-        return out
+        out *= self._scale
+        return out.reshape(shape)
 
 
 def _rc_alpha(cfg: NoiseChainConfig) -> float:

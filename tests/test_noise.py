@@ -5,11 +5,38 @@ import pytest
 from scipy import stats
 
 from spusim.noise import (LFSR_BITS, LFSR_PERIOD, ChainNoiseSource, LfsrState,
-                          NoiseChainConfig, _cycle, gold_bit, gold_bits, lfsr_bits,
-                          lfsr_period, lfsr_step, pdm_enable, pdm_gate, rc_filter)
+                          NoiseChainConfig, _cycle, gold_bits, lfsr_bits, lfsr_step,
+                          pdm_enable, pdm_gate, rc_filter)
 
 # output of the first 64 steps from seed 0x0001, pinned at first implementation
 GOLDEN_SEED1_64 = "0000000000000001000100010001101000011010010110110100100010111100"
+
+
+def gold_bit(state_a, state_b):
+    """XOR of the two stepped LFSR outputs (one gold-code bit), by single steps."""
+    state_a, bit_a = lfsr_step(state_a)
+    state_b, bit_b = lfsr_step(state_b)
+    return (state_a, state_b), bit_a ^ bit_b
+
+
+def lfsr_period(seed, limit=1 << 18):
+    """Cycle length from ``seed`` by direct iteration (brute-force check)."""
+    s, _ = lfsr_step(LfsrState(seed))
+    n = 1
+    while s.register != seed:
+        s, _ = lfsr_step(s)
+        n += 1
+        if n > limit:
+            raise RuntimeError(f"no cycle within {limit} steps from seed {seed}")
+    return n
+
+
+def registers_by_phase():
+    """The register at each phase of the cycle: the inverse of the phase map."""
+    _, phase = _cycle()
+    register = np.empty(LFSR_PERIOD, dtype=np.int64)
+    register[phase[1:]] = np.arange(1, LFSR_PERIOD + 1)
+    return register
 
 
 class TestLfsr:
@@ -73,6 +100,40 @@ class TestGold:
         assert bit == 0
         with pytest.raises(ValueError):
             NoiseChainConfig(seed_a=0x1234, seed_b=0x1234)
+
+    # the default chain seeds and those of the CLI tests
+    SEED_PAIRS = [(0xACE1, 0x1D2F), (0x0042, 0x7FFF)]
+
+    @pytest.mark.parametrize("seed_a,seed_b", SEED_PAIRS)
+    def test_xor_of_two_registers_is_one_register(self, seed_a, seed_b):
+        # shift-and-add: both registers run one polynomial, so the XOR of
+        # their streams is the stream of the XORed registers, over a full
+        # period and past the wrap
+        n = LFSR_PERIOD + 1000
+        np.testing.assert_array_equal(lfsr_bits(seed_a ^ seed_b, n), gold_bits(seed_a, seed_b, n))
+
+    def test_xor_of_random_phase_pairs_is_one_phase(self):
+        rng = np.random.default_rng(17)
+        register = registers_by_phase()
+        pa, pb = rng.choice(LFSR_PERIOD, size=(2, 12), replace=False)
+        n = LFSR_PERIOD + 1000
+        for a, b in zip(register[pa], register[pb]):
+            np.testing.assert_array_equal(lfsr_bits(int(a ^ b), n),
+                                          lfsr_bits(int(a), n) ^ lfsr_bits(int(b), n))
+
+    @pytest.mark.parametrize("seed_a,seed_b", SEED_PAIRS)
+    def test_source_reads_each_lane_at_its_one_phase(self, seed_a, seed_b):
+        cfg = NoiseChainConfig(seed_a=seed_a, seed_b=seed_b, bit_rate=1.0, rc_time_constant=8.0)
+        src = ChainNoiseSource(cfg, seed=21, dimension=3, kappa0=1.0, dt=1.0, chains=2)
+        register = registers_by_phase()
+        _, phase = _cycle()
+        reg_a, reg_b = register[src._phase_a], register[src._phase_b]
+        np.testing.assert_array_equal(src._phase, phase[reg_a ^ reg_b])
+        # the source's own bits, a full period and then past the wrap
+        bits = np.concatenate([src.stages(LFSR_PERIOD)[0], src.stages(1000)[0]], axis=1)
+        for lane in range(6):
+            want = gold_bits(int(reg_a[lane]), int(reg_b[lane]), LFSR_PERIOD + 1000)
+            np.testing.assert_array_equal(bits[lane], want)
 
     def test_distinct_seed_balance(self):
         bits = gold_bits(0xACE1, 0x1D2F, LFSR_PERIOD)
@@ -194,6 +255,19 @@ class TestChainSource:
         b = ChainNoiseSource(cfg, **kw).increments(5000)
         np.testing.assert_array_equal(a, b)
 
+    def test_empty_and_negative_counts(self):
+        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0)
+        kw = dict(seed=5, dimension=3, kappa0=0.5, dt=0.5, chains=2)
+        src = ChainNoiseSource(cfg, **kw)
+        assert src.increments(0).shape == (0, 2, 3)
+        with pytest.raises(ValueError, match="n_steps.*-3"):
+            src.increments(-3)
+        # an empty or refused draw leaves the stream where it was, leftover included
+        got = [src.increments(5), src.increments(0), src.increments(7)]
+        want = ChainNoiseSource(cfg, **kw)
+        np.testing.assert_array_equal(np.concatenate(got),
+                                      np.concatenate([want.increments(5), want.increments(7)]))
+
     def test_saturation_compresses_variance(self):
         kw = dict(seed=2, dimension=1, kappa0=1.0, dt=1.0, chains=4)
         free = ChainNoiseSource(NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0), **kw)
@@ -222,7 +296,7 @@ class TestChainSource:
         # 2^16 - 1 cycle wrap; to rounding only, since the blocked RC filter's
         # rounding depends on where the calls split the stream (a wrong bit,
         # phase, gate or gain moves a value by about 0.1, not 1e-16)
-        from spusim.noise import _cycle, _filtered_rms
+        from spusim.noise import _filtered_rms
         cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
                                saturation=1.5)
         sub, chains, d, dt = 3, 2, 2, 1.0 / 3
@@ -233,9 +307,7 @@ class TestChainSource:
         n_steps = sum(sizes)
         n_bits = -(-n_steps // sub)
         assert n_bits > LFSR_PERIOD
-        _, phase = _cycle()
-        register = np.empty(LFSR_PERIOD, dtype=np.int64)
-        register[phase[1:]] = np.arange(1, LFSR_PERIOD + 1)
+        register = registers_by_phase()
         v = cfg.saturation * _filtered_rms(cfg)
         want = np.empty((n_steps, chains * d))
         for lane in range(chains * d):
