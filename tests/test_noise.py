@@ -104,22 +104,15 @@ class TestGold:
     # the default chain seeds and those of the CLI tests
     SEED_PAIRS = [(0xACE1, 0x1D2F), (0x0042, 0x7FFF)]
 
-    @pytest.mark.parametrize("seed_a,seed_b", SEED_PAIRS)
-    def test_xor_of_two_registers_is_one_register(self, seed_a, seed_b):
+    def test_xor_of_two_registers_is_one_register(self):
         # shift-and-add: both registers run one polynomial, so the XOR of
         # their streams is the stream of the XORed registers, over a full
-        # period and past the wrap
+        # period and past the wrap; seed pairs above and random phase pairs
+        phases = np.random.default_rng(17).choice(LFSR_PERIOD, size=(2, 12), replace=False)
+        pairs = self.SEED_PAIRS + list(zip(*registers_by_phase()[phases].tolist()))
         n = LFSR_PERIOD + 1000
-        np.testing.assert_array_equal(lfsr_bits(seed_a ^ seed_b, n), gold_bits(seed_a, seed_b, n))
-
-    def test_xor_of_random_phase_pairs_is_one_phase(self):
-        rng = np.random.default_rng(17)
-        register = registers_by_phase()
-        pa, pb = rng.choice(LFSR_PERIOD, size=(2, 12), replace=False)
-        n = LFSR_PERIOD + 1000
-        for a, b in zip(register[pa], register[pb]):
-            np.testing.assert_array_equal(lfsr_bits(int(a ^ b), n),
-                                          lfsr_bits(int(a), n) ^ lfsr_bits(int(b), n))
+        for a, b in pairs:
+            np.testing.assert_array_equal(lfsr_bits(a ^ b, n), gold_bits(a, b, n))
 
     @pytest.mark.parametrize("seed_a,seed_b", SEED_PAIRS)
     def test_source_reads_each_lane_at_its_one_phase(self, seed_a, seed_b):
@@ -296,7 +289,7 @@ class TestChainSource:
         # 2^16 - 1 cycle wrap; to rounding only, since the blocked RC filter's
         # rounding depends on where the calls split the stream (a wrong bit,
         # phase, gate or gain moves a value by about 0.1, not 1e-16)
-        from spusim.noise import _filtered_rms
+        from spusim.noise import _cycle, _filtered_rms
         cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
                                saturation=1.5)
         sub, chains, d, dt = 3, 2, 2, 1.0 / 3
@@ -307,7 +300,9 @@ class TestChainSource:
         n_steps = sum(sizes)
         n_bits = -(-n_steps // sub)
         assert n_bits > LFSR_PERIOD
-        register = registers_by_phase()
+        _, phase = _cycle()
+        register = np.empty(LFSR_PERIOD, dtype=np.int64)
+        register[phase[1:]] = np.arange(1, LFSR_PERIOD + 1)
         v = cfg.saturation * _filtered_rms(cfg)
         want = np.empty((n_steps, chains * d))
         for lane in range(chains * d):
