@@ -153,7 +153,8 @@ def _lane0_noise(args, params) -> np.ndarray:
 
     Per-bit values depend on the bit rate only through the RC-to-bit ratio,
     which ``NoiseChainConfig.matched`` fixes, so component tolerances, which
-    move the matched bit rate, do not change them.
+    move the matched bit rate, do not change them.  Only lane 0 of each
+    block's stages is kept, so one block's lanes are held at a time.
     """
     chain = NoiseChainConfig.matched(correlation_time(params), duty_cycle=args.noise_level,
                                      seed_a=args.chain_seed_a, seed_b=args.chain_seed_b)
@@ -161,8 +162,9 @@ def _lane0_noise(args, params) -> np.ndarray:
                               kappa0=params.kappa_vector, dt=1.0 / chain.bit_rate,
                               chains=args.chains)
     n = args.export_noise
-    blocks = [source.stages(min(8192, n - k)) for k in range(0, n, 8192)]
-    bits, gated, filtered = (np.concatenate([b[i][0] for b in blocks]) for i in range(3))
+    blocks = [[stage[0].copy() for stage in source.stages(min(8192, n - k))]
+              for k in range(0, n, 8192)]
+    bits, gated, filtered = (np.concatenate(stage) for stage in zip(*blocks))
     return np.column_stack([np.arange(n), bits, gated, filtered])
 
 

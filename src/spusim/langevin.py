@@ -19,14 +19,18 @@ circuit, so n steps compose exactly: z <- M^n z + c_n + w_n.  One block
 engine advances every linear run that way, drawing w_n from the exact law of
 the compounded step (binary doubling) or injecting the chain's increments
 through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
-the record times exactly.  Ideal draws are taken and premultiplied for a
-chunk of records at a time, into buffers reused for the whole run, and the
-states of a chunk step through one reused buffer, so the record loop
-allocates no array per record.  A circuit run keeps only the half of each
-state that its readout reads (p for voltage and charge, x for current),
-copied once a chunk into records shaped (chains, n, K, b/2), and a
-whole-board run reads them out in place.  Generic potentials are stepped
-explicitly.
+the record times exactly.  With the ideal source a record is one step, and
+a chunk of T records is one product per block, the chunked form of a
+linear-recurrence scan (Blelloch 1990; Martin & Cundy 2018): the start
+state and the chunk's raw standard-normal draws, side by side, times a
+block-triangular matrix of the step's powers with the noise factor folded
+in.  T follows from the run's shape alone; a large stack steps with T = 1.
+Chain-noise and zero-noise runs step record by record.  Buffers are reused
+for the whole run, so the record loop allocates no array per record.  A
+circuit run keeps only the half of each state that its readout reads (p for
+voltage and charge, x for current), copied once a chunk into records shaped
+(chains, n, K, b/2), and a whole-board run reads them out in place.  Generic
+potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -41,11 +45,11 @@ cells at rest that no coupling joins to a moving cell stay exactly at rest.
 
 Because every run is a stack of equal blocks, many small runs step as one:
 ``integrate_circuits`` concatenates the blocks of ideal-source runs of the
-same shape into one stack, so a record of the whole stack costs one product,
-while each run keeps its own step, stride, burn-in and seeded stream and
-its records equal those of the run alone.  A stack steps no more cells than
-the board its runs came from, so its records take no more memory than one
-run's whole-board batch.  Each run's batch holds its stepped cells only, and
+same shape into one stack, so a chunk of records of the whole stack costs
+one product per block, while each run keeps its own step, stride, burn-in
+and seeded stream and its records equal those of the run alone.  A stack
+steps no more cells than the board its runs came from, so its records take
+no more memory than one run's whole-board batch.  Each run's batch holds its stepped cells only, and
 its ``meta["cells"]`` names them; ``integrate_circuit``, the one-run case,
 pads the batch back to the board.
 """
@@ -498,29 +502,6 @@ class _LinearSystem:
         dense, (chains, 2, d) per mode, so each half is a run of d values."""
         return np.moveaxis(z, (-2, -1), (0, 1))
 
-    def premultiply(self, xi: np.ndarray, w: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray | None) -> None:
-        """Stacked draws ``xi`` (count, K, chains, b) times each block's factor
-        ``w`` (K, b, b), written block-major into ``out`` (K, count, chains, b).
-
-        For 2 x 2 blocks with two chains or more, this is one GEMM per block
-        over every record and chain, after a transposed copy into the flat
-        buffer ``scratch`` when K > 1.  Otherwise it is one product per
-        record, stacked in one call, as separate records would run it: a
-        merged GEMM rounds differently where numpy runs each record as a
-        matrix-vector product (one chain) and, for larger blocks, at some
-        shapes.
-        """
-        k, chains, b = xi.shape[1:]
-        if b > 2 or chains == 1:
-            np.matmul(xi, w, out=out.swapaxes(0, 1))
-            return
-        by_block = xi.swapaxes(0, 1)
-        if k > 1:
-            by_block = scratch[:xi.size].reshape(by_block.shape)
-            by_block[...] = xi.swapaxes(0, 1)
-        np.matmul(by_block.reshape(k, -1, b), w, out=out.reshape(k, -1, b))
-
     def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
         """x (``half`` 0) or p (1) of records that keep both halves, in the
         cell basis: records shaped (chains, n) + stored."""
@@ -738,8 +719,9 @@ def integrate_circuits(runs, record: str = "voltage"):
     ``meta`` otherwise, sample rate and start time equal those that
     ``integrate_circuit`` returns for that run alone.  Runs on the ideal
     source with noise on that share the block size, the chain and record
-    counts, whether a burn-in exists and whether a drift exists step
-    together (``_stacks``): each record then costs one product per stack.
+    counts, whether a burn-in exists, whether a drift exists and the
+    chunk step together (``_stacks``): each chunk of records then costs one
+    product per block of the stack.
     Every other run steps alone.
     """
     prepared = [_CircuitRun(*run, record=record) for run in runs]
@@ -786,7 +768,11 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
-_CHUNK_BYTES = 64 << 10  # each reused ideal-noise buffer; sets the records of a chunk
+# the records T of a chunk are a power of two, bounded for a stack that steps
+# its runs' whole board: its states (2 board chains values) by _CHUNK_BYTES, and
+# the draws' rows of the blocked scan's matrix (2 board b T^2 values) by _SCAN_BYTES
+_CHUNK_BYTES = 64 << 10
+_SCAN_BYTES = 256 << 10
 _TINY = np.finfo(float).tiny
 
 
@@ -817,7 +803,11 @@ class _LinearRun:
     stack of blocks, the noise source and the record plan.  ``half`` is the
     half of each block that the records keep: 0 for x, 1 for p, None for
     both.  ``board`` counts the cells of the board the run came from (by
-    default the cells it steps)."""
+    default the cells it steps).  ``chunk`` is the number of records a
+    chunk steps; it follows from the run's chains, block size, board and
+    record count alone, because the blocked scan's rounding depends on it,
+    so a run rounds alike in every stack, and being a power of two it is
+    shared by the runs of boards of similar size."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                  stride: int, burn_steps: int, zero_noise: bool, half: int | None = None,
@@ -831,6 +821,10 @@ class _LinearRun:
         if not self.ideal:
             width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
         self.width = width
+        chains, b = self.z.shape[1:]
+        bound = max(1, min(_CHUNK_BYTES // (16 * self.board * chains),
+                           math.isqrt(_SCAN_BYTES // (16 * self.board * b))))
+        self.chunk = min(per_chain, 1 << (bound.bit_length() - 1))
 
     @property
     def key(self):
@@ -838,7 +832,7 @@ class _LinearRun:
         if not self.ideal or self.zero_noise:
             return None
         return (self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any(),
-                self.half)
+                self.half, self.chunk)
 
     def plans(self):
         """Block plans of the burn-in and of one stride: lists of blocks
@@ -913,40 +907,157 @@ def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
     return stacks
 
 
+def _scan(mt: np.ndarray, c: np.ndarray | None, w: np.ndarray, count: int):
+    """G, shaped (K, (count+1) b, count b), and the drift's bias, (K, 1,
+    count b) or None, of ``count`` records of the step z <- z mt + c + xi w
+    of every block of a (K, b, b) stack: [z_0, xi_0 ... xi_(count-1)] G +
+    bias = [z_1 ... z_count].  Block (0, k) of G is mt^(k+1) and block
+    (j+1, k) is w mt^(k-j) for j <= k, zero above, so raw draws enter the
+    product; its leading (2b, b) corner [mt; w] is the single step.  G is
+    flushed of subnormals."""
+    k, b, _ = mt.shape
+    powers = np.empty((k, count + 1, b, b))
+    powers[:, 0], powers[:, 1] = np.eye(b), mt
+    for i in range(1, count):
+        np.matmul(powers[:, i], mt, out=powers[:, i + 1])
+    lagged = _flushed(w[:, None] @ powers[:, :count])  # w mt^l for lags l = 0 .. count-1
+    powers = _flushed(powers)
+    g = np.zeros((k, count + 1, b, count, b))
+    g[:, 0] = powers[:, 1:].swapaxes(1, 2)
+    for j in range(count):
+        g[:, j + 1, :, j:] = lagged[:, :count - j].swapaxes(1, 2)
+    bias = None if c is None else c[:, None] @ np.cumsum(powers[:, :count], axis=1)
+    return (g.reshape(k, (count + 1) * b, count * b),
+            None if bias is None else bias.reshape(k, 1, count * b))
+
+
+def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan, stride_plan):
+    """Chunks of records of a stack of ideal-source runs, T records one
+    product per block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in
+    is the T = 1 case.  Yields (k0, states), the full states of records
+    k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2).
+
+    The product runs transposed, G^T times a reused (K, T+1, b, chains)
+    operand, each chain a column, so chains are the unit-stride axis of
+    every copy in and out.  Each run draws a chunk's xi with one
+    ``standard_normal`` call, which reads its stream as per-record draws
+    would, and the draws are copied into their slots.  A large power of an
+    unstable step can overflow where the states it multiplies do not, so a
+    block whose chunk is not finite is stepped again record by record by
+    G's corner: its records and its first non-finite one are the loop's.
+    """
+    first = runs[0]
+    chunk, (k_total, chains, b) = first.chunk, start.shape
+    operand = np.empty((k_total, chunk + 1, b, chains))
+    columns = operand.reshape(k_total, (chunk + 1) * b, chains)
+    out = np.empty((k_total, chunk, b, chains))
+    draws = np.empty(chunk * start.size)
+    operand[:, 0] = _t(start)
+
+    def step(scan, count):
+        (gt, bias), width = scan, count * b
+        product = out[:, :count].reshape(k_total, width, chains)
+        np.matmul(gt[:, :width, :width + b], columns[:, :width + b], out=product)
+        if bias is not None:
+            product += bias[:, :width]
+        if count > 1 and not np.isfinite(product).all():
+            bad = ~np.isfinite(product).all(axis=(1, 2))
+            for k in range(count):
+                z = gt[:, :b, :2 * b] @ columns[:, k * b:(k + 2) * b]
+                if bias is not None:
+                    z += bias[:, :b]
+                product[bad, k * b:(k + 1) * b] = z[bad]
+                operand[:, k + 1] = z  # xi_k is spent: its slot holds z_(k+1)
+        operand[:, 0] = out[:, count - 1]  # the next records step on from the last
+
+    def draw(count):
+        for run, lo, hi in zip(runs, spans, spans[1:]):
+            xi = draws[:count * run.z.size].reshape((count,) + run.z.shape)
+            run.source.standard_normal(out=xi)
+            operand[lo:hi, 1:count + 1] = xi.transpose(1, 0, 3, 2)
+
+    def scan(plan, count):
+        ((mt, c, w, _),) = plan
+        g, bias = _scan(mt, c, w, count)
+        return _t(g), None if bias is None else _t(bias)
+
+    if burn_plan:
+        draw(1)
+        step(scan(burn_plan, 1), 1)
+    states = out.reshape(k_total, chunk, 2, b // 2, chains).transpose(1, 0, 4, 2, 3)
+    stride_scan = scan(stride_plan, chunk)
+    for k0 in range(0, first.per_chain, chunk):
+        count = min(chunk, first.per_chain - k0)
+        draw(count)
+        step(stride_scan, count)
+        yield k0, states[:count]
+
+
+def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
+    """Chunks of records of one run stepped record by record: chain noise
+    or none.  Each record steps through the blocks of its plan,
+    z <- z (M^n)^T + c_n + xi W_n, with xi the block's chain increments
+    laid out as (K, chains, n*r) (``_LinearSystem.noise_operand``) and W_n
+    the last n*r rows of the kernel stack.  The states of a chunk live in
+    a reused buffer of ``chunk + 1`` slots: record k steps from slot k into
+    slot k+1, through one spare state when a stride takes several blocks.
+    Yields (k0, states) as ``_scanned_chunks`` does.
+    """
+    chunk, noisy, (k_total, chains, b) = run.chunk, not run.zero_noise, start.shape
+    if noisy:
+        read = run.chain_reader()
+        injected = np.empty_like(start)
+    states = np.empty((chunk + 1,) + start.shape)
+    states[0] = start
+    slots, spare = list(states), np.empty_like(start)
+    halves = states.reshape(chunk + 1, k_total, chains, 2, b // 2)
+    segments = [(burn_plan, None, 1)] if burn_plan else []
+    segments += [(stride_plan, k0, min(chunk, run.per_chain - k0))
+                 for k0 in range(0, run.per_chain, chunk)]
+    for plan, k0, count in segments:
+        for k in range(count):
+            # the burn-in steps from the start into slot 0, record k into slot k+1
+            z, last = (start, slots[0]) if k0 is None else (slots[k], slots[k + 1])
+            nxt = last if len(plan) % 2 else spare  # the plan's last block lands in last
+            for mt, c_n, w_n, n in plan:
+                np.matmul(z, mt, out=nxt)
+                if c_n is not None:
+                    nxt += c_n
+                if noisy:
+                    nxt += np.matmul(read(n), w_n, out=injected)
+                z, nxt = nxt, spare if nxt is last else last
+        if k0 is not None:
+            yield k0, halves[1:count + 1]
+            states[0] = states[count]  # the next chunk steps on from the last record
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     """Advance a stack of linear runs in exact blocks; record after every stride.
 
-    The runs share their block size b, chain and record counts, kept half
-    and noise source type, and a stack of several runs holds ideal-source
-    runs only (``_stacks``).  Their states step together as one
-    (K, chains, b) stack of blocks; each run keeps its own step, stride,
-    burn-in and noise.  The records keep the runs' ``half`` of each block:
-    shaped (chains, per_chain, K, b/2) for one half, (chains, per_chain, 2,
-    K, b/2) for both, each block's x half then its p half.  A run's slice of
-    the block axis, reshaped, is its stored layout
+    The runs share their block size b, chain and record counts, kept half,
+    chunk and noise source type, and a stack of several runs holds
+    ideal-source runs only (``_stacks``).  Their states step together as
+    one (K, chains, b) stack of blocks; each run keeps its own step,
+    stride, burn-in and noise.  The records keep the runs' ``half`` of each
+    block: shaped (chains, per_chain, K, b/2) for one half, (chains,
+    per_chain, 2, K, b/2) for both, each block's x half then its p half.  A
+    run's slice of the block axis, reshaped, is its stored layout
     (``_LinearSystem.stored``), or that layout's kept half.
 
     The noise is exogenous to the linear system, so n steps compose
-    exactly: z <- z (M^n)^T + c_n + xi W_n, every block at once, one
-    product per block of the plan for the whole stack.  With the ideal
-    source (a numpy ``Generator``) xi is a standard normal draw shaped like
-    z and W_n = chol(S_n)^T, so a block is a whole burn-in or a whole
-    stride.  The records run in chunks of ``_CHUNK_BYTES`` of state; each
-    run draws a chunk in one call into a reused buffer, which reads its
-    stream in the order of separate calls, and premultiplies it in one call
-    (``_LinearSystem.premultiply``).  With a ``ChainNoiseSource`` xi is the
-    block's increments, rotated into the basis and laid out as
-    (K, chains, n*r) (``_LinearSystem.noise_operand``), and W_n the last
-    n*r rows of the kernel stack; blocks then hold at most ``width`` steps.
-    The states of a chunk live in a reused buffer of ``chunk + 1`` slots:
-    record k steps from slot k into slot k+1, through one spare state when
-    a stride takes several blocks.  Each chunk's full states are checked
-    for a non-finite value, naming the first bad record of a run as that
-    run alone would, before the kept half is copied into the records.
+    exactly: z <- z (M^n)^T + c_n + xi W_n, every block at once.  With the
+    ideal source (a numpy ``Generator``) xi is a standard normal draw
+    shaped like z and W_n = chol(S_n)^T, so a burn-in or a stride is one
+    step, and a chunk of ``chunk`` records is one product per block, the
+    draws entering raw (``_scanned_chunks``).  Chain noise and zero-noise
+    runs step record by record (``_looped_chunks``).  Each chunk's full
+    states are checked for a non-finite value, naming the first bad record
+    of a run as that run alone would, before the kept half is copied into
+    the records.
     """
     first = runs[0]
-    ideal, noisy, per_chain = first.ideal, not first.zero_noise, first.per_chain
+    per_chain = first.per_chain
     spans = np.cumsum([0] + [run.z.shape[0] for run in runs])
     start = np.concatenate([run.z for run in runs])
     k_total, chains, b = start.shape
@@ -959,67 +1070,33 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
             # a transposed view: a contiguous (M^n)^T rounds differently
             steps.append((_t(np.concatenate(m_n)),
                           None if c_n[0] is None else np.concatenate(c_n),
-                          list(zip(w_n, n))))
+                          None if w_n[0] is None else w_n[0] if len(w_n) == 1
+                          else np.concatenate(w_n), n[0]))
         return steps
 
     plans = [run.plans() for run in runs]
     burn_plan = stacked([p[0] for p in plans])
     stride_plan = stacked([p[1] for p in plans])
     del plans  # the stack holds its own copies of every M^n
-    chunk = max(1, min(per_chain, _CHUNK_BYTES // start.nbytes))
-    if ideal and noisy:
-        draws = np.empty(chunk * start.size)
-        noise = np.empty((k_total, chunk, chains, b))  # premultiplied draws, block-major
-        transposed = b == 2 and chains > 1 and np.diff(spans).max() > 1
-        scratch = np.empty(chunk * start.size) if transposed else None
-    elif noisy:
-        read = first.chain_reader()
-        injected = np.empty_like(start)
-    states = np.empty((chunk + 1,) + start.shape)
-    states[0] = start
-    slots, spare = list(states), np.empty_like(start)
-    halves = states.reshape(chunk + 1, k_total, chains, 2, b // 2)
+    if first.ideal and not first.zero_noise:
+        chunks = _scanned_chunks(runs, spans, start, burn_plan, stride_plan)
+    else:
+        chunks = _looped_chunks(first, start, burn_plan, stride_plan)
     if first.half is None:
         recs = np.empty((chains, per_chain, 2, k_total, b // 2))
-        records, kept = recs.transpose(1, 3, 0, 2, 4), halves
+        records = recs.transpose(1, 3, 0, 2, 4)
     else:
         recs = np.empty((chains, per_chain, k_total, b // 2))
-        records, kept = recs.transpose(1, 2, 0, 3), halves[:, :, :, first.half]
-    segments = [(burn_plan, None, 1)] if burn_plan else []
-    segments += [(stride_plan, k0, min(chunk, per_chain - k0))
-                 for k0 in range(0, per_chain, chunk)]
-    for plan, k0, count in segments:
-        if ideal and noisy:
-            at = 0
-            for run, lo, hi, (w_n, _) in zip(runs, spans, spans[1:], plan[0][2]):
-                xi = draws[at:at + count * run.z.size].reshape((count,) + run.z.shape)
-                run.source.standard_normal(out=xi)
-                run.sys_.premultiply(xi, w_n, noise[lo:hi, :count], scratch)
-                at += xi.size
-        for k in range(count):
-            # the burn-in steps from the start into slot 0, record k into slot k+1
-            z, last = (start, slots[0]) if k0 is None else (slots[k], slots[k + 1])
-            nxt = last if len(plan) % 2 else spare  # the plan's last block lands in last
-            for mt, c_n, ws in plan:
-                np.matmul(z, mt, out=nxt)
-                if c_n is not None:
-                    nxt += c_n
-                if noisy:  # chain noise steps alone: ws holds its one (W_n, n)
-                    nxt += noise[:, k] if ideal else np.matmul(read(ws[0][1]), ws[0][0],
-                                                               out=injected)
-                z, nxt = nxt, spare if nxt is last else last
-        if k0 is None:
-            continue
-        done = states[1:count + 1]
+        records = recs.transpose(1, 2, 0, 3)
+    for k0, done in chunks:
         if not np.isfinite(done).all():
-            finite = np.isfinite(done).all(axis=(2, 3))  # (count, K)
+            finite = np.isfinite(done).all(axis=(2, 3, 4))  # (count, K)
             k = int(np.argmin(finite.all(axis=1)))
             run = runs[np.searchsorted(spans, np.argmin(finite[k]), "right") - 1]
             raise NonFiniteStateError(
                 f"non-finite state at step {run.burn_steps + (k0 + k + 1) * run.stride} "
                 f"(record {k0 + k})")
-        records[k0:k0 + count] = kept[1:count + 1]
-        states[0] = states[count]  # the next chunk steps on from the last record
+        records[k0:k0 + len(done)] = done if first.half is None else done[:, :, :, first.half]
     return recs
 
 

@@ -173,6 +173,32 @@ class TestSampleVerb:
         np.testing.assert_array_equal(first[:, 2], (2 * first[:, 1] - 1)
                                       * (first[:, 2] != 0))
 
+    def test_export_noise_memory_holds_one_block_of_lanes(self):
+        import argparse
+        import tracemalloc
+
+        from spusim.cli import _lane0_noise
+        from spusim.compiler import compile_precision
+        params = compile_precision(np.eye(8)).ideal_params  # 8 chains x 8 cells: 64 lanes
+
+        def peak(n_bits):
+            args = argparse.Namespace(noise_level=1.0, chain_seed_a=0xACE1,
+                                      chain_seed_b=0x1D2F, seed=0, chains=8,
+                                      export_noise=n_bits)
+            tracemalloc.start()
+            try:
+                rows = _lane0_noise(args, params)
+                return tracemalloc.get_traced_memory()[1], rows
+            finally:
+                tracemalloc.stop()
+
+        one, short = peak(8192)
+        four, long = peak(4 * 8192)
+        np.testing.assert_array_equal(long[:8192], short)
+        # three more blocks add lane 0's rows, not every lane's stages: one
+        # block's filtered stage alone is 8192 bits x 64 lanes x 8 bytes
+        assert four - one < 8192 * 64 * 8
+
     # SHA-256 of the artifacts of a seeded lfsr-chain run at duty 0.6, as
     # written by the source that read each register's bits separately and
     # XORed them (numpy 2.4, OpenBLAS, x86-64)
@@ -222,15 +248,17 @@ class TestInvertVerb:
         for csv in ("inverse.csv", "error_series.csv", "exact_inverse.csv"):
             assert read(outs[0] / csv) == read(outs[1] / csv)
 
-    # SHA-256 of the artifacts of a seeded d=16 inversion, as written when
-    # every record kept both halves of the state (numpy 2.4, OpenBLAS, x86-64)
+    # SHA-256 of the artifacts of a seeded d=16 inversion, as written by the
+    # blocked record scan (numpy 2.4, OpenBLAS, x86-64), which moved each entry
+    # of inverse.csv by at most 2.4e-14 of itself (2.7e-16 of the largest) and
+    # of error_series.csv by at most 4.2e-16 from the per-record loop
     DIGESTS = {
-        8: {"inverse.csv": "45da6272eac767ee29e97de0e19cbc9549946f51a76a55deecfc4cdb40bf2211",
+        8: {"inverse.csv": "53389d51e76e5b3fd718fbfcccaeb417c5f63990e2f106cb61486aceb0470e72",
             "error_series.csv":
-                "47723df852747480f208015e1bf4f2d30b125376841ad9d12308312cba78005f"},
-        1: {"inverse.csv": "7e86edad49aed4359791e78a1ae91c384b3348b58d5faf6a9a4a14b46a72bcbb",
+                "ddaca12a51cdccdc82effd308067483b7adccbabf9df3351fd9b03f326eabfb2"},
+        1: {"inverse.csv": "7e8a1c8d6a778565c4f78b22409186d51fed083a4bb9bb86b2f57d3aa231a183",
             "error_series.csv":
-                "7ea2377caf7c2c8db354ab0a1732b97cb3ad3b3e5519985ece3e2867f7d0cd9f"},
+                "6afc9d3e2e93a687ac6f79dabf279e364632d03d4c851fba7462b3e2221f3388"},
     }
 
     @pytest.mark.parametrize("chains,n", [(8, 4000), (1, 1000)])
@@ -501,18 +529,20 @@ class TestSpectroscopyVerb:
         assert stepped == [1, 1, 1]
 
     # SHA-256 of fit.json and one spectrum of a seeded spectroscopy run, as
-    # written when each cell's run was integrated alone over the whole board
-    # (numpy 2.4, OpenBLAS, x86-64): the scattered emulator, and a device file
-    # whose cells 0 and 1 are coupled, so that their runs step two cells
+    # written by the blocked record scan (numpy 2.4, OpenBLAS, x86-64): the
+    # scattered emulator, and a device file whose cells 0 and 1 are coupled,
+    # so that their runs step two cells.  Against the per-record loop each
+    # spectrum value moved by at most 3.9e-15 of itself, and each fitted
+    # number, through the Nelder-Mead path, by at most 3.9e-8 of itself
     DIGESTS = {
         "emulator": {
-            "fit.json": "255cb2bd013c719d325e1d8a9344e57fd30ae0a25943a5a261aac398ad248d8b",
+            "fit.json": "9838ae72b3a0fd6ba51ea036ab9a637e02906db053c9e0345c2df5e4e2211a13",
             "spectrum_cell1.csv":
-                "1c2542a2e767dd3b55f78a52889958982389cc6858bd3e2c43041f86ffdf345e"},
+                "872a23a140c291db700825490211f5dd96f806132923033e2571ff6bc4d255e9"},
         "device": {
-            "fit.json": "616936e7ca673f69416d70376e970acd83f1217c2b3628e5b854bafedf2c69b5",
+            "fit.json": "215bed9ea96241a29cf9194a191d2b15552d8eb38a620a2f9be35db9634a2aaf",
             "spectrum_cell1.csv":
-                "14bdbafbc11ceec6ec78afe5f6bdb81182fba4b9ec1a239a7640bc499149a805"},
+                "b937600844842f12e30a5910af5c80a6719e716acf20a341a694706f09a79057"},
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))

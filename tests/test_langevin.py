@@ -470,13 +470,13 @@ class TestBlockEngine:
 
     DT = 0.05
 
-    def system(self, d=3, seed=40, offset=None, gamma=1.0):
+    def system(self, d=3, seed=40, offset=None, gamma=1.0, amps=1.3):
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
         return _LinearSystem(m_inv=0.5 * (m_inv + m_inv.T),
                              a_mat=np.diag(rng.uniform(0.5, 2.0, d)),
-                             gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3),
+                             gamma_vec=np.full(d, gamma), amps=np.full(d, amps),
                              dt=self.DT, offset=offset)
 
     def source(self, chains, d=3, sub=1, **chain_kw):
@@ -538,7 +538,7 @@ class TestBlockEngine:
         args = (9, 70, burn_steps, zero_noise)
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(43), *args)
         want = _per_record_reference(sys_, z0.copy(), np.random.default_rng(43), *args)
-        assert np.array_equal(got, want)
+        _assert_close(got, want)  # the blocked scan rounds apart from the loop
 
     @pytest.mark.parametrize("ideal", [True, False])
     def test_equal_burn_in_and_stride_compound_once(self, monkeypatch, ideal):
@@ -591,6 +591,18 @@ def _cell_vector(sys_, c):
 def _assert_close(got, want, rtol=1e-12):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class _CountingGenerator(np.random.Generator):
+    """``default_rng(seed)`` that notes the records of each ``standard_normal(out=)`` draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.counts = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.counts.append(kwargs["out"].shape[0])
+        return super().standard_normal(*args, **kwargs)
 
 
 class TestModalEngine:
@@ -668,7 +680,7 @@ class TestModalEngine:
             want.append(sys_.stored(z))
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(54), per_chain, stride,
                           burn_steps, False)
-        assert np.array_equal(got, np.stack(want, axis=1))
+        _assert_close(got, np.stack(want, axis=1))
 
     @pytest.mark.parametrize("modal", [False, True])
     @pytest.mark.parametrize("chains", [1, 3])
@@ -677,6 +689,8 @@ class TestModalEngine:
         (90, False, True),  # a burn-in draw, then records with a drift offset
         (90, True, True),  # drift only: no draws
         (40, True, False),  # neither drift nor noise
+        (90, False, False),  # a burn-in draw without a drift
+        (0, False, True),  # a drift without a burn-in
     ])
     def test_chunk_boundaries_match_per_record_draws(self, monkeypatch, modal, chains,
                                                      burn_steps, zero_noise, drift):
@@ -691,20 +705,35 @@ class TestModalEngine:
         z0 = sys_.to_blocks(
             np.random.default_rng(57).standard_normal((chains, 2 * sys_.dimension)))
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", 4 * z0.nbytes)  # 4 records a chunk
-        counts = []
-        premultiply = _LinearSystem.premultiply
-
-        def counted(self, xi, *args):
-            counts.append(xi.shape[0])
-            return premultiply(self, xi, *args)
-
-        monkeypatch.setattr(_LinearSystem, "premultiply", counted)
+        rng = _CountingGenerator(58)
         args = (11, 40, burn_steps, zero_noise)
-        got = _run_linear(sys_, z0.copy(), np.random.default_rng(58), *args)
+        got = _run_linear(sys_, z0.copy(), rng, *args)
         want = reference(sys_, z0.copy(), np.random.default_rng(58), *args)
-        assert np.array_equal(got, want)
+        _assert_close(got, want)
         # 11 records in chunks of 4, 4 and a partial 3, after the burn-in's draw
-        assert counts == ([] if zero_noise else [1] * (burn_steps > 0) + [4, 4, 3])
+        assert rng.counts == ([] if zero_noise else [1] * (burn_steps > 0) + [4, 4, 3])
+
+    @pytest.mark.parametrize("modal", [False, True])
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("burn_steps,drift", [(0, False), (90, True)])
+    def test_single_record_chunks_match_per_record_draws(self, monkeypatch, modal, chains,
+                                                         burn_steps, drift):
+        # T = 1, as a stack whose state fills a chunk steps: G is the single step [M^T; W]
+        offset = np.linspace(-1.0, 2.0, 4 if modal else 3) if drift else None
+        if modal:
+            sys_ = _LinearSystem(**self.modal_kw(offset=offset))
+            reference = _modal_per_record_reference
+        else:
+            sys_ = TestBlockEngine().system(offset=offset)
+            reference = _per_record_reference
+        z0 = sys_.to_blocks(
+            np.random.default_rng(60).standard_normal((chains, 2 * sys_.dimension)))
+        monkeypatch.setattr(langevin, "_CHUNK_BYTES", z0.nbytes)
+        rng = _CountingGenerator(61)
+        args = (7, 40, burn_steps, False)
+        got = _run_linear(sys_, z0.copy(), rng, *args)
+        _assert_close(got, reference(sys_, z0.copy(), np.random.default_rng(61), *args))
+        assert rng.counts == [1] * (7 + (burn_steps > 0))
 
     def test_layout_follows_the_block_structure(self):
         dt = 1e-9
@@ -746,11 +775,44 @@ class TestModalEngine:
             z = z @ langevin._t(m) + c[..., None, :]
             first_bad += 1
         first_bad -= 1
-        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # 32 records a chunk
-        assert first_bad % 32 != 0  # inside a chunk
+        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)
+        chunk = langevin._LinearRun(sys_, z0, np.random.default_rng(56), first_bad + 40,
+                                    stride, 0, True).chunk
+        assert chunk > 1 and first_bad % chunk != 0  # inside a chunk
         with pytest.raises(RuntimeError) as err:
             _run_linear(sys_, z0, np.random.default_rng(56), first_bad + 40, stride,
                         0, True)
+        step = (first_bad + 1) * stride
+        assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("modal", [False, True])
+    def test_overflowing_scan_names_the_record_of_the_loop(self, modal):
+        # an anti-damped step at a tiny scale: within a chunk the step's powers
+        # overflow long before the states they multiply, so the blocked product
+        # goes non-finite records early and the chunk must be stepped again
+        if modal:
+            sys_ = _LinearSystem(**{**self.modal_kw(d=3, gamma=-100.0),
+                                    "amps": np.full(3, 1e-300)})
+            reference = _modal_per_record_reference
+        else:
+            sys_ = TestBlockEngine().system(gamma=-100.0, amps=1e-300)
+            reference = _per_record_reference
+        assert (sys_.basis is not None) == modal
+        z0 = sys_.to_blocks(np.full((2, 6), 1e-300))
+        per_chain, stride = 60, 26
+        run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0,
+                                  False)
+        plan = run.plans()[1][0]
+        g, _ = langevin._scan(langevin._t(plan[0]), None, plan[2], run.chunk)
+        assert not np.isfinite(g).all()
+        want = reference(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0,
+                         False)
+        bad = ~np.isfinite(want.reshape(2, per_chain, -1)).all(axis=(0, 2))
+        first_bad = int(np.argmax(bad))
+        assert bad.any() and first_bad % run.chunk != 0  # inside a chunk
+        with pytest.raises(NonFiniteStateError) as err:
+            _run_linear(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0, False)
         step = (first_bad + 1) * stride
         assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
 
@@ -818,11 +880,14 @@ class TestMovingCells:
     # before the moving-cell reduction (numpy 2.4, OpenBLAS, x86-64).  The
     # lfsr-chain digest is that of the blocked RC filter, which moved these
     # samples by at most 8.9e-16 (values up to 2.5) from the sequential one.
+    # The ideal and calibrate digests are those of the blocked record scan,
+    # which moved each sample by at most 1.5e-13 of itself (1.3e-16 of the
+    # largest) from the per-record loop.
     TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     DIGESTS = {
-        "ideal": "92185560c27fe5b70d4f559286f392d03507bc18033c9a3357c710eddf85cd83",
+        "ideal": "81639e207bf39fc00dbf421769541cec146e9232c9e15334a5d2ffd25bd465d1",
         "lfsr-chain": "4204edc963f22788d37f2d6556683f5ed7ec5aedcd2532158615fc0824026628",
-        "calibrate": "81344f922da5f38cfeb6db71a8530106d5b289d14b98952b8b751aad7ad426b5",
+        "calibrate": "9e8c3099d42ecc014b2ea9c8e76ae44a512c91594333315d8498e1a4505755d7",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -863,13 +928,15 @@ class TestMovingCells:
 
 class TestReadoutDigests:
     """SHA-256 of the samples of each readout and of a dense board, as written
-    when every record kept both halves of the state (numpy 2.4, OpenBLAS, x86-64)."""
+    by the blocked record scan (numpy 2.4, OpenBLAS, x86-64), which moved each
+    sample by at most 1.4e-13 of itself (2.6e-16 of the largest) from the
+    per-record loop that kept both halves of every state."""
 
     TARGET = TestMovingCells.TARGET
     DIGESTS = {
-        "charge": "955a510a495a579167305f1af57dd6393ca9603f963541e63c074451cfef4c98",
-        "current": "51c7a781b8bf05c534c536d931679af11d83bdf39d2af4037311ac155586f037",
-        "dense": "d232259a92dfd7d56e944c0b92b4914cd5e3f8d36d3e1abd420ae0e02931ff36",
+        "charge": "1e547cc4c474ec7a9845b8ffbe5ac74ab6123da971e998782dc1f5eab6ce0282",
+        "current": "252f18417817f03acedffa2a970708357d0487c9f9070ff2c06908bf711f72f4",
+        "dense": "bf00dca99969b0aa09894a9b13510491ce593ffbda62968ff00174ad0efb6fe0",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -986,6 +1053,21 @@ class TestBatchedRuns:
         # 1-cell runs: four fill the board, two more start a stack that has no
         # room for the 3-cell target (whose board holds three); pairs: two, one
         assert sizes == [4, 2, 1, 2, 1]
+        self.assert_solo_equal(runs, batched)
+
+    def test_runs_of_different_block_counts_equal_solo_runs(self, monkeypatch):
+        # one, two and three driven cells of an uncoupled board: stacks of 1, 2
+        # and 3 modes share the blocked scan's chunk, which follows the board
+        board, cell = SpuEmulator(n_cells=8, tolerance_sigma=0.05, tolerance_seed=4), np.eye(8)
+        masks = [cell[0], cell[1] + cell[2], cell[3] + cell[4] + cell[5]]
+        runs = [board.sample_run(3, "none", 4000, seed=20 + i, chains=8, noise_mask=mask)
+                for i, mask in enumerate(masks)]
+        linear = [langevin._CircuitRun(*run).linear for run in runs]
+        assert [run.z.shape[0] for run in linear] == [1, 2, 3]
+        assert {run.chunk for run in linear} == {32}
+        sizes = self.spy_stacks(monkeypatch)
+        batched = dict(langevin.integrate_circuits(runs))
+        assert sizes == [3]
         self.assert_solo_equal(runs, batched)
 
     def test_board_scans_step_as_few_stacks(self, monkeypatch):
