@@ -768,9 +768,10 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
 _MAX_BLOCK_STEPS = 4096
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
-# the records T of a chunk are a power of two, bounded for a stack that steps
-# its runs' whole board: its states (2 board chains values) by _CHUNK_BYTES, and
-# the draws' rows of the blocked scan's matrix (2 board b T^2 values) by _SCAN_BYTES
+# the records T of a scanned chunk are a power of two, bounded for a stack that
+# steps its runs' whole board: its states (2 board chains values) by _CHUNK_BYTES,
+# and the draws' rows of the blocked scan's matrix (2 board b T^2 values) by
+# _SCAN_BYTES; a looped chunk's states fill _CHUNK_BYTES
 _CHUNK_BYTES = 64 << 10
 _SCAN_BYTES = 256 << 10
 _TINY = np.finfo(float).tiny
@@ -804,10 +805,12 @@ class _LinearRun:
     half of each block that the records keep: 0 for x, 1 for p, None for
     both.  ``board`` counts the cells of the board the run came from (by
     default the cells it steps).  ``chunk`` is the number of records a
-    chunk steps; it follows from the run's chains, block size, board and
-    record count alone, because the blocked scan's rounding depends on it,
-    so a run rounds alike in every stack, and being a power of two it is
-    shared by the runs of boards of similar size."""
+    chunk steps.  For a scanned run it follows from the run's chains,
+    block size, board and record count alone, because the blocked scan's
+    rounding depends on it, so a run rounds alike in every stack, and
+    being a power of two it is shared by the runs of boards of similar
+    size.  A looped run steps alone, its chunk's states filling
+    ``_CHUNK_BYTES``."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
                  stride: int, burn_steps: int, zero_noise: bool, half: int | None = None,
@@ -817,19 +820,23 @@ class _LinearRun:
         self.zero_noise, self.half = zero_noise, half
         self.board = sys_.dimension if board is None else board
         self.ideal = isinstance(source, np.random.Generator)
+        self.scanned = self.ideal and not zero_noise  # stepped by the blocked scan
         width = max(stride, burn_steps)
         if not self.ideal:
             width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
         self.width = width
         chains, b = self.z.shape[1:]
-        bound = max(1, min(_CHUNK_BYTES // (16 * self.board * chains),
-                           math.isqrt(_SCAN_BYTES // (16 * self.board * b))))
-        self.chunk = min(per_chain, 1 << (bound.bit_length() - 1))
+        if self.scanned:
+            bound = max(1, min(_CHUNK_BYTES // (16 * self.board * chains),
+                               math.isqrt(_SCAN_BYTES // (16 * self.board * b))))
+            self.chunk = min(per_chain, 1 << (bound.bit_length() - 1))
+        else:
+            self.chunk = max(1, min(per_chain, _CHUNK_BYTES // self.z.nbytes))
 
     @property
     def key(self):
         """Runs with equal keys can step as one stack; None for a run that steps alone."""
-        if not self.ideal or self.zero_noise:
+        if not self.scanned:
             return None
         return (self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any(),
                 self.half, self.chunk)
@@ -934,8 +941,9 @@ def _scan(mt: np.ndarray, c: np.ndarray | None, w: np.ndarray, count: int):
 def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan, stride_plan):
     """Chunks of records of a stack of ideal-source runs, T records one
     product per block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in
-    is the T = 1 case.  Yields (k0, states), the full states of records
-    k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2).
+    is the T = 1 case.  Yields (k0, states, finite): the full states of
+    records k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2), and
+    whether all of them are finite.
 
     The product runs transposed, G^T times a reused (K, T+1, b, chains)
     operand, each chain a column, so chains are the unit-stride axis of
@@ -955,12 +963,14 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
     operand[:, 0] = _t(start)
 
     def step(scan, count):
+        """Steps ``count`` records into ``out``; whether they are all finite."""
         (gt, bias), width = scan, count * b
         product = out[:, :count].reshape(k_total, width, chains)
         np.matmul(gt[:, :width, :width + b], columns[:, :width + b], out=product)
         if bias is not None:
             product += bias[:, :width]
-        if count > 1 and not np.isfinite(product).all():
+        finite = np.isfinite(product).all()
+        if count > 1 and not finite:
             bad = ~np.isfinite(product).all(axis=(1, 2))
             for k in range(count):
                 z = gt[:, :b, :2 * b] @ columns[:, k * b:(k + 2) * b]
@@ -968,7 +978,9 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
                     z += bias[:, :b]
                 product[bad, k * b:(k + 1) * b] = z[bad]
                 operand[:, k + 1] = z  # xi_k is spent: its slot holds z_(k+1)
+            finite = np.isfinite(product).all()
         operand[:, 0] = out[:, count - 1]  # the next records step on from the last
+        return finite
 
     def draw(count):
         for run, lo, hi in zip(runs, spans, spans[1:]):
@@ -989,8 +1001,8 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
     for k0 in range(0, first.per_chain, chunk):
         count = min(chunk, first.per_chain - k0)
         draw(count)
-        step(stride_scan, count)
-        yield k0, states[:count]
+        finite = step(stride_scan, count)
+        yield k0, states[:count], finite
 
 
 def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
@@ -1001,7 +1013,7 @@ def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
     the last n*r rows of the kernel stack.  The states of a chunk live in
     a reused buffer of ``chunk + 1`` slots: record k steps from slot k into
     slot k+1, through one spare state when a stride takes several blocks.
-    Yields (k0, states) as ``_scanned_chunks`` does.
+    Yields (k0, states, finite) as ``_scanned_chunks`` does.
     """
     chunk, noisy, (k_total, chains, b) = run.chunk, not run.zero_noise, start.shape
     if noisy:
@@ -1027,7 +1039,8 @@ def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
                     nxt += np.matmul(read(n), w_n, out=injected)
                 z, nxt = nxt, spare if nxt is last else last
         if k0 is not None:
-            yield k0, halves[1:count + 1]
+            done = halves[1:count + 1]
+            yield k0, done, np.isfinite(done).all()
             states[0] = states[count]  # the next chunk steps on from the last record
 
 
@@ -1052,9 +1065,9 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     step, and a chunk of ``chunk`` records is one product per block, the
     draws entering raw (``_scanned_chunks``).  Chain noise and zero-noise
     runs step record by record (``_looped_chunks``).  Each chunk's full
-    states are checked for a non-finite value, naming the first bad record
-    of a run as that run alone would, before the kept half is copied into
-    the records.
+    states are checked once for a non-finite value, as they are made; a
+    bad chunk names the first bad record of a run as that run alone
+    would, before the kept half is copied into the records.
     """
     first = runs[0]
     per_chain = first.per_chain
@@ -1078,7 +1091,7 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     burn_plan = stacked([p[0] for p in plans])
     stride_plan = stacked([p[1] for p in plans])
     del plans  # the stack holds its own copies of every M^n
-    if first.ideal and not first.zero_noise:
+    if first.scanned:
         chunks = _scanned_chunks(runs, spans, start, burn_plan, stride_plan)
     else:
         chunks = _looped_chunks(first, start, burn_plan, stride_plan)
@@ -1088,8 +1101,8 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     else:
         recs = np.empty((chains, per_chain, k_total, b // 2))
         records = recs.transpose(1, 2, 0, 3)
-    for k0, done in chunks:
-        if not np.isfinite(done).all():
+    for k0, done, finite in chunks:
+        if not finite:
             finite = np.isfinite(done).all(axis=(2, 3, 4))  # (count, K)
             k = int(np.argmin(finite.all(axis=1)))
             run = runs[np.searchsorted(spans, np.argmin(finite[k]), "right") - 1]
