@@ -30,8 +30,7 @@ from .langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                        integrate_odl, integrate_udl, inverse_transform, stationary_reference,
                        stationary_state_covariance, stationary_voltage_covariance,
                        suggest_dt, transform_coords)
-from .linalg import (InversionResult, MomentReport, SamplingPlan,
-                     average_relative_error_per_element, invert_matrix,
+from .linalg import (InversionResult, MomentReport, SamplingPlan, invert_matrix,
                      moment_errors, parameter_study, relative_frobenius_error,
                      sample_gaussian)
 from .noise import (LfsrState, NoiseChainConfig, gold_bits, lfsr_bits, lfsr_step,

@@ -259,6 +259,12 @@ class CircuitParams:
         """
         return _readonly(np.linalg.eigvalsh(self.maxwell))
 
+    @cached_property
+    def maxwell_inverse(self) -> np.ndarray:
+        """C^-1, computed once per instance: the step size, the step and the
+        stationary references of a run share it."""
+        return _readonly(np.linalg.inv(self.maxwell))
+
     @property
     def l_vector(self) -> np.ndarray:
         return np.array([c.inductance for c in self.cells])

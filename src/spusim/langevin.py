@@ -29,7 +29,8 @@ Chain-noise and zero-noise runs step record by record.  Buffers are reused
 for the whole run, so the record loop allocates no array per record.  A
 circuit run keeps only the half of each state that its readout reads (p for
 voltage and charge, x for current), copied once a chunk into records shaped
-(chains, n, K, b/2), and a whole-board run reads them out in place.  Generic
+(chains, n, K, b/2), and a whole-board run reads them out in place; the
+inversion reads out their covariance instead (``_voltage_records``).  Generic
 potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
@@ -176,7 +177,7 @@ def stationary_reference(params: CircuitParams) -> StationaryReference:
             "use stationary_state_covariance for the exact reference"
         )
     theta = float(rk[0])  # = 1/beta
-    cinv = np.linalg.inv(params.maxwell)
+    cinv = params.maxwell_inverse
     return StationaryReference(
         beta=1.0 / theta,
         cov_flux=theta * np.diag(params.l_vector),
@@ -188,7 +189,7 @@ def stationary_reference(params: CircuitParams) -> StationaryReference:
 
 def _drift_and_noise(params: CircuitParams):
     d = params.dimension
-    cinv = np.linalg.inv(params.maxwell)
+    cinv = params.maxwell_inverse
     a_mat = np.diag(1.0 / params.l_vector)
     gamma_vec = 1.0 / params.r_vector
     f = np.block([[np.zeros((d, d)), cinv],
@@ -219,10 +220,10 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
     if method == "gibbs" or (method == "auto" and uniform):
         if not uniform:
             raise ValueError("Gibbs formula needs uniform R * kappa0")
-        return rk[0] * np.linalg.inv(params.maxwell)
+        return rk[0] * params.maxwell_inverse
     d = params.dimension
     sigma = stationary_state_covariance(params)
-    cinv = np.linalg.inv(params.maxwell)
+    cinv = params.maxwell_inverse
     return cinv @ sigma[d:, d:] @ cinv
 
 
@@ -345,7 +346,7 @@ def suggest_dt(params: CircuitParams, steps_per_tau: float = 200.0,
     tau_corr = correlation_time(params)
     tau_fast = r_min * float(eigs[0])
     linv = 1.0 / params.l_vector
-    s = np.sqrt(linv)[:, None] * np.linalg.inv(params.maxwell) * np.sqrt(linv)[None, :]
+    s = np.sqrt(linv)[:, None] * params.maxwell_inverse * np.sqrt(linv)[None, :]
     w_max = math.sqrt(float(np.linalg.eigvalsh(s)[-1]))
     return min(tau_corr / steps_per_tau, tau_fast / steps_per_fast_tau,
                max_phase_step / w_max)
@@ -412,11 +413,12 @@ class _LinearSystem:
     diagonalizes the mass inverse, the potential, the damping and the
     noise covariance (every compiled target, every uncoupled board), the
     2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
-    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i.  Otherwise
-    ``basis`` is None (Q = I, never multiplied, so no sign of a zero flips)
-    and the stack is one dense 2d x 2d block.  The split is measured, never
-    configured: the candidate basis is kept only if the rotated operators
-    are diagonal to ``_DECOUPLED_RTOL``.
+    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i, and
+    ``m_inv_modes`` is the diagonal of Q^T m_inv Q.  Otherwise ``basis``
+    and ``m_inv_modes`` are None (Q = I, never multiplied, so no sign of a
+    zero flips) and the stack is one dense 2d x 2d block.  The split is
+    measured, never configured: the candidate basis is kept only if the
+    rotated operators are diagonal to ``_DECOUPLED_RTOL``.
 
     ``m_step`` is the transition, ``c_step`` the drift offset, ``s_step`` the
     injected noise covariance of the ideal source, and ``n_inject`` maps
@@ -435,6 +437,7 @@ class _LinearSystem:
         modes = _normal_modes(m_inv, a_mat, gamma_vec, amps)
         if modes is not None:
             self.basis, (lam, alpha, gamma, amps_sq) = modes
+            self.m_inv_modes = lam  # Q^T m_inv Q = diag(lam)
             # the dense step below, mode by mode
             dt_lam, damp = dt * lam, 1.0 - dt * (gamma * lam)
             self.m_step = np.stack([np.stack([1.0 - dt_lam * (dt * alpha), dt_lam * damp], -1),
@@ -444,7 +447,7 @@ class _LinearSystem:
             self.n_inject = np.stack([dt_lam, np.ones(d)], -1)[..., None]
             self.s_step = (amps_sq * dt)[:, None, None] * (self.n_inject @ _t(self.n_inject))
             return
-        self.basis = None
+        self.basis = self.m_inv_modes = None
         eye = np.eye(d)
         gm = gamma_vec[:, None] * m_inv
         dt_minv = dt * m_inv
@@ -463,7 +466,7 @@ class _LinearSystem:
     @classmethod
     def from_circuit(cls, params: CircuitParams, dt: float) -> "_LinearSystem":
         return cls(
-            m_inv=np.linalg.inv(params.maxwell),
+            m_inv=params.maxwell_inverse,
             a_mat=np.diag(1.0 / params.l_vector),
             gamma_vec=1.0 / params.r_vector,
             amps=np.sqrt(2.0 * params.kappa_vector),
@@ -704,6 +707,27 @@ class _CircuitRun:
             chain[...] = self.values(chain)
         return SampleBatch(halves.reshape(chains * per_chain, -1), sample_rate=self.sample_rate,
                            start_time=self.start_time, chains=chains, meta=dict(self.meta))
+
+
+def _voltage_records(params: CircuitParams, cfg: TrajectoryConfig,
+                     noise: str | NoiseChainConfig = "ideal"):
+    """The records of a whole-board voltage run as the engine keeps them,
+    and the map that reads them out: ``(halves, basis, readout)``.
+
+    ``halves`` is shaped (chains, n, d): each record's charge half in the
+    block basis.  A modal run's voltages are Q (lam * h), with ``basis`` Q
+    and ``readout`` the per-mode factors lam of C^-1 = Q diag(lam) Q^T; a
+    dense run's are C^-1 h, with ``basis`` None and ``readout`` C^-1.  So
+    the voltage covariance follows from that of the halves, d x d, and no
+    (n, d) voltage array is formed.  Every cell of a compiled target is
+    driven, so its run steps the whole board.  Only the records and the
+    map outlive the call, not the run's system.
+    """
+    run = _CircuitRun(params, cfg, noise=noise)
+    recs = _run_stack([run.linear])
+    sys_ = run.sys_
+    readout = sys_.m_inv if sys_.basis is None else sys_.m_inv_modes
+    return recs.reshape(recs.shape[0], recs.shape[1], -1), sys_.basis, readout
 
 
 def integrate_circuits(runs, record: str = "voltage"):

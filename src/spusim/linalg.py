@@ -22,7 +22,8 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import TrajectoryConfig, correlation_time, integrate_circuit
+from .langevin import (TrajectoryConfig, _voltage_records, correlation_time,
+                       integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
 
@@ -94,6 +95,42 @@ def _scaled_noise(params: CircuitParams, level: float) -> CircuitParams:
                                        for c in params.cells))
 
 
+def _digital_samples(spec: TargetSpec, n_samples: int, seed: int) -> np.ndarray:
+    """Exact draws of the target by its Cholesky factor: the digital reference."""
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(spec.covariance())
+    return rng.standard_normal((n_samples, spec.dimension)) @ chol.T
+
+
+def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
+                  noise: str | NoiseChainConfig = "ideal", quantize: bool = False,
+                  tolerance_sigma: float = 0.0, chain_seeds: tuple[int, int] | None = None):
+    """The circuit run that samples ``spec`` on the emulated device:
+    ``(compilation, params, config, noise, factor)``, where ``factor`` turns
+    the run's readout into target samples."""
+    if spec.kind == "precision":
+        comp = compile_precision(spec.matrix, kT=spec.kT, quantize=quantize)
+    else:
+        comp = compile_covariance(spec.matrix, beta=1.0 / spec.kT, quantize=quantize)
+    params = comp.params(use_quantized=quantize)
+    if tolerance_sigma > 0.0:
+        params = params.with_tolerance(tolerance_sigma, seed=seed + 90001)
+    cfg = plan.trajectory_config(params, seed)
+    if isinstance(noise, str) and noise == "ideal":
+        # the ideal source takes the level as a kappa0 scale
+        params = _scaled_noise(params, plan.noise_level)
+    else:
+        # the chain takes the level as its PDM duty; kappa0 stays nominal
+        if isinstance(noise, str):
+            noise = NoiseChainConfig.matched(correlation_time(params))
+        noise = replace(noise, duty_cycle=plan.noise_level)
+        if chain_seeds is not None:
+            noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
+    # undo quantization rescale and noise-level scaling in one factor
+    level_scale = 1.0 / math.sqrt(plan.noise_level)
+    return comp, params, cfg, noise, comp.readout_scale * level_scale
+
+
 def sample_gaussian(target, plan: SamplingPlan | None = None,
                     backend: str = "emulated-spu", seed: int = 0,
                     noise: str | NoiseChainConfig = "ideal",
@@ -113,39 +150,15 @@ def sample_gaussian(target, plan: SamplingPlan | None = None,
     plan = plan or SamplingPlan()
     spec = _as_target(target)
     if backend == "digital":
-        rng = np.random.default_rng(seed)
-        cov = spec.covariance()
-        chol = np.linalg.cholesky(cov)
-        values = rng.standard_normal((plan.n_samples, spec.dimension)) @ chol.T
-        batch = SampleBatch(values, sample_rate=1.0, chains=1,
-                            meta={"backend": "digital", "seed": seed})
+        batch = SampleBatch(_digital_samples(spec, plan.n_samples, seed), sample_rate=1.0,
+                            chains=1, meta={"backend": "digital", "seed": seed})
         return (batch, None) if return_compilation else batch
     if backend != "emulated-spu":
         raise ValueError(f"unknown backend {backend!r}")
 
-    if spec.kind == "precision":
-        comp = compile_precision(spec.matrix, kT=spec.kT, quantize=quantize)
-    else:
-        comp = compile_covariance(spec.matrix, beta=1.0 / spec.kT, quantize=quantize)
-    params = comp.params(use_quantized=quantize)
-    if tolerance_sigma > 0.0:
-        params = params.with_tolerance(tolerance_sigma, seed=seed + 90001)
-    cfg = plan.trajectory_config(params, seed)
-    if isinstance(noise, str) and noise == "ideal":
-        # the ideal source takes the level as a kappa0 scale
-        batch = integrate_circuit(_scaled_noise(params, plan.noise_level), cfg,
-                                  noise="ideal", record=comp.readout)
-    else:
-        # the chain takes the level as its PDM duty; kappa0 stays nominal
-        if isinstance(noise, str):
-            noise = NoiseChainConfig.matched(correlation_time(params))
-        noise = replace(noise, duty_cycle=plan.noise_level)
-        if chain_seeds is not None:
-            noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
-        batch = integrate_circuit(params, cfg, noise=noise, record=comp.readout)
-    # undo quantization rescale and noise-level scaling in one factor
-    level_scale = 1.0 / math.sqrt(plan.noise_level)
-    factor = comp.readout_scale * level_scale
+    comp, params, cfg, noise, factor = _compiled_run(spec, plan, seed, noise, quantize,
+                                                     tolerance_sigma, chain_seeds)
+    batch = integrate_circuit(params, cfg, noise=noise, record=comp.readout)
     if factor != 1.0:
         batch = batch.scaled(np.full(spec.dimension, factor))
     batch.meta.update(backend="emulated-spu", readout=comp.readout,
@@ -172,7 +185,6 @@ class InversionResult:
     exact: np.ndarray
     n_series: np.ndarray
     error_series: np.ndarray
-    batch: SampleBatch
 
     @property
     def final_error(self) -> float:
@@ -193,15 +205,35 @@ def relative_frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> flo
     return err
 
 
-def average_relative_error_per_element(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Relative Frobenius error divided by the side length d.
+def _inversion_records(spec: TargetSpec, plan: SamplingPlan, backend: str, seed: int,
+                       **sample_kwargs):
+    """Rows whose covariance, read out, estimates the inverse of ``spec``:
+    ``(rows, chains, basis, readout)``, rows chain-major.
 
-    The per-element normalization of the published error surfaces is
-    ambiguous; this is one reading, and study tables emit both this and the
-    plain relative Frobenius error side by side.
+    On the device the rows are the run's kept charge halves in its block
+    basis, and ``readout`` the per-mode factors (a vector) or the matrix
+    that, with the readout scale folded in, maps them to target samples
+    (``langevin._voltage_records``).  The digital rows are target samples:
+    no basis and no readout.  The compilation and the run's system are
+    released on return.
     """
-    d = reference.shape[0]
-    return relative_frobenius_error(estimate, reference) / d
+    if backend == "digital":
+        return _digital_samples(spec, plan.n_samples, seed), 1, None, None
+    if backend != "emulated-spu":
+        raise ValueError(f"unknown backend {backend!r}")
+    _, params, cfg, noise, factor = _compiled_run(spec, plan, seed, **sample_kwargs)
+    halves, basis, readout = _voltage_records(params, cfg, noise)
+    return halves.reshape(-1, spec.dimension), cfg.chains, basis, factor * readout
+
+
+def _read_out(cov: np.ndarray, readout: np.ndarray | None) -> np.ndarray:
+    """Covariance of r * h (``readout`` a vector r) or R h (a matrix R),
+    given the covariance of h; of h itself for None."""
+    if readout is None:
+        return cov
+    if readout.ndim == 1:
+        return readout[:, None] * cov * readout
+    return readout @ cov @ readout.T
 
 
 def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
@@ -209,28 +241,36 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
                   **sample_kwargs) -> InversionResult:
     """Invert a symmetric positive-definite matrix by equilibrium sampling.
 
-    Encodes ``a`` as the precision matrix, collects voltage samples at
-    thermal equilibrium, and returns the sample covariance as the inverse
+    Encodes ``a`` as the precision matrix, samples the circuit at thermal
+    equilibrium, and returns the voltage covariance as the inverse
     estimate, together with the relative Frobenius error against the exact
-    dense inverse at logarithmically spaced sample counts.
+    dense inverse at logarithmically spaced sample counts.  The voltages
+    are never formed: the covariance of the run's kept charge records is
+    read out instead, d x d per checkpoint.  A modal run (every compiled
+    target without tolerances) is measured in its mode basis Q, where the
+    readout is a per-mode scale and the Frobenius norm is unchanged,
+    ||Q S Q^T - A^-1|| = ||S - Q^T A^-1 Q||; one rotation gives the estimate.
+    ``sample_kwargs`` are those of ``sample_gaussian``.
     """
     plan = plan or SamplingPlan()
-    a = np.asarray(a, dtype=float)
-    spec = _as_target(a, "precision")  # validates symmetry
+    spec = _as_target(np.asarray(a, dtype=float), "precision")  # validates symmetry
     try:
-        batch = sample_gaussian(spec, plan, backend=backend, seed=seed, **sample_kwargs)
+        rows, chains, basis, readout = _inversion_records(spec, plan, backend, seed,
+                                                          **sample_kwargs)
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"cannot invert: {err}", min_eigenvalue=err.min_eigenvalue) from err
     exact = np.linalg.inv(spec.matrix)
-    counts = checkpoint_counts(batch.n_samples, n_checkpoints)
+    target = exact if basis is None else basis.T @ exact @ basis
+    counts = checkpoint_counts(len(rows), n_checkpoints)
     errors = np.empty(len(counts))
-    estimate = None
-    for i, (n, cov) in enumerate(prefix_covariances(batch.values, counts, batch.chains)):
-        errors[i] = relative_frobenius_error(cov, exact)
-        estimate = cov
-    return InversionResult(estimate=estimate, exact=exact, n_series=counts,
-                           error_series=errors, batch=batch)
+    for i, (n, cov) in enumerate(prefix_covariances(rows, counts, chains)):
+        cov = _read_out(cov, readout)
+        errors[i] = relative_frobenius_error(cov, target)
+    if basis is not None:
+        cov = basis @ cov @ basis.T
+    return InversionResult(estimate=0.5 * (cov + cov.T), exact=exact, n_series=counts,
+                           error_series=errors)
 
 
 @dataclass(frozen=True)

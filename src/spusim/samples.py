@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 FLOAT_FMT = "%.17g"
+_SLAB_BYTES = 8 << 20  # rows ``prefix_covariances`` gathers at once
 
 
 @dataclass
@@ -168,8 +169,8 @@ class OnlineCovariance:
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
-        self._m2 = (self._m2 + other._m2
-                    + np.outer(delta, delta) * (self.count * other.count / total))
+        self._m2 += other._m2  # in place: the accumulator owns its comoment
+        self._m2 += np.outer(delta, delta) * (self.count * other.count / total)
         self.mean = self.mean + delta * (other.count / total)
         self.count = total
         return self
@@ -192,20 +193,27 @@ def prefix_covariances(rows: np.ndarray, counts,
     rows between consecutive checkpoints are added to a single accumulator,
     so each row is centered and multiplied once however many checkpoints
     there are.  Only those rows are gathered, never a time-major copy of
-    the whole batch, and the gathered copy is centered in place.
+    the whole batch, a slab of at most ``_SLAB_BYTES`` at a time (and the
+    records that straddle its ends), and each gathered slab is centered in
+    place and merged.  Between two checkpoints that one slab holds, the
+    rows are merged as one.
     """
     d = rows.shape[1]
     per_chain = rows.reshape(chains, -1, d)
+    slab = max(1, _SLAB_BYTES // (rows.itemsize * d))
     acc = OnlineCovariance(d)
     start = 0
     for n in counts:
         if n <= start:
             raise ValueError("checkpoint counts must be strictly increasing")
-        lo, hi = start // chains, -(-n // chains)  # the records holding rows start..n-1
-        block = np.array(per_chain[:, lo:hi].swapaxes(0, 1), order="C").reshape(-1, d)
-        block = block[start - lo * chains:n - lo * chains]
-        mean = block.mean(axis=0)
-        block -= mean
-        acc._add_centered(block, mean)
+        for first in range(start, n, slab):
+            last = min(n, first + slab)
+            lo, hi = first // chains, -(-last // chains)  # the records holding the rows
+            block = np.array(per_chain[:, lo:hi].swapaxes(0, 1), order="C").reshape(-1, d)
+            block = block[first - lo * chains:last - lo * chains]
+            mean = block.mean(axis=0)
+            block -= mean
+            acc._add_centered(block, mean)
+            del block  # before the next slab is gathered
         start = n
         yield int(n), acc.covariance()

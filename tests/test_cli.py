@@ -249,21 +249,25 @@ class TestInvertVerb:
             assert read(outs[0] / csv) == read(outs[1] / csv)
 
     # SHA-256 of the artifacts of a seeded d=16 inversion, as written by the
-    # blocked record scan (numpy 2.4, OpenBLAS, x86-64), which moved each entry
-    # of inverse.csv by at most 2.4e-14 of itself (2.7e-16 of the largest) and
-    # of error_series.csv by at most 4.2e-16 from the per-record loop
+    # modal-basis estimator (numpy 2.4, OpenBLAS, x86-64).  Reading out the
+    # covariance of the kept charge records instead of every record moved
+    # inverse.csv by at most 3.0e-15 of its largest entry and error_series.csv
+    # by at most 3.1e-15 of itself; the test holds both to the voltage readout
     DIGESTS = {
-        8: {"inverse.csv": "53389d51e76e5b3fd718fbfcccaeb417c5f63990e2f106cb61486aceb0470e72",
+        8: {"inverse.csv": "f9b0ce299402b94864161afdad835e32e422d5ea77380fcbbdfc727d4ff6767e",
             "error_series.csv":
-                "ddaca12a51cdccdc82effd308067483b7adccbabf9df3351fd9b03f326eabfb2"},
-        1: {"inverse.csv": "7e8a1c8d6a778565c4f78b22409186d51fed083a4bb9bb86b2f57d3aa231a183",
+                "659ba4149a48b069a407626692f139f7cf77269a245af13063b202d887666ce1"},
+        1: {"inverse.csv": "f87c50a15722f68d5459c7183824d52ef526a986622ca82a577db573751a2cd7",
             "error_series.csv":
-                "6afc9d3e2e93a687ac6f79dabf279e364632d03d4c851fba7462b3e2221f3388"},
+                "89111c0b4f698e7c164ace65fca92a028870792842dbddc167959e7b8963c8a5"},
     }
 
     @pytest.mark.parametrize("chains,n", [(8, 4000), (1, 1000)])
     def test_artifacts_are_unchanged(self, tmp_path, chains, n):
         import hashlib
+
+        from spusim.linalg import SamplingPlan, relative_frobenius_error, sample_gaussian
+        from spusim.samples import prefix_covariances
 
         m = write_matrix(tmp_path / "a.csv", random_psd_matrix(16, 16))
         out = tmp_path / "out"
@@ -271,6 +275,16 @@ class TestInvertVerb:
                      "--seed", "3", "--outdir", str(out)]) == 0
         for name, digest in self.DIGESTS[chains].items():
             assert hashlib.sha256(read(out / name)).hexdigest() == digest
+        # the voltage readout, then the prefix covariances: the same numbers
+        a = load_matrix(m)
+        batch = sample_gaussian(a, SamplingPlan(n_samples=n, chains=chains), seed=3)
+        series = np.loadtxt(out / "error_series.csv", delimiter=",", skiprows=1)
+        covs = list(prefix_covariances(batch.values, series[:, 0].astype(int), chains))
+        errors = [relative_frobenius_error(cov, np.linalg.inv(a)) for _, cov in covs]
+        np.testing.assert_allclose(series[:, 1], errors, rtol=1e-12, atol=0)
+        cov = covs[-1][1]
+        np.testing.assert_allclose(np.loadtxt(out / "inverse.csv", delimiter=","), cov,
+                                   rtol=0, atol=1e-12 * np.abs(cov).max())
 
 
 class TestGprVerb:

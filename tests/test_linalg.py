@@ -8,14 +8,19 @@ from scipy import stats
 
 from spusim.compiler import TargetSpec
 from spusim.errors import NotPositiveDefiniteError
-from spusim.linalg import (InversionResult, SamplingPlan,
-                           average_relative_error_per_element, checkpoint_counts,
+from spusim.linalg import (InversionResult, SamplingPlan, checkpoint_counts,
                            invert_matrix, moment_errors, parameter_study,
                            relative_frobenius_error, sample_gaussian)
 
 
 def rel_f(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def average_relative_error_per_element(estimate, reference):
+    """Relative Frobenius error divided by the side length d: the per-element
+    reading of the published error surfaces that study rows carry."""
+    return relative_frobenius_error(estimate, reference) / reference.shape[0]
 
 
 def random_psd(d, seed, lo=0.5, hi=2.0):
@@ -128,7 +133,7 @@ class TestInvertMatrix:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated a numerically singular target")
 
-        monkeypatch.setattr(spusim.linalg, "integrate_circuit", no_integration)
+        monkeypatch.setattr(spusim.linalg, "_voltage_records", no_integration)
         with pytest.raises(NotPositiveDefiniteError, match="cannot invert.*singular"):
             invert_matrix(np.diag([1e-300, 1.0]), SamplingPlan(n_samples=100))
 
@@ -150,35 +155,63 @@ class TestInvertMatrix:
         integrate_circuit(params, cfg)
         assert sum(calls) == 1
 
-    def test_peak_memory_is_under_twice_the_batch(self):
-        # traced peak over the batch's bytes at d=64, 32 chains, n=20,000:
-        # 3.03 when the records held both halves and the prefixes a full
-        # time-major copy, 1.61 with half records, an in-place readout and
-        # prefixes gathered between checkpoints
+    def test_one_maxwell_inverse_per_run(self, monkeypatch):
+        # the step size, the step and the stationary reference share one C^-1
+        from spusim.compiler import compile_precision
+        from spusim.langevin import (integrate_circuit, stationary_voltage_covariance,
+                                     suggest_dt)
+        params = compile_precision(random_psd(6, 8)).ideal_params
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.array_equal(m, params.maxwell))
+            return inv(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        cfg = SamplingPlan(n_samples=600, chains=6).trajectory_config(params, seed=3)
+        integrate_circuit(params, cfg)
+        suggest_dt(params)
+        stationary_voltage_covariance(params)
+        assert sum(calls) == 1
+
+    RECORD_BYTES = 20_000 * 64 * 8  # the kept charge records of the run below
+
+    def test_peak_memory_is_under_1_4_times_the_records(self):
+        # traced peak over the records' bytes (n d 8) at d=64, 32 chains,
+        # n=20,000: 3.03 when the records held both halves and the prefixes a
+        # full time-major copy, 1.61 with half records, an in-place readout
+        # and prefixes gathered between checkpoints, 1.51 with those rows
+        # centered in place, 1.33 with the covariance read out from the
+        # charge records, each gathered slab released before the next and
+        # comoments merged in place
         import tracemalloc
 
         a = random_psd(64, 64)
         tracemalloc.start()
         try:
-            result = invert_matrix(a, SamplingPlan(n_samples=20_000, chains=32), seed=1)
+            invert_matrix(a, SamplingPlan(n_samples=20_000, chains=32), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.0 * result.batch.values.nbytes
+        assert peak < 1.4 * self.RECORD_BYTES
 
-    def test_peak_memory_is_under_the_half_record_peak(self):
-        # the same run as above: 1.61 times the batch's bytes before the
-        # prefixes centered their gathered rows in place, 1.51 after
+    def test_slabs_bound_the_prefix_gathers(self, monkeypatch):
+        # the same run with 256 KiB slabs, so every late checkpoint interval
+        # spans several: 1.063 times the records' bytes
         import tracemalloc
 
+        import spusim.samples
+
+        monkeypatch.setattr(spusim.samples, "_SLAB_BYTES", 256 << 10)
         a = random_psd(64, 64)
         tracemalloc.start()
         try:
-            result = invert_matrix(a, SamplingPlan(n_samples=20_000, chains=32), seed=1)
+            invert_matrix(a, SamplingPlan(n_samples=20_000, chains=32), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.61 * result.batch.values.nbytes
+        assert peak < 1.1 * self.RECORD_BYTES
 
     def test_reproducible_error_series(self):
         a = random_psd(3, 7)
@@ -186,6 +219,67 @@ class TestInvertMatrix:
         r1 = invert_matrix(a, plan, seed=9)
         r2 = invert_matrix(a, plan, seed=9)
         np.testing.assert_array_equal(r1.error_series, r2.error_series)
+
+
+class TestModalEstimatorOracle:
+    """``invert_matrix`` reads the covariance of the kept charge records out
+    d x d; the reference reads every record out to a voltage first
+    (``sample_gaussian``), then takes prefix covariances."""
+
+    @staticmethod
+    def voltage_reference(a, plan, seed, **kwargs):
+        from spusim.samples import prefix_covariances
+
+        batch = sample_gaussian(a, plan, seed=seed, **kwargs)
+        exact = np.linalg.inv(a)
+        counts = checkpoint_counts(batch.n_samples)
+        errors, cov = [], None
+        for _, cov in prefix_covariances(batch.values, counts, batch.chains):
+            errors.append(relative_frobenius_error(cov, exact))
+        return np.array(errors), cov
+
+    @pytest.mark.parametrize("kwargs,modal", [({}, True), ({"tolerance_sigma": 0.05}, False),
+                                              ({"quantize": True}, True)])
+    def test_agrees_with_the_voltage_readout(self, monkeypatch, kwargs, modal):
+        import spusim.linalg as la
+
+        bases = []
+        records = la._voltage_records
+
+        def recorded(*args, **kw):
+            out = records(*args, **kw)
+            bases.append(out[1])
+            return out
+
+        monkeypatch.setattr(la, "_voltage_records", recorded)
+        a = random_psd(12, 30)
+        plan = SamplingPlan(n_samples=3000, chains=6)
+        result = invert_matrix(a, plan, seed=31, **kwargs)
+        assert (bases[0] is not None) == modal  # the run stepped the expected layout
+        errors, cov = self.voltage_reference(a, plan, 31, **kwargs)
+        np.testing.assert_allclose(result.error_series, errors, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.estimate, cov, rtol=0,
+                                   atol=1e-12 * np.abs(cov).max())
+
+    def test_digital_backend_keeps_its_bytes(self):
+        # the digital rows are samples: the estimator's readout is the identity
+        a = random_psd(5, 32)
+        plan = SamplingPlan(n_samples=4000)
+        result = invert_matrix(a, plan, seed=33, backend="digital")
+        errors, cov = self.voltage_reference(a, plan, 33, backend="digital")
+        np.testing.assert_array_equal(result.error_series, errors)
+        np.testing.assert_array_equal(result.estimate, cov)
+
+    def test_no_voltage_array_is_formed(self, monkeypatch):
+        import spusim.langevin
+
+        def no_readout(*args, **kwargs):
+            raise AssertionError("read the records out to voltages")
+
+        monkeypatch.setattr(spusim.langevin._CircuitRun, "values", no_readout)
+        result = invert_matrix(random_psd(4, 34), SamplingPlan(n_samples=800, chains=4),
+                               seed=35)
+        assert result.final_error < 0.5
 
 
 class TestMomentErrors:

@@ -118,3 +118,19 @@ class TestPrefixCovariances:
     def test_counts_must_increase(self):
         with pytest.raises(ValueError):
             list(prefix_covariances(self.shifted_rows(), [10, 10]))
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_slabs_match_one_gather(self, monkeypatch, chains):
+        # an interval of several slabs, straddling records of several chains,
+        # merges to the single gather's covariance; one that fits a slab keeps
+        # its bytes
+        import spusim.samples
+
+        rows = self.shifted_rows()[:999]
+        counts = [60, 999]
+        (_, first), (_, last) = prefix_covariances(rows, counts, chains)
+        monkeypatch.setattr(spusim.samples, "_SLAB_BYTES", 100 * rows.itemsize * 4)
+        (_, first_slabbed), (_, last_slabbed) = prefix_covariances(rows, counts, chains)
+        np.testing.assert_array_equal(first_slabbed, first)
+        assert not np.array_equal(last_slabbed, last)  # ten slabs merged, not one gather
+        np.testing.assert_allclose(last_slabbed, last, rtol=1e-12, atol=0)
