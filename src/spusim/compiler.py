@@ -286,30 +286,17 @@ def quantize_to_banks(ideal_maxwell: np.ndarray,
     return params, residual, float(s)
 
 
-@dataclass(frozen=True)
-class PsdTransformRecord:
-    """Record of a non-PSD preprocessing shift: output = input + shift * I."""
-
-    shift: float
-    margin: float
-    min_eigenvalue_in: float
-
-    @property
-    def was_shifted(self) -> bool:
-        return self.shift > 0.0
-
-
 def preprocess_non_psd(matrix: np.ndarray, margin: float = 0.1):
     """Shift a symmetric matrix to a PSD proxy: A + max(0, margin - lmin(A)) * I.
 
-    Comfortably PSD inputs pass through unchanged.  The record flags that a
-    shift happened; downstream inversion then yields (A + shift*I)^-1, not
-    A^-1 -- recovering the true inverse is out of scope here.
+    Returns ``(proxy, shift)``.  Comfortably PSD inputs pass through
+    unchanged with shift 0.0; a positive shift means downstream inversion
+    yields (A + shift*I)^-1, not A^-1 -- recovering the true inverse is out
+    of scope here.
     """
     a = _validate_symmetric(matrix, "matrix")
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    lam = min_eigenvalue(a)
-    shift = max(0.0, margin - lam)
+    shift = max(0.0, margin - min_eigenvalue(a))
     out = a + shift * np.eye(a.shape[0]) if shift > 0 else a.copy()
-    return out, PsdTransformRecord(shift=shift, margin=margin, min_eigenvalue_in=lam)
+    return out, shift

@@ -15,23 +15,24 @@ percent.
 
 Both noise sources, ideal Gaussian and the LFSR chain (whose gating,
 filtering and saturation act before injection), are exogenous to the linear
-circuit, so n steps compose exactly: z <- M^n z + c_n + w_n.  One block
-engine advances every linear run that way, drawing w_n from the exact law of
-the compounded step (binary doubling) or injecting the chain's increments
-through stacked kernels M^(n-1-j) N.  This reproduces the stepped chain at
-the record times exactly.  With the ideal source a record is one step, and
-a chunk of T records is one product per block, the chunked form of a
-linear-recurrence scan (Blelloch 1990; Martin & Cundy 2018): the start
-state and the chunk's raw standard-normal draws, side by side, times a
-block-triangular matrix of the step's powers with the noise factor folded
-in.  T follows from the run's shape alone; a large stack steps with T = 1.
-Chain-noise and zero-noise runs step record by record.  Buffers are reused
-for the whole run, so the record loop allocates no array per record.  A
-circuit run keeps only the half of each state that its readout reads (p for
-voltage and charge, x for current), copied once a chunk into records shaped
+circuit, and the noise has zero mean, so the step has no constant term and
+n steps compose exactly: z <- M^n z + w_n.  One block engine advances every
+linear run that way, drawing w_n from the exact law of the compounded step
+(binary doubling) or injecting the chain's increments through stacked
+kernels M^(n-1-j) N.  This reproduces the stepped chain at the record times
+exactly.  With the ideal source a record is one step, and a chunk of T
+records is one product per block, the chunked form of a linear-recurrence
+scan (Blelloch 1990; Martin & Cundy 2018): the start state and the chunk's
+raw standard-normal draws, side by side, times a block-triangular matrix of
+the step's powers with the noise factor folded in.  T follows from the
+run's shape alone; a large stack steps with T = 1.  Chain-noise and
+zero-noise runs step record by record.  Buffers are reused for the whole
+run, so the record loop allocates no array per record.  A circuit run keeps
+only the half of each state that its readout reads (p for voltage and
+charge, x for current), copied once a chunk into records shaped
 (chains, n, K, b/2), and a whole-board run reads them out in place; the
-inversion reads out their covariance instead (``_voltage_records``).  Generic
-potentials are stepped explicitly.
+inversion reads out their covariance instead (``_voltage_records``).
+Generic potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -111,30 +112,12 @@ def transform_coords(current, voltage, params: CircuitParams):
     return phi, q
 
 
-def inverse_transform(flux, charge, params: CircuitParams):
-    """(phi, q) -> (I, V); exact inverse of ``transform_coords``."""
-    flux = np.asarray(flux, dtype=float)
-    charge = np.asarray(charge, dtype=float)
-    current = flux / params.l_vector
-    voltage = np.linalg.solve(params.maxwell, np.atleast_2d(charge).T).T.reshape(charge.shape)
-    return current, voltage
-
-
 def hamiltonian(flux, charge, params: CircuitParams) -> float | np.ndarray:
     """Circuit energy in flux/charge coordinates (joules)."""
     flux = np.asarray(flux, dtype=float)
     charge = np.asarray(charge, dtype=float)
     cinv_q = np.linalg.solve(params.maxwell, np.atleast_2d(charge).T).T.reshape(charge.shape)
     e = 0.5 * (flux ** 2 / params.l_vector).sum(axis=-1) + 0.5 * (charge * cinv_q).sum(axis=-1)
-    return float(e) if np.ndim(e) == 0 else e
-
-
-def hamiltonian_iv(current, voltage, params: CircuitParams) -> float | np.ndarray:
-    """Same energy expressed in current/voltage coordinates."""
-    current = np.asarray(current, dtype=float)
-    voltage = np.asarray(voltage, dtype=float)
-    cv = voltage @ params.maxwell.T
-    e = 0.5 * (voltage * cv).sum(axis=-1) + 0.5 * (params.l_vector * current ** 2).sum(axis=-1)
     return float(e) if np.ndim(e) == 0 else e
 
 
@@ -148,43 +131,6 @@ def correlation_time(params: CircuitParams) -> float:
     """
     lam_max = float(params.maxwell_eigenvalues[-1])
     return float(np.max(params.r_vector)) * lam_max
-
-
-@dataclass(frozen=True)
-class StationaryReference:
-    """Analytic equilibrium covariances for a uniform-temperature device."""
-
-    beta: float
-    cov_flux: np.ndarray
-    cov_charge: np.ndarray
-    cov_voltage: np.ndarray
-    cov_current: np.ndarray
-
-
-def stationary_reference(params: CircuitParams) -> StationaryReference:
-    """Gibbs covariances: flux ~ N(0, L/beta), charge ~ N(0, C/beta), independent.
-
-    The effective inverse temperature is beta = 1/(R kappa0) and must be
-    uniform across cells; for non-uniform devices use
-    ``stationary_state_covariance`` (exact Lyapunov solution) instead.
-    """
-    rk = params.r_vector * params.kappa_vector
-    if np.any(rk <= 0):
-        raise ValueError("all cells need positive R * kappa0 for a Gibbs reference")
-    if not np.allclose(rk, rk[0], rtol=1e-9, atol=0.0):
-        raise ValueError(
-            "R * kappa0 differs between cells (no single temperature); "
-            "use stationary_state_covariance for the exact reference"
-        )
-    theta = float(rk[0])  # = 1/beta
-    cinv = params.maxwell_inverse
-    return StationaryReference(
-        beta=1.0 / theta,
-        cov_flux=theta * np.diag(params.l_vector),
-        cov_charge=theta * params.maxwell.copy(),
-        cov_voltage=theta * cinv,
-        cov_current=theta * np.diag(1.0 / params.l_vector),
-    )
 
 
 def _drift_and_noise(params: CircuitParams):
@@ -268,21 +214,15 @@ class GenericLangevinSpec:
 
 @dataclass(frozen=True)
 class QuadraticPotential:
-    """U(x) = x^T A x / 2 - b^T x, so grad U = A x - b; Gibbs covariance (beta A)^-1."""
+    """U(x) = x^T A x / 2, so grad U = A x; Gibbs covariance (beta A)^-1."""
 
     matrix: np.ndarray
-    offset: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if self.offset is not None:
-            object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = x @ self.matrix.T
-        if self.offset is not None:
-            g = g - self.offset
-        return g
+        return x @ self.matrix.T
 
 
 @dataclass(frozen=True)
@@ -360,15 +300,10 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _stack(a: np.ndarray, tail: int = 2) -> np.ndarray:
-    """``a`` as a stack of its last ``tail`` axes: a per-mode (d, ...) stack
-    as it is, a dense operator, vector or state as a stack of one block."""
-    return a.reshape((-1,) + a.shape[a.ndim - tail:])
-
-
-def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Every matrix of a stack times its own vector."""
-    return (m @ v[..., None])[..., 0]
+def _stack(a: np.ndarray) -> np.ndarray:
+    """``a`` as a stack of matrices: a per-mode (d, ...) stack as it is, a
+    dense operator or state as a stack of one block."""
+    return a.reshape((-1,) + a.shape[-2:])
 
 
 def _rotated_diagonal(q: np.ndarray, op: np.ndarray) -> np.ndarray | None:
@@ -402,7 +337,7 @@ def _normal_modes(m_inv, a_mat, gamma_vec, amps):
 
 
 class _LinearSystem:
-    """One semi-implicit EM step of a linear Langevin system, as affine-Gaussian map.
+    """One semi-implicit EM step of a linear Langevin system, as a linear-Gaussian map.
 
     State layout z = [x, p] (flux then charge for circuits).  The step is
     held in a basis Q as a stack of K independent b x b blocks, and the
@@ -420,16 +355,16 @@ class _LinearSystem:
     measured, never configured: the candidate basis is kept only if the
     rotated operators are diagonal to ``_DECOUPLED_RTOL``.
 
-    ``m_step`` is the transition, ``c_step`` the drift offset, ``s_step`` the
-    injected noise covariance of the ideal source, and ``n_inject`` maps
-    per-step momentum noise of an external source, in the basis, into the
-    state: shapes (d, 2, 2), (d, 2), (d, 2, 2), (d, 2, 1) per mode.  A dense
-    block keeps its plain shapes (2d, 2d), (2d,), (2d, 2d), (2d, d), and
-    states (chains, 2d), as matrix references use them; ``_stack`` views
-    them as a stack of one for free.
+    ``m_step`` is the transition, ``s_step`` the injected noise covariance
+    of the ideal source, and ``n_inject`` maps per-step momentum noise of an
+    external source, in the basis, into the state: shapes (d, 2, 2),
+    (d, 2, 2), (d, 2, 1) per mode.  The noise has zero mean, so the step
+    has no constant term.  A dense block keeps its plain shapes (2d, 2d),
+    (2d, 2d), (2d, d), and states (chains, 2d), as matrix references use
+    them; ``_stack`` views them as a stack of one for free.
     """
 
-    def __init__(self, m_inv, a_mat, gamma_vec, amps, dt, offset=None):
+    def __init__(self, m_inv, a_mat, gamma_vec, amps, dt):
         d = m_inv.shape[0]
         self.dt = dt
         self.dimension = d
@@ -442,8 +377,6 @@ class _LinearSystem:
             dt_lam, damp = dt * lam, 1.0 - dt * (gamma * lam)
             self.m_step = np.stack([np.stack([1.0 - dt_lam * (dt * alpha), dt_lam * damp], -1),
                                     np.stack([-dt * alpha, damp], -1)], -2)
-            b = np.zeros(d) if offset is None else self.basis.T @ offset
-            self.c_step = np.stack([dt_lam * (dt * b), dt * b], -1)
             self.n_inject = np.stack([dt_lam, np.ones(d)], -1)[..., None]
             self.s_step = (amps_sq * dt)[:, None, None] * (self.n_inject @ _t(self.n_inject))
             return
@@ -455,10 +388,6 @@ class _LinearSystem:
             [eye - dt_minv @ (dt * a_mat), dt_minv @ (eye - dt * gm)],
             [-dt * a_mat, eye - dt * gm],
         ])
-        if offset is not None:
-            self.c_step = np.concatenate([dt_minv @ (dt * offset), dt * offset])
-        else:
-            self.c_step = np.zeros(2 * d)
         self.n_inject = np.vstack([dt_minv, eye])
         q_p = np.diag(amps ** 2 * dt)
         self.s_step = self.n_inject @ q_p @ self.n_inject.T
@@ -474,23 +403,23 @@ class _LinearSystem:
         )
 
     def compound(self, n_steps: int):
-        """(M, c, S) of ``n_steps`` composed steps, block by block, by binary doubling."""
+        """(M, S) of ``n_steps`` composed steps, block by block, by binary doubling."""
         if n_steps < 1:
             eye = np.broadcast_to(np.eye(self.m_step.shape[-1]), self.m_step.shape).copy()
-            return eye, np.zeros_like(self.c_step), np.zeros_like(self.s_step)
-        mk = ck = sk = None
-        mc, cc, sc = self.m_step, self.c_step, self.s_step
+            return eye, np.zeros_like(self.s_step)
+        mk = sk = None
+        mc, sc = self.m_step, self.s_step
         n = n_steps
         while n:
             if n & 1:
                 if mk is None:
-                    mk, ck, sk = mc, cc, sc
+                    mk, sk = mc, sc
                 else:
-                    mk, ck, sk = mc @ mk, _apply(mc, ck) + cc, mc @ sk @ _t(mc) + sc
+                    mk, sk = mc @ mk, mc @ sk @ _t(mc) + sc
             n >>= 1
             if n:
-                mc, cc, sc = mc @ mc, _apply(mc, cc) + cc, mc @ sc @ _t(mc) + sc
-        return mk, ck, sk
+                mc, sc = mc @ mc, mc @ sc @ _t(mc) + sc
+        return mk, sk
 
     def to_blocks(self, z: np.ndarray) -> np.ndarray:
         """Cell-basis states (chains, 2d) in the layout the blocks act on."""
@@ -743,8 +672,8 @@ def integrate_circuits(runs, record: str = "voltage"):
     ``meta`` otherwise, sample rate and start time equal those that
     ``integrate_circuit`` returns for that run alone.  Runs on the ideal
     source with noise on that share the block size, the chain and record
-    counts, whether a burn-in exists, whether a drift exists and the
-    chunk step together (``_stacks``): each chunk of records then costs one
+    counts, whether a burn-in exists, the kept half and the chunk step
+    together (``_stacks``): each chunk of records then costs one
     product per block of the stack.
     Every other run steps alone.
     """
@@ -862,18 +791,15 @@ class _LinearRun:
         """Runs with equal keys can step as one stack; None for a run that steps alone."""
         if not self.scanned:
             return None
-        return (self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.sys_.c_step.any(),
-                self.half, self.chunk)
+        return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.half, self.chunk
 
     def plans(self):
         """Block plans of the burn-in and of one stride: lists of blocks
-        (M^n, c_n or None when zero, W_n or None without noise, n), each
-        stacked, of at most ``width`` steps; M^n and an ideal W_n are flushed
-        of subnormals.  c_n is None exactly when the step has no drift."""
+        (M^n, W_n or None without noise, n), each stacked, of at most
+        ``width`` steps; M^n and an ideal W_n are flushed of subnormals."""
         sys_, width, ideal = self.sys_, self.width, self.ideal
         kernels = None if ideal or self.zero_noise else _kernel_stack(sys_, width)
         r = _stack(sys_.n_inject).shape[-1]
-        drift = sys_.c_step.any()
         cache = {}
 
         def blocks(steps):
@@ -881,11 +807,10 @@ class _LinearRun:
             for start in range(0, steps, width):
                 n = min(width, steps - start)
                 if n not in cache:
-                    m_n, c_n, s_n = sys_.compound(n)
-                    c_n = _stack(c_n, 1)[:, None, :] if drift else None
+                    m_n, s_n = sys_.compound(n)
                     w_n = (None if self.zero_noise else _t(_flushed(_stack(_factor(s_n))))
                            if ideal else kernels[:, (width - n) * r:, :])
-                    cache[n] = _flushed(_stack(m_n)), c_n, w_n, n
+                    cache[n] = _flushed(_stack(m_n)), w_n, n
                 plan.append(cache[n])
             return plan
 
@@ -938,14 +863,13 @@ def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
     return stacks
 
 
-def _scan(mt: np.ndarray, c: np.ndarray | None, w: np.ndarray, count: int):
-    """G, shaped (K, (count+1) b, count b), and the drift's bias, (K, 1,
-    count b) or None, of ``count`` records of the step z <- z mt + c + xi w
-    of every block of a (K, b, b) stack: [z_0, xi_0 ... xi_(count-1)] G +
-    bias = [z_1 ... z_count].  Block (0, k) of G is mt^(k+1) and block
-    (j+1, k) is w mt^(k-j) for j <= k, zero above, so raw draws enter the
-    product; its leading (2b, b) corner [mt; w] is the single step.  G is
-    flushed of subnormals."""
+def _scan(mt: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
+    """G, shaped (K, (count+1) b, count b), of ``count`` records of the step
+    z <- z mt + xi w of every block of a (K, b, b) stack:
+    [z_0, xi_0 ... xi_(count-1)] G = [z_1 ... z_count].  Block (0, k) of G
+    is mt^(k+1) and block (j+1, k) is w mt^(k-j) for j <= k, zero above, so
+    raw draws enter the product; its leading (2b, b) corner [mt; w] is the
+    single step.  G is flushed of subnormals."""
     k, b, _ = mt.shape
     powers = np.empty((k, count + 1, b, b))
     powers[:, 0], powers[:, 1] = np.eye(b), mt
@@ -957,9 +881,7 @@ def _scan(mt: np.ndarray, c: np.ndarray | None, w: np.ndarray, count: int):
     g[:, 0] = powers[:, 1:].swapaxes(1, 2)
     for j in range(count):
         g[:, j + 1, :, j:] = lagged[:, :count - j].swapaxes(1, 2)
-    bias = None if c is None else c[:, None] @ np.cumsum(powers[:, :count], axis=1)
-    return (g.reshape(k, (count + 1) * b, count * b),
-            None if bias is None else bias.reshape(k, 1, count * b))
+    return g.reshape(k, (count + 1) * b, count * b)
 
 
 def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan, stride_plan):
@@ -986,20 +908,16 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
     draws = np.empty(chunk * start.size)
     operand[:, 0] = _t(start)
 
-    def step(scan, count):
-        """Steps ``count`` records into ``out``; whether they are all finite."""
-        (gt, bias), width = scan, count * b
+    def step(gt, count):
+        """Steps ``count`` records into ``out`` by G^T; whether they are all finite."""
+        width = count * b
         product = out[:, :count].reshape(k_total, width, chains)
         np.matmul(gt[:, :width, :width + b], columns[:, :width + b], out=product)
-        if bias is not None:
-            product += bias[:, :width]
         finite = np.isfinite(product).all()
         if count > 1 and not finite:
             bad = ~np.isfinite(product).all(axis=(1, 2))
             for k in range(count):
                 z = gt[:, :b, :2 * b] @ columns[:, k * b:(k + 2) * b]
-                if bias is not None:
-                    z += bias[:, :b]
                 product[bad, k * b:(k + 1) * b] = z[bad]
                 operand[:, k + 1] = z  # xi_k is spent: its slot holds z_(k+1)
             finite = np.isfinite(product).all()
@@ -1013,9 +931,8 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
             operand[lo:hi, 1:count + 1] = xi.transpose(1, 0, 3, 2)
 
     def scan(plan, count):
-        ((mt, c, w, _),) = plan
-        g, bias = _scan(mt, c, w, count)
-        return _t(g), None if bias is None else _t(bias)
+        ((mt, w, _),) = plan
+        return _t(_scan(mt, w, count))
 
     if burn_plan:
         draw(1)
@@ -1032,7 +949,7 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
 def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
     """Chunks of records of one run stepped record by record: chain noise
     or none.  Each record steps through the blocks of its plan,
-    z <- z (M^n)^T + c_n + xi W_n, with xi the block's chain increments
+    z <- z (M^n)^T + xi W_n, with xi the block's chain increments
     laid out as (K, chains, n*r) (``_LinearSystem.noise_operand``) and W_n
     the last n*r rows of the kernel stack.  The states of a chunk live in
     a reused buffer of ``chunk + 1`` slots: record k steps from slot k into
@@ -1055,10 +972,8 @@ def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
             # the burn-in steps from the start into slot 0, record k into slot k+1
             z, last = (start, slots[0]) if k0 is None else (slots[k], slots[k + 1])
             nxt = last if len(plan) % 2 else spare  # the plan's last block lands in last
-            for mt, c_n, w_n, n in plan:
+            for mt, w_n, n in plan:
                 np.matmul(z, mt, out=nxt)
-                if c_n is not None:
-                    nxt += c_n
                 if noisy:
                     nxt += np.matmul(read(n), w_n, out=injected)
                 z, nxt = nxt, spare if nxt is last else last
@@ -1082,16 +997,17 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     run's slice of the block axis, reshaped, is its stored layout
     (``_LinearSystem.stored``), or that layout's kept half.
 
-    The noise is exogenous to the linear system, so n steps compose
-    exactly: z <- z (M^n)^T + c_n + xi W_n, every block at once.  With the
-    ideal source (a numpy ``Generator``) xi is a standard normal draw
-    shaped like z and W_n = chol(S_n)^T, so a burn-in or a stride is one
-    step, and a chunk of ``chunk`` records is one product per block, the
-    draws entering raw (``_scanned_chunks``).  Chain noise and zero-noise
-    runs step record by record (``_looped_chunks``).  Each chunk's full
-    states are checked once for a non-finite value, as they are made; a
-    bad chunk names the first bad record of a run as that run alone
-    would, before the kept half is copied into the records.
+    The noise is exogenous to the linear system and the step has no
+    constant term, so n steps compose exactly: z <- z (M^n)^T + xi W_n,
+    every block at once.  With the ideal source (a numpy ``Generator``) xi
+    is a standard normal draw shaped like z and W_n = chol(S_n)^T, so a
+    burn-in or a stride is one step, and a chunk of ``chunk`` records is
+    one product per block, the draws entering raw (``_scanned_chunks``).
+    Chain noise and zero-noise runs step record by record
+    (``_looped_chunks``).  Each chunk's full states are checked once for a
+    non-finite value, as they are made; a bad chunk names the first bad
+    record of a run as that run alone would, before the kept half is copied
+    into the records.
     """
     first = runs[0]
     per_chain = first.per_chain
@@ -1103,10 +1019,9 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
         """Block j of every run's plan as one block of the stack."""
         steps = []
         for blocks in zip(*plans):
-            m_n, c_n, w_n, n = zip(*blocks)
+            m_n, w_n, n = zip(*blocks)
             # a transposed view: a contiguous (M^n)^T rounds differently
             steps.append((_t(np.concatenate(m_n)),
-                          None if c_n[0] is None else np.concatenate(c_n),
                           None if w_n[0] is None else w_n[0] if len(w_n) == 1
                           else np.concatenate(w_n), n[0]))
         return steps
@@ -1179,7 +1094,6 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
             gamma_vec=np.full(d, float(spec.damping)),
             amps=np.full(d, math.sqrt(2.0 * spec.damping / spec.beta)),
             dt=dt,
-            offset=spec.grad_potential.offset,
         )
         z = sys_.to_blocks(np.concatenate([x0, p0], axis=1))
         recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
@@ -1206,43 +1120,6 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
     if chains == 1:
         return xs[0], ps[0]
     return xs, ps
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
-def integrate_odl(spec: GenericLangevinSpec, x0, cfg: TrajectoryConfig):
-    """Euler-Maruyama for the overdamped Langevin equation.
-
-    dx = -grad U / gamma dt + N[0, 2 dt / (gamma beta)]; mass is ignored.
-    Returns recorded positions, (n, d) or (chains, n, d).
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    d = x0.shape[-1]
-    chains = cfg.chains
-    if x0.shape[0] == 1:
-        x0 = np.broadcast_to(x0, (chains, d)).copy()
-    if cfg.dt is None:
-        raise ValueError("TrajectoryConfig.dt is required for generic Langevin runs")
-    dt = cfg.dt
-    stride = cfg.record_stride or 1
-    burn_steps = int(round((cfg.burn_in or 0.0) / dt))
-    per_chain = cfg.samples_per_chain
-    rng = np.random.default_rng(cfg.seed)
-    grad = spec.grad_potential
-    noise_amp = 0.0 if cfg.zero_noise else math.sqrt(2.0 * dt / (spec.damping * spec.beta))
-    xs = np.empty((chains, per_chain, d))
-    x = x0.copy()
-    total = burn_steps + per_chain * stride
-    k = 0
-    for step in range(1, total + 1):
-        x = x - (dt / spec.damping) * grad(x)
-        if noise_amp:
-            x += noise_amp * rng.standard_normal((chains, d))
-        if step > burn_steps and (step - burn_steps) % stride == 0:
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError(f"non-finite state at step {step} (record {k})")
-            xs[:, k] = x
-            k += 1
-    return xs[0] if chains == 1 else xs
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:

@@ -115,9 +115,9 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
     params = comp.params(use_quantized=quantize)
     if tolerance_sigma > 0.0:
         params = params.with_tolerance(tolerance_sigma, seed=seed + 90001)
-    cfg = plan.trajectory_config(params, seed)
     if isinstance(noise, str) and noise == "ideal":
-        # the ideal source takes the level as a kappa0 scale
+        # the ideal source takes the level as a kappa0 scale; the plan below reads
+        # only R and C, which the scale keeps, so one instance decomposes C
         params = _scaled_noise(params, plan.noise_level)
     else:
         # the chain takes the level as its PDM duty; kappa0 stays nominal
@@ -126,6 +126,7 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
         noise = replace(noise, duty_cycle=plan.noise_level)
         if chain_seeds is not None:
             noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
+    cfg = plan.trajectory_config(params, seed)
     # undo quantization rescale and noise-level scaling in one factor
     level_scale = 1.0 / math.sqrt(plan.noise_level)
     return comp, params, cfg, noise, comp.readout_scale * level_scale

@@ -153,26 +153,24 @@ class TestQuantize:
 class TestPreprocessNonPsd:
     def test_comfortably_psd_unchanged(self):
         a = np.diag([1.0, 2.0])
-        out, record = preprocess_non_psd(a, margin=0.1)
+        out, shift = preprocess_non_psd(a, margin=0.1)
         np.testing.assert_array_equal(out, a)
-        assert record.shift == 0.0
-        assert not record.was_shifted
+        assert shift == 0.0
 
     def test_indefinite_shifted_by_margin_plus_deficit(self):
         a = np.diag([1.0, -1.0])
-        out, record = preprocess_non_psd(a, margin=0.1)
+        out, shift = preprocess_non_psd(a, margin=0.1)
         np.testing.assert_allclose(out, np.diag([2.1, 0.1]), rtol=1e-12)
-        assert record.shift == pytest.approx(1.1)
-        assert record.was_shifted
+        assert shift == pytest.approx(1.1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_output_floor_at_margin(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((5, 5))
         a = 0.5 * (a + a.T)
-        out, record = preprocess_non_psd(a, margin=0.1)
+        out, shift = preprocess_non_psd(a, margin=0.1)
         assert np.linalg.eigvalsh(out)[0] >= 0.1 - 1e-12
-        assert record.margin == 0.1
+        np.testing.assert_allclose(out, 0.5 * (a + a.T) + shift * np.eye(5), rtol=0, atol=0)
 
 
 class TestTargetSpec:

@@ -15,12 +15,9 @@ from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimE
 from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
                              TrajectoryConfig, _factor, _LinearSystem, _run_linear,
                              autocorrelation, correlation_time,
-                             discrete_stationary_covariance, hamiltonian,
-                             hamiltonian_iv, integrate_circuit, integrate_odl,
-                             integrate_udl, inverse_transform, stationary_reference,
-                             stationary_state_covariance,
-                             stationary_voltage_covariance, suggest_dt,
-                             transform_coords)
+                             discrete_stationary_covariance, hamiltonian, integrate_circuit,
+                             integrate_udl, stationary_state_covariance,
+                             stationary_voltage_covariance, suggest_dt, transform_coords)
 from spusim.linalg import SamplingPlan, sample_gaussian
 
 NF = 1e-9
@@ -49,10 +46,9 @@ class TestCoordinates:
         params = random_psd_params(5, 0)
         rng = np.random.default_rng(1)
         i0, v0 = rng.standard_normal((2, 5))
-        phi, q = transform_coords(i0, v0, params)
-        i1, v1 = inverse_transform(phi, q, params)
-        np.testing.assert_allclose(i1, i0, rtol=1e-12)
-        np.testing.assert_allclose(v1, v0, rtol=1e-12)
+        state = SdeState.from_iv(i0, v0, params)
+        np.testing.assert_allclose(state.current(params), i0, rtol=1e-12)
+        np.testing.assert_allclose(state.voltage(params), v0, rtol=1e-12)
 
     def test_zero_current_zero_flux(self):
         params = random_psd_params(3, 2)
@@ -72,17 +68,18 @@ class TestHamiltonian:
         assert hamiltonian(np.zeros(4), np.zeros(4), params) == 0.0
 
     def test_coordinate_forms_agree(self):
+        # the energy in current/voltage coordinates: V^T C V / 2 + sum L I^2 / 2
         params = random_psd_params(6, 4)
         rng = np.random.default_rng(5)
         i0, v0 = rng.standard_normal((2, 6))
+        want = 0.5 * v0 @ params.maxwell @ v0 + 0.5 * np.sum(params.l_vector * i0 ** 2)
         phi, q = transform_coords(i0, v0, params)
-        assert hamiltonian(phi, q, params) == pytest.approx(
-            hamiltonian_iv(i0, v0, params), rel=1e-12)
+        assert hamiltonian(phi, q, params) == pytest.approx(want, rel=1e-12)
 
     def test_single_cell_half_cv_squared(self):
         params = CircuitParams.build(
             [UnitCell(1e-6, 50.0, 0.0, capacitance=1.0 * NF)], CouplingConfig.none(1))
-        e = hamiltonian_iv(np.zeros(1), np.ones(1), params)
+        e = hamiltonian(*transform_coords(np.zeros(1), np.ones(1), params), params)
         assert e == pytest.approx(0.5e-9, rel=1e-12)
 
 
@@ -116,12 +113,13 @@ class TestCorrelationTime:
 
 class TestStationaryReferences:
     def test_gibbs_flux_identity(self):
+        # R kappa0 = 1 is beta = 1: flux ~ N(0, L), charge and voltage ~ N(0, I)
         params = CircuitParams.from_maxwell(np.eye(3), resistance=1.0,
                                             inductance=1.0, noise_psd=1.0)
-        ref = stationary_reference(params)
-        np.testing.assert_allclose(ref.cov_flux, np.eye(3))
-        np.testing.assert_allclose(ref.cov_charge, np.eye(3))
-        assert ref.beta == pytest.approx(1.0)
+        full = stationary_state_covariance(params)
+        np.testing.assert_allclose(full, np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(stationary_voltage_covariance(params, method="gibbs"),
+                                   np.eye(3))
 
     def test_table_cell_voltage_variance(self):
         params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
@@ -132,18 +130,23 @@ class TestStationaryReferences:
         params = random_psd_params(5, 7)
         d = params.dimension
         full = stationary_state_covariance(params)
-        ref = stationary_reference(params)
-        np.testing.assert_allclose(full[:d, :d], ref.cov_flux, rtol=1e-8, atol=1e-12)
-        np.testing.assert_allclose(full[d:, d:], ref.cov_charge, rtol=1e-8, atol=1e-12)
+        # Gibbs: flux ~ N(0, theta L), charge ~ N(0, theta C), theta = R kappa0 = 1/beta
+        theta = params.r_vector[0] * params.kappa_vector[0]
+        np.testing.assert_allclose(full[:d, :d], theta * np.diag(params.l_vector),
+                                   rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(full[d:, d:], theta * params.maxwell, rtol=1e-8, atol=1e-12)
         # flux and charge are independent at equilibrium
         np.testing.assert_allclose(full[:d, d:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(stationary_voltage_covariance(params, method="gibbs"),
+                                   stationary_voltage_covariance(params, method="lyapunov"),
+                                   rtol=1e-8, atol=1e-12)
 
     def test_nonuniform_requires_lyapunov(self):
         cells = [UnitCell(1.0, 1.0, 1.0, capacitance=1.0),
                  UnitCell(1.0, 2.0, 1.0, capacitance=1.0)]
         params = CircuitParams.build(cells, CouplingConfig.none(2))
         with pytest.raises(ValueError):
-            stationary_reference(params)
+            stationary_voltage_covariance(params, method="gibbs")
         sigma_v = stationary_voltage_covariance(params)  # lyapunov path
         np.testing.assert_allclose(np.diag(sigma_v), [1.0, 2.0], rtol=1e-8)
 
@@ -151,8 +154,8 @@ class TestStationaryReferences:
         # R * kappa0 near 5e-12 V^2/Hz: a unit-scale absolute tolerance would call it uniform
         cells = [UnitCell(1.3e-6, 50.0, k, bank_config=3) for k in (1e-13, 2e-13)]
         params = CircuitParams.build(cells, CouplingConfig.none(2))
-        with pytest.raises(ValueError, match="differs between cells"):
-            stationary_reference(params)
+        with pytest.raises(ValueError, match=r"Gibbs formula needs uniform R \* kappa0"):
+            stationary_voltage_covariance(params, method="gibbs")
         sigma_v = stationary_voltage_covariance(params)
         np.testing.assert_allclose(np.diag(sigma_v), 50.0 * np.array([1e-13, 2e-13]) / 6.5e-9,
                                    rtol=1e-8)
@@ -182,7 +185,7 @@ class TestCircuitIntegration:
         vb = integrate_circuit(params, cfg, record="voltage", initial_state=state0)
         ib = integrate_circuit(params, cfg, record="current", initial_state=state0)
         assert abs(vb.values[-1, 0]) < 1e-4
-        energies = hamiltonian_iv(ib.values, vb.values, params)
+        energies = hamiltonian(*transform_coords(ib.values, vb.values, params), params)
         assert np.all(np.diff(energies) <= 0.0)
 
     def test_two_coupled_cells_correlation_sign(self):
@@ -327,29 +330,6 @@ class TestUdlOdl:
         assert abs(energy[-1] - 0.5) / 0.5 < 0.01
         assert np.max(np.abs(energy - 0.5)) / 0.5 < 0.01
 
-    def test_odl_quadratic_gibbs(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        spec = GenericLangevinSpec(mass=1.0, damping=1.0, beta=1.0,
-                                   grad_potential=QuadraticPotential(a))
-        cfg = TrajectoryConfig(dt=0.01, n_samples=100_000, record_stride=80,
-                               burn_in=10.0, seed=23, chains=100)
-        xs = integrate_odl(spec, np.zeros(2), cfg)
-        # stationary covariance A^-1 at beta = 1, by the analytic 2x2 inverse
-        target = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        np.testing.assert_allclose(np.linalg.inv(a), target, rtol=1e-12)
-        cov = np.cov(xs.reshape(-1, 2).T)
-        assert rel_frobenius(cov, target) < 0.05
-
-    def test_odl_free_diffusion(self):
-        spec = GenericLangevinSpec(mass=1.0, damping=2.0, beta=0.5,
-                                   grad_potential=lambda x: np.zeros_like(x))
-        # one record per chain after t = 400 * 0.01 = 4 time units
-        cfg = TrajectoryConfig(dt=0.01, n_samples=4000, record_stride=400,
-                               burn_in=0.0, seed=24, chains=4000)
-        xs = integrate_odl(spec, np.zeros(1), cfg)
-        # Var[x(t)] = 2 t / (gamma beta) = 2 * 4 / (2 * 0.5) = 8
-        assert xs[:, -1, 0].var() == pytest.approx(8.0, rel=0.1)
-
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflow_diagnostic_names_step(self):
         spec = GenericLangevinSpec(mass=1.0, damping=1e-9, beta=1e9,
@@ -359,17 +339,14 @@ class TestUdlOdl:
         with pytest.raises(RuntimeError, match="step"):
             integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
 
-    @pytest.mark.parametrize("run", ["udl", "udl-stepped", "odl"])
+    @pytest.mark.parametrize("run", ["udl", "udl-stepped"])
     def test_non_finite_state_has_its_own_error(self, run):
         spec = GenericLangevinSpec(mass=1.0, damping=1e-3, beta=1.0,
                                    grad_potential=QuadraticPotential(np.eye(1)))
         cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1, burn_in=0.0)
         x0 = np.array([1.0])
         with pytest.raises(NonFiniteStateError, match="non-finite state") as err:
-            if run == "odl":
-                integrate_odl(spec, x0, cfg)
-            else:
-                integrate_udl(spec if run == "udl" else stepped(spec), x0, x0, cfg)
+            integrate_udl(spec if run == "udl" else stepped(spec), x0, x0, cfg)
         assert isinstance(err.value, SpuSimError) and isinstance(err.value, RuntimeError)
 
 
@@ -394,15 +371,19 @@ class TestStepSizeLog:
 class TestBurnInRule:
     def test_exponential_autocorrelation_below_one_percent_after_5tau(self):
         # in the exponential-decay regime (overdamped dynamics) the waiting
-        # rule is exact: rho(5 tau) = e^-5 < 1%
-        spec = GenericLangevinSpec(mass=1.0, damping=1.0, beta=1.0,
-                                   grad_potential=QuadraticPotential(np.eye(1)))
-        dt, stride = 0.025, 10  # records every 0.25 time units, tau = 1
-        cfg = TrajectoryConfig(dt=dt, n_samples=800_000, record_stride=stride,
-                               burn_in=10.0, seed=26, chains=16)
-        xs = integrate_odl(spec, np.zeros(1), cfg)
-        lag_5tau = int(round(5.0 / (dt * stride)))
-        rhos = [autocorrelation(chain[:, 0], lag_5tau + 2)[lag_5tau] for chain in xs]
+        # rule is exact: rho(5 tau) = e^-5 < 1%.  The records are an exact
+        # unit-tau Ornstein-Uhlenbeck sequence, an AR(1) with a = e^-spacing,
+        # started from its stationary law
+        from scipy.signal import lfilter
+
+        spacing, per_chain = 0.25, 50_000  # records every 0.25 tau, 16 chains
+        a = np.exp(-spacing)
+        rng = np.random.default_rng(26)
+        start = rng.standard_normal((16, 1))
+        xs = lfilter([np.sqrt(1.0 - a * a)], [1.0, -a],
+                     rng.standard_normal((16, per_chain)), axis=1, zi=a * start)[0]
+        lag_5tau = int(round(5.0 / spacing))
+        rhos = [autocorrelation(chain, lag_5tau + 2)[lag_5tau] for chain in xs]
         assert abs(np.mean(rhos)) < 0.015  # e^-5 = 0.0067 plus estimator noise
 
     def test_covariance_equilibrated_after_5tau_from_zero_start(self):
@@ -427,7 +408,7 @@ def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_nois
            else source.increments(total))
     recs = []
     for step in range(total):
-        z = z @ sys_.m_step.T + sys_.c_step + eta[step] @ sys_.n_inject.T
+        z = z @ sys_.m_step.T + eta[step] @ sys_.n_inject.T
         if step >= burn_steps and (step + 1 - burn_steps) % stride == 0:
             recs.append(z)
     return np.stack(recs, axis=1)
@@ -436,8 +417,8 @@ def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_nois
 def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
     """Ideal-source oracle: one exact Gaussian draw for the burn-in, then one per record."""
     def block(z, n):
-        m, c, s = sys_.compound(n)
-        z = z @ m.T + c
+        m, s = sys_.compound(n)
+        z = z @ m.T
         return z if zero_noise else z + rng.standard_normal(z.shape) @ _factor(s).T
 
     if burn_steps:
@@ -452,8 +433,8 @@ def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_nois
 def _modal_per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
     """``_per_record_reference`` for a stack of per-mode blocks; records as stored."""
     def block(z, n):
-        m, c, s = sys_.compound(n)
-        z = z @ langevin._t(m) + c[..., None, :]
+        m, s = sys_.compound(n)
+        z = z @ langevin._t(m)
         return z if zero_noise else z + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
 
     if burn_steps:
@@ -470,14 +451,14 @@ class TestBlockEngine:
 
     DT = 0.05
 
-    def system(self, d=3, seed=40, offset=None, gamma=1.0, amps=1.3):
+    def system(self, d=3, seed=40, gamma=1.0, amps=1.3):
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
         return _LinearSystem(m_inv=0.5 * (m_inv + m_inv.T),
                              a_mat=np.diag(rng.uniform(0.5, 2.0, d)),
                              gamma_vec=np.full(d, gamma), amps=np.full(d, amps),
-                             dt=self.DT, offset=offset)
+                             dt=self.DT)
 
     def source(self, chains, d=3, sub=1, **chain_kw):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
@@ -517,23 +498,16 @@ class TestBlockEngine:
         self.compare(self.system(), chains=2, per_chain=8, stride=25, burn_steps=30,
                      zero_noise=True)
 
-    def test_drift_offset(self):
-        sys_ = self.system(offset=np.array([0.5, -1.0, 2.0]))
-        assert np.any(sys_.c_step != 0)
-        self.compare(sys_, chains=3, per_chain=6, stride=70, burn_steps=20)
-
     def test_many_chains(self):
         self.compare(self.system(d=2), chains=9, per_chain=4, stride=200, burn_steps=150, d=2)
 
-    @pytest.mark.parametrize("burn_steps,zero_noise,offset", [
-        (0, False, None),  # no burn-in draw at all
-        (250, False, None),  # burn-in longer than the stride
-        (40, True, None),
-        (250, False, np.array([0.5, -1.0, 2.0])),  # non-zero c_step
-        (70, True, np.array([0.5, -1.0, 2.0])),
+    @pytest.mark.parametrize("burn_steps,zero_noise", [
+        (0, False),  # no burn-in draw at all
+        (250, False),  # burn-in longer than the stride
+        (40, True),
     ])
-    def test_ideal_source_matches_per_record_draws(self, burn_steps, zero_noise, offset):
-        sys_ = self.system(offset=offset)
+    def test_ideal_source_matches_per_record_draws(self, burn_steps, zero_noise):
+        sys_ = self.system()
         z0 = np.random.default_rng(42).standard_normal((3, 6))
         args = (9, 70, burn_steps, zero_noise)
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(43), *args)
@@ -586,11 +560,6 @@ def _dense_twin(monkeypatch, **system_kw):
         return _LinearSystem(**system_kw)
 
 
-def _cell_vector(sys_, c):
-    """Per-mode (d, 2) vectors of a modal system as one cell-basis 2d vector."""
-    return np.concatenate([sys_.basis @ c[:, 0], sys_.basis @ c[:, 1]])
-
-
 def _assert_close(got, want, rtol=1e-12):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
@@ -613,15 +582,14 @@ class TestModalEngine:
 
     DT = 0.05
 
-    def modal_kw(self, d=4, seed=50, offset=None, gamma=0.8):
+    def modal_kw(self, d=4, seed=50, gamma=0.8):
         # scalar potential, damping and noise with a general mass inverse:
         # every operator is a polynomial in m_inv, as for a compiled target
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
         return dict(m_inv=0.5 * (m_inv + m_inv.T), a_mat=np.eye(d) * 1.7,
-                    gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3), dt=self.DT,
-                    offset=offset)
+                    gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3), dt=self.DT)
 
     def chain(self, chains, d):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
@@ -631,28 +599,26 @@ class TestModalEngine:
 
     @pytest.mark.parametrize("n", [1, 2, 777, 4000])
     def test_compound_rotated_back_matches_dense(self, monkeypatch, n):
-        kw = self.modal_kw(d=16, offset=np.linspace(-1.0, 2.0, 16))
+        kw = self.modal_kw(d=16)
         modal = _LinearSystem(**kw)
         dense = _dense_twin(monkeypatch, **kw)
         assert modal.basis is not None and dense.basis is None
-        m_m, c_m, s_m = modal.compound(n)
-        m_d, c_d, s_d = dense.compound(n)
+        m_m, s_m = modal.compound(n)
+        m_d, s_d = dense.compound(n)
         assert m_m.shape == (16, 2, 2) and m_d.shape == (32, 32)
         _assert_close(modal.expand(m_m), m_d)
-        _assert_close(_cell_vector(modal, c_m), c_d)
         _assert_close(modal.expand(s_m), s_d)
 
-    @pytest.mark.parametrize("stride,burn_steps,zero_noise,offset", [
-        (70, 20, False, None),
-        (150, 100, False, None),  # stride above the block width set below
-        (1, 0, False, None),
-        (45, 30, True, np.array([0.5, -1.0, 2.0, 0.3])),  # drift only, from a random start
-        (45, 30, False, np.array([0.5, -1.0, 2.0, 0.3])),
+    @pytest.mark.parametrize("stride,burn_steps,zero_noise", [
+        (70, 20, False),
+        (150, 100, False),  # stride above the block width set below
+        (1, 0, False),
+        (45, 30, True),  # no noise: the decay from a random start
     ])
     def test_chain_records_match_dense_layout(self, monkeypatch, stride, burn_steps,
-                                              zero_noise, offset):
+                                              zero_noise):
         monkeypatch.setattr(langevin, "_MAX_BLOCK_STEPS", 64)
-        kw = self.modal_kw(offset=offset)
+        kw = self.modal_kw()
         modal = _LinearSystem(**kw)
         dense = _dense_twin(monkeypatch, **kw)
         z0 = np.random.default_rng(52).standard_normal((3, 8))
@@ -666,13 +632,13 @@ class TestModalEngine:
     @pytest.mark.parametrize("burn_steps", [0, 90])
     def test_modal_ideal_source_matches_per_record_draws(self, burn_steps):
         # chunked draws read the stream as separate per-record draws would
-        sys_ = _LinearSystem(**self.modal_kw(offset=np.ones(4)))
+        sys_ = _LinearSystem(**self.modal_kw())
         z0 = sys_.to_blocks(np.random.default_rng(53).standard_normal((3, 8)))
         per_chain, stride = 70, 40  # more records than one chunk, and a partial chunk
 
         def block(z, n, rng):
-            m, c, s = sys_.compound(n)
-            z = z @ langevin._t(m) + c[..., None, :]
+            m, s = sys_.compound(n)
+            z = z @ langevin._t(m)
             return z + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
 
         rng = np.random.default_rng(54)
@@ -687,22 +653,18 @@ class TestModalEngine:
 
     @pytest.mark.parametrize("modal", [False, True])
     @pytest.mark.parametrize("chains", [1, 3])
-    @pytest.mark.parametrize("burn_steps,zero_noise,drift", [
-        (0, False, False),
-        (90, False, True),  # a burn-in draw, then records with a drift offset
-        (90, True, True),  # drift only: no draws
-        (40, True, False),  # neither drift nor noise
-        (90, False, False),  # a burn-in draw without a drift
-        (0, False, True),  # a drift without a burn-in
+    @pytest.mark.parametrize("burn_steps,zero_noise", [
+        (0, False),
+        (40, True),  # no noise: no draws
+        (90, False),  # a burn-in draw
     ])
     def test_chunk_boundaries_match_per_record_draws(self, monkeypatch, modal, chains,
-                                                     burn_steps, zero_noise, drift):
+                                                     burn_steps, zero_noise):
         if modal:
-            sys_ = _LinearSystem(**self.modal_kw(
-                offset=np.array([0.5, -1.0, 2.0, 0.3]) if drift else None))
+            sys_ = _LinearSystem(**self.modal_kw())
             reference = _modal_per_record_reference
         else:
-            sys_ = TestBlockEngine().system(offset=np.array([0.5, -1.0, 2.0]) if drift else None)
+            sys_ = TestBlockEngine().system()
             reference = _per_record_reference
         assert (sys_.basis is not None) == modal
         z0 = sys_.to_blocks(
@@ -721,16 +683,15 @@ class TestModalEngine:
 
     @pytest.mark.parametrize("modal", [False, True])
     @pytest.mark.parametrize("chains", [1, 3])
-    @pytest.mark.parametrize("burn_steps,drift", [(0, False), (90, True)])
+    @pytest.mark.parametrize("burn_steps", [0, 90])
     def test_single_record_chunks_match_per_record_draws(self, monkeypatch, modal, chains,
-                                                         burn_steps, drift):
+                                                         burn_steps):
         # T = 1, as a stack whose state fills a chunk steps: G is the single step [M^T; W]
-        offset = np.linspace(-1.0, 2.0, 4 if modal else 3) if drift else None
         if modal:
-            sys_ = _LinearSystem(**self.modal_kw(offset=offset))
+            sys_ = _LinearSystem(**self.modal_kw())
             reference = _modal_per_record_reference
         else:
-            sys_ = TestBlockEngine().system(offset=offset)
+            sys_ = TestBlockEngine().system()
             reference = _per_record_reference
         z0 = sys_.to_blocks(
             np.random.default_rng(60).standard_normal((chains, 2 * sys_.dimension)))
@@ -775,10 +736,10 @@ class TestModalEngine:
             sys_ = TestBlockEngine().system(gamma=-20.0)
         assert (sys_.basis is not None) == modal
         z = z0 = sys_.to_blocks(np.ones((2, 6)))
-        m, c, _ = sys_.compound(stride)
+        m, _ = sys_.compound(stride)
         first_bad = 0
         while np.all(np.isfinite(z)):  # the zero-noise chain, record by record
-            z = z @ langevin._t(m) + c[..., None, :]
+            z = z @ langevin._t(m)
             first_bad += 1
         first_bad -= 1
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # 32 records a chunk
@@ -808,7 +769,7 @@ class TestModalEngine:
         run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0,
                                   False)
         plan = run.plans()[1][0]
-        g, _ = langevin._scan(langevin._t(plan[0]), None, plan[2], run.chunk)
+        g = langevin._scan(langevin._t(plan[0]), plan[1], run.chunk)
         assert not np.isfinite(g).all()
         want = reference(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0,
                          False)

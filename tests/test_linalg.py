@@ -76,6 +76,19 @@ class TestSampleGaussian:
         # identical seeds and exact rescaling: the error is level-independent
         assert errs[0] == pytest.approx(errs[1], rel=1e-9)
 
+    def test_noise_level_adds_no_eigendecomposition(self, monkeypatch):
+        # scaling kappa0 keeps C, so a scaled run decomposes it no more often
+        eigvalsh = np.linalg.eigvalsh
+        counts = []
+        for level in (1.0, 0.5):
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigvalsh",
+                                lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+            sample_gaussian(random_psd(6, 9), SamplingPlan(n_samples=40, chains=2,
+                                                           noise_level=level), seed=10)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_determinism(self):
         p = random_psd(3, 7)
         plan = SamplingPlan(n_samples=2000, chains=4)
