@@ -288,8 +288,8 @@ class CircuitParams:
         matrix is rebuilt from the perturbed components.  Noise PSDs are not
         perturbed.
         """
-        if rel_sigma < 0:
-            raise ValueError("rel_sigma must be non-negative")
+        if not 0.0 <= rel_sigma < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"rel_sigma must be non-negative and finite, got {rel_sigma}")
         rng = np.random.default_rng(seed)
         d = self.dimension
 

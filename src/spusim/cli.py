@@ -37,9 +37,8 @@ from .linalg import (SamplingPlan, invert_matrix, moment_errors, parameter_study
 from .noise import ChainNoiseSource, NoiseChainConfig
 from .perf import (SpuCostParams, crossover, load_digital_baseline,
                    performance_curves)
+from .samples import FLOAT_FMT
 from .svgplot import line_plot
-
-FLOAT_FMT = "%.17g"
 
 
 def load_matrix(path: str, sym_tol: float = 1e-9) -> np.ndarray:
@@ -496,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lsq", **sub_kwargs, help="linear least squares via the normal equations")
     common(p)
     p.add_argument("--data", help="CSV with columns x,y")
-    p.add_argument("--degree", type=int, default=1,
+    p.add_argument("--degree", type=_non_negative_int, default=1,
                    help="polynomial degree for --data designs")
     p.add_argument("--design", help="design-matrix CSV")
     p.add_argument("--y", help="response CSV")

@@ -64,6 +64,9 @@ class SpuEmulator:
     def __post_init__(self):
         if self.n_cells < 1:
             raise ValueError(f"a board needs at least one cell, got n_cells={self.n_cells}")
+        if not 0.0 <= self.tolerance_sigma < np.inf:  # NaN fails both comparisons
+            raise ValueError("tolerance_sigma must be non-negative and finite, "
+                             f"got {self.tolerance_sigma}")
         self.dead_couplings = frozenset(
             (min(i, j), max(i, j)) for i, j in self.dead_couplings)
         self.dead_cells = frozenset(self.dead_cells)

@@ -20,14 +20,16 @@ n steps compose exactly: z <- M^n z + w_n.  One block engine advances every
 linear run that way, drawing w_n from the exact law of the compounded step
 (binary doubling) or injecting the chain's increments through stacked
 kernels M^(n-1-j) N.  This reproduces the stepped chain at the record times
-exactly.  With the ideal source a record is one step, and a chunk of T
+exactly.  So a record is one step of either source, and a chunk of T
 records is one product per block, the chunked form of a linear-recurrence
 scan (Blelloch 1990; Martin & Cundy 2018): the start state and the chunk's
-raw standard-normal draws, side by side, times a block-triangular matrix of
-the step's powers with the noise factor folded in.  T follows from the
-run's shape alone; a large stack steps with T = 1.  Chain-noise and
-zero-noise runs step record by record.  Buffers are reused for the whole
-run, so the record loop allocates no array per record.  A circuit run keeps
+noise, side by side, times a block-triangular matrix of the step's powers
+with the noise factor folded in; the noise is raw standard-normal draws
+with the ideal source, the injected increments with the chain (factor I).
+T follows from the run's shape alone; a large stack steps with T = 1.  A
+run without noise is an undriven one (kappa0 = 0, or beta = inf).  Buffers
+are reused for the whole run, so the record loop allocates no array per
+record.  A circuit run keeps
 only the half of each state that its readout reads (p for voltage and
 charge, x for current), copied once a chunk into records shaped
 (chains, n, K, b/2), and a whole-board run reads them out in place; the
@@ -46,14 +48,14 @@ operators.  A circuit run steps only the cells that can move; undriven
 cells at rest that no coupling joins to a moving cell stay exactly at rest.
 
 Because every run is a stack of equal blocks, many small runs step as one:
-``integrate_circuits`` concatenates the blocks of ideal-source runs of the
-same shape into one stack, so a chunk of records of the whole stack costs
-one product per block, while each run keeps its own step, stride, burn-in
-and seeded stream and its records equal those of the run alone.  A stack
-steps no more cells than the board its runs came from, so its records take
-no more memory than one run's whole-board batch.  Each run's batch holds its stepped cells only, and
-its ``meta["cells"]`` names them; ``integrate_circuit``, the one-run case,
-pads the batch back to the board.
+``integrate_circuits`` concatenates the blocks of runs of the same shape,
+on either source, into one stack, so a chunk of records of the whole stack
+costs one product per block, while each run keeps its own step, stride,
+burn-in and seeded stream and its records equal those of the run alone.  A
+stack steps no more cells than the board its runs came from, so its
+records take no more memory than one run's whole-board batch.  Each run's
+batch holds its stepped cells only, and its ``meta["cells"]`` names them;
+``integrate_circuit``, the one-run case, pads the batch back to the board.
 """
 
 from __future__ import annotations
@@ -247,7 +249,6 @@ class TrajectoryConfig:
     sample_rate: float | None = None
     seed: int = 0
     chains: int = 1
-    zero_noise: bool = False
     decorrelate_multiple: float = 5.0
     max_steps: int = 100_000_000  # guard for runaway chain-noise runs
 
@@ -441,26 +442,21 @@ class _LinearSystem:
         return values if self.basis is None else values @ self.basis.T
 
     def noise_buffer(self, steps: int, chains: int) -> np.ndarray:
-        """Room for ``steps`` steps of laid-out increments: (K, steps, chains, r)
-        for K blocks that each take r increments a step (1, d dense; d, 1 per mode)."""
+        """Room for ``steps`` steps of laid-out increments: (K, steps, r, chains)
+        for K blocks that each take r increments a step (1, d dense; d, 1 per
+        mode), so n steps of a block, reshaped to (K, n*r, chains), are the
+        right operand of the kernel product without a copy."""
         k, _, r = _stack(self.n_inject).shape
-        return np.empty((k, steps, chains, r))
+        return np.empty((k, steps, r, chains))
 
     def lay_noise(self, eta: np.ndarray, out: np.ndarray) -> None:
         """Write step-major per-cell increments (steps, chains, d) into a
         ``noise_buffer`` slice, rotated into the basis by one GEMM."""
         if self.basis is None:
-            out[0] = eta
+            out[0] = eta.swapaxes(1, 2)
         else:
             np.matmul(self.basis.T, eta.reshape(-1, self.dimension).T,
                       out=out.reshape(self.dimension, -1))
-
-    @staticmethod
-    def noise_operand(block: np.ndarray) -> np.ndarray:
-        """n steps of laid-out increments as the left operand of the kernel
-        product: (K, chains, n*r), each chain's increments step by step."""
-        k, n, chains, r = block.shape
-        return block.transpose(0, 2, 1, 3).reshape(k, chains, n * r)
 
     def expand(self, stack: np.ndarray) -> np.ndarray:
         """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
@@ -602,8 +598,7 @@ class _CircuitRun:
         if not given:
             z = _initial_state(params, initial_state, chains, rng)
         self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
-                                 burn_steps, cfg.zero_noise, half=0 if record == "current" else 1,
-                                 board=d)
+                                 burn_steps, half=0 if record == "current" else 1, board=d)
         self.l_vector = params.l_vector
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
@@ -670,12 +665,11 @@ def integrate_circuits(runs, record: str = "voltage"):
     (n, cells_stepped), and its ``meta["cells"]`` names their board cells,
     in order; the board's other cells rest at exactly 0.0.  Its columns,
     ``meta`` otherwise, sample rate and start time equal those that
-    ``integrate_circuit`` returns for that run alone.  Runs on the ideal
-    source with noise on that share the block size, the chain and record
-    counts, whether a burn-in exists, the kept half and the chunk step
-    together (``_stacks``): each chunk of records then costs one
-    product per block of the stack.
-    Every other run steps alone.
+    ``integrate_circuit`` returns for that run alone.  Runs on either noise
+    source that share the block size, the chain and record counts, whether
+    a burn-in exists, the kept half and the chunk step together
+    (``_stacks``): each chunk of records then costs one product per block
+    of the stack.
     """
     prepared = [_CircuitRun(*run, record=record) for run in runs]
     for stack in _stacks([run.linear for run in prepared]):
@@ -718,13 +712,13 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     return batch
 
 
-_MAX_BLOCK_STEPS = 4096
+_MAX_BLOCK_STEPS = 4096  # most steps of one block of chain-noise injection
 _KERNEL_BYTES = 16 << 20  # memory budget of the kernel stack
 _MIN_DRAW_STEPS = 1024  # chain noise is drawn a block at a time, but at least this many steps
-# the records T of a scanned chunk are a power of two, bounded for a stack that
-# steps its runs' whole board: its states (2 board chains values) by _CHUNK_BYTES,
-# and the draws' rows of the blocked scan's matrix (2 board b T^2 values) by
-# _SCAN_BYTES; a looped chunk's states fill _CHUNK_BYTES
+# the records T of a chunk are a power of two, bounded for a stack that steps
+# its runs' whole board: its states (2 board chains values) by _CHUNK_BYTES,
+# and the noise rows of the blocked scan's matrix (2 board b T^2 values) by
+# _SCAN_BYTES
 _CHUNK_BYTES = 64 << 10
 _SCAN_BYTES = 256 << 10
 _TINY = np.finfo(float).tiny
@@ -736,20 +730,19 @@ def _flushed(a: np.ndarray) -> np.ndarray:
 
 
 def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
-    """Injection kernels of a ``steps``-step block, stacked for row-vector noise.
+    """Injection kernels of a ``steps``-step block, side by side for column noise.
 
-    In every block of the (K, steps*r, b) stack, rows j*r..(j+1)*r hold
-    (M^(steps-1-j) N)^T, where r is the noise width of a step (d dense, 1
-    per mode), so a block's noise laid out as (K, chains, steps*r) injects
-    with one product.  The last n*r rows are the kernels of an n-step block.
+    In every block of the (K, b, steps*r) stack, columns j*r..(j+1)*r hold
+    M^(steps-1-j) N, where r is the noise width of a step (d dense, 1 per
+    mode), so a block's noise laid out as (K, steps*r, chains) injects with
+    one product.  The last n*r columns are the kernels of an n-step block.
     """
-    kernel = _t(_stack(sys_.n_inject))
-    mt = _t(_stack(sys_.m_step))
-    stack = np.empty((kernel.shape[0], steps) + kernel.shape[1:])
+    kernel, m = _stack(sys_.n_inject), _stack(sys_.m_step)
+    stack = np.empty(kernel.shape[:2] + (steps, kernel.shape[2]))
     for j in range(steps - 1, -1, -1):
-        stack[:, j] = kernel
-        kernel = kernel @ mt
-    return stack.reshape(kernel.shape[0], steps * kernel.shape[1], kernel.shape[2])
+        stack[:, :, j] = kernel
+        kernel = m @ kernel
+    return stack.reshape(kernel.shape[0], kernel.shape[1], -1)
 
 
 class _LinearRun:
@@ -758,72 +751,106 @@ class _LinearRun:
     half of each block that the records keep: 0 for x, 1 for p, None for
     both.  ``board`` counts the cells of the board the run came from (by
     default the cells it steps).  ``chunk`` is the number of records a
-    chunk steps.  For a scanned run it follows from the run's chains,
-    block size, board and record count alone, because the blocked scan's
-    rounding depends on it, so a run rounds alike in every stack, and
-    being a power of two it is shared by the runs of boards of similar
-    size.  A looped run steps alone, its chunk's states filling
-    ``_CHUNK_BYTES``."""
+    chunk steps.  It follows from the run's chains, block size, board and
+    record count alone, because the blocked scan's rounding depends on it,
+    so a run rounds alike in every stack, and being a power of two it is
+    shared by the runs of boards of similar size.  ``width`` is the most
+    steps that one block of chain-noise injection takes."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                 stride: int, burn_steps: int, zero_noise: bool, half: int | None = None,
+                 stride: int, burn_steps: int, half: int | None = None,
                  board: int | None = None):
         self.sys_, self.z, self.source = sys_, _stack(z), source
         self.per_chain, self.stride, self.burn_steps = per_chain, stride, burn_steps
-        self.zero_noise, self.half = zero_noise, half
+        self.half = half
         self.board = sys_.dimension if board is None else board
         self.ideal = isinstance(source, np.random.Generator)
-        self.scanned = self.ideal and not zero_noise  # stepped by the blocked scan
-        width = max(stride, burn_steps)
-        if not self.ideal:
-            width = max(1, min(_MAX_BLOCK_STEPS, width, _KERNEL_BYTES // sys_.n_inject.nbytes))
-        self.width = width
+        self.width = max(1, min(_MAX_BLOCK_STEPS, max(stride, burn_steps),
+                                _KERNEL_BYTES // sys_.n_inject.nbytes))
         chains, b = self.z.shape[1:]
-        if self.scanned:
-            bound = max(1, min(_CHUNK_BYTES // (16 * self.board * chains),
-                               math.isqrt(_SCAN_BYTES // (16 * self.board * b))))
-            self.chunk = min(per_chain, 1 << (bound.bit_length() - 1))
-        else:
-            self.chunk = max(1, min(per_chain, _CHUNK_BYTES // self.z.nbytes))
+        bound = max(1, min(_CHUNK_BYTES // (16 * self.board * chains),
+                           math.isqrt(_SCAN_BYTES // (16 * self.board * b))))
+        self.chunk = min(per_chain, 1 << (bound.bit_length() - 1))
 
     @property
     def key(self):
-        """Runs with equal keys can step as one stack; None for a run that steps alone."""
-        if not self.scanned:
-            return None
+        """Runs with equal keys can step as one stack."""
         return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.half, self.chunk
 
     def plans(self):
-        """Block plans of the burn-in and of one stride: lists of blocks
-        (M^n, W_n or None without noise, n), each stacked, of at most
-        ``width`` steps; M^n and an ideal W_n are flushed of subnormals."""
-        sys_, width, ideal = self.sys_, self.width, self.ideal
-        kernels = None if ideal or self.zero_noise else _kernel_stack(sys_, width)
+        """Blocked-scan plans of the burn-in and of one stride: lists of at
+        most one block (M^n, W), each stacked, that takes n steps at once,
+        z <- z (M^n)^T + xi W.  With the ideal source xi is a standard
+        normal draw and W = chol(S_n)^T; with chain noise xi is the
+        increment that the chain injects over the n steps (``noise``) and
+        W = I.  M^n and an ideal W are flushed of subnormals."""
+        sys_, cache = self.sys_, {}
+
+        def block(n):
+            if n not in cache:
+                m_n, s_n = sys_.compound(n)
+                m_n = _flushed(_stack(m_n))
+                w = (_t(_flushed(_stack(_factor(s_n)))) if self.ideal
+                     else np.broadcast_to(np.eye(m_n.shape[-1]), m_n.shape))
+                cache[n] = m_n, w
+            return cache[n]
+
+        return [block(self.burn_steps)] if self.burn_steps else [], [block(self.stride)]
+
+    def noise(self):
+        """A function (slots, burn) that writes the noise xi of the next
+        records, one a slot, into operand slots shaped (K, count, b, chains):
+        the burn-in's (``burn``, one slot) or the strides'.  The ideal source
+        draws them with one ``standard_normal`` call, which reads its stream
+        as per-record draws would.  Chain noise writes the increment v that
+        the chain injects over each span, built from v = 0 block by block,
+        v <- M^n v + W_n xi_n, with xi_n the block's increments
+        (``chain_reader``) and W_n the last n*r columns of the kernel stack,
+        at most ``width`` steps a block."""
+        if self.ideal:
+            draws = np.empty(self.chunk * self.z.size)
+
+            def draw(slots, burn):
+                xi = draws[:slots.shape[1] * self.z.size].reshape((-1,) + self.z.shape)
+                self.source.standard_normal(out=xi)
+                slots[...] = xi.transpose(1, 0, 3, 2)
+
+            return draw
+        sys_, width, read = self.sys_, self.width, self.chain_reader()
+        kernels = _kernel_stack(sys_, width)
         r = _stack(sys_.n_inject).shape[-1]
-        cache = {}
+        powers = {}  # M^n of the blocks after a span's first
 
         def blocks(steps):
             plan = []
             for start in range(0, steps, width):
                 n = min(width, steps - start)
-                if n not in cache:
-                    m_n, s_n = sys_.compound(n)
-                    w_n = (None if self.zero_noise else _t(_flushed(_stack(_factor(s_n))))
-                           if ideal else kernels[:, (width - n) * r:, :])
-                    cache[n] = _flushed(_stack(m_n)), w_n, n
-                plan.append(cache[n])
+                if start and n not in powers:
+                    powers[n] = _flushed(_stack(sys_.compound(n)[0]))
+                plan.append((powers.get(n), kernels[..., (width - n) * r:], n))
             return plan
 
-        return blocks(self.burn_steps), blocks(self.stride)
+        spans = blocks(self.burn_steps), blocks(self.stride)
+
+        def inject(slots, burn):
+            (_, w_first, n_first), *rest = spans[0 if burn else 1]
+            for v in slots.swapaxes(0, 1):  # record by record, each (K, b, chains)
+                np.matmul(w_first, read(n_first), out=v)
+                for m_n, w_n, n in rest:
+                    v[...] = m_n @ v + w_n @ read(n)
+
+        return inject
 
     def chain_reader(self):
         """A function n -> the next n steps of the chain's increments as the
-        kernel product's left operand; draws go into one reused buffer."""
+        kernel product's right operand, (K, n*r, chains); draws go into one
+        reused buffer."""
         sys_, chains = self.sys_, self.z.shape[1]
         remaining = self.burn_steps + self.per_chain * self.stride  # steps not yet drawn
         draw_steps = max(self.width, _MIN_DRAW_STEPS)
         # drawn noise, steps pos..end unused; room for a block's leftover and a draw
         eta = sys_.noise_buffer(self.width + draw_steps, chains)
+        k, _, r, _ = eta.shape
         pos = end = 0
 
         def read(n):
@@ -836,19 +863,19 @@ class _LinearRun:
                 pos, end = 0, left + draw
                 remaining -= draw
             pos += n
-            return sys_.noise_operand(eta[:, pos - n:pos])
+            return eta[:, pos - n:pos].reshape(k, n * r, chains)
 
         return read
 
 
 def _stacks(runs: list[_LinearRun]) -> list[list[int]]:
     """Indices of ``runs`` grouped into stacks: runs of one key, in order,
-    while a stack steps no more cells than the board of any run in it; a
-    run without a key alone.  A stack's records then take no more memory
-    than the whole-board batch of any of its runs."""
+    while a stack steps no more cells than the board of any run in it.  A
+    stack's records then take no more memory than the whole-board batch of
+    any of its runs."""
     groups = {}
     for i, run in enumerate(runs):
-        groups.setdefault((i,) if run.key is None else run.key, []).append(i)
+        groups.setdefault(run.key, []).append(i)
     stacks = []
     for members in groups.values():
         stack, cells, board = [], 0, math.inf
@@ -885,28 +912,28 @@ def _scan(mt: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
 
 
 def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan, stride_plan):
-    """Chunks of records of a stack of ideal-source runs, T records one
-    product per block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in
-    is the T = 1 case.  Yields (k0, states, finite): the full states of
-    records k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2), and
-    whether all of them are finite.
+    """Chunks of records of a stack of runs, T records one product per
+    block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in is the T = 1
+    case.  Yields (k0, states, finite): the full states of records
+    k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2), and whether all
+    of them are finite.
 
     The product runs transposed, G^T times a reused (K, T+1, b, chains)
     operand, each chain a column, so chains are the unit-stride axis of
-    every copy in and out.  Each run draws a chunk's xi with one
-    ``standard_normal`` call, which reads its stream as per-record draws
-    would, and the draws are copied into their slots.  A large power of an
-    unstable step can overflow where the states it multiplies do not, so a
-    block whose chunk is not finite is stepped again record by record by
-    G's corner: its records and its first non-finite one are the loop's.
+    every copy in and out.  Each run writes the noise of a chunk's records
+    into their slots (``_LinearRun.noise``).  A large power of an unstable
+    step can overflow where the states it multiplies do not, so a block
+    whose chunk is not finite is stepped again record by record by G's
+    corner: its records and its first non-finite one are those of a
+    record-by-record loop.
     """
     first = runs[0]
     chunk, (k_total, chains, b) = first.chunk, start.shape
     operand = np.empty((k_total, chunk + 1, b, chains))
     columns = operand.reshape(k_total, (chunk + 1) * b, chains)
     out = np.empty((k_total, chunk, b, chains))
-    draws = np.empty(chunk * start.size)
     operand[:, 0] = _t(start)
+    fills = [run.noise() for run in runs]
 
     def step(gt, count):
         """Steps ``count`` records into ``out`` by G^T; whether they are all finite."""
@@ -924,18 +951,16 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
         operand[:, 0] = out[:, count - 1]  # the next records step on from the last
         return finite
 
-    def draw(count):
-        for run, lo, hi in zip(runs, spans, spans[1:]):
-            xi = draws[:count * run.z.size].reshape((count,) + run.z.shape)
-            run.source.standard_normal(out=xi)
-            operand[lo:hi, 1:count + 1] = xi.transpose(1, 0, 3, 2)
+    def draw(count, burn=False):
+        for fill, lo, hi in zip(fills, spans, spans[1:]):
+            fill(operand[lo:hi, 1:count + 1], burn)
 
     def scan(plan, count):
-        ((mt, w, _),) = plan
+        ((mt, w),) = plan
         return _t(_scan(mt, w, count))
 
     if burn_plan:
-        draw(1)
+        draw(1, burn=True)
         step(scan(burn_plan, 1), 1)
     states = out.reshape(k_total, chunk, 2, b // 2, chains).transpose(1, 0, 4, 2, 3)
     stride_scan = scan(stride_plan, chunk)
@@ -946,65 +971,27 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
         yield k0, states[:count], finite
 
 
-def _looped_chunks(run: _LinearRun, start: np.ndarray, burn_plan, stride_plan):
-    """Chunks of records of one run stepped record by record: chain noise
-    or none.  Each record steps through the blocks of its plan,
-    z <- z (M^n)^T + xi W_n, with xi the block's chain increments
-    laid out as (K, chains, n*r) (``_LinearSystem.noise_operand``) and W_n
-    the last n*r rows of the kernel stack.  The states of a chunk live in
-    a reused buffer of ``chunk + 1`` slots: record k steps from slot k into
-    slot k+1, through one spare state when a stride takes several blocks.
-    Yields (k0, states, finite) as ``_scanned_chunks`` does.
-    """
-    chunk, noisy, (k_total, chains, b) = run.chunk, not run.zero_noise, start.shape
-    if noisy:
-        read = run.chain_reader()
-        injected = np.empty_like(start)
-    states = np.empty((chunk + 1,) + start.shape)
-    states[0] = start
-    slots, spare = list(states), np.empty_like(start)
-    halves = states.reshape(chunk + 1, k_total, chains, 2, b // 2)
-    segments = [(burn_plan, None, 1)] if burn_plan else []
-    segments += [(stride_plan, k0, min(chunk, run.per_chain - k0))
-                 for k0 in range(0, run.per_chain, chunk)]
-    for plan, k0, count in segments:
-        for k in range(count):
-            # the burn-in steps from the start into slot 0, record k into slot k+1
-            z, last = (start, slots[0]) if k0 is None else (slots[k], slots[k + 1])
-            nxt = last if len(plan) % 2 else spare  # the plan's last block lands in last
-            for mt, w_n, n in plan:
-                np.matmul(z, mt, out=nxt)
-                if noisy:
-                    nxt += np.matmul(read(n), w_n, out=injected)
-                z, nxt = nxt, spare if nxt is last else last
-        if k0 is not None:
-            done = halves[1:count + 1]
-            yield k0, done, np.isfinite(done).all()
-            states[0] = states[count]  # the next chunk steps on from the last record
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     """Advance a stack of linear runs in exact blocks; record after every stride.
 
-    The runs share their block size b, chain and record counts, kept half,
-    chunk and noise source type, and a stack of several runs holds
-    ideal-source runs only (``_stacks``).  Their states step together as
-    one (K, chains, b) stack of blocks; each run keeps its own step,
-    stride, burn-in and noise.  The records keep the runs' ``half`` of each
-    block: shaped (chains, per_chain, K, b/2) for one half, (chains,
-    per_chain, 2, K, b/2) for both, each block's x half then its p half.  A
-    run's slice of the block axis, reshaped, is its stored layout
-    (``_LinearSystem.stored``), or that layout's kept half.
+    The runs share their block size b, chain and record counts, whether
+    they burn in, kept half and chunk (``_stacks``).  Their states step
+    together as one (K, chains, b) stack of blocks; each run keeps its own
+    step, stride, burn-in and noise source.  The records keep the runs'
+    ``half`` of each block: shaped (chains, per_chain, K, b/2) for one
+    half, (chains, per_chain, 2, K, b/2) for both, each block's x half then
+    its p half.  A run's slice of the block axis, reshaped, is its stored
+    layout (``_LinearSystem.stored``), or that layout's kept half.
 
     The noise is exogenous to the linear system and the step has no
-    constant term, so n steps compose exactly: z <- z (M^n)^T + xi W_n,
-    every block at once.  With the ideal source (a numpy ``Generator``) xi
-    is a standard normal draw shaped like z and W_n = chol(S_n)^T, so a
-    burn-in or a stride is one step, and a chunk of ``chunk`` records is
-    one product per block, the draws entering raw (``_scanned_chunks``).
-    Chain noise and zero-noise runs step record by record
-    (``_looped_chunks``).  Each chunk's full states are checked once for a
+    constant term, so n steps compose exactly: z <- z (M^n)^T + xi W,
+    every block at once, and a burn-in or a stride is one step.  With the
+    ideal source (a numpy ``Generator``) xi is a standard normal draw
+    shaped like z and W = chol(S_n)^T; with chain noise xi is the
+    increment the chain injects over the n steps and W = I.  A chunk of
+    ``chunk`` records is one product per block, the noise entering raw
+    (``_scanned_chunks``).  Each chunk's full states are checked once for a
     non-finite value, as they are made; a bad chunk names the first bad
     record of a run as that run alone would, before the kept half is copied
     into the records.
@@ -1019,21 +1006,16 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
         """Block j of every run's plan as one block of the stack."""
         steps = []
         for blocks in zip(*plans):
-            m_n, w_n, n = zip(*blocks)
+            m_n, w = zip(*blocks)
             # a transposed view: a contiguous (M^n)^T rounds differently
-            steps.append((_t(np.concatenate(m_n)),
-                          None if w_n[0] is None else w_n[0] if len(w_n) == 1
-                          else np.concatenate(w_n), n[0]))
+            steps.append((_t(np.concatenate(m_n)), w[0] if len(w) == 1 else np.concatenate(w)))
         return steps
 
     plans = [run.plans() for run in runs]
     burn_plan = stacked([p[0] for p in plans])
     stride_plan = stacked([p[1] for p in plans])
     del plans  # the stack holds its own copies of every M^n
-    if first.scanned:
-        chunks = _scanned_chunks(runs, spans, start, burn_plan, stride_plan)
-    else:
-        chunks = _looped_chunks(first, start, burn_plan, stride_plan)
+    chunks = _scanned_chunks(runs, spans, start, burn_plan, stride_plan)
     if first.half is None:
         recs = np.empty((chains, per_chain, 2, k_total, b // 2))
         records = recs.transpose(1, 3, 0, 2, 4)
@@ -1053,12 +1035,12 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
 
 
 def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                stride: int, burn_steps: int, zero_noise: bool) -> np.ndarray:
+                stride: int, burn_steps: int) -> np.ndarray:
     """One linear run of the block engine (``_run_stack``), ``z`` in the
     system's block layout (``_LinearSystem.to_blocks``); the records are
     shaped (chains, per_chain) + the stored layout of one chain
     (``_LinearSystem.stored``)."""
-    recs = _run_stack([_LinearRun(sys_, z, source, per_chain, stride, burn_steps, zero_noise)])
+    recs = _run_stack([_LinearRun(sys_, z, source, per_chain, stride, burn_steps)])
     return recs.reshape(recs.shape[:2] + sys_.stored(z).shape[1:])
 
 
@@ -1096,7 +1078,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
             dt=dt,
         )
         z = sys_.to_blocks(np.concatenate([x0, p0], axis=1))
-        recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps, cfg.zero_noise)
+        recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps)
         xs, ps = sys_.cells(recs, 0), sys_.cells(recs, 1)
     else:
         grad = spec.grad_potential
@@ -1105,7 +1087,7 @@ def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
         ps = np.empty((chains, per_chain, d))
         x, p = x0.copy(), p0.copy()
         total = burn_steps + per_chain * stride
-        noise_amp = 0.0 if cfg.zero_noise else math.sqrt(2.0 * spec.damping * dt / spec.beta)
+        noise_amp = math.sqrt(2.0 * spec.damping * dt / spec.beta)
         k = 0
         for step in range(1, total + 1):
             p = p - dt * grad(x) - dt * (p @ gm.T)

@@ -108,6 +108,8 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
     """The circuit run that samples ``spec`` on the emulated device:
     ``(compilation, params, config, noise, factor)``, where ``factor`` turns
     the run's readout into target samples."""
+    if not 0.0 <= tolerance_sigma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance_sigma must be non-negative and finite, got {tolerance_sigma}")
     if spec.kind == "precision":
         comp = compile_precision(spec.matrix, kT=spec.kT, quantize=quantize)
     else:

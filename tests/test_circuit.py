@@ -162,6 +162,13 @@ class TestCircuitParams:
         assert np.all(np.abs(ratio - 1) < 0.3)
         np.testing.assert_allclose(a.maxwell, a.maxwell.T)
 
+    @pytest.mark.parametrize("sigma", [-0.05, float("nan"), float("inf")])
+    def test_bad_tolerance_refused(self, sigma):
+        params = CircuitParams.build([cell()], CouplingConfig.none(1))
+        with pytest.raises(ValueError, match=f"rel_sigma must be non-negative and finite, "
+                                             f"got {sigma}"):
+            params.with_tolerance(sigma, seed=11)
+
     def test_parallel_loading_applied(self):
         params = CircuitParams.build([cell(r=100.0) for _ in range(8)],
                                      CouplingConfig.none(8))

@@ -201,9 +201,11 @@ class TestSampleVerb:
 
     # SHA-256 of the artifacts of a seeded lfsr-chain run at duty 0.6, as
     # written by the source that read each register's bits separately and
-    # XORed them (numpy 2.4, OpenBLAS, x86-64)
+    # XORed them (numpy 2.4, OpenBLAS, x86-64).  The samples are those of the
+    # blocked record scan, which moved each by at most 1.4e-15 of the largest
+    # (1.1e-12 of itself) from the record-by-record loop
     CHAIN_DIGESTS = {
-        "samples.csv": "861e52fc1927fdd9c9b73e3062a510b996071a667b496d95ca37419cb777a2ab",
+        "samples.csv": "be1793dfeade48a370db457ea730e7aeeb60d13331a5a9071be8bf257f0d9673",
         "noise_stream.csv":
             "29816e8c0d4779e9165ecf33b046994111fc25b26b50d04f2681196d86d16a07",
     }
@@ -321,6 +323,14 @@ class TestLsqVerb:
         assert code == 0
         beta = np.loadtxt(out / "coefficients.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-8)
+
+    def test_negative_degree_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.ones((4, 2)), delimiter=",")
+        with pytest.raises(SystemExit) as err:
+            main(["lsq", "--data", str(data), "--degree", "-1", "--outdir", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "--degree" in capsys.readouterr().err
 
 
 class TestSngpVerb:
@@ -606,6 +616,21 @@ class TestRateAndLevelInput:
                      "--outdir", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: noise_level must be in (0, 1e6], got {float(level)}" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
+    @pytest.mark.parametrize("verb", ["sample", "invert", "spectroscopy"])
+    def test_bad_tolerance_exit_code(self, tmp_path, capsys, verb, tolerance):
+        # a negative or NaN tolerance used to run as 0 and be recorded as given
+        m = write_matrix(tmp_path / "p.csv", np.eye(2))
+        argv = {"sample": ["sample", "--precision", m], "invert": ["invert", "--matrix", m],
+                "spectroscopy": ["spectroscopy", "--cells", "2"]}[verb]
+        out = tmp_path / "o"
+        assert main(argv + ["--tolerance", tolerance, "--n", "1000", "--chains", "2",
+                            "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: tolerance_sigma must be non-negative and finite, got {float(tolerance)}"
+                in err)
         assert not (out / "manifest.json").exists()
 
 

@@ -178,10 +178,11 @@ class TestCircuitIntegration:
         assert var == pytest.approx(2.33e-3, rel=0.05)
 
     def test_zero_noise_decays_and_dissipates(self):
-        params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
+        # an undriven cell (kappa0 = 0) started away from rest
+        params = CircuitParams.build([UnitCell(**{**CELL7, "noise_psd": 0.0})],
+                                     CouplingConfig.none(1))
         state0 = SdeState.from_iv(np.zeros(1), np.ones(1), params)
-        cfg = TrajectoryConfig(n_samples=200, zero_noise=True, seed=0,
-                               record_stride=120, burn_in=0.0)
+        cfg = TrajectoryConfig(n_samples=200, seed=0, record_stride=120, burn_in=0.0)
         vb = integrate_circuit(params, cfg, record="voltage", initial_state=state0)
         ib = integrate_circuit(params, cfg, record="current", initial_state=state0)
         assert abs(vb.values[-1, 0]) < 1e-4
@@ -317,14 +318,14 @@ class TestUdlOdl:
         assert xs.reshape(-1).var() == pytest.approx(1.0 / beta, rel=0.05)
 
     def test_energy_drift_zero_noise(self):
-        # undamped, noiseless harmonic oscillator: the semi-implicit step
-        # keeps energy bounded; drift over one period at dt = T/1000 < 1%
-        spec = GenericLangevinSpec(mass=1.0, damping=1e-12, beta=1.0,
+        # undamped, noiseless (beta = inf) harmonic oscillator: the semi-implicit
+        # step keeps energy bounded; drift over one period at dt = T/1000 < 1%
+        spec = GenericLangevinSpec(mass=1.0, damping=1e-12, beta=np.inf,
                                    grad_potential=QuadraticPotential(np.eye(1)))
         period = 2 * np.pi
         n = 1000
         cfg = TrajectoryConfig(dt=period / n, n_samples=n, record_stride=1,
-                               burn_in=0.0, seed=0, zero_noise=True)
+                               burn_in=0.0, seed=0)
         xs, ps = integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
         energy = 0.5 * ps[:, 0] ** 2 + 0.5 * xs[:, 0] ** 2
         assert abs(energy[-1] - 0.5) / 0.5 < 0.01
@@ -332,10 +333,10 @@ class TestUdlOdl:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflow_diagnostic_names_step(self):
-        spec = GenericLangevinSpec(mass=1.0, damping=1e-9, beta=1e9,
+        spec = GenericLangevinSpec(mass=1.0, damping=1e-9, beta=np.inf,
                                    grad_potential=QuadraticPotential(np.eye(1)))
         cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1,
-                               burn_in=0.0, seed=0, zero_noise=True)
+                               burn_in=0.0, seed=0)
         with pytest.raises(RuntimeError, match="step"):
             integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
 
@@ -401,11 +402,10 @@ class TestBurnInRule:
         assert first.var(ddof=1) == pytest.approx(target, rel=0.02)
 
 
-def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_noise):
+def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps):
     """Per-step oracle for the block engine: one transition per integrator step."""
     total = burn_steps + per_chain * stride
-    eta = (np.zeros((total, z.shape[0], sys_.dimension)) if zero_noise
-           else source.increments(total))
+    eta = source.increments(total)
     recs = []
     for step in range(total):
         z = z @ sys_.m_step.T + eta[step] @ sys_.n_inject.T
@@ -414,12 +414,11 @@ def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, zero_nois
     return np.stack(recs, axis=1)
 
 
-def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
+def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps):
     """Ideal-source oracle: one exact Gaussian draw for the burn-in, then one per record."""
     def block(z, n):
         m, s = sys_.compound(n)
-        z = z @ m.T
-        return z if zero_noise else z + rng.standard_normal(z.shape) @ _factor(s).T
+        return z @ m.T + rng.standard_normal(z.shape) @ _factor(s).T
 
     if burn_steps:
         z = block(z, burn_steps)
@@ -430,12 +429,11 @@ def _per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_nois
     return np.stack(recs, axis=1)
 
 
-def _modal_per_record_reference(sys_, z, rng, per_chain, stride, burn_steps, zero_noise):
+def _modal_per_record_reference(sys_, z, rng, per_chain, stride, burn_steps):
     """``_per_record_reference`` for a stack of per-mode blocks; records as stored."""
     def block(z, n):
         m, s = sys_.compound(n)
-        z = z @ langevin._t(m)
-        return z if zero_noise else z + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
+        return z @ langevin._t(m) + rng.standard_normal(z.shape) @ langevin._t(_factor(s))
 
     if burn_steps:
         z = block(z, burn_steps)
@@ -460,17 +458,17 @@ class TestBlockEngine:
                              gamma_vec=np.full(d, gamma), amps=np.full(d, amps),
                              dt=self.DT)
 
-    def source(self, chains, d=3, sub=1, **chain_kw):
+    def source(self, chains, d=3, sub=1, kappa0=0.7, **chain_kw):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         bit_period = sub * self.DT
         chain = NoiseChainConfig(bit_rate=1.0 / bit_period,
                                  rc_time_constant=8.0 * bit_period, **chain_kw)
-        return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=0.7, dt=self.DT,
+        return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=kappa0, dt=self.DT,
                                 chains=chains)
 
-    def compare(self, sys_, chains, per_chain, stride, burn_steps, zero_noise=False, **src_kw):
+    def compare(self, sys_, chains, per_chain, stride, burn_steps, **src_kw):
         z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
-        args = (per_chain, stride, burn_steps, zero_noise)
+        args = (per_chain, stride, burn_steps)
         got = _run_linear(sys_, z0.copy(), self.source(chains, **src_kw), *args)
         want = _stepped_reference(sys_, z0.copy(), self.source(chains, **src_kw), *args)
         assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
@@ -495,27 +493,25 @@ class TestBlockEngine:
                      duty_cycle=0.3, saturation=1.2)
 
     def test_zero_noise(self):
+        # an undriven chain (kappa0 = 0) injects zeros: the decay from a random start
         self.compare(self.system(), chains=2, per_chain=8, stride=25, burn_steps=30,
-                     zero_noise=True)
+                     kappa0=0.0)
 
     def test_many_chains(self):
         self.compare(self.system(d=2), chains=9, per_chain=4, stride=200, burn_steps=150, d=2)
 
-    @pytest.mark.parametrize("burn_steps,zero_noise", [
+    @pytest.mark.parametrize("burn_steps,undriven", [
         (0, False),  # no burn-in draw at all
         (250, False),  # burn-in longer than the stride
-        (40, True),
+        (40, True),  # no noise (amplitude 0): the decay from a random start
     ])
-    def test_ideal_source_matches_per_record_draws(self, burn_steps, zero_noise):
-        sys_ = self.system()
+    def test_ideal_source_matches_per_record_draws(self, burn_steps, undriven):
+        sys_ = self.system(amps=0.0 if undriven else 1.3)
         z0 = np.random.default_rng(42).standard_normal((3, 6))
-        args = (9, 70, burn_steps, zero_noise)
+        args = (9, 70, burn_steps)
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(43), *args)
         want = _per_record_reference(sys_, z0.copy(), np.random.default_rng(43), *args)
-        if zero_noise:  # stepped record by record, as the reference is
-            assert np.array_equal(got, want)
-        else:
-            _assert_close(got, want)  # the blocked scan rounds apart from the loop
+        _assert_close(got, want)  # the blocked scan rounds apart from the loop
 
     @pytest.mark.parametrize("ideal", [True, False])
     def test_equal_burn_in_and_stride_compound_once(self, monkeypatch, ideal):
@@ -529,7 +525,7 @@ class TestBlockEngine:
         monkeypatch.setattr(_LinearSystem, "compound", counted)
         source = np.random.default_rng(44) if ideal else self.source(2)
         _run_linear(self.system(), np.zeros((2, 6)), source, per_chain=5, stride=120,
-                    burn_steps=120, zero_noise=False)
+                    burn_steps=120)
         assert calls == [120]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -537,20 +533,39 @@ class TestBlockEngine:
         sys_ = self.system(gamma=-100.0)  # anti-damped: grows ~6x per step
         with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ \(record \d+\)"):
             _run_linear(sys_, np.ones((2, 6)), self.source(2), per_chain=20, stride=100,
-                        burn_steps=0, zero_noise=False)
+                        burn_steps=0)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_ideal_source_non_finite_state_names_the_record(self):
         sys_ = self.system(gamma=-100.0)
         with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ \(record \d+\)"):
             _run_linear(sys_, np.ones((2, 6)), np.random.default_rng(45), per_chain=60,
-                        stride=10, burn_steps=0, zero_noise=False)
+                        stride=10, burn_steps=0)
 
     def test_max_steps_guard(self):
         params = random_psd_params(2, 43)
         cfg = TrajectoryConfig(n_samples=10, seed=44, max_steps=1000)
         with pytest.raises(ValueError, match="max_steps"):
             integrate_circuit(params, cfg, noise="lfsr-chain")
+
+
+class TestChainOrbit:
+    """Each lane of the chain repeats its 16-bit m-sequence every 65,535 bits,
+    so after the burn-in a chain stepped once a bit follows a periodic orbit."""
+
+    @pytest.mark.parametrize("stride,periodic", [(65_535, True), (65_536, False)])
+    def test_records_one_period_apart_are_equal(self, stride, periodic):
+        from spusim.noise import LFSR_PERIOD, NoiseChainConfig
+        params = CircuitParams.from_maxwell(np.eye(1), resistance=1.0, inductance=1.0,
+                                            noise_psd=1.0)
+        chain = NoiseChainConfig.matched(correlation_time(params))
+        # a stride above the largest injection block: each record takes several
+        assert stride >= LFSR_PERIOD > langevin._MAX_BLOCK_STEPS
+        cfg = TrajectoryConfig(dt=1.0 / chain.bit_rate, record_stride=stride, n_samples=4,
+                               seed=3)
+        values = integrate_circuit(params, cfg, noise=chain).values[:, 0]
+        spread = np.max(np.abs(values - values[0])) / np.max(np.abs(values))
+        assert (spread <= 1e-12) == periodic
 
 
 def _dense_twin(monkeypatch, **system_kw):
@@ -591,10 +606,10 @@ class TestModalEngine:
         return dict(m_inv=0.5 * (m_inv + m_inv.T), a_mat=np.eye(d) * 1.7,
                     gamma_vec=np.full(d, gamma), amps=np.full(d, 1.3), dt=self.DT)
 
-    def chain(self, chains, d):
+    def chain(self, chains, d, kappa0=0.7):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         cfg = NoiseChainConfig(bit_rate=1.0 / self.DT, rc_time_constant=8.0 * self.DT)
-        return ChainNoiseSource(cfg, seed=51, dimension=d, kappa0=0.7, dt=self.DT,
+        return ChainNoiseSource(cfg, seed=51, dimension=d, kappa0=kappa0, dt=self.DT,
                                 chains=chains)
 
     @pytest.mark.parametrize("n", [1, 2, 777, 4000])
@@ -609,22 +624,23 @@ class TestModalEngine:
         _assert_close(modal.expand(m_m), m_d)
         _assert_close(modal.expand(s_m), s_d)
 
-    @pytest.mark.parametrize("stride,burn_steps,zero_noise", [
+    @pytest.mark.parametrize("stride,burn_steps,undriven", [
         (70, 20, False),
         (150, 100, False),  # stride above the block width set below
         (1, 0, False),
-        (45, 30, True),  # no noise: the decay from a random start
+        (45, 30, True),  # an undriven chain (kappa0 = 0): the decay from a random start
     ])
     def test_chain_records_match_dense_layout(self, monkeypatch, stride, burn_steps,
-                                              zero_noise):
+                                              undriven):
         monkeypatch.setattr(langevin, "_MAX_BLOCK_STEPS", 64)
         kw = self.modal_kw()
         modal = _LinearSystem(**kw)
         dense = _dense_twin(monkeypatch, **kw)
         z0 = np.random.default_rng(52).standard_normal((3, 8))
-        args = (6, stride, burn_steps, zero_noise)
-        got = _run_linear(modal, modal.to_blocks(z0), self.chain(3, 4), *args)
-        want = _run_linear(dense, z0.copy(), self.chain(3, 4), *args)
+        args = (6, stride, burn_steps)
+        kappa0 = 0.0 if undriven else 0.7
+        got = _run_linear(modal, modal.to_blocks(z0), self.chain(3, 4, kappa0), *args)
+        want = _run_linear(dense, z0.copy(), self.chain(3, 4, kappa0), *args)
         assert got.shape == (3, 6, 2, 4) and want.shape == (3, 6, 8)
         for half in (0, 1):
             _assert_close(modal.cells(got, half), dense.cells(want, half))
@@ -648,38 +664,35 @@ class TestModalEngine:
             z = block(z, stride, rng)
             want.append(sys_.stored(z))
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(54), per_chain, stride,
-                          burn_steps, False)
+                          burn_steps)
         _assert_close(got, np.stack(want, axis=1))
 
     @pytest.mark.parametrize("modal", [False, True])
     @pytest.mark.parametrize("chains", [1, 3])
-    @pytest.mark.parametrize("burn_steps,zero_noise", [
+    @pytest.mark.parametrize("burn_steps,undriven", [
         (0, False),
-        (40, True),  # no noise: no draws
+        (40, True),  # no noise (amplitude 0): the decay from a random start
         (90, False),  # a burn-in draw
     ])
     def test_chunk_boundaries_match_per_record_draws(self, monkeypatch, modal, chains,
-                                                     burn_steps, zero_noise):
+                                                     burn_steps, undriven):
+        amps = 0.0 if undriven else 1.3
         if modal:
-            sys_ = _LinearSystem(**self.modal_kw())
+            sys_ = _LinearSystem(**{**self.modal_kw(), "amps": np.full(4, amps)})
             reference = _modal_per_record_reference
         else:
-            sys_ = TestBlockEngine().system()
+            sys_ = TestBlockEngine().system(amps=amps)
             reference = _per_record_reference
         assert (sys_.basis is not None) == modal
         z0 = sys_.to_blocks(
             np.random.default_rng(57).standard_normal((chains, 2 * sys_.dimension)))
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", 4 * z0.nbytes)  # 4 records a chunk
         rng = _CountingGenerator(58)
-        args = (11, 40, burn_steps, zero_noise)
+        args = (11, 40, burn_steps)
         got = _run_linear(sys_, z0.copy(), rng, *args)
-        want = reference(sys_, z0.copy(), np.random.default_rng(58), *args)
-        if zero_noise:  # stepped record by record, as the reference is
-            assert np.array_equal(got, want)
-        else:
-            _assert_close(got, want)
+        _assert_close(got, reference(sys_, z0.copy(), np.random.default_rng(58), *args))
         # 11 records in chunks of 4, 4 and a partial 3, after the burn-in's draw
-        assert rng.counts == ([] if zero_noise else [1] * (burn_steps > 0) + [4, 4, 3])
+        assert rng.counts == [1] * (burn_steps > 0) + [4, 4, 3]
 
     @pytest.mark.parametrize("modal", [False, True])
     @pytest.mark.parametrize("chains", [1, 3])
@@ -697,7 +710,7 @@ class TestModalEngine:
             np.random.default_rng(60).standard_normal((chains, 2 * sys_.dimension)))
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", z0.nbytes)
         rng = _CountingGenerator(61)
-        args = (7, 40, burn_steps, False)
+        args = (7, 40, burn_steps)
         got = _run_linear(sys_, z0.copy(), rng, *args)
         _assert_close(got, reference(sys_, z0.copy(), np.random.default_rng(61), *args))
         assert rng.counts == [1] * (7 + (burn_steps > 0))
@@ -730,23 +743,25 @@ class TestModalEngine:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("modal,stride", [(False, 10), (True, 9)])
     def test_non_finite_mid_chunk_names_its_record(self, monkeypatch, modal, stride):
+        # an undriven (noise amplitude 0), anti-damped step
         if modal:
-            sys_ = _LinearSystem(**self.modal_kw(d=3, gamma=-20.0))
+            sys_ = _LinearSystem(**{**self.modal_kw(d=3, gamma=-20.0), "amps": np.zeros(3)})
         else:
-            sys_ = TestBlockEngine().system(gamma=-20.0)
+            sys_ = TestBlockEngine().system(gamma=-20.0, amps=0.0)
         assert (sys_.basis is not None) == modal
         z = z0 = sys_.to_blocks(np.ones((2, 6)))
         m, _ = sys_.compound(stride)
         first_bad = 0
-        while np.all(np.isfinite(z)):  # the zero-noise chain, record by record
+        while np.all(np.isfinite(z)):  # the noiseless chain, record by record
             z = z @ langevin._t(m)
             first_bad += 1
         first_bad -= 1
-        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # 32 records a chunk
-        assert first_bad % 32 != 0  # inside a chunk
+        monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # at most 32 a chunk
+        rng, per_chain = np.random.default_rng(56), first_bad + 40
+        chunk = langevin._LinearRun(sys_, z0, rng, per_chain, stride, 0).chunk
+        assert chunk > 1 and first_bad % chunk != 0  # inside a chunk
         with pytest.raises(RuntimeError) as err:
-            _run_linear(sys_, z0, np.random.default_rng(56), first_bad + 40, stride,
-                        0, True)
+            _run_linear(sys_, z0, rng, per_chain, stride, 0)
         step = (first_bad + 1) * stride
         assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
 
@@ -766,18 +781,16 @@ class TestModalEngine:
         assert (sys_.basis is not None) == modal
         z0 = sys_.to_blocks(np.full((2, 6), 1e-300))
         per_chain, stride = 60, 26
-        run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0,
-                                  False)
+        run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0)
         plan = run.plans()[1][0]
         g = langevin._scan(langevin._t(plan[0]), plan[1], run.chunk)
         assert not np.isfinite(g).all()
-        want = reference(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0,
-                         False)
+        want = reference(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0)
         bad = ~np.isfinite(want.reshape(2, per_chain, -1)).all(axis=(0, 2))
         first_bad = int(np.argmax(bad))
         assert bad.any() and first_bad % run.chunk != 0  # inside a chunk
         with pytest.raises(NonFiniteStateError) as err:
-            _run_linear(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0, False)
+            _run_linear(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0)
         step = (first_bad + 1) * stride
         assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
 
@@ -803,17 +816,17 @@ class TestMovingCells:
 
     @pytest.mark.parametrize("record", ["voltage", "charge", "current"])
     def test_zero_noise_matches_full_board(self, monkeypatch, record):
-        # cell 0 starts displaced and drags its partner 1; cell 3 is driven
-        # (silent under zero noise); cell 2 is neither and stays at rest
-        params = _board([0.0, 0.0, 0.0, 1e-13], pairs=[(0, 1)])
+        # an undriven board: cell 0 starts displaced and drags its partner 1;
+        # cells 2 and 3 are neither and stay at rest
+        params = _board([0.0, 0.0, 0.0, 0.0], pairs=[(0, 1)])
         start = np.zeros(8)
         start[0], start[4] = 2e-9, -1e-10  # flux and charge of cell 0
         cfg = TrajectoryConfig(dt=1e-9, record_stride=50, burn_in=0.0, n_samples=80,
-                               chains=2, zero_noise=True)
+                               chains=2)
         got = integrate_circuit(params, cfg, record=record, initial_state=start)
         want = _full_board(monkeypatch, params, cfg, record=record, initial_state=start)
-        assert got.meta["cells_stepped"] == 3 and want.meta["cells_stepped"] == 4
-        assert np.all(got.values[:, 2] == 0.0)
+        assert got.meta["cells_stepped"] == 2 and want.meta["cells_stepped"] == 4
+        assert np.all(got.values[:, [2, 3]] == 0.0)
         assert np.all(got.values[:, [0, 1]] != 0.0)
         _assert_close(got.values, want.values)
         assert got.sample_rate == want.sample_rate
@@ -843,15 +856,14 @@ class TestMovingCells:
 
     # SHA-256 of the samples of boards on which every cell moves, as written
     # before the moving-cell reduction (numpy 2.4, OpenBLAS, x86-64).  The
-    # lfsr-chain digest is that of the blocked RC filter, which moved these
-    # samples by at most 8.9e-16 (values up to 2.5) from the sequential one.
-    # The ideal and calibrate digests are those of the blocked record scan,
-    # which moved each sample by at most 1.5e-13 of itself (1.3e-16 of the
-    # largest) from the per-record loop.
+    # digests are those of the blocked record scan, which moved each sample
+    # from the per-record loop by at most 1.5e-13 of itself (1.3e-16 of the
+    # largest) on the ideal source, and by at most 5.6e-14 of itself (8.8e-16
+    # of the largest) on the lfsr chain.
     TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     DIGESTS = {
         "ideal": "81639e207bf39fc00dbf421769541cec146e9232c9e15334a5d2ffd25bd465d1",
-        "lfsr-chain": "4204edc963f22788d37f2d6556683f5ed7ec5aedcd2532158615fc0824026628",
+        "lfsr-chain": "e0bd94601be19d5e88af500b8f4c55be2a9462b856b1a7055b897b7cdec5532b",
         "calibrate": "9e8c3099d42ecc014b2ea9c8e76ae44a512c91594333315d8498e1a4505755d7",
     }
 
@@ -960,9 +972,8 @@ class TestBatchedRuns:
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=9, burn_in=0.0)),
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), None,
              "lfsr-chain"),
-            (board.true_params(3, "none", cell[1]),
-             TrajectoryConfig(n_samples=4000, chains=8, dt=1e-9, record_stride=20,
-                              zero_noise=True), start),
+            (board.true_params(3, "none", np.zeros(4)),  # undriven: cell 3 decays alone
+             TrajectoryConfig(n_samples=4000, chains=8, dt=1e-9, record_stride=20), start),
         ]
 
     def spy_stacks(self, monkeypatch):
@@ -999,10 +1010,22 @@ class TestBatchedRuns:
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
         # stacks: the 1-cell and 2-mode runs with a burn-in, the four cells of
-        # the 4-cell board; the compiled run with a burn-in, whose 3-cell board
-        # has no room beside them; the two pairs; the two one-chain cells.  The
-        # other three runs step alone
+        # the 4-cell board; the two pairs; the two one-chain cells.  The other
+        # four runs step alone: the compiled runs with a burn-in, on the ideal
+        # source and on the chain, each fill their 3-cell board, the undriven
+        # cell has no room beside the first stack, and one run has no burn-in
         assert sorted(sizes) == [1, 1, 1, 1, 2, 2, 3]
+        self.assert_solo_equal(runs, batched)
+
+    def test_chain_runs_stack_with_ideal_runs(self, monkeypatch):
+        # one blocked scan for both sources: runs on the noise chain share a
+        # stack with ideal-source runs of the same shape
+        board, cell = self.BOARD, np.eye(4)
+        runs = [(*board.sample_run(3, "none", 2000, seed=30 + i, chains=8, noise_mask=cell[i]),
+                 None, "lfsr-chain" if i % 2 else "ideal") for i in range(4)]
+        sizes = self.spy_stacks(monkeypatch)
+        batched = dict(langevin.integrate_circuits(runs))
+        assert sizes == [4]
         self.assert_solo_equal(runs, batched)
 
     def test_runs_beyond_one_board_split_the_stack(self, monkeypatch):
@@ -1075,7 +1098,7 @@ class TestBatchedRuns:
         assert run.half == (0 if record == "current" else 1)
         with pytest.raises(NonFiniteStateError) as both:  # records keep x and p
             _run_linear(run.sys_, run.z, np.random.default_rng(bad[1].seed), run.per_chain,
-                        run.stride, run.burn_steps, False)
+                        run.stride, run.burn_steps)
         sizes = self.spy_stacks(monkeypatch)
         with pytest.raises(NonFiniteStateError) as stacked:
             dict(langevin.integrate_circuits([good, bad, good], record=record))
@@ -1088,10 +1111,10 @@ class TestBatchedRuns:
         m = np.abs(sys_.compound(68_000)[0])
         assert np.any((m > 0) & (m < np.finfo(float).tiny))
         z0 = sys_.to_blocks(np.random.default_rng(59).standard_normal((3, 8)))
-        run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0, False)
+        run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0)
         cached = np.abs(run.plans()[1][0][0])
         assert not np.any((cached > 0) & (cached < np.finfo(float).tiny))
-        args = (5, 68_000, 0, False)
+        args = (5, 68_000, 0)
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(60), *args)
         want = _modal_per_record_reference(sys_, z0.copy(), np.random.default_rng(60), *args)
         assert np.array_equal(got, want)
