@@ -24,10 +24,10 @@ from .compiler import (CompilationResult, TargetSpec, compile_covariance,
 from .device import SpuEmulator
 from .errors import (DeadCellError, DimensionMismatchError, MatrixFormatError,
                      NotPositiveDefiniteError, QuantizationError, SpuSimError)
-from .langevin import (GenericLangevinSpec, QuadraticPotential, SdeState, TrajectoryConfig,
+from .langevin import (GenericLangevinSpec, QuadraticPotential, TrajectoryConfig,
                        correlation_time, hamiltonian, integrate_circuit, integrate_circuits,
                        integrate_udl, stationary_state_covariance,
-                       stationary_voltage_covariance, suggest_dt, transform_coords)
+                       stationary_voltage_covariance, suggest_dt)
 from .linalg import (InversionResult, MomentReport, SamplingPlan, invert_matrix,
                      moment_errors, parameter_study, relative_frobenius_error,
                      sample_gaussian)

@@ -10,7 +10,7 @@ mean digitally; inter-patch correlations are dropped by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,11 +49,8 @@ class KernelSpec:
     length_scale: float = 1.0
     signal_variance: float = 1.0
     observation_noise: float = 0.0
-    family: str = "rbf"
 
     def __post_init__(self):
-        if self.family != "rbf":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
         if self.length_scale <= 0 or self.signal_variance <= 0:
             raise ValueError("length_scale and signal_variance must be positive")
         if self.observation_noise < 0:
@@ -118,6 +115,8 @@ def gpr_posterior(train: Dataset1D, test_x, spec: KernelSpec,
     training points.
     """
     test_x = np.asarray(test_x, dtype=float).ravel()
+    if len(train) == 0:
+        raise ValueError("training set is empty")
     if inverter == "thermodynamic" and len(train) > DEVICE_CELLS:
         raise ValueError(
             f"thermodynamic mode handles at most {DEVICE_CELLS} training points, "
@@ -197,13 +196,7 @@ def sngp_patch_sample(mean: np.ndarray, covariance: np.ndarray, n_draws: int,
         target = TargetSpec(block, "covariance")
         patch_plan = plan or SamplingPlan()
         if patch_plan.n_samples < n_draws:
-            patch_plan = SamplingPlan(
-                n_samples=n_draws, sampling_rate=patch_plan.sampling_rate,
-                burn_in_multiple=patch_plan.burn_in_multiple,
-                noise_level=patch_plan.noise_level,
-                decorrelate=patch_plan.decorrelate,
-                decorrelate_multiple=patch_plan.decorrelate_multiple,
-                chains=patch_plan.chains)
+            patch_plan = replace(patch_plan, n_samples=n_draws)
         backend = "digital" if sampler == "digital" else "emulated-spu"
         batch = sample_gaussian(target, patch_plan, backend=backend,
                                 seed=seed + start)

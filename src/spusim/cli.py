@@ -422,6 +422,12 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spusim",
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gpr", **sub_kwargs, help="Gaussian process regression")
     common(p, 100_000)
     p.add_argument("--train", help="training CSV with columns x,y")
-    p.add_argument("--train-points", type=int, default=8,
+    p.add_argument("--train-points", type=_positive_int, default=8,
                    help="points for the generated sin demo set (no --train)")
     p.add_argument("--test", default="0:6.283185307179586:50",
                    help="test grid start:stop:count")

@@ -127,21 +127,18 @@ class SpuEmulator:
 
     def sample_run(self, bank_config=0, coupling="none", n_samples: int = 10_000,
                    sample_rate: float = DEFAULT_SAMPLE_RATE_HZ, seed: int = 0,
-                   chains: int = 16, noise_mask=None,
-                   burn_in_multiple: float = 5.0) -> tuple[CircuitParams, TrajectoryConfig]:
+                   chains: int = 16, noise_mask=None) -> tuple[CircuitParams, TrajectoryConfig]:
         """The (true params, run plan) that ``sample`` integrates; a run of
         ``integrate_circuits``."""
         params = self.true_params(bank_config, coupling, noise_mask)
         cfg = TrajectoryConfig(n_samples=n_samples, sample_rate=sample_rate,
-                               seed=seed, chains=chains,
-                               burn_in_multiple=burn_in_multiple)
+                               seed=seed, chains=chains)
         return params, cfg
 
     def sample(self, bank_config=0, coupling="none", n_samples: int = 10_000,
                sample_rate: float = DEFAULT_SAMPLE_RATE_HZ, seed: int = 0,
-               chains: int = 16, noise_mask=None, burn_in_multiple: float = 5.0,
-               noise="ideal") -> SampleBatch:
+               chains: int = 16, noise_mask=None, noise="ideal") -> SampleBatch:
         """Pull voltage samples from the (imperfect) device."""
         params, cfg = self.sample_run(bank_config, coupling, n_samples, sample_rate, seed,
-                                      chains, noise_mask, burn_in_multiple)
+                                      chains, noise_mask)
         return integrate_circuit(params, cfg, noise=noise, record="voltage")

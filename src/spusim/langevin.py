@@ -27,13 +27,13 @@ noise, side by side, times a block-triangular matrix of the step's powers
 with the noise factor folded in; the noise is raw standard-normal draws
 with the ideal source, the injected increments with the chain (factor I).
 T follows from the run's shape alone; a large stack steps with T = 1.  A
-run without noise is an undriven one (kappa0 = 0, or beta = inf).  Buffers
-are reused for the whole run, so the record loop allocates no array per
-record.  A circuit run keeps
-only the half of each state that its readout reads (p for voltage and
-charge, x for current), copied once a chunk into records shaped
-(chains, n, K, b/2), and a whole-board run reads them out in place; the
-inversion reads out their covariance instead (``_voltage_records``).
+run without noise is an undriven one (a generic system at beta = inf).
+Buffers are reused for the whole run, so the record loop allocates no array
+per record.  A circuit run keeps only the half of each state that its
+readout reads (p for voltage and charge, x for current), copied once a
+chunk into records shaped (chains, n, K, b/2), and a whole-board run reads
+them out in place; the inversion reads out their covariance instead
+(``_voltage_records``).
 Generic potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
@@ -44,8 +44,9 @@ normal modes, each an independent 2 x 2 chain with the same law and the
 same integrator bias.  The engine then steps the stack of d blocks and
 rotates states in and records out once; when no basis splits the step it
 steps a stack of one dense 2d x 2d block.  The split is measured on the
-operators.  A circuit run steps only the cells that can move; undriven
-cells at rest that no coupling joins to a moving cell stay exactly at rest.
+operators.  A circuit run starts at rest, as the device is switched on, and
+steps only the cells that can move: the driven cells and those coupled to
+them.  Every other cell stays exactly at rest.
 
 Because every run is a stack of equal blocks, many small runs step as one:
 ``integrate_circuits`` concatenates the blocks of runs of the same shape,
@@ -68,50 +69,9 @@ import numpy as np
 import numpy.random  # noqa: F401  every run draws from it: load it with the package
 
 from .circuit import CircuitParams, assert_positive_definite
-from .errors import DimensionMismatchError, NonFiniteStateError
+from .errors import NonFiniteStateError
 from .noise import ChainNoiseSource, NoiseChainConfig
 from .samples import SampleBatch
-
-
-@dataclass(frozen=True)
-class SdeState:
-    """Flux/charge state of the device at one instant of simulated time."""
-
-    flux: np.ndarray
-    charge: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "flux", np.asarray(self.flux, dtype=float))
-        object.__setattr__(self, "charge", np.asarray(self.charge, dtype=float))
-        if self.flux.shape != self.charge.shape:
-            raise DimensionMismatchError("flux and charge must share a shape")
-
-    def current(self, params: CircuitParams) -> np.ndarray:
-        return self.flux / params.l_vector
-
-    def voltage(self, params: CircuitParams) -> np.ndarray:
-        return np.linalg.solve(params.maxwell, self.charge)
-
-    @classmethod
-    def from_iv(cls, current, voltage, params: CircuitParams, time: float = 0.0) -> "SdeState":
-        phi, q = transform_coords(current, voltage, params)
-        return cls(phi, q, time)
-
-    @classmethod
-    def zero(cls, dimension: int) -> "SdeState":
-        return cls(np.zeros(dimension), np.zeros(dimension))
-
-
-def transform_coords(current, voltage, params: CircuitParams):
-    """(I, V) -> (phi, q): phi = L I per cell, q = C V through the Maxwell matrix."""
-    current = np.asarray(current, dtype=float)
-    voltage = np.asarray(voltage, dtype=float)
-    if current.shape[-1] != params.dimension or voltage.shape[-1] != params.dimension:
-        raise DimensionMismatchError("state dimension does not match params")
-    phi = current * params.l_vector
-    q = voltage @ params.maxwell.T
-    return phi, q
 
 
 def hamiltonian(flux, charge, params: CircuitParams) -> float | np.ndarray:
@@ -227,6 +187,12 @@ class QuadraticPotential:
         return x @ self.matrix.T
 
 
+# The 5 tau rule: a run burns in for BURN_IN_TAUS correlation times, and
+# decorrelated records lie SPACING_TAUS correlation times apart.
+BURN_IN_TAUS = 5.0
+SPACING_TAUS = 5.0
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Run plan for an integrator.
@@ -235,21 +201,18 @@ class TrajectoryConfig:
     multiple of ``chains`` (independent seeded chains, merged chain-major).
     Record spacing comes from ``sample_rate`` (Hz) or ``record_stride``
     (steps); when neither is given, records are spaced by
-    ``decorrelate_multiple`` correlation times.  ``burn_in`` is simulated
-    time discarded before the first record (default
-    ``burn_in_multiple * tau_corr``).  Records fall at
-    burn_in + k * stride * dt for k = 1..n.
+    ``SPACING_TAUS`` correlation times.  ``burn_in`` is simulated time
+    discarded before the first record (default ``BURN_IN_TAUS * tau_corr``).
+    Records fall at burn_in + k * stride * dt for k = 1..n.
     """
 
     dt: float | None = None
     n_samples: int = 1000
     burn_in: float | None = None
-    burn_in_multiple: float = 5.0
     record_stride: int | None = None
     sample_rate: float | None = None
     seed: int = 0
     chains: int = 1
-    decorrelate_multiple: float = 5.0
     max_steps: int = 100_000_000  # guard for runaway chain-noise runs
 
     def __post_init__(self):
@@ -272,15 +235,14 @@ class TrajectoryConfig:
         return -(-self.n_samples // self.chains)
 
 
-def suggest_dt(params: CircuitParams, steps_per_tau: float = 200.0,
-               steps_per_fast_tau: float = 200.0, max_phase_step: float = 0.01) -> float:
+def suggest_dt(params: CircuitParams) -> float:
     """Step size keeping both damping and oscillation discretization errors small.
 
-    Three constraints: resolve the global correlation time, resolve the
-    fastest mode's damping time R * lambda_min(C), and keep the largest
-    natural frequency's phase advance per step below ``max_phase_step``
-    radians.  The last two dominate for ill-conditioned matrices, where a
-    flat tau_corr rule would leave percent-level stationary bias.
+    Three constraints: 200 steps per global correlation time, 200 steps per
+    fastest mode's damping time R * lambda_min(C), and a phase advance of at
+    most 0.01 radians per step at the largest natural frequency.  The last
+    two dominate for ill-conditioned matrices, where a flat tau_corr rule
+    would leave percent-level stationary bias.
     """
     eigs = params.maxwell_eigenvalues
     r_min = float(np.min(params.r_vector))
@@ -289,8 +251,7 @@ def suggest_dt(params: CircuitParams, steps_per_tau: float = 200.0,
     linv = 1.0 / params.l_vector
     s = np.sqrt(linv)[:, None] * params.maxwell_inverse * np.sqrt(linv)[None, :]
     w_max = math.sqrt(float(np.linalg.eigvalsh(s)[-1]))
-    return min(tau_corr / steps_per_tau, tau_fast / steps_per_fast_tau,
-               max_phase_step / w_max)
+    return min(tau_corr / 200.0, tau_fast / 200.0, 0.01 / w_max)
 
 
 _DECOUPLED_RTOL = 1e-12  # largest off-diagonal entry a rotated operator may keep, relative
@@ -493,42 +454,22 @@ def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig,
     elif cfg.record_stride is not None:
         stride = cfg.record_stride
     else:
-        stride = max(1, math.ceil(cfg.decorrelate_multiple * tau / dt))
-    burn = cfg.burn_in if cfg.burn_in is not None else cfg.burn_in_multiple * tau
+        stride = max(1, math.ceil(SPACING_TAUS * tau / dt))
+    burn = cfg.burn_in if cfg.burn_in is not None else BURN_IN_TAUS * tau
     burn_steps = int(round(burn / dt)) if burn > 0 else 0
     return dt, stride, burn_steps
 
 
-def _initial_state(params: CircuitParams, initial, chains: int, rng) -> np.ndarray:
-    d = params.dimension
-    if initial is None:
-        return np.zeros((chains, 2 * d))
-    if isinstance(initial, str) and initial == "stationary":
-        cov = stationary_state_covariance(params)
-        return rng.standard_normal((chains, 2 * d)) @ _factor(cov).T
-    if isinstance(initial, SdeState):
-        z = np.concatenate([initial.flux, initial.charge])
-        return np.broadcast_to(z, (chains, 2 * d)).copy()
-    z = np.asarray(initial, dtype=float)
-    if z.shape == (2 * d,):
-        return np.broadcast_to(z, (chains, 2 * d)).copy()
-    if z.shape == (chains, 2 * d):
-        return z.copy()
-    raise DimensionMismatchError(f"cannot interpret initial state of shape {z.shape}")
-
-
-def _moving_cells(params: CircuitParams, z: np.ndarray | None) -> np.ndarray | None:
+def _moving_cells(params: CircuitParams) -> np.ndarray | None:
     """Indices of the cells that can leave rest, or None when all or none can.
 
-    A cell moves when it is driven (kappa0 > 0), starts away from rest in
-    any chain of the start state ``z`` (None: at rest), or shares a nonzero
-    Maxwell entry with a moving cell; L and R act per cell, so the
-    capacitive couplings are the only path between cells.  Every other
-    cell stays exactly at rest.
+    A run starts at rest, so a cell moves when it is driven (kappa0 > 0) or
+    shares a nonzero Maxwell entry with a moving cell: the driven cells,
+    closed over the couplings.  L and R act per cell, so the capacitive
+    couplings are the only path between cells.  Every other cell stays
+    exactly at rest.
     """
     moving = params.kappa_vector > 0
-    if z is not None:
-        moving = moving | (z != 0).any(axis=0).reshape(2, -1).any(axis=0)
     coupled = params.maxwell != 0
     frontier = moving
     while frontier.any():
@@ -548,9 +489,11 @@ def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
 
 class _CircuitRun:
     """One circuit run, prepared for the block engine: the stepped cells'
-    ``_LinearRun`` and the readout that turns its records into their batch."""
+    ``_LinearRun``, started at rest, and the readout that turns its records
+    into their batch.  The stepped cells are the moving ones
+    (``_moving_cells``): the driven cells and those coupled to them."""
 
-    def __init__(self, params: CircuitParams, cfg: TrajectoryConfig, initial_state=None,
+    def __init__(self, params: CircuitParams, cfg: TrajectoryConfig,
                  noise: str | NoiseChainConfig = "ideal", record: str = "voltage"):
         if params.maxwell_eigenvalues[0] <= 0:
             assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
@@ -559,20 +502,13 @@ class _CircuitRun:
         d = params.dimension
         chains = cfg.chains
         per_chain = cfg.samples_per_chain
-        rng = np.random.default_rng(cfg.seed)
-        # the zero and the stationary start rest wherever no drive reaches, so only
-        # a given state can move a cell; the others are built for the stepped cells
-        given = not (initial_state is None or isinstance(initial_state, str))
-        z = _initial_state(params, initial_state, chains, rng) if given else None
-        moving = _moving_cells(params, z)
+        moving = _moving_cells(params)
         if moving is not None:
             params = _sub_circuit(params, moving)
-            if given:
-                z = z[:, np.concatenate([moving, d + moving])]
 
         if isinstance(noise, str) and noise == "ideal":
             dt, stride, burn_steps = _resolve_steps(params, cfg)
-            source = rng
+            source = np.random.default_rng(cfg.seed)
         else:
             if isinstance(noise, str) and noise == "lfsr-chain":
                 noise = NoiseChainConfig.matched(correlation_time(params))
@@ -595,8 +531,7 @@ class _CircuitRun:
             source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
                                       kappa0=params.kappa_vector, dt=dt, chains=chains)
         self.sys_ = sys_ = _LinearSystem.from_circuit(params, dt)
-        if not given:
-            z = _initial_state(params, initial_state, chains, rng)
+        z = np.zeros((chains, 2 * params.dimension))  # every run starts at rest
         self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
                                  burn_steps, half=0 if record == "current" else 1, board=d)
         self.l_vector = params.l_vector
@@ -657,11 +592,10 @@ def _voltage_records(params: CircuitParams, cfg: TrajectoryConfig,
 def integrate_circuits(runs, record: str = "voltage"):
     """Integrate many circuits, stepping compatible runs as one stack of blocks.
 
-    Each run is ``(params, cfg)``, ``(params, cfg, initial_state)`` or
-    ``(params, cfg, initial_state, noise)``, with the arguments of
-    ``integrate_circuit``; every run records ``record``.  Yields
-    ``(index, SampleBatch)`` per run as each stack finishes, in stack
-    order.  Each batch holds the run's stepped cells only, shaped
+    Each run is ``(params, cfg)`` or ``(params, cfg, noise)``, with the
+    arguments of ``integrate_circuit``; every run starts at rest and
+    records ``record``.  Yields ``(index, SampleBatch)`` per run as each
+    stack finishes, in stack order.  Each batch holds the run's stepped cells only, shaped
     (n, cells_stepped), and its ``meta["cells"]`` names their board cells,
     in order; the board's other cells rest at exactly 0.0.  Its columns,
     ``meta`` otherwise, sample rate and start time equal those that
@@ -683,9 +617,8 @@ def integrate_circuits(runs, record: str = "voltage"):
 
 def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                       noise: str | NoiseChainConfig = "ideal",
-                      record: str = "voltage",
-                      initial_state=None) -> SampleBatch:
-    """Integrate the coupled-cell SDE and record equilibrium samples.
+                      record: str = "voltage") -> SampleBatch:
+    """Integrate the coupled-cell SDE from rest and record equilibrium samples.
 
     ``record`` selects the readout: "voltage" (the standard observable),
     "charge" (the integrated-current observable used for covariance-mode
@@ -694,16 +627,16 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
     string "lfsr-chain" selects that chain with default settings).
     Deterministic under ``cfg.seed``.
 
-    Only the cells that can move are stepped: the driven cells, the cells
-    that start away from rest, and every cell coupled to them through the
-    Maxwell matrix.  The others stay exactly at rest and read 0.0.  The
+    Only the cells that can move are stepped: the driven cells and every
+    cell coupled to them through the Maxwell matrix.  The others stay
+    exactly at rest and read 0.0.  The
     step size, record stride, burn-in and the matched chain follow the
     stepped cells alone; ``meta["cells_stepped"]`` counts them.  When every
     cell moves (every compiled target) or none does, the whole board is
     stepped.  This is the one-run case of ``integrate_circuits``, its batch
     padded back to the board.
     """
-    batch = next(integrate_circuits([(params, cfg, initial_state, noise)], record=record))[1]
+    batch = next(integrate_circuits([(params, cfg, noise)], record=record))[1]
     cells = batch.meta.pop("cells")
     if len(cells) < params.dimension:
         values = np.zeros((batch.n_samples, params.dimension))
@@ -778,8 +711,8 @@ class _LinearRun:
         return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.half, self.chunk
 
     def plans(self):
-        """Blocked-scan plans of the burn-in and of one stride: lists of at
-        most one block (M^n, W), each stacked, that takes n steps at once,
+        """Blocked-scan blocks of the burn-in (None without one) and of one
+        stride: each (M^n, W), stacked, takes n steps at once,
         z <- z (M^n)^T + xi W.  With the ideal source xi is a standard
         normal draw and W = chol(S_n)^T; with chain noise xi is the
         increment that the chain injects over the n steps (``noise``) and
@@ -795,7 +728,7 @@ class _LinearRun:
                 cache[n] = m_n, w
             return cache[n]
 
-        return [block(self.burn_steps)] if self.burn_steps else [], [block(self.stride)]
+        return block(self.burn_steps) if self.burn_steps else None, block(self.stride)
 
     def noise(self):
         """A function (slots, burn) that writes the noise xi of the next
@@ -911,10 +844,11 @@ def _scan(mt: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
     return g.reshape(k, (count + 1) * b, count * b)
 
 
-def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan, stride_plan):
+def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_block,
+                    stride_block):
     """Chunks of records of a stack of runs, T records one product per
-    block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in is the T = 1
-    case.  Yields (k0, states, finite): the full states of records
+    block, [z_0, xi_0 ... xi_(T-1)] G (``_scan``); the burn-in (none when
+    ``burn_block`` is None) is the T = 1 case.  Yields (k0, states, finite): the full states of records
     k0 .. k0 + count - 1 shaped (count, K, chains, 2, b/2), and whether all
     of them are finite.
 
@@ -955,15 +889,11 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_plan,
         for fill, lo, hi in zip(fills, spans, spans[1:]):
             fill(operand[lo:hi, 1:count + 1], burn)
 
-    def scan(plan, count):
-        ((mt, w),) = plan
-        return _t(_scan(mt, w, count))
-
-    if burn_plan:
+    if burn_block is not None:
         draw(1, burn=True)
-        step(scan(burn_plan, 1), 1)
+        step(_t(_scan(*burn_block, 1)), 1)
     states = out.reshape(k_total, chunk, 2, b // 2, chains).transpose(1, 0, 4, 2, 3)
-    stride_scan = scan(stride_plan, chunk)
+    stride_scan = _t(_scan(*stride_block, chunk))
     for k0 in range(0, first.per_chain, chunk):
         count = min(chunk, first.per_chain - k0)
         draw(count)
@@ -1002,20 +932,17 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     start = np.concatenate([run.z for run in runs])
     k_total, chains, b = start.shape
 
-    def stacked(plans):
-        """Block j of every run's plan as one block of the stack."""
-        steps = []
-        for blocks in zip(*plans):
-            m_n, w = zip(*blocks)
-            # a transposed view: a contiguous (M^n)^T rounds differently
-            steps.append((_t(np.concatenate(m_n)), w[0] if len(w) == 1 else np.concatenate(w)))
-        return steps
+    def stacked(blocks):
+        """Every run's block (M^n, W) as one block of the stack, None for none."""
+        if blocks[0] is None:  # the runs of a stack all burn in, or none does
+            return None
+        m_n, w = zip(*blocks)
+        # a transposed view: a contiguous (M^n)^T rounds differently
+        return _t(np.concatenate(m_n)), w[0] if len(w) == 1 else np.concatenate(w)
 
-    plans = [run.plans() for run in runs]
-    burn_plan = stacked([p[0] for p in plans])
-    stride_plan = stacked([p[1] for p in plans])
-    del plans  # the stack holds its own copies of every M^n
-    chunks = _scanned_chunks(runs, spans, start, burn_plan, stride_plan)
+    burn_blocks, stride_blocks = zip(*(run.plans() for run in runs))
+    chunks = _scanned_chunks(runs, spans, start, stacked(burn_blocks), stacked(stride_blocks))
+    del burn_blocks, stride_blocks  # the stack holds its own copies of every M^n
     if first.half is None:
         recs = np.empty((chains, per_chain, 2, k_total, b // 2))
         records = recs.transpose(1, 3, 0, 2, 4)

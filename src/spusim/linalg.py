@@ -7,8 +7,8 @@ measuring the sample covariance of the equilibrium voltages.  The digital
 reference backend uses exact factorization-based sampling and serves as the
 oracle in every cross-check.
 
-The decorrelation default keeps samples spaced five correlation times
-apart; ``decorrelate=False`` records at the raw sampling rate instead,
+The decorrelation default keeps samples spaced ``SPACING_TAUS`` (five)
+correlation times apart; ``decorrelate=False`` records at the raw sampling rate instead,
 which reproduces the correlated-sampling regime of the rate studies.
 """
 
@@ -22,8 +22,8 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import (TrajectoryConfig, _voltage_records, correlation_time,
-                       integrate_circuit)
+from .langevin import (SPACING_TAUS, TrajectoryConfig, _voltage_records,
+                       correlation_time, integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
 
@@ -37,15 +37,14 @@ class SamplingPlan:
     kappa(level) law, so chain non-idealities show up as sample error,
     which is exactly what the noise-level study measures.  When
     ``sampling_rate`` is None and ``decorrelate`` is set, samples are
-    spaced ``decorrelate_multiple`` correlation times apart.
+    spaced ``SPACING_TAUS`` correlation times apart; every run burns in
+    for ``BURN_IN_TAUS`` of them.
     """
 
     n_samples: int = 10_000
     sampling_rate: float | None = None
-    burn_in_multiple: float = 5.0
     noise_level: float = 1.0
     decorrelate: bool = True
-    decorrelate_multiple: float = 5.0
     chains: int = 32
 
     def __post_init__(self):
@@ -65,17 +64,16 @@ class SamplingPlan:
         stride = None
         if rate is not None and self.decorrelate:
             # thin the requested rate down to the decorrelation spacing
-            keep = max(1, math.ceil(self.decorrelate_multiple * tau * rate))
+            keep = max(1, math.ceil(SPACING_TAUS * tau * rate))
             rate = rate / keep
         if rate is None:
             if self.decorrelate:
-                spacing = self.decorrelate_multiple * tau
+                spacing = SPACING_TAUS * tau
                 rate = 1.0 / spacing
             else:
                 rate = 10.0 / tau  # raw-rate default: ten samples per tau
         return TrajectoryConfig(
             n_samples=self.n_samples,
-            burn_in_multiple=self.burn_in_multiple,
             sample_rate=rate,
             seed=seed,
             chains=self.chains,

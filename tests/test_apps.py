@@ -35,7 +35,7 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelSpec(length_scale=-1.0)
         with pytest.raises(ValueError):
-            KernelSpec(family="matern")
+            KernelSpec(observation_noise=-0.5)
 
 
 class TestGpr:
@@ -79,6 +79,12 @@ class TestGpr:
                                plan=plan, seed=2)
         assert np.max(np.abs(thermo.mean - digital.mean)) < 0.1
         assert rel_f(thermo.covariance, digital.covariance) < 0.1
+
+    @pytest.mark.parametrize("inverter", ["digital", "thermodynamic"])
+    def test_empty_train_set_refused(self, inverter):
+        # used to raise IndexError (digital) or fail in the compiler (thermodynamic)
+        with pytest.raises(ValueError, match="training set is empty"):
+            gpr_posterior(Dataset1D([], []), [0.0, 1.0], KernelSpec(), inverter=inverter)
 
     def test_thermodynamic_size_limit(self):
         train = Dataset1D(np.arange(9.0), np.zeros(9))
@@ -188,6 +194,17 @@ class TestSngpPatchSample:
                                   sampler="emulated-spu", plan=plan, seed=14)
         est = np.cov(draws.T, ddof=1)
         assert rel_f(est, cov) < 0.06
+
+    def test_short_plan_is_extended_keeping_its_settings(self):
+        # a plan with fewer samples than draws is run for n_draws, all else kept
+        cov = np.diag([1.0, 2.0, 0.5])
+        short = SamplingPlan(n_samples=10, chains=4, noise_level=0.5)
+        full = SamplingPlan(n_samples=400, chains=4, noise_level=0.5)
+        got = sngp_patch_sample(np.zeros(3), cov, n_draws=400, sampler="emulated-spu",
+                                plan=short, seed=15)
+        want = sngp_patch_sample(np.zeros(3), cov, n_draws=400, sampler="emulated-spu",
+                                 plan=full, seed=15)
+        np.testing.assert_array_equal(got, want)
 
     def test_non_psd_block_names_patch(self):
         cov = np.eye(16)

@@ -311,6 +311,19 @@ class TestGprVerb:
         assert "numerically singular" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    @pytest.mark.parametrize("inverter", ["digital", "thermodynamic"])
+    def test_empty_train_set_is_usage_error(self, tmp_path, capsys, points, inverter):
+        # an empty generated set used to crash (IndexError) or fail deep in the
+        # compiler; it is refused at parse time, naming the flag
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["gpr", "--train-points", points, "--inverter", inverter,
+                  "--outdir", str(out)])
+        assert err.value.code == 2
+        assert "--train-points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLsqVerb:
     def test_exact_line(self, tmp_path):

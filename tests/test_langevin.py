@@ -12,13 +12,13 @@ from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
 from spusim.compiler import TargetSpec, compile_covariance, compile_precision
 from spusim.device import SpuEmulator
 from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimError
-from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, SdeState,
-                             TrajectoryConfig, _factor, _LinearSystem, _run_linear,
-                             autocorrelation, correlation_time,
-                             discrete_stationary_covariance, hamiltonian, integrate_circuit,
-                             integrate_udl, stationary_state_covariance,
-                             stationary_voltage_covariance, suggest_dt, transform_coords)
+from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, TrajectoryConfig,
+                             _factor, _LinearSystem, _run_linear, autocorrelation,
+                             correlation_time, discrete_stationary_covariance, hamiltonian,
+                             integrate_circuit, integrate_udl, stationary_state_covariance,
+                             stationary_voltage_covariance, suggest_dt)
 from spusim.linalg import SamplingPlan, sample_gaussian
+from spusim.noise import ChainNoiseSource, NoiseChainConfig
 
 NF = 1e-9
 CELL7 = dict(inductance=1.77e-6, resistance=76.7, noise_psd=0.206e-12,
@@ -42,23 +42,20 @@ def random_psd_params(d, seed, lo=0.5, hi=2.0):
 
 
 class TestCoordinates:
-    def test_round_trip(self):
-        params = random_psd_params(5, 0)
-        rng = np.random.default_rng(1)
-        i0, v0 = rng.standard_normal((2, 5))
-        state = SdeState.from_iv(i0, v0, params)
-        np.testing.assert_allclose(state.current(params), i0, rtol=1e-12)
-        np.testing.assert_allclose(state.voltage(params), v0, rtol=1e-12)
-
     def test_zero_current_zero_flux(self):
-        params = random_psd_params(3, 2)
-        phi, _ = transform_coords(np.zeros(3), np.ones(3), params)
-        np.testing.assert_array_equal(phi, 0.0)
+        # a run starts at rest, so an undriven board keeps zero flux (current)
+        # and zero charge (voltage) in every record
+        params = CircuitParams.from_maxwell(random_psd_params(3, 2).maxwell, noise_psd=0.0)
+        cfg = TrajectoryConfig(n_samples=40, chains=2, seed=3)
+        for record in ("current", "voltage"):
+            batch = integrate_circuit(params, cfg, record=record)
+            assert batch.meta["cells_stepped"] == 3
+            np.testing.assert_array_equal(batch.values, 0.0)
 
     def test_two_cell_charge_example(self):
         cells = [UnitCell(1e-6, 50.0, 0.0, capacitance=1.0 * NF) for _ in range(2)]
         params = CircuitParams.build(cells, CouplingConfig(np.array([[0, 1], [1, 0]])))
-        _, q = transform_coords(np.zeros(2), np.array([1.0, 0.0]), params)
+        q = params.maxwell @ np.array([1.0, 0.0])  # q = C V
         np.testing.assert_allclose(q, np.array([1.47, -0.47]) * NF, rtol=1e-12)
 
 
@@ -73,13 +70,13 @@ class TestHamiltonian:
         rng = np.random.default_rng(5)
         i0, v0 = rng.standard_normal((2, 6))
         want = 0.5 * v0 @ params.maxwell @ v0 + 0.5 * np.sum(params.l_vector * i0 ** 2)
-        phi, q = transform_coords(i0, v0, params)
+        phi, q = params.l_vector * i0, params.maxwell @ v0
         assert hamiltonian(phi, q, params) == pytest.approx(want, rel=1e-12)
 
     def test_single_cell_half_cv_squared(self):
         params = CircuitParams.build(
             [UnitCell(1e-6, 50.0, 0.0, capacitance=1.0 * NF)], CouplingConfig.none(1))
-        e = hamiltonian(*transform_coords(np.zeros(1), np.ones(1), params), params)
+        e = hamiltonian(np.zeros(1), params.maxwell @ np.ones(1), params)
         assert e == pytest.approx(0.5e-9, rel=1e-12)
 
 
@@ -178,15 +175,17 @@ class TestCircuitIntegration:
         assert var == pytest.approx(2.33e-3, rel=0.05)
 
     def test_zero_noise_decays_and_dissipates(self):
-        # an undriven cell (kappa0 = 0) started away from rest
-        params = CircuitParams.build([UnitCell(**{**CELL7, "noise_psd": 0.0})],
-                                     CouplingConfig.none(1))
-        state0 = SdeState.from_iv(np.zeros(1), np.ones(1), params)
-        cfg = TrajectoryConfig(n_samples=200, seed=0, record_stride=120, burn_in=0.0)
-        vb = integrate_circuit(params, cfg, record="voltage", initial_state=state0)
-        ib = integrate_circuit(params, cfg, record="current", initial_state=state0)
-        assert abs(vb.values[-1, 0]) < 1e-4
-        energies = hamiltonian(*transform_coords(ib.values, vb.values, params), params)
+        # the cell as its Langevin system (mass C, damping 1/R, potential
+        # L^-1, beta = inf: no noise), started at V = 1 with no current
+        params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
+        spec = GenericLangevinSpec(
+            mass=params.maxwell, damping=1.0 / params.r_vector[0], beta=np.inf,
+            grad_potential=QuadraticPotential(np.diag(1.0 / params.l_vector)))
+        cfg = TrajectoryConfig(dt=suggest_dt(params), n_samples=200, seed=0,
+                               record_stride=120, burn_in=0.0)
+        flux, charge = integrate_udl(spec, np.zeros(1), params.maxwell @ np.ones(1), cfg)
+        assert abs(np.linalg.solve(params.maxwell, charge[-1])[0]) < 1e-4
+        energies = hamiltonian(flux, charge, params)
         assert np.all(np.diff(energies) <= 0.0)
 
     def test_two_coupled_cells_correlation_sign(self):
@@ -782,8 +781,8 @@ class TestModalEngine:
         z0 = sys_.to_blocks(np.full((2, 6), 1e-300))
         per_chain, stride = 60, 26
         run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0)
-        plan = run.plans()[1][0]
-        g = langevin._scan(langevin._t(plan[0]), plan[1], run.chunk)
+        m_n, w = run.plans()[1]
+        g = langevin._scan(langevin._t(m_n), w, run.chunk)
         assert not np.isfinite(g).all()
         want = reference(sys_, z0.copy(), np.random.default_rng(62), per_chain, stride, 0)
         bad = ~np.isfinite(want.reshape(2, per_chain, -1)).all(axis=(0, 2))
@@ -811,20 +810,38 @@ def _full_board(monkeypatch, *args, **kwargs):
         return integrate_circuit(*args, **kwargs)
 
 
+class _PaddedChain:
+    """The chain noise of a board's first ``cells`` cells alone, zero on the
+    rest: the board then takes the increments its stepped cells take."""
+
+    cells = 2
+
+    def __init__(self, config, seed, dimension, kappa0, dt, chains):
+        self.source = ChainNoiseSource(config, seed, self.cells, kappa0[:self.cells], dt,
+                                       chains)
+        self.shape = (chains, dimension)
+
+    def increments(self, n_steps):
+        eta = np.zeros((n_steps,) + self.shape)
+        eta[..., :self.cells] = self.source.increments(n_steps)
+        return eta
+
+
 class TestMovingCells:
-    """Only driven, displaced and coupled cells are stepped; the rest read exact zeros."""
+    """Only driven and coupled cells are stepped; the rest read exact zeros."""
 
     @pytest.mark.parametrize("record", ["voltage", "charge", "current"])
     def test_zero_noise_matches_full_board(self, monkeypatch, record):
-        # an undriven board: cell 0 starts displaced and drags its partner 1;
-        # cells 2 and 3 are neither and stay at rest
-        params = _board([0.0, 0.0, 0.0, 0.0], pairs=[(0, 1)])
-        start = np.zeros(8)
-        start[0], start[4] = 2e-9, -1e-10  # flux and charge of cell 0
+        # cell 0 is driven and drags its partner 1; cells 2 and 3 are neither
+        # and get no noise, so they stay at rest.  The whole board, driven by
+        # the same chain increments on cells 0 and 1, is the reference
+        params = _board([1e-13, 0.0, 0.0, 0.0], pairs=[(0, 1)])
+        chain = NoiseChainConfig.matched(correlation_time(params))
         cfg = TrajectoryConfig(dt=1e-9, record_stride=50, burn_in=0.0, n_samples=80,
-                               chains=2)
-        got = integrate_circuit(params, cfg, record=record, initial_state=start)
-        want = _full_board(monkeypatch, params, cfg, record=record, initial_state=start)
+                               chains=2, seed=4)
+        got = integrate_circuit(params, cfg, noise=chain, record=record)
+        monkeypatch.setattr(langevin, "ChainNoiseSource", _PaddedChain)
+        want = _full_board(monkeypatch, params, cfg, noise=chain, record=record)
         assert got.meta["cells_stepped"] == 2 and want.meta["cells_stepped"] == 4
         assert np.all(got.values[:, [2, 3]] == 0.0)
         assert np.all(got.values[:, [0, 1]] != 0.0)
@@ -843,16 +860,6 @@ class TestMovingCells:
         alone = integrate_circuit(langevin._sub_circuit(params, np.array([0, 2, 3])), cfg)
         assert batch.meta["dt"] == alone.meta["dt"]
         assert np.array_equal(batch.values[:, [0, 2, 3]], alone.values)
-
-    def test_stationary_start(self):
-        params = _board([1e-13, 0.0, 0.0, 0.0], pairs=[(0, 1)])
-        cfg = TrajectoryConfig(n_samples=4000, chains=8, burn_in=0.0, seed=9)
-        batch = integrate_circuit(params, cfg, initial_state="stationary")
-        assert batch.meta["cells_stepped"] == 2
-        assert np.all(batch.values[:, [2, 3]] == 0.0)
-        want = stationary_voltage_covariance(params)[:2, :2]
-        got = np.cov(batch.values[:, :2], rowvar=False)
-        assert rel_frobenius(got, want) < 0.1
 
     # SHA-256 of the samples of boards on which every cell moves, as written
     # before the moving-cell reduction (numpy 2.4, OpenBLAS, x86-64).  The
@@ -954,26 +961,21 @@ class TestBatchedRuns:
     def runs(self):
         board = self.BOARD
         cell = np.eye(4)
-        start = np.zeros(8)
-        start[3], start[7] = 2e-9, -1e-10  # cell 3 displaced: it moves with cell 0
         compiled = compile_precision(self.TARGET).ideal_params
         return [
             board.sample_run(3, "none", 4000, seed=1, chains=8, noise_mask=cell[0]),
             board.sample_run(3, self.pair(0, 1, 1), 4000, seed=2, chains=8,
                              noise_mask=cell[0]),
             board.sample_run(2, "none", 4000, 6e6, seed=3, chains=8, noise_mask=cell[2]),
-            (*board.sample_run(3, "none", 4000, seed=4, chains=8, noise_mask=cell[0]),
-             start),  # two uncoupled cells: a stack of two modes
+            board.sample_run(3, "none", 4000, seed=4, chains=8,
+                             noise_mask=cell[0] + cell[3]),  # two uncoupled cells: two modes
             board.sample_run(3, self.pair(2, 3, -1), 4000, seed=5, chains=8,
                              noise_mask=cell[3]),
             board.sample_run(3, "none", 500, seed=6, chains=1, noise_mask=cell[1]),
             board.sample_run(1, "none", 500, seed=7, chains=1, noise_mask=cell[3]),
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8)),
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=9, burn_in=0.0)),
-            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), None,
-             "lfsr-chain"),
-            (board.true_params(3, "none", np.zeros(4)),  # undriven: cell 3 decays alone
-             TrajectoryConfig(n_samples=4000, chains=8, dt=1e-9, record_stride=20), start),
+            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), "lfsr-chain"),
         ]
 
     def spy_stacks(self, monkeypatch):
@@ -992,8 +994,8 @@ class TestBatchedRuns:
         and the solo run's other cells read exactly 0.0."""
         assert sorted(batched) == list(range(len(runs)))
         for i, run in enumerate(runs):
-            params, cfg, start, noise = run + (None, "ideal")[len(run) - 2:]
-            solo = integrate_circuit(params, cfg, noise=noise, initial_state=start)
+            params, cfg, noise = run + ("ideal",)[len(run) - 2:]
+            solo = integrate_circuit(params, cfg, noise=noise)
             meta = dict(batched[i].meta)
             cells = meta.pop("cells")
             assert cells == sorted(cells) and len(cells) == solo.meta["cells_stepped"]
@@ -1011,10 +1013,10 @@ class TestBatchedRuns:
         batched = dict(langevin.integrate_circuits(runs))
         # stacks: the 1-cell and 2-mode runs with a burn-in, the four cells of
         # the 4-cell board; the two pairs; the two one-chain cells.  The other
-        # four runs step alone: the compiled runs with a burn-in, on the ideal
-        # source and on the chain, each fill their 3-cell board, the undriven
-        # cell has no room beside the first stack, and one run has no burn-in
-        assert sorted(sizes) == [1, 1, 1, 1, 2, 2, 3]
+        # three runs step alone: the compiled runs with a burn-in, on the ideal
+        # source and on the chain, each fill their 3-cell board, and one run
+        # has no burn-in
+        assert sorted(sizes) == [1, 1, 1, 2, 2, 3]
         self.assert_solo_equal(runs, batched)
 
     def test_chain_runs_stack_with_ideal_runs(self, monkeypatch):
@@ -1022,7 +1024,7 @@ class TestBatchedRuns:
         # stack with ideal-source runs of the same shape
         board, cell = self.BOARD, np.eye(4)
         runs = [(*board.sample_run(3, "none", 2000, seed=30 + i, chains=8, noise_mask=cell[i]),
-                 None, "lfsr-chain" if i % 2 else "ideal") for i in range(4)]
+                 "lfsr-chain" if i % 2 else "ideal") for i in range(4)]
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
         assert sizes == [4]
@@ -1112,7 +1114,7 @@ class TestBatchedRuns:
         assert np.any((m > 0) & (m < np.finfo(float).tiny))
         z0 = sys_.to_blocks(np.random.default_rng(59).standard_normal((3, 8)))
         run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0)
-        cached = np.abs(run.plans()[1][0][0])
+        cached = np.abs(run.plans()[1][0])
         assert not np.any((cached > 0) & (cached < np.finfo(float).tiny))
         args = (5, 68_000, 0)
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(60), *args)
