@@ -439,15 +439,22 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
                         help="level of the library's log messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub_kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+    # no abbreviations: a removed flag must not resolve to another one (gpr --n to --noise)
+    sub_kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter,
+                  "allow_abbrev": False}
 
-    def common(p, n_default=10_000, chains=32):
+    def common(p, n_default=10_000, chains=32, seed=True):
+        """The shared flags a verb reads: no --n, --chains or --seed where
+        ``n_default``, ``chains`` or ``seed`` is None or false."""
         p.add_argument("--outdir", default=None,
                        help="output directory (default env SPUSIM_OUTDIR or ./spusim-out)")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        p.add_argument("--chains", type=int, default=chains,
-                       help="independent chains, merged in chain-index order")
-        p.add_argument("--n", type=int, default=n_default, help="sample count")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        if chains is not None:
+            p.add_argument("--chains", type=int, default=chains,
+                           help="independent chains, merged in chain-index order")
+        if n_default is not None:
+            p.add_argument("--n", type=int, default=n_default, help="sample count")
 
     p = sub.add_parser("sample", **sub_kwargs, help="draw equilibrium Gaussian samples")
     common(p, 100_000)
@@ -483,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("gpr", **sub_kwargs, help="Gaussian process regression")
-    common(p, 100_000)
+    common(p, n_default=None)
     p.add_argument("--train", help="training CSV with columns x,y")
     p.add_argument("--train-points", type=_positive_int, default=8,
                    help="points for the generated sin demo set (no --train)")
@@ -499,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gpr)
 
     p = sub.add_parser("lsq", **sub_kwargs, help="linear least squares via the normal equations")
-    common(p)
+    common(p, n_default=None)
     p.add_argument("--data", help="CSV with columns x,y")
     p.add_argument("--degree", type=_non_negative_int, default=1,
                    help="polynomial degree for --data designs")
@@ -511,16 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lsq)
 
     p = sub.add_parser("sngp-sample", **sub_kwargs, help="patch-wise posterior sampling")
-    common(p)
+    common(p, n_default=None)
     p.add_argument("--mean", help="mean vector CSV")
     p.add_argument("--cov", help="covariance matrix CSV")
-    p.add_argument("--draws", type=int, default=2000)
+    p.add_argument("--draws", type=_positive_int, default=2000)
     p.add_argument("--patch-size", type=int, default=8)
     p.add_argument("--sampler", choices=["digital", "emulated-spu"],
                    default="emulated-spu")
     p.add_argument("--demo", action="store_true",
                    help="generate the bundled two-moons fixture")
-    p.add_argument("--grid-size", type=int, default=64)
+    p.add_argument("--grid-size", type=_positive_int, default=64)
     p.set_defaults(func=cmd_sngp_sample)
 
     p = sub.add_parser("calibrate", **sub_kwargs, help="scaling-vector calibration run")
@@ -556,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faultscan)
 
     p = sub.add_parser("perf", **sub_kwargs, help="runtime/energy scaling model")
-    common(p)
+    common(p, chains=None, seed=False)  # a deterministic model: no chains, no stream
     p.add_argument("--digital-baseline", default=None,
                    help="measured (d,time,energy) CSV; bundled table by default")
-    p.add_argument("--d-min", type=int, default=100)
+    p.add_argument("--d-min", type=_positive_int, default=100)
     p.add_argument("--d-max", type=int, default=100_000)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_positive_int, default=25)
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("study", **sub_kwargs, help="noise-level or sampling-rate study")

@@ -18,9 +18,17 @@ filtering and saturation act before injection), are exogenous to the linear
 circuit, and the noise has zero mean, so the step has no constant term and
 n steps compose exactly: z <- M^n z + w_n.  One block engine advances every
 linear run that way, drawing w_n from the exact law of the compounded step
-(binary doubling) or injecting the chain's increments through stacked
-kernels M^(n-1-j) N.  This reproduces the stepped chain at the record times
-exactly.  So a record is one step of either source, and a chunk of T
+(binary doubling) or injecting the chain's input through stacked kernels.
+The chain's RC filter is linear, time-invariant and the same on every
+lane, so a linear chain stepped once a bit hands the engine its raw gated
+bits, and the filter and the current gain are folded into the kernels:
+the circuit step augmented with the filter state (the colored-noise view
+of an OU process, Gardiner, "Handbook of Stochastic Methods"), its
+kernels summed back over the filter's lags, with the filter state carried
+from block to block.  A saturated chain, or one with substeps, hands its
+filtered values, and the fold is the identity, M^(n-1-j) N.  This
+reproduces the stepped chain at the record times exactly, to rounding.
+So a record is one step of either source, and a chunk of T
 records is one product per block, the chunked form of a linear-recurrence
 scan (Blelloch 1990; Martin & Cundy 2018): the start state and the chunk's
 noise, side by side, times a block-triangular matrix of the step's powers
@@ -403,21 +411,23 @@ class _LinearSystem:
         return values if self.basis is None else values @ self.basis.T
 
     def noise_buffer(self, steps: int, chains: int) -> np.ndarray:
-        """Room for ``steps`` steps of laid-out increments: (K, steps, r, chains)
-        for K blocks that each take r increments a step (1, d dense; d, 1 per
-        mode), so n steps of a block, reshaped to (K, n*r, chains), are the
-        right operand of the kernel product without a copy."""
+        """Room for ``steps`` steps of laid-out input: (K, chains, steps, r)
+        for K blocks that each take r inputs a step (1, d dense; d, 1 per
+        mode), so n steps of a block, reshaped to (K, chains, n*r) and
+        transposed, are the right operand of the kernel product without a
+        copy."""
         k, _, r = _stack(self.n_inject).shape
-        return np.empty((k, steps, r, chains))
+        return np.empty((k, chains, steps, r))
 
-    def lay_noise(self, eta: np.ndarray, out: np.ndarray) -> None:
-        """Write step-major per-cell increments (steps, chains, d) into a
-        ``noise_buffer`` slice, rotated into the basis by one GEMM."""
+    def lay_noise(self, x: np.ndarray, gain: np.ndarray, out: np.ndarray) -> None:
+        """Write per-cell input shaped (steps, chains, d), in any memory
+        order, times the per-cell ``gain``, into a ``noise_buffer`` slice,
+        rotated into the basis: one product by Q^T diag(gain) per chain."""
         if self.basis is None:
-            out[0] = eta.swapaxes(1, 2)
+            np.multiply(x.swapaxes(0, 1), gain, out=out[0])
         else:
-            np.matmul(self.basis.T, eta.reshape(-1, self.dimension).T,
-                      out=out.reshape(self.dimension, -1))
+            np.matmul(self.basis.T * gain, x.transpose(1, 2, 0),
+                      out=out[..., 0].swapaxes(0, 1))
 
     def expand(self, stack: np.ndarray) -> np.ndarray:
         """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
@@ -662,20 +672,48 @@ def _flushed(a: np.ndarray) -> np.ndarray:
     return a * (np.abs(a) >= _TINY)
 
 
-def _kernel_stack(sys_: _LinearSystem, steps: int) -> np.ndarray:
-    """Injection kernels of a ``steps``-step block, side by side for column noise.
+def _kernel_stack(sys_: _LinearSystem, steps: int, pole: float, gain: float) -> np.ndarray:
+    """Injection kernels of a ``steps``-step block, side by side for column
+    input, with a one-pole prefilter (``pole``, ``gain``) folded in.
 
-    In every block of the (K, b, steps*r) stack, columns j*r..(j+1)*r hold
-    M^(steps-1-j) N, where r is the noise width of a step (d dense, 1 per
-    mode), so a block's noise laid out as (K, steps*r, chains) injects with
-    one product.  The last n*r columns are the kernels of an n-step block.
+    A block's input u_j enters through the filter e_j = pole e_(j-1) +
+    gain u_j, and e_j through M^(steps-1-j) N.  In every block of the
+    (K, b, steps*r) stack, columns j*r..(j+1)*r hold the folded kernel
+    W_j = gain M^(steps-1-j) N + pole W_(j+1), the response of the block's
+    end to u_j, where r is the input width of a step (d dense, 1 per mode),
+    so a block's input laid out as (K, steps*r, chains) injects with one
+    product; the filter state before the block adds (pole/gain) W_0 e_(-1).
+    The fold runs back from the last column, so the last n*r columns are
+    the kernels of an n-step block.  The identity prefilter (0, 1) leaves
+    the kernels M^(steps-1-j) N.
+
+    The kernel F_i of lag i = steps-1-j obeys F_i = pole F_(i-1) +
+    gain M^i N, so [F_i; M^(i+1) N] is the step A = [[pole I, gain I],
+    [0, M]] of the circuit augmented with the filter, taken i + 1 times
+    from [0; N].  The first L ~ sqrt(steps) lags are stepped one by one,
+    and each later run of L lags is A^L times the run before it.
     """
-    kernel, m = _stack(sys_.n_inject), _stack(sys_.m_step)
-    stack = np.empty(kernel.shape[:2] + (steps, kernel.shape[2]))
-    for j in range(steps - 1, -1, -1):
-        stack[:, :, j] = kernel
-        kernel = m @ kernel
-    return stack.reshape(kernel.shape[0], kernel.shape[1], -1)
+    n_inject, m = _stack(sys_.n_inject), _stack(sys_.m_step)
+    k, b, r = n_inject.shape
+    aug = np.zeros((k, 2 * b, 2 * b))
+    aug[:, :b, :b] = pole * np.eye(b)
+    aug[:, :b, b:] = gain * np.eye(b)
+    aug[:, b:, b:] = m
+    run = math.isqrt(steps)
+    lags = np.empty((k, 2 * b, run, r))
+    lag, jump = np.concatenate([np.zeros_like(n_inject), n_inject], axis=1), aug
+    for i in range(run):
+        lag = aug @ lag
+        lags[:, :, i] = lag
+        if i:
+            jump = aug @ jump
+    jump, lags = _flushed(jump), lags.reshape(k, 2 * b, run * r)
+    stack = np.empty((k, b, steps, r))
+    for end in range(steps, 0, -run):  # the run of lags from steps - end, reversed
+        count = min(run, end)
+        stack[:, :, end - count:end] = lags[:, :b, :count * r].reshape(k, b, count, r)[:, :, ::-1]
+        lags = jump @ lags
+    return stack.reshape(k, b, steps * r)
 
 
 class _LinearRun:
@@ -737,9 +775,13 @@ class _LinearRun:
         draws them with one ``standard_normal`` call, which reads its stream
         as per-record draws would.  Chain noise writes the increment v that
         the chain injects over each span, built from v = 0 block by block,
-        v <- M^n v + W_n xi_n, with xi_n the block's increments
-        (``chain_reader``) and W_n the last n*r columns of the kernel stack,
-        at most ``width`` steps a block."""
+        v <- M^n v + W_n u_n + C_n e, at most ``width`` steps a block.  u_n
+        is the block's input, rotated and scaled (``chain_reader``), W_n the
+        last n*r columns of the folded kernel stack (``_kernel_stack``), and
+        e the input's filter state, (K, chains, r), carried across blocks,
+        records and spans: C_n = (pole/gain) W_0 of the n-step block, and
+        after it e <- pole^n e + sum_j gain pole^(n-1-j) u_j.  Powers of the
+        pole are flushed of subnormals."""
         if self.ideal:
             draws = np.empty(self.chunk * self.z.size)
 
@@ -749,56 +791,75 @@ class _LinearRun:
                 slots[...] = xi.transpose(1, 0, 3, 2)
 
             return draw
-        sys_, width, read = self.sys_, self.width, self.chain_reader()
-        kernels = _kernel_stack(sys_, width)
-        r = _stack(sys_.n_inject).shape[-1]
-        powers = {}  # M^n of the blocks after a span's first
+        sys_, width, chains = self.sys_, self.width, self.z.shape[1]
+        read, (pole, gain) = self.chain_reader()
+        kernels = _kernel_stack(sys_, width, pole, gain)
+        k, _, r = _stack(sys_.n_inject).shape
+        state = np.zeros((k, chains, r))  # the filter state e
+        cache = {}
+
+        def block(n, first):
+            """(M^n, or None for a span's first block, W_n, C_n, pole^n,
+            the weights gain pole^(n-1-j), n)."""
+            if (n, first) not in cache:
+                m_n = None if first else _flushed(_stack(sys_.compound(n)[0]))
+                w_n = kernels[..., (width - n) * r:]
+                lags = pole ** np.arange(n - 1, -1, -1.0)
+                cache[n, first] = (m_n, w_n, (pole / gain) * w_n[..., :r],
+                                   float(_flushed(pole ** n)), _flushed(gain * lags), n)
+            return cache[n, first]
 
         def blocks(steps):
-            plan = []
-            for start in range(0, steps, width):
-                n = min(width, steps - start)
-                if start and n not in powers:
-                    powers[n] = _flushed(_stack(sys_.compound(n)[0]))
-                plan.append((powers.get(n), kernels[..., (width - n) * r:], n))
-            return plan
+            return [block(min(width, steps - start), not start)
+                    for start in range(0, steps, width)]
 
         spans = blocks(self.burn_steps), blocks(self.stride)
 
         def inject(slots, burn):
-            (_, w_first, n_first), *rest = spans[0 if burn else 1]
+            nonlocal state
             for v in slots.swapaxes(0, 1):  # record by record, each (K, b, chains)
-                np.matmul(w_first, read(n_first), out=v)
-                for m_n, w_n, n in rest:
-                    v[...] = m_n @ v + w_n @ read(n)
+                for m_n, w_n, carry, decay, weights, n in spans[0 if burn else 1]:
+                    u = read(n)
+                    kick = w_n @ _t(u.reshape(k, chains, n * r)) + carry @ _t(state)
+                    v[...] = kick if m_n is None else m_n @ v + kick
+                    state = decay * state + weights @ u
 
         return inject
 
     def chain_reader(self):
-        """A function n -> the next n steps of the chain's increments as the
-        kernel product's right operand, (K, n*r, chains); draws go into one
-        reused buffer."""
-        sys_, chains = self.sys_, self.z.shape[1]
+        """The chain's input as the kernel product's right operand, and its
+        prefilter: ``(read, (pole, gain))``.  ``read`` is a function n ->
+        the next n steps of the input, rotated into the basis and scaled by
+        the chain's gain in one product (``_LinearSystem.lay_noise``),
+        (K, chains, n, r).  Draws of max(width, ``_MIN_DRAW_STEPS``) steps go
+        into one reused buffer; the first is drawn here, as it brings the
+        prefilter (``ChainNoiseSource.drive``)."""
+        sys_, source, chains = self.sys_, self.source, self.z.shape[1]
         remaining = self.burn_steps + self.per_chain * self.stride  # steps not yet drawn
         draw_steps = max(self.width, _MIN_DRAW_STEPS)
-        # drawn noise, steps pos..end unused; room for a block's leftover and a draw
-        eta = sys_.noise_buffer(self.width + draw_steps, chains)
-        k, _, r, _ = eta.shape
+        # drawn input, steps pos..end unused; room for a block's leftover and a draw
+        buf = sys_.noise_buffer(self.width + draw_steps, chains)
         pos = end = 0
 
-        def read(n):
+        def draw(left):
             nonlocal remaining, pos, end
+            steps = min(remaining, draw_steps)
+            x, prefilter = source.drive(steps)
+            sys_.lay_noise(x, source.step_gain, buf[:, :, left:left + steps])
+            pos, end = 0, left + steps
+            remaining -= steps
+            return prefilter
+
+        def read(n):
+            nonlocal pos
             if pos + n > end:
                 left = end - pos
-                eta[:, :left] = eta[:, pos:end].copy()
-                draw = min(remaining, draw_steps)
-                sys_.lay_noise(self.source.increments(draw), eta[:, left:left + draw])
-                pos, end = 0, left + draw
-                remaining -= draw
+                buf[:, :, :left] = buf[:, :, pos:end].copy()
+                draw(left)
             pos += n
-            return eta[:, pos - n:pos].reshape(k, n * r, chains)
+            return buf[:, :, pos - n:pos]
 
-        return read
+        return read, draw(0)
 
 
 def _stacks(runs: list[_LinearRun]) -> list[list[int]]:

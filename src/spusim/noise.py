@@ -104,8 +104,8 @@ def _signed_windows() -> np.ndarray:
 
     Entry [i, j] is the signed bit at phase (i + j) mod the period, for i
     and j below it: one int8 copy of the period twice over, viewed with
-    unit strides on both axes.  Rows [:n] at the lanes' phases as columns
-    are the next n bits of every lane, time-major, in one gather.
+    unit strides on both axes.  The rows at the lanes' phases, columns
+    [:n], are the next n bits of every lane, lane-major, in one gather.
     """
     signed = np.tile(_cycle()[0].astype(np.int8) * 2 - 1, 2)
     return np.lib.stride_tricks.as_strided(signed, shape=(LFSR_PERIOD, LFSR_PERIOD),
@@ -173,8 +173,9 @@ def rc_filter(stream: np.ndarray, time_constant: float, dt: float,
         raise ValueError("time_constant and dt must be strictly positive")
     x = np.moveaxis(np.asarray(stream, dtype=float), -1, 0)
     alpha = dt / (dt + time_constant)
-    state = np.broadcast_to(np.asarray(initial, dtype=float), x.shape[1:]).reshape(-1)
-    y = _one_pole(x.reshape(x.shape[0], -1), 1.0 - alpha, alpha, state)
+    lanes = x.shape[:1] + ((-1,) if x.ndim > 1 else ())  # a 1-D stream stays 1-D
+    state = np.broadcast_to(np.asarray(initial, dtype=float), x.shape[1:]).reshape(lanes[1:])
+    y = _one_pole(x.reshape(lanes), 1.0 - alpha, alpha, state)
     return np.moveaxis(y.reshape(x.shape), 0, -1)
 
 
@@ -202,14 +203,16 @@ def _pole_block(pole: float, gain: float, size: int) -> tuple[np.ndarray, np.nda
 def _one_pole(x: np.ndarray, pole: float, gain: float, state: np.ndarray,
               overwrite: bool = False) -> np.ndarray:
     """y[n] = pole y[n-1] + gain x[n] down axis 0 of a time-major (steps,
-    lanes) array, with y[-1] = ``state`` (lanes,).
+    lanes) array, or of a 1-D stream, with y[-1] = ``state`` (lanes,) or ().
 
     Blocks of B = ``_FILTER_BLOCK`` steps: a block's output is T (x_k +
     e_0 (pole/gain) s_k), where s_k is the state before it, so every block
     is one product with the B x B matrix of ``_pole_block``.  The states
     obey the same recursion over blocks, s_(k+1) = pole^B s_k + u_k with u_k
     the block's response from rest (row B-1 of T x_k), and are found by
-    this function one level down.  A final partial block takes the leading
+    this function one level down.  The blocks of a 1-D stream are the rows
+    of one (blocks, B) array, so each level is one product with T^T rather
+    than a product per block.  A final partial block takes the leading
     corner of T.  With ``overwrite`` the states are added into ``x`` itself
     instead of a copy of it.
     """
@@ -219,20 +222,23 @@ def _one_pole(x: np.ndarray, pole: float, gain: float, state: np.ndarray,
     t, p = _pole_block(pole, gain, b)
     y = np.empty(x.shape)
     if nb:
-        blocks = x[:nb * b].reshape(nb, b, -1)
+        blocks = x[:nb * b].reshape((nb, b) + x.shape[1:])
         starts = np.empty((nb,) + x.shape[1:])
         starts[0] = state
         if nb > 1:
-            starts[1:] = _one_pole(np.matmul(t[-1], blocks[:-1]), pole ** b, 1.0, state,
-                                   overwrite=True)
+            ends = blocks[:-1] @ t[-1] if x.ndim == 1 else np.matmul(t[-1], blocks[:-1])
+            starts[1:] = _one_pole(ends, pole ** b, 1.0, state, overwrite=True)
         if not overwrite:
             blocks = blocks.copy()
         blocks[:, 0] += (pole / gain) * starts
-        np.matmul(t, blocks, out=y[:nb * b].reshape(blocks.shape))
+        if x.ndim == 1:
+            np.matmul(blocks, t.T, out=y[:nb * b].reshape(blocks.shape))
+        else:
+            np.matmul(t, blocks, out=y[:nb * b].reshape(blocks.shape))
         state = y[nb * b - 1]
     tail = steps - nb * b
     if tail:
-        y[nb * b:] = t[:tail, :tail] @ x[nb * b:] + p[:tail, None] * state
+        y[nb * b:] = t[:tail, :tail] @ x[nb * b:] + np.multiply.outer(p[:tail], state)
     return y
 
 
@@ -290,13 +296,20 @@ class ChainNoiseSource:
     the same m-sequence at a third phase (the shift-and-add property), that
     of the XORed registers; each lane reads its bits at that one phase.  The
     bit stream is PDM-gated, RC-filtered, optionally soft-saturated, and
-    scaled so its in-band current PSD matches duty_cycle * kappa0 at full
-    duty calibration.  Bits are piecewise constant over ``substeps_per_bit``
-    integrator steps.  ``increments`` gives the per-step charge increments
-    the integrator injects, step-major; ``stages`` exposes the per-bit
-    values of every stage, lane-major.  All lanes are filtered together,
-    time-major (bits on axis 0), by the blocked one-pole filter of
-    ``rc_filter``, so increments need no transpose.
+    scaled by ``step_gain`` so its in-band current PSD matches duty_cycle *
+    kappa0 at full duty calibration.  Bits are piecewise constant over
+    ``substeps_per_bit`` integrator steps.  ``increments`` gives the
+    per-step charge increments the integrator injects, step-major;
+    ``stages`` exposes the per-bit values of every stage, lane-major.  All
+    lanes are filtered together, time-major (bits on axis 0), by the
+    blocked one-pole filter of ``rc_filter``, so increments need no
+    transpose.
+
+    ``drive`` is what the block engine reads instead: the input before the
+    gain and, where it is linear, before the filter.  The RC filter is
+    linear, time-invariant and the same on every lane, so the engine folds
+    it into its injection kernels, together with the gain; a linear chain
+    stepped once a bit then never runs the filter here.
     """
 
     def __init__(self, config: NoiseChainConfig, seed: int, dimension: int,
@@ -316,8 +329,7 @@ class ChainNoiseSource:
         self.substeps_per_bit = sub
         # In-band two-sided current PSD of the gated +-1 stream is duty / bit_rate;
         # this gain makes it equal 2 * duty * kappa0 (temperature scales with duty).
-        gain = np.sqrt(2.0 * kappa0 * config.bit_rate)
-        self._scale = np.tile(gain * dt, chains)  # current * dt per lane, chain-major
+        self.step_gain = np.sqrt(2.0 * kappa0 * config.bit_rate) * dt  # current * dt per cell
         rng = np.random.default_rng(seed)
         lanes = chains * dimension
         _, phase = _cycle()
@@ -330,48 +342,59 @@ class ChainNoiseSource:
         # distinct phases hold distinct registers, so their XOR is a nonzero state
         self._phase = phase[_registers(self._phase_a) ^ _registers(self._phase_b)]
         self._bit_index = 0
-        self._rc_state = np.zeros(lanes)
+        self._rc_state: np.ndarray | None = np.zeros(lanes)  # None once ``drive`` holds it
         self._leftover: np.ndarray | None = None
-        self._work: np.ndarray | None = None  # gated bits of ``increments``, reused
+        self._work: np.ndarray | None = None  # gated bits, reused when not returned
 
     def stages(self, n_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every lane by ``n_bits`` bits; each stage as a (lanes, n_bits) array.
 
         Returns the gold-code bits (0/1), the PDM-gated +-1 stream and the
         RC-filtered (and, if configured, saturated) value per bit, before
-        the current gain.  The gated and filtered stages are computed
-        time-major, bits on axis 0, and returned transposed (views).  At
-        most one LFSR period can be read per call.
+        the current gain.  The gated stage is built lane-major; the
+        filtered stage is computed time-major, bits on axis 0, and returned
+        transposed (a view).  At most one LFSR period can be read per call.
+        """
+        signed, gated, filtered = self._advance(n_bits, keep_gated=True)
+        return (signed > 0).astype(np.uint8), gated, filtered.T
+
+    def _gate(self, n_bits: int, keep: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n_bits`` bits of every lane, lane-major (lanes, n_bits):
+        the gold-code bits as +-1 (int8) and the gated stage.  A lane's bits
+        are one row of the windows, so the gather copies a run per lane.
+        Unless ``keep``, the gated stage is built in a buffer kept across
+        calls, which the next call overwrites.
         """
         if not 0 < n_bits <= LFSR_PERIOD:
             raise ValueError(f"n_bits must be in [1, {LFSR_PERIOD}], got {n_bits}")
-        signed, gated, filtered = self._advance(n_bits, keep_gated=True)
-        return (signed.T > 0).astype(np.uint8), gated.T, filtered.T
-
-    def _advance(self, n_bits: int, keep_gated: bool):
-        """The next ``n_bits`` bits of every lane, time-major: the gold-code
-        bits as +-1 (int8), the gated and the filtered stages.  Unless
-        ``keep_gated``, the gated stage is built in a buffer kept across
-        calls and consumed by the filter (None is returned for it), so a
-        call allocates little beyond the filtered stage.
-        """
         start = self._bit_index % LFSR_PERIOD
-        signed = _signed_windows()[:n_bits, (self._phase + start) % LFSR_PERIOD]
-        if keep_gated:
+        signed = _signed_windows()[(self._phase + start) % LFSR_PERIOD, :n_bits]
+        if keep:
             gated = np.empty(signed.shape)
         else:
-            if self._work is None or len(self._work) < n_bits:
+            if self._work is None or self._work.shape[1] < n_bits:
                 self._work = np.empty(signed.shape)
-            gated = self._work[:n_bits]
+            gated = self._work[:, :n_bits]
         np.copyto(gated, signed)
-        cfg = self.config
-        if cfg.duty_cycle < 1.0:  # a gated-off -1 bit becomes -0.0
-            gated *= pdm_enable(n_bits, cfg.duty_cycle, offset=self._bit_index)[:, None]
-        alpha = _rc_alpha(cfg)
-        filtered = _one_pole(gated, 1.0 - alpha, alpha, self._rc_state,
-                             overwrite=not keep_gated)
-        self._rc_state = filtered[-1].copy()
+        if self.config.duty_cycle < 1.0:  # a gated-off -1 bit becomes -0.0
+            gated *= pdm_enable(n_bits, self.config.duty_cycle, offset=self._bit_index)
         self._bit_index += n_bits
+        return signed, gated
+
+    def _advance(self, n_bits: int, keep_gated: bool):
+        """``_gate``'s two stages of the next ``n_bits`` bits, then the
+        filtered stage, time-major (n_bits, lanes).  Unless ``keep_gated``,
+        the gated stage is a reused buffer and None is returned for it.
+        """
+        if self._rc_state is None:
+            raise RuntimeError("the RC filter state was handed to the engine by drive()")
+        signed, gated = self._gate(n_bits, keep_gated)
+        cfg = self.config
+        alpha = _rc_alpha(cfg)
+        # time-major, as one C-ordered copy the filter consumes in place
+        filtered = _one_pole(np.ascontiguousarray(gated.T), 1.0 - alpha, alpha,
+                             self._rc_state, overwrite=True)
+        self._rc_state = filtered[-1].copy()
         if cfg.saturation is not None:
             # fixed hardware headroom, expressed in full-duty RMS units
             v = cfg.saturation * _filtered_rms(cfg)
@@ -380,17 +403,11 @@ class ChainNoiseSource:
             filtered *= v
         return signed, gated if keep_gated else None, filtered
 
-    def increments(self, n_steps: int) -> np.ndarray:
-        """Charge increments current * dt of shape (n_steps, chains, dimension).
-
-        The filtered bits come time-major, so whole runs of steps are
-        sliced out without a copy.
-        """
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        shape = (n_steps, self.chains, self.dimension)
-        if n_steps == 0:
-            return np.empty(shape)
+    def _held(self, n_steps: int) -> np.ndarray:
+        """The filtered (and saturated) values of the next ``n_steps`` steps,
+        (n_steps, lanes), each bit held over its substeps.  The filtered
+        bits come time-major, so whole runs of steps are sliced out without
+        a copy."""
         parts, have = [], 0
         if self._leftover is not None:
             parts.append(self._leftover[:n_steps])
@@ -406,9 +423,48 @@ class ChainNoiseSource:
             if take < len(vals):
                 self._leftover = vals[take:]
             have += take
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out *= self._scale
-        return out.reshape(shape)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def increments(self, n_steps: int) -> np.ndarray:
+        """Charge increments current * dt of shape (n_steps, chains, dimension):
+        the per-step reference of what ``drive`` feeds the engine."""
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        shape = (n_steps, self.chains, self.dimension)
+        if n_steps == 0:
+            return np.empty(shape)
+        out = self._held(n_steps).reshape(shape)
+        out *= self.step_gain
+        return out
+
+    def drive(self, n_steps: int) -> tuple[np.ndarray, tuple[float, float]]:
+        """The block engine's input for the next ``n_steps`` steps, shaped
+        (n_steps, chains, dimension) in either memory order, and its
+        prefilter (pole, gain).
+
+        The increments are ``step_gain`` times the input filtered by
+        y[n] = pole y[n-1] + gain x[n], from y[-1] = 0.  A linear chain
+        stepped once a bit hands its gated +-1 bits with the chain's RC
+        filter (1 - alpha, alpha), so the engine runs the filter, and from
+        then on holds its state: ``stages`` and ``increments`` refuse to
+        follow, and the filter must be at rest on the first call.  A
+        saturated chain, or one with substeps, hands its filtered (and
+        saturated) values held over the substeps with the identity
+        prefilter (0, 1).  The gated bits are a buffer that the next call
+        overwrites.  At most one LFSR period of steps is read per call.
+        """
+        if not 0 < n_steps <= LFSR_PERIOD:
+            raise ValueError(f"n_steps must be in [1, {LFSR_PERIOD}], got {n_steps}")
+        if self.substeps_per_bit > 1 or self.config.saturation is not None:
+            return self._held(n_steps).reshape(n_steps, self.chains, self.dimension), (0.0, 1.0)
+        if self._rc_state is not None and self._rc_state.any():
+            raise RuntimeError("drive() starts the engine's RC filter at rest, "
+                               "but this source's filter has moved")
+        self._rc_state = None
+        alpha = _rc_alpha(self.config)
+        gated = self._gate(n_steps, keep=False)[1]
+        lanes = gated.reshape(self.chains, self.dimension, n_steps)
+        return lanes.transpose(2, 0, 1), (1.0 - alpha, alpha)
 
 
 def _rc_alpha(cfg: NoiseChainConfig) -> float:

@@ -203,9 +203,11 @@ class TestSampleVerb:
     # written by the source that read each register's bits separately and
     # XORed them (numpy 2.4, OpenBLAS, x86-64).  The samples are those of the
     # blocked record scan, which moved each by at most 1.4e-15 of the largest
-    # (1.1e-12 of itself) from the record-by-record loop
+    # (1.1e-12 of itself) from the record-by-record loop, with the chain's
+    # RC filter and gain folded into the injection kernels, which moved each
+    # written sample by at most 2.9e-17 of the largest (1.0e-11 of itself)
     CHAIN_DIGESTS = {
-        "samples.csv": "be1793dfeade48a370db457ea730e7aeeb60d13331a5a9071be8bf257f0d9673",
+        "samples.csv": "101bfb4c7e2b0a3c20a5991dcf534ecb90d6d78867845309c9890f43c7b48bd9",
         "noise_stream.csv":
             "29816e8c0d4779e9165ecf33b046994111fc25b26b50d04f2681196d86d16a07",
     }
@@ -473,6 +475,76 @@ class TestPerfVerb:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 1000 <= manifest["results"]["crossover_dimension"] <= 10_000
         assert (out / "perf.svg").exists()
+
+
+class TestCountFlags:
+    """Counts are refused at parse time, exit 2, naming the flag."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["perf", "--points", "0"], "--points"),
+        (["perf", "--d-min", "0"], "--d-min"),
+        (["sngp-sample", "--demo", "--draws", "-3"], "--draws"),
+        (["sngp-sample", "--demo", "--grid-size", "0"], "--grid-size"),
+    ])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--outdir", str(out)])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["gpr", "--n", "5"], ["lsq", "--n", "5"],
+                                      ["sngp-sample", "--demo", "--n", "5"],
+                                      ["perf", "--chains", "4"], ["perf", "--seed", "1"]])
+    def test_removed_flags_are_refused(self, tmp_path, capsys, argv):
+        # no flag abbreviates to another: gpr --n is not gpr --noise
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--outdir", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def _option_reads(function: str) -> set[str]:
+    """Options that a ``cli`` function reads as ``args.X`` or ``getattr(args,
+    "X")``, itself or through the ``cli`` functions and classes it hands ``args``."""
+    import ast
+    import inspect
+
+    import spusim.cli as cli
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    def is_args(node):
+        return isinstance(node, ast.Name) and node.id == "args"
+
+    reads, todo, seen = set(), [function], {function}
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Attribute) and is_args(node.value):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                name = node.func.id
+                if name == "getattr" and is_args(node.args[0]):
+                    reads.add(node.args[1].value)
+                elif name in defs and name not in seen and any(map(is_args, node.args)):
+                    seen.add(name)
+                    todo.append(name)
+    return reads
+
+
+def test_every_verb_reads_every_option_it_declares():
+    import argparse
+
+    from spusim.cli import build_parser
+    verbs = next(action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices
+    assert len(verbs) == 10
+    for verb, parser in verbs.items():
+        declared = {action.dest for action in parser._actions if action.dest != "help"}
+        unread = declared - _option_reads(parser.get_default("func").__name__)
+        assert not unread, f"{verb} parses options it never reads: {sorted(unread)}"
 
 
 class TestStudyVerb:

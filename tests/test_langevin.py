@@ -457,21 +457,72 @@ class TestBlockEngine:
                              gamma_vec=np.full(d, gamma), amps=np.full(d, amps),
                              dt=self.DT)
 
-    def source(self, chains, d=3, sub=1, kappa0=0.7, **chain_kw):
+    def modal_kw(self, d, seed=46):
+        """A system that splits into modes: scalar potential, damping and noise."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        m_inv = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        return dict(m_inv=0.5 * (m_inv + m_inv.T), a_mat=np.eye(d) * 1.7,
+                    gamma_vec=np.full(d, 1.0), amps=np.full(d, 1.3), dt=self.DT)
+
+    def source(self, chains, d=3, sub=1, kappa0=0.7, rc_bits=8.0, **chain_kw):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         bit_period = sub * self.DT
         chain = NoiseChainConfig(bit_rate=1.0 / bit_period,
-                                 rc_time_constant=8.0 * bit_period, **chain_kw)
+                                 rc_time_constant=rc_bits * bit_period, **chain_kw)
         return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=kappa0, dt=self.DT,
                                 chains=chains)
 
-    def compare(self, sys_, chains, per_chain, stride, burn_steps, **src_kw):
+    def compare(self, sys_, chains, per_chain, stride, burn_steps, reference=None, **src_kw):
+        """``_run_linear`` on ``sys_`` against the stepped chain on ``reference``
+        (``sys_`` itself by default, which is then dense), in the cell basis."""
         z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
         args = (per_chain, stride, burn_steps)
-        got = _run_linear(sys_, z0.copy(), self.source(chains, **src_kw), *args)
-        want = _stepped_reference(sys_, z0.copy(), self.source(chains, **src_kw), *args)
+        got = _run_linear(sys_, sys_.to_blocks(z0.copy()), self.source(chains, **src_kw), *args)
+        got = np.concatenate([sys_.cells(got, 0), sys_.cells(got, 1)], axis=-1)
+        want = _stepped_reference(sys_ if reference is None else reference, z0.copy(),
+                                  self.source(chains, **src_kw), *args)
         assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d,chains,per_chain,stride,burn_steps,src_kw", [
+        (3, 3, 5, 150, 100, {}),  # several blocks a span: the filter state crosses them
+        (3, 2, 3, 2000, 2000, {"rc_bits": 0.5}),  # pole 1/3: its width-th power underflows
+        (8, 8, 3, 2000, 2000, {}),  # stride = width = 2000, as a d = 8 sampling run
+        (3, 2, 6, 90, 40, {"duty_cycle": 0.3}),  # gated-off bits enter the kernels raw
+        (3, 2, 6, 90, 40, {"duty_cycle": 0.3, "saturation": 1.2}),  # filtered, identity fold
+        (3, 2, 7, 37, 50, {"sub": 3}),  # filtered values held over substeps, identity fold
+    ], ids=["blocks", "underflow", "d8", "duty", "saturated", "substeps"])
+    def test_modal_layout_folds_the_filter(self, monkeypatch, d, chains, per_chain, stride,
+                                           burn_steps, src_kw):
+        # every chain goes through the one injection loop; the stepped dense
+        # twin, driven by the filtered increments, is the reference
+        if stride < 1000:
+            monkeypatch.setattr(langevin, "_MAX_BLOCK_STEPS", 64)
+        kw = self.modal_kw(d)
+        sys_ = _LinearSystem(**kw)
+        assert sys_.basis is not None
+        self.compare(sys_, chains, per_chain, stride, burn_steps,
+                     reference=_dense_twin(monkeypatch, **kw), d=d, **src_kw)
+
+    @pytest.mark.parametrize("src_kw,filtered", [({}, False), ({"duty_cycle": 0.3}, False),
+                                                 ({"saturation": 1.2}, True),
+                                                 ({"sub": 3}, True)],
+                             ids=["linear", "duty", "saturated", "substeps"])
+    def test_linear_chain_hands_its_raw_bits_to_the_engine(self, monkeypatch, src_kw,
+                                                           filtered):
+        # a linear chain stepped once a bit is never filtered by the source
+        import spusim.noise as noise
+        x, prefilter = self.source(2, **src_kw).drive(10)
+        assert x.shape == (10, 2, 3)
+        assert prefilter == ((0.0, 1.0) if filtered
+                             else pytest.approx((8.0 / 9.0, 1.0 / 9.0), rel=1e-15))
+        calls, one_pole = [], noise._one_pole
+        monkeypatch.setattr(noise, "_one_pole",
+                            lambda *a, **k: calls.append(1) or one_pole(*a, **k))
+        _run_linear(self.system(), np.zeros((2, 6)), self.source(2, **src_kw), per_chain=3,
+                    stride=40, burn_steps=20)
+        assert bool(calls) == filtered
 
     def test_stride_above_block_and_not_a_multiple(self, monkeypatch):
         import spusim.langevin as lg
@@ -565,6 +616,49 @@ class TestChainOrbit:
         values = integrate_circuit(params, cfg, noise=chain).values[:, 0]
         spread = np.max(np.abs(values - values[0])) / np.max(np.abs(values))
         assert (spread <= 1e-12) == periodic
+
+
+class TestChainLaw:
+    """The chain's stationary law, predicted exactly.  The circuit step is
+    augmented with each lane's one-pole RC state and driven by i.i.d. +-1
+    bits, and the discrete Lyapunov equation of that augmented step gives
+    the cell variance the chain holds.  It runs below the target R kappa0/C
+    by an amount set by tau_RC / tau: colored noise drives the resonator
+    (Gardiner, "Handbook of Stochastic Methods").  The oracle reports the
+    deficit; it does not correct the law."""
+
+    @staticmethod
+    def predicted_ratio(params, chain, dt):
+        # one cell, R = L = C = kappa0 = 1: state [flux, charge, e], where
+        # e_(j-1) is the filter state a step's input u_j joins
+        from scipy.linalg import solve_discrete_lyapunov
+        m = np.array([[1.0 - dt * dt, dt * (1.0 - dt)], [-dt, 1.0 - dt]])
+        n = np.array([dt, 1.0])
+        bit_period = 1.0 / chain.bit_rate
+        alpha = bit_period / (bit_period + chain.rc_time_constant)
+        pole = 1.0 - alpha
+        step = np.zeros((3, 3))
+        step[:2, :2], step[:2, 2], step[2, 2] = m, pole * n, pole
+        kick = np.append(alpha * n, alpha) * np.sqrt(2.0 * chain.bit_rate) * dt
+        sigma = solve_discrete_lyapunov(step, np.outer(kick, kick))
+        return sigma[1, 1] / stationary_voltage_covariance(params)[0, 0]
+
+    @pytest.mark.parametrize("rc_bits,predicted", [(8.0, 0.9800), (0.5, 0.9994)])
+    def test_cell_variance_matches_the_augmented_lyapunov_law(self, rc_bits, predicted):
+        params = CircuitParams.from_maxwell(np.eye(1), resistance=1.0, inductance=1.0,
+                                            noise_psd=1.0)
+        chain = NoiseChainConfig.matched(correlation_time(params), rc_bits=rc_bits)
+        cfg = TrajectoryConfig(n_samples=64_000, chains=64, seed=3001)
+        batch = integrate_circuit(params, cfg, noise=chain)
+        assert batch.meta["dt"] == pytest.approx(1.0 / chain.bit_rate, rel=1e-12)
+        ratio = self.predicted_ratio(params, chain, batch.meta["dt"])
+        assert ratio == pytest.approx(predicted, abs=1e-4)
+        target = stationary_voltage_covariance(params)[0, 0]
+        per_chain = batch.per_chain()[:, :, 0].var(axis=1) / target
+        spread = per_chain.std(ddof=1) / np.sqrt(len(per_chain))
+        assert abs(per_chain.mean() - ratio) <= 4.0 * spread
+        if rc_bits == 8.0:  # the deficit is real: far outside the spread of 1
+            assert 1.0 - per_chain.mean() > 8.0 * spread
 
 
 def _dense_twin(monkeypatch, **system_kw):
@@ -820,11 +914,14 @@ class _PaddedChain:
         self.source = ChainNoiseSource(config, seed, self.cells, kappa0[:self.cells], dt,
                                        chains)
         self.shape = (chains, dimension)
+        self.step_gain = np.zeros(dimension)
+        self.step_gain[:self.cells] = self.source.step_gain
 
-    def increments(self, n_steps):
-        eta = np.zeros((n_steps,) + self.shape)
-        eta[..., :self.cells] = self.source.increments(n_steps)
-        return eta
+    def drive(self, n_steps):
+        x, prefilter = self.source.drive(n_steps)
+        padded = np.zeros((n_steps,) + self.shape)
+        padded[..., :self.cells] = x
+        return padded, prefilter
 
 
 class TestMovingCells:
@@ -866,11 +963,14 @@ class TestMovingCells:
     # digests are those of the blocked record scan, which moved each sample
     # from the per-record loop by at most 1.5e-13 of itself (1.3e-16 of the
     # largest) on the ideal source, and by at most 5.6e-14 of itself (8.8e-16
-    # of the largest) on the lfsr chain.
+    # of the largest) on the lfsr chain.  The lfsr-chain digest is that of
+    # the chain's RC filter and gain folded into the injection kernels,
+    # which moved each sample by at most 8.3e-14 of itself (2.0e-15 of the
+    # largest).
     TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     DIGESTS = {
         "ideal": "81639e207bf39fc00dbf421769541cec146e9232c9e15334a5d2ffd25bd465d1",
-        "lfsr-chain": "e0bd94601be19d5e88af500b8f4c55be2a9462b856b1a7055b897b7cdec5532b",
+        "lfsr-chain": "44133f2a6d32f2c22acb8bdab4e1992c49ba54959586262e7c014c5ddb5faa8d",
         "calibrate": "9e8c3099d42ecc014b2ea9c8e76ae44a512c91594333315d8498e1a4505755d7",
     }
 

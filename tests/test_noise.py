@@ -226,6 +226,20 @@ class TestRcFilterOracle:
         np.testing.assert_allclose(rc_filter(x, 4.0, 0.5, initial=0.75), want,
                                    rtol=0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", [1, 24, 25, 26, 50, 649, 650, 16_276])
+    def test_one_dimensional_stream_matches_the_sequential_recursion(self, n):
+        # a 1-D stream takes one (blocks x 25) product a level; 16,276 steps
+        # run three levels down with a partial block at each
+        x = np.random.default_rng(n).standard_normal(n)
+        alpha = 0.5 / (0.5 + 4.0)
+        want, y = np.empty(n), -1.25
+        for i, value in enumerate(x):
+            y = y + alpha * (value - y)
+            want[i] = y
+        got = rc_filter(x, 4.0, 0.5, initial=-1.25)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
 
 class TestChainSource:
     def test_increment_psd_calibration(self):
@@ -314,6 +328,53 @@ class TestChainSource:
         want = want.reshape(n_steps, chains, d)
         want *= np.sqrt(2.0 * kappa0 * cfg.bit_rate) * dt
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+class TestDrive:
+    """``drive`` hands the engine its input and prefilter; filtered by the
+    prefilter and scaled by ``step_gain``, it is ``increments``."""
+
+    KW = dict(seed=8, dimension=3, kappa0=np.array([0.5, 1.1, 0.2]), chains=2)
+
+    @pytest.mark.parametrize("duty", [1.0, 0.6])
+    def test_linear_chain_hands_raw_gated_bits(self, duty):
+        cfg = NoiseChainConfig(duty_cycle=duty, bit_rate=1.0, rc_time_constant=8.0)
+        src = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        sizes = [1, 700, 4096, 65_535, 3]  # past the 2^16 - 1 cycle wrap
+        parts = [src.drive(n) for n in sizes]
+        assert all(pre == parts[0][1] for _, pre in parts)
+        (pole, gain), x = parts[0][1], np.concatenate([x for x, _ in parts])
+        assert (pole, gain) == pytest.approx((8.0 / 9.0, 1.0 / 9.0), rel=1e-15)
+        assert set(np.unique(x)) == ({-1.0, 1.0} if duty == 1.0 else {-1.0, 0.0, 1.0})
+        filtered = rc_filter(x.reshape(len(x), -1).T, 8.0, 1.0).T.reshape(x.shape)
+        want = ChainNoiseSource(cfg, dt=1.0, **self.KW).increments(len(x))
+        np.testing.assert_allclose(filtered * src.step_gain, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("cfg_kw,dt", [({"saturation": 1.5}, 1.0), ({}, 1.0 / 3)])
+    def test_filtered_chain_hands_its_increments_before_the_gain(self, cfg_kw, dt):
+        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0, **cfg_kw)
+        src = ChainNoiseSource(cfg, dt=dt, **self.KW)
+        sizes = (5, 1000, 17)  # the blocked filter rounds by where calls split
+        x = np.concatenate([src.drive(n)[0] for n in sizes])
+        assert src.drive(1)[1] == (0.0, 1.0)
+        twin = ChainNoiseSource(cfg, dt=dt, **self.KW)
+        want = np.concatenate([twin.increments(n) for n in sizes])
+        np.testing.assert_array_equal(x * src.step_gain, want)
+
+    def test_the_engine_holds_the_filter_state(self):
+        cfg = NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0)
+        src = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        src.drive(10)
+        for read in (src.increments, src.stages):
+            with pytest.raises(RuntimeError, match="handed to the engine"):
+                read(5)
+        moved = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        moved.increments(3)
+        with pytest.raises(RuntimeError, match="at rest"):
+            moved.drive(10)
+        with pytest.raises(ValueError, match="n_steps"):
+            ChainNoiseSource(cfg, dt=1.0, **self.KW).drive(0)
 
 
 class TestChainDigests:
