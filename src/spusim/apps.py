@@ -51,10 +51,14 @@ class KernelSpec:
     observation_noise: float = 0.0
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.signal_variance <= 0:
-            raise ValueError("length_scale and signal_variance must be positive")
-        if self.observation_noise < 0:
-            raise ValueError("observation_noise must be non-negative")
+        # NaN fails every comparison below
+        for name in ("length_scale", "signal_variance"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.observation_noise < np.inf:
+            raise ValueError("observation_noise must be non-negative and finite, "
+                             f"got {self.observation_noise}")
 
 
 def kernel_matrix(xa, xb, spec: KernelSpec, include_observation_noise: bool = False) -> np.ndarray:

@@ -17,7 +17,7 @@ regime an instance is in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -311,17 +311,6 @@ class CircuitParams:
         fcpl = fcpl + fcpl.T
         caps = self.coupling_capacitances * fcpl
         return CircuitParams.build(cells, caps)
-
-    def with_parallel_loading(self, coupling_resistance: float) -> "CircuitParams":
-        """Replace each cell resistance by its parallel-loading effective value."""
-        d = self.dimension
-        cells = tuple(
-            replace(c, resistance=effective_loading(i, c.resistance, coupling_resistance, d))
-            for i, c in enumerate(self.cells)
-        )
-        coupling = (CouplingConfig(self.coupling_states)
-                    if self.coupling_states is not None else self.coupling_capacitances)
-        return CircuitParams.build(cells, coupling, self.coupling_correction)
 
     def to_dict(self) -> dict:
         out = {

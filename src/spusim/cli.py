@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digital-baseline", default=None,
                    help="measured (d,time,energy) CSV; bundled table by default")
     p.add_argument("--d-min", type=_positive_int, default=100)
-    p.add_argument("--d-max", type=int, default=100_000)
+    p.add_argument("--d-max", type=_positive_int, default=100_000)
     p.add_argument("--points", type=_positive_int, default=25)
     p.set_defaults(func=cmd_perf)
 
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=["noise_level", "sampling_rate"], required=True)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument("--precision", help="target precision-matrix CSV")
-    p.add_argument("--identity", type=int, default=8,
+    p.add_argument("--identity", type=_positive_int, default=8,
                    help="identity-target dimension when no matrix is given")
     p.add_argument("--noise-mode", choices=["ideal", "lfsr-chain"], default="ideal")
     p.add_argument("--quantize", action="store_true")
@@ -589,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "perf" and args.d_max < args.d_min:
+        parser.error(f"argument --d-max: must be >= --d-min {args.d_min}, got {args.d_max}")
     if args.log_level != "WARNING":
         # at WARNING, logging's last-resort handler already prints the library's
         # warnings to stderr; importing logging costs about 4 ms and 0.5 MB

