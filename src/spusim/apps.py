@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import TargetSpec, _validate_pd
+from .compiler import TargetSpec, _validate_pd, _validate_symmetric
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .linalg import SamplingPlan, invert_matrix, sample_gaussian
 
@@ -59,6 +59,14 @@ class KernelSpec:
         if not 0.0 <= self.observation_noise < np.inf:
             raise ValueError("observation_noise must be non-negative and finite, "
                              f"got {self.observation_noise}")
+        # the kernel divides by 2 l^2 and adds noise^2; products, as a float's
+        # power raises OverflowError
+        if not 0.0 < 2.0 * self.length_scale * self.length_scale < np.inf:
+            raise ValueError("length_scale must be such that 2 length_scale^2 is positive "
+                             f"and finite, got {self.length_scale}")
+        if not self.observation_noise * self.observation_noise < np.inf:
+            raise ValueError("observation_noise must be such that observation_noise^2 is "
+                             f"finite, got {self.observation_noise}")
 
 
 def kernel_matrix(xa, xb, spec: KernelSpec, include_observation_noise: bool = False) -> np.ndarray:
@@ -97,7 +105,9 @@ class GprPosterior:
 def _inverse(matrix: np.ndarray, inverter: str, plan: SamplingPlan | None,
              seed: int) -> np.ndarray:
     if inverter == "digital":
-        try:  # the resolution rule of the thermodynamic path, not a bare LinAlgError
+        # the checks of the thermodynamic path, not a bare LinAlgError
+        _validate_symmetric(matrix, "target matrix")
+        try:
             _validate_pd(matrix, "precision matrix")
         except NotPositiveDefiniteError as err:
             raise NotPositiveDefiniteError(

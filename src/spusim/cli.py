@@ -88,9 +88,8 @@ class _Run:
         return path
 
     def finish(self) -> None:
-        # the log level changes no result, so it stays out of the manifest
         config = {k: (str(v) if isinstance(v, Path) else v)
-                  for k, v in vars(self.args).items() if k not in ("func", "log_level")}
+                  for k, v in vars(self.args).items() if k != "func"}
         manifest = {
             "subcommand": self.args.command,
             "version": __version__,
@@ -185,6 +184,30 @@ def cmd_invert(args) -> _Run:
 def _parse_grid_spec(spec: str) -> np.ndarray:
     start, stop, count = spec.split(":")
     return np.linspace(float(start), float(stop), int(count))
+
+
+def _grid_spec(text: str) -> str:
+    """argparse type of a start:stop:count grid: finite start, stop and
+    span, and a count >= 1.  The text is kept, as the manifest records it."""
+    try:
+        start, stop, count = text.split(":")
+        if np.isfinite(float(stop) - float(start)) and int(count) >= 1:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected start:stop:count with finite start and stop and count >= 1, got {text!r}")
+
+
+def _float_list(text: str) -> str:
+    """argparse type of a non-empty comma-separated list of numbers; the
+    text is kept, as the manifest records it."""
+    try:
+        [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    return text
 
 
 def cmd_gpr(args) -> _Run:
@@ -382,16 +405,10 @@ def cmd_study(args) -> _Run:
     noise = "lfsr-chain" if args.noise_mode == "lfsr-chain" else "ideal"
     study = parameter_study(args.axis, grid, target, plan, seed=args.seed,
                             noise=noise, quantize=args.quantize)
-    rows = [(r.value, r.n_samples, r.covariance_error,
-             r.covariance_error_per_element,
-             r.skewness_error if r.skewness_error is not None else np.nan,
-             r.kurtosis_error if r.kurtosis_error is not None else np.nan,
-             r.elapsed_window if r.elapsed_window is not None else np.nan)
-            for r in study.rows]
-    run.add("study", write_csv(
+    run.add("study", write_csv(  # a None entry is written as nan
         run.path("study.csv"),
         f"{args.axis},n_samples,cov_err,cov_err_per_element,skew_err,kurt_err,window_s",
-        rows))
+        study.table()))
     values = sorted({r.value for r in study.rows})
     series = []
     for v in values:
@@ -435,9 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibration, applications, and the scaling cost model. "
                     "All quantities are SI (henries, ohms, farads, volts, Hz).")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--log-level", default="WARNING",
-                        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
-                        help="level of the library's log messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
     # no abbreviations: a removed flag must not resolve to another one (gpr --n to --noise)
     sub_kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter,
@@ -449,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--outdir", default=None,
                        help="output directory (default env SPUSIM_OUTDIR or ./spusim-out)")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+            p.add_argument("--seed", type=_non_negative_int, default=0, help="master RNG seed")
         if chains is not None:
             p.add_argument("--chains", type=int, default=chains,
                            help="independent chains, merged in chain-index order")
@@ -494,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", help="training CSV with columns x,y")
     p.add_argument("--train-points", type=_positive_int, default=8,
                    help="points for the generated sin demo set (no --train)")
-    p.add_argument("--test", default="0:6.283185307179586:50",
+    p.add_argument("--test", type=_grid_spec, default="0:6.283185307179586:50",
                    help="test grid start:stop:count")
     p.add_argument("--length-scale", type=float, default=1.0)
     p.add_argument("--signal-variance", type=float, default=1.0)
@@ -574,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", **sub_kwargs, help="noise-level or sampling-rate study")
     common(p, 4000)
     p.add_argument("--axis", choices=["noise_level", "sampling_rate"], required=True)
-    p.add_argument("--grid", required=True, help="comma-separated axis values")
+    p.add_argument("--grid", type=_float_list, required=True,
+                   help="comma-separated axis values")
     p.add_argument("--precision", help="target precision-matrix CSV")
     p.add_argument("--identity", type=_positive_int, default=8,
                    help="identity-target dimension when no matrix is given")
@@ -591,13 +606,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "perf" and args.d_max < args.d_min:
         parser.error(f"argument --d-max: must be >= --d-min {args.d_min}, got {args.d_max}")
-    if args.log_level != "WARNING":
-        # at WARNING, logging's last-resort handler already prints the library's
-        # warnings to stderr; importing logging costs about 4 ms and 0.5 MB
-        import logging
-
-        logging.basicConfig(format="%(message)s")
-        logging.getLogger("spusim").setLevel(args.log_level)
     try:
         run = args.func(args)
         run.finish()

@@ -81,6 +81,10 @@ class SpuEmulator:
         for cell in sorted(cells | self.dead_cells | set(self.capacitance_scale)):
             if not 0 <= cell < self.n_cells:
                 raise ValueError(f"cell index {cell} is out of range for {self.n_cells} cells")
+        for cell, factor in sorted(self.capacitance_scale.items()):
+            if not 0.0 < factor < np.inf:
+                raise ValueError(f"capacitance_scale of cell {cell} must be positive and "
+                                 f"finite, got {factor}")
 
     def _vec(self, value) -> np.ndarray:
         return np.broadcast_to(np.asarray(value, dtype=float), (self.n_cells,)).copy()

@@ -135,6 +135,7 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
 # decorrelated records lie SPACING_TAUS correlation times apart.
 BURN_IN_TAUS = 5.0
 SPACING_TAUS = 5.0
+_MAX_CHAIN_STEPS = 100_000_000  # most integrator steps of one chain of a chain-noise run
 
 
 @dataclass(frozen=True)
@@ -143,31 +144,21 @@ class TrajectoryConfig:
 
     ``n_samples`` is the total number of recorded states, rounded up to a
     multiple of ``chains`` (independent seeded chains, merged chain-major).
-    Record spacing comes from ``sample_rate`` (Hz) or ``record_stride``
-    (steps); when neither is given, records are spaced by
-    ``SPACING_TAUS`` correlation times.  ``burn_in`` is simulated time
-    discarded before the first record (default ``BURN_IN_TAUS * tau_corr``).
-    Records fall at burn_in + k * stride * dt for k = 1..n.
+    Every run burns in for ``BURN_IN_TAUS`` correlation times from rest,
+    then records ``sample_rate`` times a second (Hz), or once every
+    ``SPACING_TAUS`` correlation times when it is None.  The run picks its
+    own step (``_resolve_steps``), and the records fall at
+    burn-in + k * stride * dt for k = 1..n.
     """
 
-    dt: float | None = None
     n_samples: int = 1000
-    burn_in: float | None = None
-    record_stride: int | None = None
     sample_rate: float | None = None
     seed: int = 0
     chains: int = 1
-    max_steps: int = 100_000_000  # guard for runaway chain-noise runs
 
     def __post_init__(self):
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.burn_in is not None and not (math.isfinite(self.burn_in) and self.burn_in >= 0):
-            raise ValueError(f"burn_in must be non-negative and finite, got {self.burn_in}")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         rate = self.sample_rate
@@ -358,28 +349,21 @@ def _factor(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig,
-                   dt: float | None = None, lock_dt: bool = False):
-    if dt is None:
-        dt = cfg.dt if cfg.dt is not None else suggest_dt(params)
+def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig, dt: float,
+                   lock_dt: bool = False):
+    """(dt, stride, burn-in steps) of a run on the step ``dt`` by the 5 tau
+    rule: a stride of ``cfg.sample_rate``, or of ``SPACING_TAUS``
+    correlation times when it is None, and a burn-in of ``BURN_IN_TAUS``.
+    A sample rate fits dt to a whole stride unless ``lock_dt`` (the chain's
+    step, a fraction of its bit period)."""
     tau = correlation_time(params)
-    if dt > tau / 50.0:
-        import logging  # rarely needed; importing it costs a CLI start-up about 4 ms
-
-        logging.getLogger("spusim").warning(
-            "dt = %.3g exceeds tau_corr/50 = %.3g; discretization bias may be significant",
-            dt, tau / 50.0)
     if cfg.sample_rate is not None:
         stride = max(1, round(1.0 / (cfg.sample_rate * dt)))
         if not lock_dt:
             dt = 1.0 / (cfg.sample_rate * stride)
-    elif cfg.record_stride is not None:
-        stride = cfg.record_stride
     else:
         stride = max(1, math.ceil(SPACING_TAUS * tau / dt))
-    burn = cfg.burn_in if cfg.burn_in is not None else BURN_IN_TAUS * tau
-    burn_steps = int(round(burn / dt)) if burn > 0 else 0
-    return dt, stride, burn_steps
+    return dt, stride, int(round(BURN_IN_TAUS * tau / dt))
 
 
 def _moving_cells(params: CircuitParams) -> np.ndarray | None:
@@ -429,7 +413,7 @@ class _CircuitRun:
             params = _sub_circuit(params, moving)
 
         if isinstance(noise, str) and noise == "ideal":
-            dt, stride, burn_steps = _resolve_steps(params, cfg)
+            dt, stride, burn_steps = _resolve_steps(params, cfg, suggest_dt(params))
             source = np.random.default_rng(cfg.seed)
         else:
             if isinstance(noise, str) and noise == "lfsr-chain":
@@ -437,19 +421,15 @@ class _CircuitRun:
             if not isinstance(noise, NoiseChainConfig):
                 raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
             # pin dt to an integer fraction of the bit period before deriving strides
-            dt0 = cfg.dt if cfg.dt is not None else suggest_dt(params)
             bit_period = 1.0 / noise.bit_rate
-            sub = max(1, round(bit_period / dt0))
-            dt, stride, burn_steps = _resolve_steps(params, cfg, dt=bit_period / sub,
-                                                    lock_dt=True)
-            total_steps = burn_steps + per_chain * stride
-            if total_steps > cfg.max_steps:
+            sub = max(1, round(bit_period / suggest_dt(params)))
+            dt, stride, burn_steps = _resolve_steps(params, cfg, bit_period / sub, lock_dt=True)
+            steps = burn_steps + per_chain * stride
+            if steps > _MAX_CHAIN_STEPS:
                 raise ValueError(
-                    f"chain-noise run needs {total_steps:.3g} integrator steps "
-                    f"(> max_steps {cfg.max_steps:.3g}); the chain bit rate is likely "
-                    "mismatched to the circuit timescale -- see "
-                    "NoiseChainConfig.matched, or raise TrajectoryConfig.max_steps"
-                )
+                    f"a chain-noise run of {per_chain:,} records a chain needs {steps:,} "
+                    f"integrator steps a chain, over the limit of {_MAX_CHAIN_STEPS:,}; "
+                    "more chains make each chain shorter")
             source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
                                       kappa0=params.kappa_vector, dt=dt, chains=chains)
         self.sys_ = sys_ = _LinearSystem.from_circuit(params, dt)
@@ -524,11 +504,11 @@ def integrate_circuits(runs, record: str = "voltage"):
     (n, cells_stepped), and its ``meta["cells"]`` names their board cells,
     in order; the board's other cells rest at exactly 0.0.  Its columns,
     ``meta`` otherwise, sample rate and start time equal those that
-    ``integrate_circuit`` returns for that run alone.  Runs on either noise
-    source that share the block size, the chain and record counts, whether
-    a burn-in exists, the kept half and the chunk step together
-    (``_stacks``): each chunk of records then costs one product per block
-    of the stack.
+    ``integrate_circuit`` returns for that run alone.  Every run burns in
+    for ``BURN_IN_TAUS`` correlation times, at least 667 of its steps.  Runs
+    on either noise source that share the block size, the chain and record
+    counts, the kept half and the chunk step together (``_stacks``): each
+    chunk of records then costs one product per block of the stack.
     """
     prepared = [_CircuitRun(*run, record=record) for run in runs]
     for stack in _stacks([run.linear for run in prepared]):
@@ -659,7 +639,7 @@ class _LinearRun:
     @property
     def key(self):
         """Runs with equal keys can step as one stack."""
-        return self.z.shape[1:], self.per_chain, self.burn_steps > 0, self.half, self.chunk
+        return self.z.shape[1:], self.per_chain, self.half, self.chunk
 
     def plans(self):
         """Blocked-scan blocks of the burn-in (None without one) and of one
@@ -879,11 +859,12 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_block
 def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     """Advance a stack of linear runs in exact blocks; record after every stride.
 
-    The runs share their block size b, chain and record counts, whether
-    they burn in, kept half and chunk (``_stacks``).  Their states step
-    together as one (K, chains, b) stack of blocks; each run keeps its own
-    step, stride, burn-in and noise source.  The records keep the runs'
-    ``half`` of each block, shaped (chains, per_chain, K, b/2).
+    The runs share their block size b, chain and record counts, kept half
+    and chunk (``_stacks``); they all burn in, or the stack is one run
+    without a burn-in.  Their states step together as one (K, chains, b)
+    stack of blocks; each run keeps its own step, stride, burn-in and noise
+    source.  The records keep the runs' ``half`` of each block, shaped
+    (chains, per_chain, K, b/2).
 
     The noise is exogenous to the linear system and the step has no
     constant term, so n steps compose exactly: z <- z (M^n)^T + xi W,
@@ -905,7 +886,7 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
 
     def stacked(blocks):
         """Every run's block (M^n, W) as one block of the stack, None for none."""
-        if blocks[0] is None:  # the runs of a stack all burn in, or none does
+        if blocks[0] is None:  # a run without a burn-in steps alone
             return None
         m_n, w = zip(*blocks)
         # a transposed view: a contiguous (M^n)^T rounds differently

@@ -1,5 +1,7 @@
 """Tests for GPR, least squares, and patch-wise posterior sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,16 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelSpec(observation_noise=-0.5)
 
-    @pytest.mark.parametrize("field", ["length_scale", "signal_variance", "observation_noise"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value,field", [
+        *((value, field) for value in (float("nan"), float("inf"))
+          for field in ("length_scale", "signal_variance", "observation_noise")),
+        (1e-300, "length_scale"),  # 2 l^2 underflows to 0
+        (1e300, "length_scale"),  # 2 l^2 overflows
+        (1e200, "observation_noise"),  # noise^2 overflows
+    ])
     def test_non_finite_field_refused(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
+        message = f"{field} must be .*finite, got {re.escape(str(value))}"
+        with pytest.raises(ValueError, match=message):
             KernelSpec(**{field: value})
 
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,17 +77,16 @@ class TestBadMatrixInput:
 class TestNonFiniteState:
     """An overflowing simulation exits 1 with one ``error:`` line and no traceback."""
 
-    def run(self, tmp_path, *flags):
+    def test_exit_code_and_one_line(self, tmp_path):
         # a fresh interpreter, so stderr is what a shell sees; the integrator
         # step is 1000x the stable one, and the state overflows within the run
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         import spusim
         matrix = write_matrix(tmp_path / "p.csv", np.array([[2.0, 0.5], [0.5, 1.0]]))
-        argv = [*flags, "sample", "--precision", matrix, "--n", "200", "--chains", "2",
+        argv = ["sample", "--precision", matrix, "--n", "200", "--chains", "2",
                 "--outdir", str(tmp_path / "o")]
         script = f"""
 import sys
@@ -95,22 +96,12 @@ lg.suggest_dt = lambda params, **kw: 1000.0 * stable(params, **kw)
 sys.exit(spusim.cli.main({argv!r}))
 """
         env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
-        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
-
-    def test_exit_code_and_one_line(self, tmp_path):
-        proc = self.run(tmp_path, "--log-level", "ERROR")
         assert proc.returncode == 1
         [line] = proc.stderr.splitlines()
         assert re.fullmatch(r"error: non-finite state at step \d+ \(record \d+\)", line)
         assert not (tmp_path / "o" / "manifest.json").exists()
-
-    def test_default_log_level_shows_the_step_warning(self, tmp_path):
-        proc = self.run(tmp_path)
-        assert proc.returncode == 1
-        warning, error = proc.stderr.splitlines()
-        assert warning.startswith("dt = ") and "exceeds tau_corr/50" in warning
-        assert error.startswith("error: non-finite state")
 
 
 class TestSampleVerb:
@@ -532,6 +523,129 @@ class TestRealFlags:
         assert not (out / "manifest.json").exists()
 
 
+# verb: (a small run, {numeric flag: the quantity that an exit 1 or 3 names,
+# None where only exit 0 or 2 is right}); "{P}" is a 2 x 2 precision matrix
+# file and "{D}" an x,y data file
+_SWEPT = {
+    "sample": (["sample", "--precision", "{P}", "--n", "64", "--chains", "2"],
+               {"--seed": None, "--chains": "chains", "--n": "n_samples",
+                "--rate": "sampling_rate", "--noise-level": "noise_level",
+                "--tolerance": "tolerance_sigma", "--export-noise": None}),
+    "sample-chain": (["sample", "--precision", "{P}", "--noise-mode", "lfsr-chain",
+                      "--n", "64", "--chains", "2"],
+                     {"--chain-seed-a": "register", "--chain-seed-b": "register"}),
+    "invert": (["invert", "--matrix", "{P}", "--n", "64", "--chains", "2"],
+               {"--seed": None, "--chains": "chains", "--n": "n_samples",
+                "--samples": "n_samples", "--tolerance": "tolerance_sigma"}),
+    "gpr": (["gpr", "--train-points", "3", "--test", "0:1:3", "--inverter-samples", "200",
+             "--chains", "2"],
+            {"--seed": None, "--chains": "chains", "--train-points": None,
+             "--test": None, "--length-scale": "length_scale",
+             "--signal-variance": "signal_variance", "--noise": "observation_noise",
+             "--inverter-samples": "n_samples"}),
+    "lsq": (["lsq", "--data", "{D}", "--inverter-samples", "200", "--chains", "2"],
+            {"--seed": None, "--chains": "chains", "--degree": None,
+             "--inverter-samples": "n_samples"}),
+    "sngp-sample": (["sngp-sample", "--demo", "--grid-size", "4", "--draws", "10",
+                     "--chains", "2"],
+                    {"--seed": None, "--chains": "chains", "--draws": None,
+                     "--patch-size": "patch_size", "--grid-size": None}),
+    "calibrate": (["calibrate", "--cells", "2", "--n", "64", "--chains", "2"],
+                  {"--seed": None, "--chains": "chains", "--n": "n_samples",
+                   "--cells": "cell", "--loading": "coupling_resistance"}),
+    "spectroscopy": (["spectroscopy", "--cells", "1", "--n", "8192", "--chains", "1"],
+                     {"--seed": None, "--chains": "chains", "--n": "n_samples",
+                      "--cells": "cell", "--cell": "--cell", "--bank": "bank_config",
+                      "--rate": "sample_rate", "--tolerance": "tolerance_sigma"}),
+    "faultscan": (["faultscan", "--cells", "2", "--n", "2048", "--chains", "1"],
+                  {"--seed": None, "--chains": "chains", "--n": "n_samples",
+                   "--cells": "cell", "--bank": "bank_config", "--kill-cell": "cell index"}),
+    "perf": (["perf", "--points", "3"],
+             {"--n": "n_samples", "--d-min": None, "--d-max": None, "--points": None}),
+    "study": (["study", "--axis", "noise_level", "--grid", "1", "--identity", "2",
+               "--n", "200", "--chains", "2"],
+              {"--seed": None, "--chains": "chains", "--n": "n_samples",
+               "--grid": "noise_level", "--identity": None}),
+}
+# (argv, flag, quantity, exit code) of values that used to reach numpy or
+# Python float arithmetic: kernel scales whose square leaves the floats, an
+# infinite kernel matrix on either inverter, malformed string-valued flags
+# and non-physical capacitance scales
+_EDGES = [
+    (["gpr", "--noise", "1e200"], "--noise", "observation_noise", 1),
+    (["gpr", "--train-points", "3", "--length-scale", "1e300"], "--length-scale",
+     "length_scale", 1),
+    (["gpr", "--length-scale", "1e-300"], "--length-scale", "length_scale", 1),
+    (["gpr", "--signal-variance", "1e308", "--noise", "1e154", "--inverter", "digital"],
+     "--signal-variance", "target matrix", 3),
+    (["gpr", "--signal-variance", "1e308", "--noise", "1e154", "--inverter-samples", "200"],
+     "--signal-variance", "target matrix", 3),
+    (["gpr", "--test", "0:1:-1"], "--test", None, 2),
+    (["gpr", "--test", "0:nan:5"], "--test", None, 2),
+    (["gpr", "--test", "0:1:0"], "--test", None, 2),
+    (["gpr", "--test", "-1e308:1e308:3"], "--test", None, 2),
+    (["study", "--axis", "noise_level", "--grid", ""], "--grid", None, 2),
+    (["study", "--axis", "sampling_rate", "--grid", "1e6,x"], "--grid", None, 2),
+] + [(["faultscan", "--cells", "2", "--scale-cap", f"0:{factor}"], "--scale-cap",
+      "capacitance_scale", 1) for factor in ("0", "-1", "nan", "inf")]
+
+
+def _boundary_cases():
+    for base, flags in _SWEPT.values():
+        for flag, quantity in flags.items():
+            for value in ("0", "-1", "nan", "inf"):
+                yield pytest.param(base + [flag, value], flag, quantity, None,
+                                   id=" ".join([base[0], flag, value]))
+    for argv, flag, quantity, code in _EDGES:
+        yield pytest.param(argv, flag, quantity, code, id=" ".join(argv))
+
+
+def _assert_finite_artifacts(out):
+    """Every number of the run's artifacts and manifest is finite; a CSV
+    column may be all nan, which marks a value that does not apply."""
+    manifest = out / "manifest.json"
+    paths = [manifest] + [Path(p) for p in json.loads(manifest.read_text())["artifacts"].values()]
+    for path in paths:
+        if path.suffix == ".json":
+            def walk(node):
+                if isinstance(node, dict):
+                    node = list(node.values())
+                if isinstance(node, list):
+                    return all(walk(item) for item in node)
+                return not isinstance(node, float) or math.isfinite(node)
+            assert walk(json.loads(path.read_text())), path.name
+        elif path.suffix == ".csv":
+            first = path.read_text().split(",", 1)[0]
+            header = not re.fullmatch(r"[-+0-9.eE]+|nan|inf", first.strip())
+            table = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
+            columns = np.isfinite(table).all(axis=0) | np.isnan(table).all(axis=0)
+            assert table.size and columns.all(), path.name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,flag,quantity,code", _boundary_cases())
+def test_numeric_flag_boundaries(tmp_path, capsys, argv, flag, quantity, code):
+    # every outcome is one of three: exit 0 with finite artifacts, exit 2
+    # naming the flag, or exit 1 or 3 naming the quantity; nothing raises
+    files = {"{P}": write_matrix(tmp_path / "p.csv", np.array([[2.0, 0.5], [0.5, 1.0]])),
+             "{D}": write_matrix(tmp_path / "d.csv", [[0.0, 1.0], [1.0, 2.5], [2.0, 5.0]])}
+    out = tmp_path / "out"
+    try:
+        got = main([files.get(a, a) for a in argv] + ["--outdir", str(out)])
+    except SystemExit as exit_:
+        got = exit_.code
+    err = capsys.readouterr().err
+    assert code in (None, got)
+    if got == 0:
+        _assert_finite_artifacts(out)
+    elif got == 2:
+        assert f"argument {flag}" in err
+    else:
+        assert got in (1, 3) and quantity is not None, err
+        assert err.startswith("error: ") and quantity in err
+        assert not (out / "manifest.json").exists()
+
+
 def _option_reads(function: str) -> set[str]:
     """Options that a ``cli`` function reads as ``args.X`` or ``getattr(args,
     "X")``, itself or through the ``cli`` functions and classes it hands ``args``."""
@@ -776,7 +890,6 @@ class TestNumpyOnlyPath:
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         import spusim
         write_matrix(tmp_path / "p.csv", np.array([[1.2, 0.3], [0.3, 0.9]]))

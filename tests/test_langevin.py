@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import logging
 
 import numpy as np
 import pytest
@@ -266,14 +265,6 @@ class TestCircuitIntegration:
             # hence positive voltage correlation
             assert np.sign(cov[0, 1]) == sign
 
-    @pytest.mark.parametrize("field", ["dt", "burn_in"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_step_or_burn_in_refused(self, field, value):
-        # nan burn-in used to mean no burn-in, nan dt to fail deep in the
-        # step-count arithmetic; both are refused naming the value
-        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
-            TrajectoryConfig(**{field: value})
-
     @pytest.mark.parametrize("d,seed", [(2, 11), (4, 12), (8, 13)])
     def test_gibbs_convergence(self, d, seed):
         params = random_psd_params(d, seed)
@@ -282,12 +273,13 @@ class TestCircuitIntegration:
                                                            seed=seed, chains=60))
         assert rel_frobenius(batch.covariance(), target) < 0.05
 
-    def test_discrete_law_matches_fast_path(self):
+    def test_discrete_law_matches_fast_path(self, monkeypatch):
         # the compounded-stride sampler must reproduce the stepped chain's
         # stationary covariance (discrete Lyapunov), not just the continuum one
         params = random_psd_params(3, 14)
         dt = suggest_dt(params) * 8  # coarse on purpose: visible discretization bias
-        cfg = TrajectoryConfig(dt=dt, n_samples=150_000, seed=15, chains=100)
+        monkeypatch.setattr(langevin, "suggest_dt", lambda params: dt)
+        cfg = TrajectoryConfig(n_samples=150_000, seed=15, chains=100)
         batch = integrate_circuit(params, cfg)
         d = params.dimension
         sig = discrete_stationary_covariance(params, dt)
@@ -380,36 +372,15 @@ class TestUdlOdl:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("run", ["udl", "circuit"])
-    def test_non_finite_state_has_its_own_error(self, run):
+    def test_non_finite_state_has_its_own_error(self, monkeypatch, run):
         with pytest.raises(NonFiniteStateError, match="non-finite state") as err:
             if run == "udl":
                 sys_ = _udl_system(np.eye(1), damping=1e-3, beta=1.0, dt=5.0)
                 _udl_run(sys_, np.ones(1), np.ones(1), chains=1, per_chain=2000, stride=1,
                          burn_steps=0, seed=0)
             else:  # a board stepped past the stability limit
-                params, cfg = SpuEmulator(n_cells=3).sample_run(
-                    3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
-                integrate_circuit(params, dataclasses.replace(
-                    cfg, dt=2.5e-7, sample_rate=None, record_stride=3))
+                integrate_circuit(*_unstable_runs(monkeypatch)[1])
         assert isinstance(err.value, SpuSimError) and isinstance(err.value, RuntimeError)
-
-
-class TestStepSizeLog:
-    def test_coarse_step_is_logged(self, caplog):
-        params = random_psd_params(2, 60)
-        cfg = TrajectoryConfig(dt=correlation_time(params) / 40.0, n_samples=20,
-                               record_stride=5, burn_in=0.0)
-        with caplog.at_level(logging.WARNING, logger="spusim"):
-            integrate_circuit(params, cfg)
-        [record] = caplog.records
-        assert record.name == "spusim" and record.levelno == logging.WARNING
-        assert "exceeds tau_corr/50" in record.getMessage()
-
-    def test_suggested_step_is_not_logged(self, caplog):
-        params = random_psd_params(2, 60)
-        with caplog.at_level(logging.DEBUG, logger="spusim"):
-            integrate_circuit(params, TrajectoryConfig(n_samples=20))
-        assert caplog.records == []
 
 
 class TestBurnInRule:
@@ -432,13 +403,13 @@ class TestBurnInRule:
 
     def test_covariance_equilibrated_after_5tau_from_zero_start(self):
         # equilibration is decorrelation from the initial state: starting
-        # from zeros, the covariance deficit after 5 tau_corr is below 1%
-        # for the underdamped hardware cell
+        # from zeros, the covariance deficit after the 5 tau_corr burn-in is
+        # below 1% for the underdamped hardware cell; a rate of one record a
+        # step keeps the first record right after it
         params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
-        tau = correlation_time(params)
         target = stationary_voltage_covariance(params)[0, 0]
-        cfg = TrajectoryConfig(n_samples=400_000, burn_in=5 * tau,
-                               record_stride=1, seed=26, chains=2000)
+        cfg = TrajectoryConfig(n_samples=400_000, sample_rate=1.0 / suggest_dt(params),
+                               seed=26, chains=2000)
         batch = integrate_circuit(params, cfg)
         # first recorded sample of each chain sits right after burn-in
         first = batch.per_chain()[:, 0, 0]
@@ -636,11 +607,17 @@ class TestBlockEngine:
             _run_linear(sys_, np.ones((2, 6)), np.random.default_rng(45), per_chain=60,
                         stride=10, burn_steps=0)
 
-    def test_max_steps_guard(self):
+    def test_max_steps_guard(self, monkeypatch):
+        # one chain of 200,000 records 5 tau apart, at 400 bits a tau
         params = random_psd_params(2, 43)
-        cfg = TrajectoryConfig(n_samples=10, seed=44, max_steps=1000)
-        with pytest.raises(ValueError, match="max_steps"):
-            integrate_circuit(params, cfg, noise="lfsr-chain")
+        stacks = []
+        monkeypatch.setattr(langevin, "_run_stack", stacks.append)
+        cfg = TrajectoryConfig(n_samples=200_000, seed=44, chains=1)
+        with pytest.raises(ValueError, match=r"of 200,000 records a chain needs 400,\d{3},\d{3} "
+                                             r"integrator steps a chain, over the limit of "
+                                             r"100,000,000; more chains make each chain shorter"):
+            dict(langevin.integrate_circuits([(params, cfg, "lfsr-chain")]))
+        assert stacks == []  # refused before any step
 
 
 class TestChainOrbit:
@@ -655,9 +632,11 @@ class TestChainOrbit:
         chain = NoiseChainConfig.matched(correlation_time(params))
         # a stride above the largest injection block: each record takes several
         assert stride >= LFSR_PERIOD > langevin._MAX_BLOCK_STEPS
-        cfg = TrajectoryConfig(dt=1.0 / chain.bit_rate, record_stride=stride, n_samples=4,
-                               seed=3)
-        values = integrate_circuit(params, cfg, noise=chain).values[:, 0]
+        # the chain steps once a bit, so this rate is a stride of ``stride`` steps
+        cfg = TrajectoryConfig(sample_rate=chain.bit_rate / stride, n_samples=4, seed=3)
+        batch = integrate_circuit(params, cfg, noise=chain)
+        assert (batch.meta["dt"], batch.meta["record_stride"]) == (1.0 / chain.bit_rate, stride)
+        values = batch.values[:, 0]
         spread = np.max(np.abs(values - values[0])) / np.max(np.abs(values))
         assert (spread <= 1e-12) == periodic
 
@@ -934,6 +913,18 @@ class TestModalEngine:
         assert str(err.value) == f"non-finite state at step {step} (record {first_bad})"
 
 
+def _unstable_runs(monkeypatch):
+    """Two runs of cell 0 of a 3-cell board, which has room for a stack of
+    three: ``good`` at 12 MHz, and ``bad`` on a step past the semi-implicit
+    scheme's stability limit, 2.5e-7 s with a stride of 3, whose state grows.
+    The step is forced by patching ``suggest_dt``, which leaves ``good``
+    stable: its rate fits the step down to 1/12 MHz."""
+    monkeypatch.setattr(langevin, "suggest_dt", lambda params: 2.5e-7)
+    good = SpuEmulator(n_cells=3).sample_run(3, "none", 800, chains=4, seed=3,
+                                             noise_mask=np.eye(3)[0])
+    return good, (good[0], dataclasses.replace(good[1], sample_rate=1.0 / (3 * 2.5e-7)))
+
+
 def _board(kappa, pairs=()):
     """Bank-3 cells with drives ``kappa``, joined (state +1) at ``pairs``."""
     states = np.zeros((len(kappa), len(kappa)), dtype=np.int8)
@@ -980,8 +971,7 @@ class TestMovingCells:
         # the same chain increments on cells 0 and 1, is the reference
         params = _board([1e-13, 0.0, 0.0, 0.0], pairs=[(0, 1)])
         chain = NoiseChainConfig.matched(correlation_time(params))
-        cfg = TrajectoryConfig(dt=1e-9, record_stride=50, burn_in=0.0, n_samples=80,
-                               chains=2, seed=4)
+        cfg = TrajectoryConfig(sample_rate=chain.bit_rate / 50, n_samples=80, chains=2, seed=4)
         got = integrate_circuit(params, cfg, noise=chain, record=record)
         monkeypatch.setattr(langevin, "ChainNoiseSource", _PaddedChain)
         want = _full_board(monkeypatch, params, cfg, noise=chain, record=record)
@@ -1120,7 +1110,6 @@ class TestBatchedRuns:
             board.sample_run(3, "none", 500, seed=6, chains=1, noise_mask=cell[1]),
             board.sample_run(1, "none", 500, seed=7, chains=1, noise_mask=cell[3]),
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8)),
-            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=9, burn_in=0.0)),
             (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), "lfsr-chain"),
         ]
 
@@ -1157,12 +1146,11 @@ class TestBatchedRuns:
         runs = self.runs()
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
-        # stacks: the 1-cell and 2-mode runs with a burn-in, the four cells of
-        # the 4-cell board; the two pairs; the two one-chain cells.  The other
-        # three runs step alone: the compiled runs with a burn-in, on the ideal
-        # source and on the chain, each fill their 3-cell board, and one run
-        # has no burn-in
-        assert sorted(sizes) == [1, 1, 1, 2, 2, 3]
+        # stacks: the 1-cell and 2-mode runs, the four cells of the 4-cell
+        # board; the two pairs; the two one-chain cells.  The compiled runs,
+        # on the ideal source and on the chain, step alone: each fills its
+        # 3-cell board
+        assert sorted(sizes) == [1, 1, 2, 2, 3]
         self.assert_solo_equal(runs, batched)
 
     def test_chain_runs_stack_with_ideal_runs(self, monkeypatch):
@@ -1221,11 +1209,7 @@ class TestBatchedRuns:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_run_in_a_stack_is_named_as_alone(self, monkeypatch):
-        board = SpuEmulator(n_cells=3)  # room for the stack's three cells
-        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
-        # a step past the semi-implicit scheme's stability limit: the state grows
-        bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
-                                            record_stride=3))
+        good, bad = _unstable_runs(monkeypatch)
         with pytest.raises(NonFiniteStateError) as alone:
             integrate_circuit(*bad)
         sizes = self.spy_stacks(monkeypatch)
@@ -1238,10 +1222,7 @@ class TestBatchedRuns:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("record", ["current", "voltage"])
     def test_non_finite_one_half_run_is_named_as_both_halves(self, monkeypatch, record):
-        board = SpuEmulator(n_cells=3)  # room for the stack's three cells
-        good = board.sample_run(3, "none", 800, chains=4, seed=3, noise_mask=np.eye(3)[0])
-        bad = (good[0], dataclasses.replace(good[1], dt=2.5e-7, sample_rate=None,
-                                            record_stride=3))
+        good, bad = _unstable_runs(monkeypatch)
         run = langevin._CircuitRun(*bad, record=record).linear
         assert run.half == (0 if record == "current" else 1)
         with pytest.raises(NonFiniteStateError) as both:  # records keep x and p
