@@ -70,7 +70,10 @@ def _cell_values(batch: SampleBatch, cell: int) -> np.ndarray:
     return np.zeros(batch.n_samples)
 
 
-def estimate_spectrum(batch: SampleBatch, segment_length: int = 4096,
+_CELL_SEGMENT = 4096  # samples of a Welch segment of a cell fit
+
+
+def estimate_spectrum(batch: SampleBatch, segment_length: int = _CELL_SEGMENT,
                       overlap: float = 0.5, cell: int = 0) -> PowerSpectrum:
     """Averaged-periodogram (Welch, Hann window) estimate for one board cell.
 
@@ -319,6 +322,17 @@ def fit_circuit_params(spectrum: PowerSpectrum, variance: float,
                          converged=success, n_evaluations=n_eval)
 
 
+def _require_segment(n_samples: int, sample_rate: float, chains: int,
+                     segment_length: int) -> None:
+    """Refuse runs whose plan is bad or whose chains would hold fewer
+    records than one Welch segment, before any is stepped."""
+    per_chain = TrajectoryConfig(n_samples=n_samples, sample_rate=sample_rate,
+                                 chains=chains).samples_per_chain
+    if per_chain < segment_length:
+        raise ValueError(f"{n_samples} samples over {chains} chains leave {per_chain} a chain, "
+                         f"fewer than the {segment_length} of one spectral segment")
+
+
 def _require_drive(params: CircuitParams, cell: int) -> None:
     noise_psd = params.cells[cell].noise_psd
     if not noise_psd > 0:
@@ -359,8 +373,9 @@ def characterize_cells(device: SpuEmulator | CircuitParams, cells, bank_config: 
     cell index.  It steps only the cells that can move (the cell and those
     coupled to it), and its step size follows them.  Every run goes to one
     ``integrate_circuits`` call, which steps runs of equal shape as one
-    stack.  A cell out of range raises ValueError, and one with no
-    configured drive DeadCellError, before any run is stepped.
+    stack.  A cell out of range raises ValueError, one with no configured
+    drive DeadCellError, and chains shorter than one Welch segment
+    ValueError, before any run is stepped.
     """
     emulated = isinstance(device, SpuEmulator)
     nominal = device.nominal_params(bank_config=bank_config) if emulated else device
@@ -383,6 +398,7 @@ def characterize_cells(device: SpuEmulator | CircuitParams, cells, bank_config: 
                                                     device.l_vector, device.kappa_vector * mask),
                          TrajectoryConfig(n_samples=n_samples, sample_rate=sample_rate,
                                           seed=seed + cell, chains=chains)))
+    _require_segment(n_samples, sample_rate, chains, _CELL_SEGMENT)
     fits = {}
     for i, batch in integrate_circuits(runs):
         fits[cells[i]] = fit_cell(batch, nominal, cells[i])
@@ -453,10 +469,13 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     follows them.  The other cells, and an uncoupled probe, read exact
     zeros.  All runs go to one ``integrate_circuits`` call, which steps
     runs of equal shape as one stack; the records come back in scan order.
+    Chains shorter than ``segment_length`` are refused before any run is
+    stepped.
     """
     d = device.n_cells
     if d < 2:
         raise ValueError(f"the pairwise fault scan needs at least two cells, got {d}")
+    _require_segment(n_samples, sample_rate, chains, segment_length)
     tests = []
     for drive in range(d):
         for probe in range(drive, d):

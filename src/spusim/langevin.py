@@ -37,10 +37,14 @@ with the ideal source, the injected increments with the chain (factor I).
 T follows from the run's shape alone; a large stack steps with T = 1.
 Buffers are reused for the whole run, so the record loop allocates no array
 per record.  A circuit run keeps only the half of each state that its
-readout reads (p for voltage and charge, x for current), copied once a
-chunk into records shaped (chains, n, K, b/2), and a whole-board run reads
-them out in place; the inversion reads out their covariance instead
-(``_voltage_records``).
+readout reads (p for voltage and charge, x for current).  One generator
+of finiteness-checked chunks (``_record_chunks``) makes those halves, and
+two consumers read it.  A batch run copies them once a chunk into records
+shaped (chains, n, K, b/2), and a whole-board run reads them out in place.
+The inversion never holds its records: each chunk goes, time-major, into
+the prefix covariances as it is made, and their covariance is read out
+instead (``_voltage_records``), as the device accumulates its running
+covariance while it samples.
 
 The step is held as a stack of independent blocks.  With scalar R, L and
 kappa0 (every compiled target) every operator of the step is a polynomial
@@ -355,10 +359,16 @@ def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig, dt: float,
     rule: a stride of ``cfg.sample_rate``, or of ``SPACING_TAUS``
     correlation times when it is None, and a burn-in of ``BURN_IN_TAUS``.
     A sample rate fits dt to a whole stride unless ``lock_dt`` (the chain's
-    step, a fraction of its bit period)."""
+    step, a fraction of its bit period), which records at most once a step:
+    a rate above 1/dt is refused."""
     tau = correlation_time(params)
     if cfg.sample_rate is not None:
-        stride = max(1, round(1.0 / (cfg.sample_rate * dt)))
+        steps = 1.0 / (cfg.sample_rate * dt)  # a record's steps, before rounding
+        if lock_dt and steps < 1.0 and not math.isclose(steps, 1.0):
+            raise ValueError(
+                f"sample rate {cfg.sample_rate:g} Hz is above the chain's step rate "
+                f"{1.0 / dt:g} Hz: a chain-noise run records at most once a step")
+        stride = max(1, round(steps))
         if not lock_dt:
             dt = 1.0 / (cfg.sample_rate * stride)
     else:
@@ -475,23 +485,31 @@ class _CircuitRun:
 
 def _voltage_records(params: CircuitParams, cfg: TrajectoryConfig,
                      noise: str | NoiseChainConfig = "ideal"):
-    """The records of a whole-board voltage run as the engine keeps them,
-    and the map that reads them out: ``(halves, basis, readout)``.
+    """The records of a whole-board voltage run, streamed as the engine
+    makes them, and the map that reads them out: ``(chunks, basis, readout)``.
 
-    ``halves`` is shaped (chains, n, d): each record's charge half in the
-    block basis.  A modal run's voltages are Q (lam * h), with ``basis`` Q
-    and ``readout`` the per-mode factors lam of C^-1 = Q diag(lam) Q^T; a
-    dense run's are C^-1 h, with ``basis`` None and ``readout`` C^-1.  So
-    the voltage covariance follows from that of the halves, d x d, and no
+    ``chunks`` steps the run as it is read and yields each chunk's records
+    time-major, shaped (count, chains, K, b/2): record k of every chain
+    before record k+1, each row a record's charge half in the block basis.
+    Each is a view that the next chunk overwrites, so a consumer copies
+    what it keeps (``samples.prefix_covariances``), and the run's records
+    are never held whole.  ``chunks`` raises ``NonFiniteStateError`` for a
+    state that leaves the floats, and is advanced, as ``_record_chunks``
+    is, with overflow ignored.  The run is prepared here, so a bad plan is
+    refused before any step.
+
+    A modal run's voltages are Q (lam * h), with ``basis`` Q and
+    ``readout`` the per-mode factors lam of C^-1 = Q diag(lam) Q^T; a dense
+    run's are C^-1 h, with ``basis`` None and ``readout`` C^-1.  So the
+    voltage covariance follows from that of the halves, d x d, and no
     (n, d) voltage array is formed.  Every cell of a compiled target is
-    driven, so its run steps the whole board.  Only the records and the
-    map outlive the call, not the run's system.
+    driven, so its run steps the whole board.
     """
     run = _CircuitRun(params, cfg, noise=noise)
-    recs = _run_stack([run.linear])
     sys_ = run.sys_
     readout = sys_.m_inv if sys_.basis is None else sys_.m_inv_modes
-    return recs.reshape(recs.shape[0], recs.shape[1], -1), sys_.basis, readout
+    chunks = (kept.transpose(0, 2, 1, 3) for kept in _record_chunks([run.linear]))
+    return chunks, sys_.basis, readout
 
 
 def integrate_circuits(runs, record: str = "voltage"):
@@ -855,16 +873,16 @@ def _scanned_chunks(runs: list[_LinearRun], spans, start: np.ndarray, burn_block
         yield k0, states[:count], finite
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
-def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
+def _record_chunks(runs: list[_LinearRun]):
     """Advance a stack of linear runs in exact blocks; record after every stride.
 
     The runs share their block size b, chain and record counts, kept half
     and chunk (``_stacks``); they all burn in, or the stack is one run
     without a burn-in.  Their states step together as one (K, chains, b)
     stack of blocks; each run keeps its own step, stride, burn-in and noise
-    source.  The records keep the runs' ``half`` of each block, shaped
-    (chains, per_chain, K, b/2).
+    source.  Yields each chunk's records, in order: the runs' ``half`` of
+    each block, a view shaped (count, K, chains, b/2) that the next chunk
+    overwrites.
 
     The noise is exogenous to the linear system and the step has no
     constant term, so n steps compose exactly: z <- z (M^n)^T + xi W,
@@ -875,14 +893,13 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     ``chunk`` records is one product per block, the noise entering raw
     (``_scanned_chunks``).  Each chunk's full states are checked once for a
     non-finite value, as they are made; a bad chunk names the first bad
-    record of a run as that run alone would, before the kept half is copied
-    into the records.
+    record of a run as that run alone would, and is not yielded.  A
+    non-finite state overflows on the way, so consumers advance this under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     first = runs[0]
-    per_chain = first.per_chain
     spans = np.cumsum([0] + [run.z.shape[0] for run in runs])
     start = np.concatenate([run.z for run in runs])
-    k_total, chains, b = start.shape
 
     def stacked(blocks):
         """Every run's block (M^n, W) as one block of the stack, None for none."""
@@ -895,8 +912,6 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
     burn_blocks, stride_blocks = zip(*(run.plans() for run in runs))
     chunks = _scanned_chunks(runs, spans, start, stacked(burn_blocks), stacked(stride_blocks))
     del burn_blocks, stride_blocks  # the stack holds its own copies of every M^n
-    recs = np.empty((chains, per_chain, k_total, b // 2))
-    records = recs.transpose(1, 2, 0, 3)
     for k0, done, finite in chunks:
         if not finite:
             finite = np.isfinite(done).all(axis=(2, 3, 4))  # (count, K)
@@ -905,5 +920,19 @@ def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
             raise NonFiniteStateError(
                 f"non-finite state at step {run.burn_steps + (k0 + k + 1) * run.stride} "
                 f"(record {k0 + k})")
-        records[k0:k0 + len(done)] = done[:, :, :, first.half]
+        yield done[:, :, :, first.half]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised by the chunks
+def _run_stack(runs: list[_LinearRun]) -> np.ndarray:
+    """The records of a stack of linear runs (``_record_chunks``), stored
+    shaped (chains, per_chain, K, b/2)."""
+    chains, b = runs[0].z.shape[1:]
+    k_total = sum(run.z.shape[0] for run in runs)
+    recs = np.empty((chains, runs[0].per_chain, k_total, b // 2))
+    records = recs.transpose(1, 2, 0, 3)
+    k0 = 0
+    for kept in _record_chunks(runs):
+        records[k0:k0 + len(kept)] = kept
+        k0 += len(kept)
     return recs

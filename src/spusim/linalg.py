@@ -209,22 +209,24 @@ def relative_frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> flo
 def _inversion_records(spec: TargetSpec, plan: SamplingPlan, backend: str, seed: int,
                        **sample_kwargs):
     """Rows whose covariance, read out, estimates the inverse of ``spec``:
-    ``(rows, chains, basis, readout)``, rows chain-major.
+    ``(blocks, total, basis, readout)``, the rows in time-major blocks
+    (``samples.prefix_covariances``) and ``total`` their count.
 
-    On the device the rows are the run's kept charge halves in its block
-    basis, and ``readout`` the per-mode factors (a vector) or the matrix
-    that, with the readout scale folded in, maps them to target samples
-    (``langevin._voltage_records``).  The digital rows are target samples:
-    no basis and no readout.  The compilation and the run's system are
-    released on return.
+    On the device the blocks are the run's chunks of kept charge halves in
+    its block basis, streamed as it steps, and ``readout`` the per-mode
+    factors (a vector) or the matrix that, with the readout scale folded
+    in, maps them to target samples (``langevin._voltage_records``).  The
+    digital rows are target samples, one block of one chain: no basis and
+    no readout.  The compilation is released on return.
     """
     if backend == "digital":
-        return _digital_samples(spec, plan.n_samples, seed), 1, None, None
+        rows = _digital_samples(spec, plan.n_samples, seed)
+        return [rows[:, None]], len(rows), None, None
     if backend != "emulated-spu":
         raise ValueError(f"unknown backend {backend!r}")
     _, params, cfg, noise, factor = _compiled_run(spec, plan, seed, **sample_kwargs)
-    halves, basis, readout = _voltage_records(params, cfg, noise)
-    return halves.reshape(-1, spec.dimension), cfg.chains, basis, factor * readout
+    chunks, basis, readout = _voltage_records(params, cfg, noise)
+    return chunks, cfg.chains * cfg.samples_per_chain, basis, factor * readout
 
 
 def _read_out(cov: np.ndarray, readout: np.ndarray | None) -> np.ndarray:
@@ -245,29 +247,41 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
     Encodes ``a`` as the precision matrix, samples the circuit at thermal
     equilibrium, and returns the voltage covariance as the inverse
     estimate, together with the relative Frobenius error against the exact
-    dense inverse at logarithmically spaced sample counts.  The voltages
-    are never formed: the covariance of the run's kept charge records is
-    read out instead, d x d per checkpoint.  A modal run (every compiled
-    target without tolerances) is measured in its mode basis Q, where the
-    readout is a per-mode scale and the Frobenius norm is unchanged,
-    ||Q S Q^T - A^-1|| = ||S - Q^T A^-1 Q||; one rotation gives the estimate.
-    ``sample_kwargs`` are those of ``sample_gaussian``.
+    dense inverse at logarithmically spaced sample counts.  As on the
+    device, the covariance is accumulated while the run steps: each chunk
+    of the run's kept charge records goes into the prefix covariances as it
+    is made, so neither the records nor the voltages are ever held whole,
+    and the covariance is read out d x d per checkpoint.  A modal run
+    (every compiled target without tolerances) is measured in its mode
+    basis Q, where the readout is a per-mode scale and the Frobenius norm
+    is unchanged, ||Q S Q^T - A^-1|| = ||S - Q^T A^-1 Q||; one rotation
+    gives the estimate.  A checkpoint whose error is not finite is raised
+    once the run has finished, so a state that leaves the floats later is
+    named first (``NonFiniteStateError``).  ``sample_kwargs`` are those of
+    ``sample_gaussian``.
     """
     plan = plan or SamplingPlan()
     spec = _as_target(np.asarray(a, dtype=float), "precision")  # validates symmetry
     try:
-        rows, chains, basis, readout = _inversion_records(spec, plan, backend, seed,
-                                                          **sample_kwargs)
+        blocks, total, basis, readout = _inversion_records(spec, plan, backend, seed,
+                                                           **sample_kwargs)
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"cannot invert: {err}", min_eigenvalue=err.min_eigenvalue) from err
     exact = np.linalg.inv(spec.matrix)
     target = exact if basis is None else basis.T @ exact @ basis
-    counts = checkpoint_counts(len(rows), n_checkpoints)
+    counts = checkpoint_counts(total, n_checkpoints)
     errors = np.empty(len(counts))
-    for i, (n, cov) in enumerate(prefix_covariances(rows, counts, chains)):
-        cov = _read_out(cov, readout)
-        errors[i] = relative_frobenius_error(cov, target)
+    failed = None  # the first checkpoint error that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):  # the run steps in this loop
+        for i, (n, cov) in enumerate(prefix_covariances(blocks, counts)):
+            cov = _read_out(cov, readout)
+            try:
+                errors[i] = relative_frobenius_error(cov, target)
+            except ValueError as err:
+                failed = failed or err
+    if failed is not None:
+        raise failed
     if basis is not None:
         cov = basis @ cov @ basis.T
     return InversionResult(estimate=0.5 * (cov + cov.T), exact=exact, n_series=counts,

@@ -10,7 +10,10 @@ Every sample covariance in the package (a batch's covariance, the inverse
 estimate and the error-versus-sample-count series) comes from
 ``OnlineCovariance``; ``prefix_covariances`` reads the covariance of the
 first n time-major rows at each checkpoint n in a single pass over the
-rows.
+rows.  It is the one prefix accumulator: a stored batch feeds it its
+time-major view, and the inversion streams a run's records into it chunk
+by chunk as the run steps, so those records are never held whole; either
+way the rows pass through one reused slab.
 
 On-disk format: CSV with header ``t,v0,...,v{d-1}`` (SI units) plus a JSON
 sidecar (same stem, ``.json``) carrying the run metadata.
@@ -19,6 +22,7 @@ sidecar (same stem, ``.json``) carrying the run metadata.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -28,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 FLOAT_FMT = "%.17g"
-_SLAB_BYTES = 8 << 20  # rows ``prefix_covariances`` gathers at once
+_SLAB_BYTES = 8 << 20  # rows ``prefix_covariances`` merges at once
 
 
 @dataclass
@@ -183,37 +187,75 @@ class OnlineCovariance:
         return 0.5 * (cov + cov.T)
 
 
-def prefix_covariances(rows: np.ndarray, counts,
-                       chains: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+def prefix_covariances(rows, counts, chains: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Covariance of the first n rows for each n of increasing ``counts``.
 
-    ``rows`` are chain-major rows of ``chains`` equal chains (a batch's
-    ``values``), read in time-major order: record k of every chain before
-    record k+1, as ``SampleBatch.time_major`` orders them.  One pass: the
-    rows between consecutive checkpoints are added to a single accumulator,
-    so each row is centered and multiplied once however many checkpoints
-    there are.  Only those rows are gathered, never a time-major copy of
-    the whole batch, a slab of at most ``_SLAB_BYTES`` at a time (and the
-    records that straddle its ends), and each gathered slab is centered in
-    place and merged.  Between two checkpoints that one slab holds, the
-    rows are merged as one.
+    The rows are read time-major: record k of every chain before record
+    k+1.  ``rows`` is an iterable of time-major blocks of any size and
+    memory order, each shaped (records, chains, ...), the axes after the
+    second holding a row (a run's chunks, read once each as they come); or
+    an array of chain-major rows of ``chains`` equal chains (a batch's
+    ``values``), whose time-major view is the one block.  Reading stops at
+    the last checkpoint, and rows that run out before it raise ValueError.
+
+    One pass and one slab: rows are copied into a slab of at most
+    ``_SLAB_BYTES``, which is centered in place and merged into a single
+    accumulator whenever it fills or a checkpoint is reached.  So the
+    merges, and the bytes, depend on ``counts`` and ``_SLAB_BYTES`` alone,
+    never on how the rows arrive, and each row is centered and multiplied
+    once however many checkpoints there are.
     """
-    d = rows.shape[1]
-    per_chain = rows.reshape(chains, -1, d)
-    slab = max(1, _SLAB_BYTES // (rows.itemsize * d))
-    acc = OnlineCovariance(d)
-    start = 0
-    for n in counts:
-        if n <= start:
-            raise ValueError("checkpoint counts must be strictly increasing")
-        for first in range(start, n, slab):
-            last = min(n, first + slab)
-            lo, hi = first // chains, -(-last // chains)  # the records holding the rows
-            block = np.array(per_chain[:, lo:hi].swapaxes(0, 1), order="C").reshape(-1, d)
-            block = block[first - lo * chains:last - lo * chains]
-            mean = block.mean(axis=0)
-            block -= mean
-            acc._add_centered(block, mean)
-            del block  # before the next slab is gathered
-        start = n
-        yield int(n), acc.covariance()
+    counts = [int(n) for n in counts]
+    gaps = np.diff(counts, prepend=0)
+    if (gaps <= 0).any():
+        raise ValueError("checkpoint counts must be strictly increasing")
+    if isinstance(rows, np.ndarray):
+        rows = [rows.reshape(chains, -1, rows.shape[1]).swapaxes(0, 1)]
+    pending = iter(counts)
+    n = next(pending, None)
+    if n is None:
+        return
+    slab = acc = None
+    seen = filled = 0  # rows read; rows in the slab
+    for block in rows:
+        if slab is None:
+            d = math.prod(block.shape[2:])
+            slab = np.empty((min(int(gaps.max()), max(1, _SLAB_BYTES // (8 * d))), d))
+            acc = OnlineCovariance(d)
+        size, taken = block.shape[0] * block.shape[1], 0
+        while taken < size and n is not None:
+            count = min(size - taken, len(slab) - filled, n - seen)
+            _copy_rows(block, taken, slab[filled:filled + count])
+            taken, filled, seen = taken + count, filled + count, seen + count
+            if filled == len(slab) or seen == n:
+                part = slab[:filled]
+                mean = part.mean(axis=0)
+                part -= mean
+                acc._add_centered(part, mean)
+                filled = 0
+            if seen == n:
+                yield n, acc.covariance()
+                n = next(pending, None)
+        if n is None:
+            return
+    raise ValueError(f"the rows ran out at {seen}, before checkpoint {n}")
+
+
+def _copy_rows(block: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Rows first, first + 1, ... of a time-major block into the rows of
+    ``out``: the whole records in one strided copy, and the partial records
+    at either end."""
+    width, rest = block.shape[1], block.shape[2:]
+    rows = len(out)
+    out = out.reshape((rows,) + rest)
+    k, c = divmod(first, width)
+    pos = 0
+    if c:  # the rest of a record begun before
+        head = block[k, c:c + rows]
+        out[:len(head)] = head
+        pos, k = len(head), k + 1
+    whole = (rows - pos) // width
+    out[pos:pos + whole * width].reshape((whole, width) + rest)[...] = block[k:k + whole]
+    pos += whole * width
+    if pos < rows:  # the start of a record read on later
+        out[pos:] = block[k + whole, :rows - pos]

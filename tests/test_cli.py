@@ -79,29 +79,32 @@ class TestNonFiniteState:
 
     def test_exit_code_and_one_line(self, tmp_path):
         # a fresh interpreter, so stderr is what a shell sees; the integrator
-        # step is 1000x the stable one, and the state overflows within the run
+        # step is 1000x the stable one, and the state overflows within the
+        # run.  The inversion streams its records, so its covariance
+        # overflows at an earlier checkpoint, and the state is still named
         import os
         import subprocess
         import sys
 
         import spusim
         matrix = write_matrix(tmp_path / "p.csv", np.array([[2.0, 0.5], [0.5, 1.0]]))
-        argv = ["sample", "--precision", matrix, "--n", "200", "--chains", "2",
-                "--outdir", str(tmp_path / "o")]
-        script = f"""
+        env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
+        for verb, target in [("sample", "--precision"), ("invert", "--matrix")]:
+            out = tmp_path / verb
+            argv = [verb, target, matrix, "--n", "200", "--chains", "2", "--outdir", str(out)]
+            script = f"""
 import sys
 import spusim.cli, spusim.langevin as lg
 stable = lg.suggest_dt
 lg.suggest_dt = lambda params, **kw: 1000.0 * stable(params, **kw)
 sys.exit(spusim.cli.main({argv!r}))
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 1
-        [line] = proc.stderr.splitlines()
-        assert re.fullmatch(r"error: non-finite state at step \d+ \(record \d+\)", line)
-        assert not (tmp_path / "o" / "manifest.json").exists()
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 1, verb
+            [line] = proc.stderr.splitlines()
+            assert re.fullmatch(r"error: non-finite state at step \d+ \(record \d+\)", line), verb
+            assert not (out / "manifest.json").exists(), verb
 
 
 class TestSampleVerb:
@@ -141,6 +144,28 @@ class TestSampleVerb:
         first = samples("a", "0x0042", "0x7FFF")
         assert samples("b", "0x0042", "0x7FFF") == first
         assert samples("c", "0xACE1", "0x1D2F") != first
+
+    def test_chain_rate_above_its_step_rate_refused(self, tmp_path, capsys):
+        # the chain records at most once a step, here once a bit; half the
+        # bit rate records every other bit
+        from spusim.compiler import compile_precision
+        from spusim.langevin import correlation_time
+        from spusim.noise import NoiseChainConfig
+        m = write_matrix(tmp_path / "p.csv", np.eye(1))
+        tau = correlation_time(compile_precision(np.eye(1)).ideal_params)
+        bit_rate = NoiseChainConfig.matched(tau).bit_rate
+        argv = ["sample", "--precision", m, "--noise-mode", "lfsr-chain", "--no-decorrelate",
+                "--n", "64", "--chains", "2"]
+        out = tmp_path / "fast"
+        assert main(argv + ["--rate", "1e6", "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: sample rate 1e+06 Hz is above the chain's step rate "
+                       f"{bit_rate:g} Hz: a chain-noise run records at most once a step\n")
+        assert not (out / "manifest.json").exists()
+        out = tmp_path / "half"
+        assert main(argv + ["--rate", repr(bit_rate / 2), "--outdir", str(out)]) == 0
+        times = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:32, 0]
+        np.testing.assert_allclose(np.diff(times), 2.0 / bit_rate, rtol=1e-9)
 
     def test_export_noise_is_lane_zero_of_the_run(self, tmp_path):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
@@ -396,6 +421,19 @@ class TestFaultscanVerb:
         assert chains == [{8}, {4}]
         written = (tmp_path / "default" / "faultscan.json").read_bytes()
         assert hashlib.sha256(written).hexdigest() == self.DEFAULT_DIGEST
+
+    def test_chains_shorter_than_a_segment_refused_before_stepping(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import spusim.langevin as langevin
+        stacks = []
+        monkeypatch.setattr(langevin, "_run_stack", stacks.append)
+        out = tmp_path / "out"
+        assert main(["faultscan", "--cells", "2", "--n", "256", "--chains", "2",
+                     "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: 256 samples over 2 chains leave 128 a "
+                                           "chain, fewer than the 2048 of one spectral segment\n")
+        assert not (out / "manifest.json").exists()
+        assert stacks == []
 
 
 class TestCellIndexInput:
@@ -718,6 +756,19 @@ class TestCovarianceTarget:
 
 
 class TestSpectroscopyVerb:
+    def test_chains_shorter_than_a_segment_refused_before_stepping(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import spusim.langevin as langevin
+        stacks = []
+        monkeypatch.setattr(langevin, "_run_stack", stacks.append)
+        out = tmp_path / "out"
+        assert main(["spectroscopy", "--cells", "1", "--n", "4096", "--chains", "2",
+                     "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: 4096 samples over 2 chains leave 2048 a "
+                                           "chain, fewer than the 4096 of one spectral segment\n")
+        assert not (out / "manifest.json").exists()
+        assert stacks == []
+
     def test_single_cell_run(self, tmp_path):
         out = tmp_path / "out"
         code = main(["spectroscopy", "--cells", "1", "--cell", "0",

@@ -197,7 +197,8 @@ class TestInvertMatrix:
         # and prefixes gathered between checkpoints, 1.51 with those rows
         # centered in place, 1.33 with the covariance read out from the
         # charge records, each gathered slab released before the next and
-        # comoments merged in place
+        # comoments merged in place, 0.36 with the records streamed into the
+        # prefix covariances
         import tracemalloc
 
         a = random_psd(64, 64)
@@ -211,7 +212,8 @@ class TestInvertMatrix:
 
     def test_slabs_bound_the_prefix_gathers(self, monkeypatch):
         # the same run with 256 KiB slabs, so every late checkpoint interval
-        # spans several: 1.063 times the records' bytes
+        # spans several: 1.063 times the records' bytes, 0.097 with the
+        # records streamed
         import tracemalloc
 
         import spusim.samples
@@ -225,6 +227,28 @@ class TestInvertMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * self.RECORD_BYTES
+
+    def test_streamed_records_bound_the_peak(self, monkeypatch):
+        # the records go into the prefix covariances chunk by chunk, so with
+        # 256 KiB slabs the traced peak does not grow with n: 0.993 MB at
+        # n=20,000 and 0.990 MB at n=80,000, 0.024 times the larger run's
+        # records (10.89 and 41.61 MB when a run's records were kept whole)
+        import tracemalloc
+
+        import spusim.samples
+
+        monkeypatch.setattr(spusim.samples, "_SLAB_BYTES", 256 << 10)
+        a = random_psd(64, 64)
+        peaks = []
+        for n in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                invert_matrix(a, SamplingPlan(n_samples=n, chains=32), seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0] and peaks[0] < 1.1 * peaks[1]
+        assert peaks[1] < 0.2 * 4 * self.RECORD_BYTES
 
     def test_reproducible_error_series(self):
         a = random_psd(3, 7)

@@ -134,3 +134,45 @@ class TestPrefixCovariances:
         np.testing.assert_array_equal(first_slabbed, first)
         assert not np.array_equal(last_slabbed, last)  # ten slabs merged, not one gather
         np.testing.assert_allclose(last_slabbed, last, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("slab_bytes", [None, 256 << 10])
+    def test_streamed_blocks_equal_the_gathered_array(self, monkeypatch, slab_bytes):
+        # the rows streamed in time-major blocks of random sizes, each laid out
+        # as the engine lays a chunk (chains inner to records, a row over two
+        # axes), merge where the array's gather does: the same bytes at every
+        # checkpoint, at the default slab and at a small one
+        import spusim.samples
+
+        if slab_bytes is not None:
+            monkeypatch.setattr(spusim.samples, "_SLAB_BYTES", slab_bytes)
+        chains, d = 6, 64
+        slab = spusim.samples._SLAB_BYTES // (8 * d)  # the rows a slab holds
+        rng = np.random.default_rng(24)
+        per_chain = 8000
+        chain_major = rng.standard_normal((chains, per_chain, d)) * 3.0 + rng.uniform(-40, 40, d)
+        counts = [5, 999, 17_001, 40_003, chains * per_chain]  # gaps of more than a slab
+        sizes = []
+        while sum(sizes) < per_chain:
+            sizes.append(int(min(rng.integers(1, 3 * slab // chains + 2), per_chain - sum(sizes))))
+        edges = set((chains * np.cumsum(sizes)).tolist())
+        merges = {n for n in counts} | {lo + k * slab for lo, hi in zip([0] + counts, counts)
+                                         for k in range(1, -(-(hi - lo) // slab))}
+        assert {n for n in counts if n % chains} - edges  # a checkpoint splits a record in a block
+        assert merges - set(counts) - edges  # a full slab ends inside a block
+
+        def blocks():
+            time_major = chain_major.swapaxes(0, 1)
+            for lo, size in zip(np.cumsum([0] + sizes), sizes):
+                block = time_major[lo:lo + size].reshape(size, chains, d // 2, 2)
+                yield np.ascontiguousarray(block.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+
+        streamed = list(prefix_covariances(blocks(), counts))
+        gathered = list(prefix_covariances(chain_major.reshape(-1, d), counts, chains))
+        assert [n for n, _ in streamed] == counts
+        for (_, cov), (_, ref) in zip(streamed, gathered):
+            np.testing.assert_array_equal(cov, ref)
+
+    def test_rows_that_run_out_are_refused(self):
+        rows = self.shifted_rows()
+        with pytest.raises(ValueError, match="ran out at 1000, before checkpoint 1001"):
+            list(prefix_covariances([rows[:, None]], [10, 1001]))
