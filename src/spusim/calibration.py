@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitParams, loading_variance_model
+from .circuit import COUPLING_CAPACITANCE_F, CircuitParams, loading_variance_model
 from .device import SpuEmulator
 from .errors import DeadCellError
 from .langevin import TrajectoryConfig, integrate_circuits
@@ -416,6 +416,16 @@ def characterize_cell(device: SpuEmulator | CircuitParams, cell: int, bank_confi
                               chains)[cell]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, without the ``numpy.ma`` import of its
+    NaN check: the middle value, or the mean of the middle pair, of the
+    partitioned array, and NaN when any value is."""
+    half = values.size // 2
+    middle = [half - 1, half] if values.size % 2 == 0 else [half]
+    part = np.partition(values, middle + [-1])
+    return math.nan if np.isnan(part[-1]) else float(part[middle].mean())
+
+
 @dataclass(frozen=True)
 class FaultRecord:
     drive: int
@@ -468,7 +478,13 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     driven cell and, when the pair is coupled, the probe; the step size
     follows them.  The other cells, and an uncoupled probe, read exact
     zeros.  All runs go to one ``integrate_circuits`` call, which steps
-    runs of equal shape as one stack; the records come back in scan order.
+    runs of equal shape as one stack and prepares each distinct stepped
+    circuit once: a scan of a healthy uniform board prepares three, the
+    driven cell alone and a coupled pair at +1 and at -1.  The records
+    come back in scan order.  A record's expected resonance is its probe's
+    on the nominal board with the pair's coupling set, read from one
+    uncoupled nominal board: the coupling adds state times
+    ``COUPLING_CAPACITANCE_F`` to the probe's Maxwell diagonal, exactly.
     Chains shorter than ``segment_length`` are refused before any run is
     stepped.
     """
@@ -492,12 +508,12 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
                               sample_rate=sample_rate, seed=seed + i, chains=chains,
                               noise_mask=mask)
             for i, (_, _, _, matrix, mask) in enumerate(tests))
+    nominal = device.nominal_params(bank_config=bank_config)
     records = [None] * len(tests)
     for i, batch in integrate_circuits(runs):
-        drive, probe, state, matrix, _ = tests[i]
-        nominal = device.nominal_params(bank_config=bank_config, coupling=matrix)
-        f_exp = 1.0 / (2 * np.pi * math.sqrt(
-            nominal.cells[probe].inductance * nominal.maxwell[probe, probe]))
+        drive, probe, state, _, _ = tests[i]
+        c_probe = nominal.maxwell[probe, probe] + state * COUPLING_CAPACITANCE_F
+        f_exp = 1.0 / (2 * np.pi * math.sqrt(nominal.cells[probe].inductance * c_probe))
         drive_var = float(_cell_values(batch, drive).var(ddof=1))
         probe_var = float(_cell_values(batch, probe).var(ddof=1))
         has_signal = probe_var > signal_floor * max(drive_var, 1e-300)
@@ -505,7 +521,7 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
         f_peak = None
         if has_signal:
             spec = estimate_spectrum(batch, segment_length=segment_length, cell=probe)
-            med = float(np.median(spec.density))
+            med = _median(spec.density)
             f_peak = spec.peak_frequency()
             top = float(spec.density.max())
             peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf

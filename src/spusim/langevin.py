@@ -64,7 +64,11 @@ on either source, into one stack, so a chunk of records of the whole stack
 costs one product per block, while each run keeps its own step, stride,
 burn-in and seeded stream and its records equal those of the run alone.  A
 stack steps no more cells than the board its runs came from, so its
-records take no more memory than one run's whole-board batch.  Each run's
+records take no more memory than one run's whole-board batch.  The runs of
+one call also share the set-up of equal stepped circuits: runs whose
+stepped cells have equal Maxwell, L, R and kappa0 arrays, at one sample
+rate on one noise setting, share one step, stride, burn-in, step system
+and its blocked-scan blocks, looked up for that call alone.  Each run's
 batch holds its stepped cells only, and its ``meta["cells"]`` names them;
 ``integrate_circuit``, the one-run case, pads the batch back to the board.
 """
@@ -270,6 +274,7 @@ class _LinearSystem:
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt):
         d = m_inv.shape[0]
         self.dt = dt
+        self.blocks = {}  # blocked-scan blocks by (steps, ideal source): _LinearRun.plans
         self.dimension = d
         self.m_inv = m_inv
         modes = _normal_modes(m_inv, a_mat, gamma_vec, amps)
@@ -353,24 +358,45 @@ def _factor(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _resolve_steps(params: CircuitParams, cfg: TrajectoryConfig, dt: float,
+def _chain_dt(params: CircuitParams, chain: NoiseChainConfig) -> float:
+    """The step of a chain-noise run: the chain's bit period over the whole
+    number of substeps nearest to it over ``suggest_dt``."""
+    bit_period = 1.0 / chain.bit_rate
+    return bit_period / max(1, round(bit_period / suggest_dt(params)))
+
+
+def _refuse_chain_rate(sample_rate: float, dt: float, whole: bool = False) -> None:
+    """Refuse a sample rate that a run on the chain's step ``dt`` cannot
+    record at: one above 1/dt, as the chain records at most once a step,
+    and, when ``whole``, one more than rounding (relative 1e-9) from
+    1/(stride dt) for every whole stride."""
+    steps = 1.0 / (sample_rate * dt)  # a record's steps, before rounding
+    if steps < 1.0 and not math.isclose(steps, 1.0):
+        raise ValueError(
+            f"sample rate {sample_rate:g} Hz is above the chain's step rate "
+            f"{1.0 / dt:g} Hz: a chain-noise run records at most once a step")
+    if whole and abs(sample_rate - 1.0 / (max(1, round(steps)) * dt)) > 1e-9 * sample_rate:
+        raise ValueError(
+            f"sample rate {sample_rate:g} Hz is not the chain's step rate {1.0 / dt:g} Hz "
+            f"over a whole number of steps: the nearest such rates are "
+            f"{1.0 / (math.floor(steps) * dt):g} Hz and {1.0 / (math.ceil(steps) * dt):g} Hz")
+
+
+def _resolve_steps(params: CircuitParams, sample_rate: float | None, dt: float,
                    lock_dt: bool = False):
     """(dt, stride, burn-in steps) of a run on the step ``dt`` by the 5 tau
-    rule: a stride of ``cfg.sample_rate``, or of ``SPACING_TAUS``
-    correlation times when it is None, and a burn-in of ``BURN_IN_TAUS``.
-    A sample rate fits dt to a whole stride unless ``lock_dt`` (the chain's
-    step, a fraction of its bit period), which records at most once a step:
-    a rate above 1/dt is refused."""
+    rule: a stride of ``sample_rate``, or of ``SPACING_TAUS`` correlation
+    times when it is None, and a burn-in of ``BURN_IN_TAUS``.  A sample
+    rate fits dt to a whole stride unless ``lock_dt`` (the chain's step, a
+    fraction of its bit period), which records at most once a step: a rate
+    above 1/dt is refused, and the stride is the nearest whole one."""
     tau = correlation_time(params)
-    if cfg.sample_rate is not None:
-        steps = 1.0 / (cfg.sample_rate * dt)  # a record's steps, before rounding
-        if lock_dt and steps < 1.0 and not math.isclose(steps, 1.0):
-            raise ValueError(
-                f"sample rate {cfg.sample_rate:g} Hz is above the chain's step rate "
-                f"{1.0 / dt:g} Hz: a chain-noise run records at most once a step")
-        stride = max(1, round(steps))
+    if sample_rate is not None:
+        if lock_dt:
+            _refuse_chain_rate(sample_rate, dt)
+        stride = max(1, round(1.0 / (sample_rate * dt)))
         if not lock_dt:
-            dt = 1.0 / (cfg.sample_rate * stride)
+            dt = 1.0 / (sample_rate * stride)
     else:
         stride = max(1, math.ceil(SPACING_TAUS * tau / dt))
     return dt, stride, int(round(BURN_IN_TAUS * tau / dt))
@@ -403,18 +429,46 @@ def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
                    maxwell=params.maxwell[ix], coupling_states=states)
 
 
+def _prepared_system(params: CircuitParams, sample_rate: float | None,
+                     noise: str | NoiseChainConfig):
+    """``(dt, stride, burn-in steps, chain, system)`` of a stepped circuit:
+    what a run's preparation takes from the circuit's Maxwell, L, R and
+    kappa0 arrays, its sample rate and its noise setting alone, so runs
+    that agree on them share it.  ``chain`` is the run's
+    ``NoiseChainConfig``, None on the ideal source."""
+    if noise == "ideal":
+        dt, stride, burn_steps = _resolve_steps(params, sample_rate, suggest_dt(params))
+        chain = None
+    else:
+        chain = (NoiseChainConfig.matched(correlation_time(params)) if noise == "lfsr-chain"
+                 else noise)
+        dt, stride, burn_steps = _resolve_steps(params, sample_rate, _chain_dt(params, chain),
+                                                lock_dt=True)
+    return dt, stride, burn_steps, chain, _LinearSystem.from_circuit(params, dt)
+
+
 class _CircuitRun:
     """One circuit run, prepared for the block engine: the stepped cells'
     ``_LinearRun``, started at rest, and the readout that turns its records
     into their batch.  The stepped cells are the moving ones
-    (``_moving_cells``): the driven cells and those coupled to them."""
+    (``_moving_cells``): the driven cells and those coupled to them.
+
+    ``systems`` is the lookup of one ``integrate_circuits`` call: runs whose
+    stepped circuits and plan inputs are equal (``_prepared_system``) share
+    one step size, stride, burn-in and ``_LinearSystem``, and with it its
+    blocked-scan blocks.  Each run keeps its own seeded source, start state,
+    record half and batch."""
 
     def __init__(self, params: CircuitParams, cfg: TrajectoryConfig,
-                 noise: str | NoiseChainConfig = "ideal", record: str = "voltage"):
+                 noise: str | NoiseChainConfig = "ideal", record: str = "voltage",
+                 systems: dict | None = None):
         if params.maxwell_eigenvalues[0] <= 0:
             assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
         if record not in ("voltage", "charge", "current"):
             raise ValueError(f"unknown record kind {record!r}")
+        if not (noise in ("ideal", "lfsr-chain") if isinstance(noise, str)
+                else isinstance(noise, NoiseChainConfig)):
+            raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
         d = params.dimension
         chains = cfg.chains
         per_chain = cfg.samples_per_chain
@@ -422,27 +476,32 @@ class _CircuitRun:
         if moving is not None:
             params = _sub_circuit(params, moving)
 
-        if isinstance(noise, str) and noise == "ideal":
-            dt, stride, burn_steps = _resolve_steps(params, cfg, suggest_dt(params))
+        # Keyed on the cells, which fix L, R and kappa0 (but for the sign of a
+        # zero kappa0, which the step takes squared), with the Maxwell matrix
+        # compared bit for bit in place: array copies in the key kept about
+        # 2 MB more of a d = 512 set-up resident.
+        key = (params.cells, cfg.sample_rate, noise)
+        entries = ({} if systems is None else systems).setdefault(key, [])
+        bits = params.maxwell.view(np.int64)
+        for maxwell, prepared in entries:
+            if np.array_equal(maxwell, bits):
+                break
+        else:
+            prepared = _prepared_system(params, cfg.sample_rate, noise)
+            entries.append((bits, prepared))
+        dt, stride, burn_steps, chain, sys_ = prepared
+        if chain is None:
             source = np.random.default_rng(cfg.seed)
         else:
-            if isinstance(noise, str) and noise == "lfsr-chain":
-                noise = NoiseChainConfig.matched(correlation_time(params))
-            if not isinstance(noise, NoiseChainConfig):
-                raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
-            # pin dt to an integer fraction of the bit period before deriving strides
-            bit_period = 1.0 / noise.bit_rate
-            sub = max(1, round(bit_period / suggest_dt(params)))
-            dt, stride, burn_steps = _resolve_steps(params, cfg, bit_period / sub, lock_dt=True)
             steps = burn_steps + per_chain * stride
             if steps > _MAX_CHAIN_STEPS:
                 raise ValueError(
                     f"a chain-noise run of {per_chain:,} records a chain needs {steps:,} "
                     f"integrator steps a chain, over the limit of {_MAX_CHAIN_STEPS:,}; "
                     "more chains make each chain shorter")
-            source = ChainNoiseSource(noise, seed=cfg.seed + 1, dimension=params.dimension,
+            source = ChainNoiseSource(chain, seed=cfg.seed + 1, dimension=params.dimension,
                                       kappa0=params.kappa_vector, dt=dt, chains=chains)
-        self.sys_ = sys_ = _LinearSystem.from_circuit(params, dt)
+        self.sys_ = sys_
         k, b, _ = _stack(sys_.m_step).shape
         rest = np.zeros((k, chains, b))  # every run starts at rest
         self.linear = _LinearRun(sys_, rest, source, per_chain, stride, burn_steps,
@@ -451,7 +510,7 @@ class _CircuitRun:
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
             "dt": dt, "record_stride": stride, "burn_in": self.start_time, "seed": cfg.seed,
-            "record": record, "noise": "ideal" if noise == "ideal" else "lfsr-chain",
+            "record": record, "noise": "ideal" if chain is None else "lfsr-chain",
             "cells_stepped": params.dimension,
             "cells": list(range(d)) if moving is None else moving.tolist(),
         }
@@ -526,9 +585,14 @@ def integrate_circuits(runs, record: str = "voltage"):
     for ``BURN_IN_TAUS`` correlation times, at least 667 of its steps.  Runs
     on either noise source that share the block size, the chain and record
     counts, the kept half and the chunk step together (``_stacks``): each
-    chunk of records then costs one product per block of the stack.
+    chunk of records then costs one product per block of the stack.  Runs
+    whose stepped circuits and plan inputs are equal share their
+    preparation (``_prepared_system``): it is made once a call for each
+    distinct stepped circuit, sample rate and noise setting.
     """
-    prepared = [_CircuitRun(*run, record=record) for run in runs]
+    systems = {}  # one prepared system per distinct stepped circuit of this call
+    prepared = [_CircuitRun(*run, record=record, systems=systems) for run in runs]
+    del systems
     for stack in _stacks([run.linear for run in prepared]):
         recs = _run_stack([prepared[i].linear for i in stack])
         spans = np.cumsum([0] + [prepared[i].linear.z.shape[0] for i in stack])
@@ -665,17 +729,18 @@ class _LinearRun:
         z <- z (M^n)^T + xi W.  With the ideal source xi is a standard
         normal draw and W = chol(S_n)^T; with chain noise xi is the
         increment that the chain injects over the n steps (``noise``) and
-        W = I.  M^n and an ideal W are flushed of subnormals."""
-        sys_, cache = self.sys_, {}
+        W = I.  M^n and an ideal W are flushed of subnormals.  They are
+        kept in ``sys_.blocks``, so every run of one system shares them."""
+        sys_, ideal = self.sys_, self.ideal
 
         def block(n):
-            if n not in cache:
+            if (n, ideal) not in sys_.blocks:
                 m_n, s_n = sys_.compound(n)
                 m_n = _flushed(_stack(m_n))
-                w = (_t(_flushed(_stack(_factor(s_n)))) if self.ideal
+                w = (_t(_flushed(_stack(_factor(s_n)))) if ideal
                      else np.broadcast_to(np.eye(m_n.shape[-1]), m_n.shape))
-                cache[n] = m_n, w
-            return cache[n]
+                sys_.blocks[n, ideal] = m_n, w
+            return sys_.blocks[n, ideal]
 
         return block(self.burn_steps) if self.burn_steps else None, block(self.stride)
 

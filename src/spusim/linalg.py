@@ -22,8 +22,8 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import (SPACING_TAUS, TrajectoryConfig, _voltage_records,
-                       correlation_time, integrate_circuit)
+from .langevin import (SPACING_TAUS, TrajectoryConfig, _chain_dt, _refuse_chain_rate,
+                       _voltage_records, correlation_time, integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
 
@@ -127,6 +127,9 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
         if chain_seeds is not None:
             noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
     cfg = plan.trajectory_config(params, seed)
+    if not isinstance(noise, str):
+        # the plan's rate is the one reported: the chain's records must fall on it
+        _refuse_chain_rate(cfg.sample_rate, _chain_dt(params, noise), whole=True)
     # undo quantization rescale and noise-level scaling in one factor
     level_scale = 1.0 / math.sqrt(plan.noise_level)
     return comp, params, cfg, noise, comp.readout_scale * level_scale
@@ -146,7 +149,9 @@ def sample_gaussian(target, plan: SamplingPlan | None = None,
     reference.  Mean shifts are the caller's business (translate the
     returned samples).  ``tolerance_sigma`` perturbs L, R, C components to
     emulate hardware tolerances; ``quantize`` restricts capacitances to the
-    switched banks.
+    switched banks.  On the noise chain, which records once a whole number
+    of its steps, a plan rate more than rounding off those rates is
+    refused (ValueError naming the nearest two).
     """
     plan = plan or SamplingPlan()
     spec = _as_target(target)
@@ -172,9 +177,15 @@ def checkpoint_counts(n_total: int, n_checkpoints: int = 20, start: int = 30) ->
     if n_total < 4:
         raise ValueError("need at least 4 samples")
     start = min(max(4, start), n_total)
-    # sorted and deduplicated by hand: np.unique would load numpy.ma
-    counts = np.sort(np.geomspace(start, n_total, n_checkpoints).astype(int))
+    counts = np.geomspace(start, n_total, n_checkpoints).astype(int)
     counts[-1] = n_total
+    return _sorted_unique(counts)
+
+
+def _sorted_unique(counts: np.ndarray) -> np.ndarray:
+    """The distinct positive ``counts``, ascending: ``np.unique``, which
+    would load numpy.ma."""
+    counts = np.sort(counts)
     return counts[np.diff(counts, prepend=0) > 0]
 
 
@@ -406,7 +417,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
         batch = master.thinned(stride) if stride > 1 else master
         counts = checkpoint_counts(batch.n_samples, n_checkpoints, start=10)
         if plan.n_samples <= batch.n_samples:
-            counts = np.unique(np.append(counts, plan.n_samples))
+            counts = _sorted_unique(np.append(counts, plan.n_samples))
         for n, cov in prefix_covariances(batch.values, counts, batch.chains):
             err = relative_frobenius_error(cov, sigma)
             result.rows.append(StudyRow(

@@ -210,6 +210,30 @@ class TestFaultScan:
         assert len(rows) == 22
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.RECORDS_DIGEST
 
+    @pytest.mark.parametrize("device, bank", [
+        (SpuEmulator(n_cells=4, dead_couplings={(1, 3)}, dead_cells={2},
+                     capacitance_scale={0: 1.3, 3: 0.8}), 3),
+        (SpuEmulator(n_cells=4, dead_couplings={(0, 2)}, capacitance_scale={1: 1.5}), 0),
+        (SpuEmulator(n_cells=5, inductance=2.2e-6, dead_cells={0},
+                     capacitance_scale={4: 0.7}), 1),
+        (SpuEmulator(n_cells=3, coupling_resistance=400.0), 2),
+    ])
+    def test_expected_frequency_is_the_coupled_nominal_board(self, device, bank):
+        # the resonance a record expects is that of its probe on the nominal
+        # board with the pair's coupling set, as a board built for the record
+        # reads it
+        d = device.n_cells
+        report = two_cell_fault_scan(device, bank_config=bank, n_samples=4096, chains=2)
+        assert len(report.records) == d + 3 * d * (d - 1) // 2
+        for r in report.records:
+            states = np.zeros((d, d), dtype=np.int8)
+            if r.drive != r.probe:
+                states[r.drive, r.probe] = states[r.probe, r.drive] = r.coupling
+            nominal = device.nominal_params(bank_config=bank, coupling=states)
+            f_exp = 1.0 / (2 * np.pi * math.sqrt(
+                nominal.cells[r.probe].inductance * nominal.maxwell[r.probe, r.probe]))
+            assert r.expected_frequency == f_exp
+
 
 class TestScalingVector:
     def test_uniform_baseline_gives_ones(self):
@@ -432,6 +456,18 @@ class TestNumpyOracles:
             assert f @ f == pytest.approx(ref.fun @ ref.fun, rel=1e-12)
         else:
             np.testing.assert_allclose(np.exp(x), np.exp(ref.x), rtol=1e-8)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 7, 1024, 1025])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_matches_numpy(self, size, nan):
+        values = np.random.default_rng(size).lognormal(size=size)
+        if nan:
+            values[size // 3] = np.nan
+        want = np.median(values)
+        got = calibration._median(values)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestPowerSpectrumType:

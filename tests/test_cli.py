@@ -167,6 +167,30 @@ class TestSampleVerb:
         times = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:32, 0]
         np.testing.assert_allclose(np.diff(times), 2.0 / bit_rate, rtol=1e-9)
 
+    def test_chain_rate_between_strides_refused(self, tmp_path, capsys):
+        # the chain records once a whole number of its steps, here bits: three
+        # quarters of the bit rate lies between strides 1 and 2, half of it on 2
+        from spusim.compiler import compile_precision
+        from spusim.langevin import correlation_time
+        from spusim.noise import NoiseChainConfig
+        m = write_matrix(tmp_path / "p.csv", np.eye(1))
+        tau = correlation_time(compile_precision(np.eye(1)).ideal_params)
+        bit_rate = NoiseChainConfig.matched(tau).bit_rate
+        argv = ["sample", "--precision", m, "--noise-mode", "lfsr-chain", "--no-decorrelate",
+                "--n", "64", "--chains", "2"]
+        out = tmp_path / "between"
+        assert main(argv + ["--rate", repr(0.75 * bit_rate), "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: sample rate {0.75 * bit_rate:g} Hz is not the chain's step "
+                       f"rate {bit_rate:g} Hz over a whole number of steps: the nearest such "
+                       f"rates are {bit_rate:g} Hz and {bit_rate / 2:g} Hz\n")
+        assert not (out / "manifest.json").exists()
+        out = tmp_path / "half"
+        assert main(argv + ["--rate", repr(bit_rate / 2), "--outdir", str(out)]) == 0
+        assert json.loads((out / "samples.json").read_text())["sample_rate"] == bit_rate / 2
+        times = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:32, 0]
+        np.testing.assert_allclose(np.diff(times), 2.0 / bit_rate, rtol=1e-9)
+
     def test_export_noise_is_lane_zero_of_the_run(self, tmp_path):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         m = write_matrix(tmp_path / "p.csv", np.eye(2))
@@ -969,3 +993,38 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         assert loaded == {"import": [], "sample": [0], "faultscan": [0],
                           "spectroscopy": [0]}
+
+    def test_verbs_load_no_numpy_ma(self, tmp_path):
+        # a fresh interpreter: small runs of the verbs a user times must not
+        # load numpy.ma (np.median and np.unique do), 20-30 ms of start-up
+        import os
+        import subprocess
+        import sys
+
+        import spusim
+        write_matrix(tmp_path / "p.csv", np.array([[1.2, 0.3], [0.3, 0.9]]))
+        p, out = str(tmp_path / "p.csv"), str(tmp_path / "out")
+        script = f"""
+import json, sys
+import spusim.cli
+runs = {{
+    "sample": ["sample", "--precision", {p!r}, "--n", "200", "--chains", "2"],
+    "invert": ["invert", "--matrix", {p!r}, "--n", "200", "--chains", "2"],
+    "spectroscopy": ["spectroscopy", "--cells", "1", "--n", "8192", "--chains", "2"],
+    "faultscan": ["faultscan", "--cells", "2", "--n", "4096", "--chains", "2"],
+    "study": ["study", "--axis", "sampling_rate", "--grid", "1e5,2e5", "--identity", "2",
+              "--n", "200", "--chains", "2"],
+}}
+loaded = {{}}
+for name, argv in runs.items():
+    code = spusim.cli.main(argv + ["--outdir", {out!r} + "/" + name])
+    loaded[name] = [code, "numpy.ma" in sys.modules]
+print(json.dumps(loaded))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(spusim.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == {name: [0, False] for name in
+                          ("sample", "invert", "spectroscopy", "faultscan", "study")}

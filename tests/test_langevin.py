@@ -1207,6 +1207,49 @@ class TestBatchedRuns:
         assert sorted(fits) == list(range(8))
         assert sizes == [8]
 
+    def spy_systems(self, monkeypatch):
+        """The stepped circuits of every ``_LinearSystem`` prepared from then on."""
+        made = []
+        from_circuit = _LinearSystem.from_circuit.__func__
+
+        def spy(cls, params, dt):
+            made.append(params)
+            return from_circuit(cls, params, dt)
+
+        monkeypatch.setattr(_LinearSystem, "from_circuit", classmethod(spy))
+        return made
+
+    def test_equal_stepped_circuits_share_one_system(self, monkeypatch):
+        from spusim.calibration import two_cell_fault_scan
+        made = self.spy_systems(monkeypatch)
+        report = two_cell_fault_scan(SpuEmulator(n_cells=4, dead_couplings={(1, 2)}),
+                                     n_samples=4096, chains=2)
+        # 22 runs of three stepped circuits: the driven cell alone (self-drives,
+        # uncoupled pairs and the dead pair's couplings), and the driven cell
+        # with its probe at +1 and at -1
+        assert len(report.records) == 22
+        assert sorted(params.dimension for params in made) == [1, 2, 2]
+        assert sorted(params.maxwell[0, 1] for params in made[1:]) == [-0.47e-9, 0.47e-9]
+
+    def test_shared_systems_keep_every_plan_input(self, monkeypatch):
+        # one stepped circuit five ways: two runs that differ in their seed
+        # alone share a system; another sample rate or the chain do not, and a
+        # run of another record count shares it in a stack of its own
+        params, cfg = self.BOARD.sample_run(3, "none", 4000, seed=40, chains=8,
+                                            noise_mask=np.eye(4)[2])
+        runs = [(params, cfg), (params, dataclasses.replace(cfg, seed=41)),
+                (params, dataclasses.replace(cfg, seed=42, sample_rate=6e6)),
+                (params, dataclasses.replace(cfg, seed=43, n_samples=2000)),
+                (params, dataclasses.replace(cfg, seed=44), "lfsr-chain")]
+        made = self.spy_systems(monkeypatch)
+        sizes = self.spy_stacks(monkeypatch)
+        batched = dict(langevin.integrate_circuits(runs))
+        assert len(made) == 3
+        assert sorted(sizes) == [1, 4]
+        plans = {(batched[i].meta["dt"], batched[i].meta["record_stride"]) for i in range(5)}
+        assert len(plans) == 3
+        self.assert_solo_equal(runs, batched)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_run_in_a_stack_is_named_as_alone(self, monkeypatch):
         good, bad = _unstable_runs(monkeypatch)
