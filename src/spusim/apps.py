@@ -120,13 +120,14 @@ def _inverse(matrix: np.ndarray, inverter: str, plan: SamplingPlan | None,
 
 def gpr_posterior(train: Dataset1D, test_x, spec: KernelSpec,
                   inverter: str = "digital", plan: SamplingPlan | None = None,
-                  seed: int = 0, psd_tolerance: float = 1e-8) -> GprPosterior:
+                  seed: int = 0) -> GprPosterior:
     """Gaussian process regression posterior at the test points.
 
     The train-train kernel block is inverted with the chosen backend; the
     digital path is the oracle the thermodynamic path is judged against.
     Thermodynamic mode emulates the 8-cell device, so it accepts at most 8
-    training points.
+    training points.  A posterior covariance whose smallest eigenvalue is
+    below -1e-8 max(1, ||cov||_F) is refused as indefinite.
     """
     test_x = np.asarray(test_x, dtype=float).ravel()
     if len(train) == 0:
@@ -144,7 +145,7 @@ def gpr_posterior(train: Dataset1D, test_x, spec: KernelSpec,
     cov = k22 - k21 @ k11_inv @ k21.T
     cov = 0.5 * (cov + cov.T)
     lam = float(np.linalg.eigvalsh(cov)[0]) if cov.size else 0.0
-    if lam < -psd_tolerance * max(1.0, float(np.linalg.norm(cov))):
+    if lam < -1e-8 * max(1.0, float(np.linalg.norm(cov))):
         raise NotPositiveDefiniteError(
             f"posterior covariance is indefinite beyond tolerance "
             f"(min eigenvalue {lam:.3g})", min_eigenvalue=lam)
@@ -153,11 +154,11 @@ def gpr_posterior(train: Dataset1D, test_x, spec: KernelSpec,
 
 def linear_least_squares(design: np.ndarray, y: np.ndarray,
                          inverter: str = "digital", plan: SamplingPlan | None = None,
-                         seed: int = 0, condition_limit: float = 1e12) -> np.ndarray:
+                         seed: int = 0) -> np.ndarray:
     """Normal-equations coefficients beta = (X^T X)^-1 X^T y.
 
     The Gram matrix inverse comes from the chosen backend.  Rank-deficient
-    designs are rejected.
+    designs, a Gram condition number above 1e12 included, are rejected.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -166,7 +167,7 @@ def linear_least_squares(design: np.ndarray, y: np.ndarray,
     gram = x.T @ x
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > condition_limit:
+    if eigs[0] <= 0 or eigs[-1] / eigs[0] > 1e12:
         raise ValueError(
             f"design matrix is rank deficient (Gram condition "
             f"{np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]:.3g})"
@@ -218,29 +219,30 @@ def sngp_patch_sample(mean: np.ndarray, covariance: np.ndarray, n_draws: int,
     return draws + mean
 
 
-def make_two_moons(n_points: int = 200, noise: float = 0.08, seed: int = 0):
-    """The interleaved half-circles dataset: features (n, 2) and labels {0, 1}."""
+def make_two_moons(n_points: int = 200, seed: int = 0):
+    """The interleaved half-circles dataset: features (n, 2) and labels {0, 1},
+    the points scattered by N(0, 0.08^2) noise."""
     rng = np.random.default_rng(seed)
     n_half = n_points // 2
     theta = rng.uniform(0, np.pi, n_half)
     upper = np.column_stack([np.cos(theta), np.sin(theta)])
     lower = np.column_stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)])
-    pts = np.vstack([upper, lower]) + rng.normal(0, noise, (2 * n_half, 2))
+    pts = np.vstack([upper, lower]) + rng.normal(0, 0.08, (2 * n_half, 2))
     labels = np.concatenate([np.zeros(n_half), np.ones(n_half)])
     return pts, labels
 
 
-def synthetic_two_moons_posterior(grid_size: int = 64, n_train: int = 200,
-                                  n_features: int = 256, ridge: float = 1e-2,
-                                  length_scale: float = 0.6, seed: int = 0):
+def synthetic_two_moons_posterior(grid_size: int = 64, n_train: int = 200, seed: int = 0):
     """Precomputed (mean, covariance) posterior over a grid for the demo.
 
-    A fixed random-Fourier-feature map stands in for a trained feature
-    extractor: ridge regression on the features gives the predictive mean,
-    and the ridge posterior over the last-layer weights gives a grid
-    covariance whose uncertainty grows away from the training data.
+    A fixed random-Fourier-feature map (256 features of an RBF kernel of
+    length scale 0.6) stands in for a trained feature extractor: ridge
+    regression (ridge 1e-2) on the features gives the predictive mean, and
+    the ridge posterior over the last-layer weights gives a grid covariance
+    whose uncertainty grows away from the training data.
     Returns (grid_points, mean, covariance, train_x, train_y).
     """
+    n_features, ridge, length_scale = 256, 1e-2, 0.6
     rng = np.random.default_rng(seed)
     x, y = make_two_moons(n_train, seed=seed)
     side = int(round(np.sqrt(grid_size)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import COUPLING_CAPACITANCE_F, CircuitParams, loading_variance_model
-from .device import SpuEmulator
+from .device import DEFAULT_SAMPLE_RATE_HZ, SpuEmulator
 from .errors import DeadCellError
 from .langevin import TrajectoryConfig, integrate_circuits
 from .samples import SampleBatch
@@ -48,14 +48,9 @@ class PowerSpectrum:
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "density", d)
 
-    def integral(self) -> float:
-        """Total power: integral of the density over frequency."""
-        return float(np.trapezoid(self.density, self.frequencies))
-
-    def peak_frequency(self, f_min: float = 0.0) -> float:
-        mask = self.frequencies >= f_min
-        idx = np.argmax(self.density[mask])
-        return float(self.frequencies[mask][idx])
+    def peak_frequency(self) -> float:
+        """The frequency of the largest density."""
+        return float(self.frequencies[np.argmax(self.density)])
 
 
 def _cell_values(batch: SampleBatch, cell: int) -> np.ndarray:
@@ -71,13 +66,15 @@ def _cell_values(batch: SampleBatch, cell: int) -> np.ndarray:
 
 
 _CELL_SEGMENT = 4096  # samples of a Welch segment of a cell fit
+_SCAN_SEGMENT = 2048  # samples of a Welch segment of a fault-scan probe
 
 
 def estimate_spectrum(batch: SampleBatch, segment_length: int = _CELL_SEGMENT,
-                      overlap: float = 0.5, cell: int = 0) -> PowerSpectrum:
+                      cell: int = 0) -> PowerSpectrum:
     """Averaged-periodogram (Welch, Hann window) estimate for one board cell.
 
-    Chains are treated as independent records and averaged.  The integral
+    Segments of ``segment_length`` samples overlap by half.  Chains are
+    treated as independent records and averaged.  The integral
     of the returned density matches the time-domain variance (Parseval).
     The estimate is ``_welch``'s, the zero-frequency bin dropped.
     """
@@ -88,7 +85,7 @@ def estimate_spectrum(batch: SampleBatch, segment_length: int = _CELL_SEGMENT,
             f"segment_length {segment_length}"
         )
     fs = batch.sample_rate
-    freqs, psd = _welch(series, fs, segment_length, int(segment_length * overlap))
+    freqs, psd = _welch(series, fs, segment_length, segment_length // 2)
     return PowerSpectrum(
         frequencies=freqs[1:],
         density=psd.mean(axis=0)[1:],
@@ -362,7 +359,7 @@ def fit_cell(batch: SampleBatch, params: CircuitParams,
 
 def characterize_cells(device: SpuEmulator | CircuitParams, cells, bank_config: int = 3,
                        n_samples: int = 1_000_000, seed: int = 0,
-                       sample_rate: float = 12e6,
+                       sample_rate: float = DEFAULT_SAMPLE_RATE_HZ,
                        chains: int = 64) -> dict[int, tuple[CellFitResult, PowerSpectrum]]:
     """Noise-driven spectroscopy of ``cells`` of one board: {cell: (fit, spectrum)}.
 
@@ -406,14 +403,13 @@ def characterize_cells(device: SpuEmulator | CircuitParams, cells, bank_config: 
     return {cell: fits[cell] for cell in cells}
 
 
-def characterize_cell(device: SpuEmulator | CircuitParams, cell: int, bank_config: int = 3,
-                      n_samples: int = 1_000_000, seed: int = 0,
-                      sample_rate: float = 12e6,
-                      chains: int = 64) -> tuple[CellFitResult, PowerSpectrum]:
+def characterize_cell(device: SpuEmulator | CircuitParams, cell: int,
+                      n_samples: int = 1_000_000,
+                      seed: int = 0) -> tuple[CellFitResult, PowerSpectrum]:
     """Noise-driven spectroscopy of one cell: the one-cell case of
-    ``characterize_cells``, so its run is seeded ``seed + cell``."""
-    return characterize_cells(device, [cell], bank_config, n_samples, seed, sample_rate,
-                              chains)[cell]
+    ``characterize_cells`` at its defaults (bank 3, ``DEFAULT_SAMPLE_RATE_HZ``,
+    64 chains), so its run is seeded ``seed + cell``."""
+    return characterize_cells(device, [cell], n_samples=n_samples, seed=seed)[cell]
 
 
 def _median(values: np.ndarray) -> float:
@@ -460,38 +456,41 @@ class FaultScanReport:
 
 
 def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
-                        drive_level: float = 1.0, n_samples: int = 16384,
-                        sample_rate: float = 12e6, seed: int = 0,
-                        segment_length: int = 2048, prominence_db: float = 6.0,
-                        freq_tolerance: float = 0.15,
-                        signal_floor: float = 1e-4, chains: int = 8) -> FaultScanReport:
+                        n_samples: int = 16384, seed: int = 0,
+                        chains: int = 8) -> FaultScanReport:
     """Pairwise drive/probe spectroscopy over all couplings.
 
-    One cell is driven with noise while another is measured; every
-    unordered pair is tested at couplings -1, 0 and +1 (self-drives once,
-    couplings off).  A healthy pair shows a probe-spectrum peak near the
-    designed resonance when coupled and silence at coupling 0; deviations
-    are flagged as absent, frequency-shifted or unexpected.
+    One cell is driven with noise at full level while another is measured;
+    every unordered pair is tested at couplings -1, 0 and +1 (self-drives
+    once, couplings off).  A healthy pair shows a probe-spectrum peak near
+    the designed resonance when coupled and silence at coupling 0;
+    deviations are flagged as absent, frequency-shifted or unexpected.
 
-    Each run is the device's ``sample`` run with ``chains`` chains and seed
-    ``seed`` plus its index.  It steps only the cells that can move: the
-    driven cell and, when the pair is coupled, the probe; the step size
-    follows them.  The other cells, and an uncoupled probe, read exact
-    zeros.  All runs go to one ``integrate_circuits`` call, which steps
-    runs of equal shape as one stack and prepares each distinct stepped
-    circuit once: a scan of a healthy uniform board prepares three, the
+    A probe has signal when its variance exceeds 1e-4 of the driven cell's.
+    Its spectrum is Welch's over ``_SCAN_SEGMENT`` (2048) samples, and it
+    shows a peak when the spectrum's maximum stands at least 6 dB above its
+    median.  A found peak more than 15 % off the expected resonance is
+    frequency-shifted.
+
+    Each run is the device's ``sample`` run at ``DEFAULT_SAMPLE_RATE_HZ``
+    with ``chains`` chains and seed ``seed`` plus its index.  It steps only
+    the cells that can move: the driven cell and, when the pair is coupled,
+    the probe; the step size follows them.  The other cells, and an
+    uncoupled probe, read exact zeros.  All runs go to one
+    ``integrate_circuits`` call, which steps runs of equal shape as one
+    stack and prepares each distinct stepped circuit once: a scan of a healthy uniform board prepares three, the
     driven cell alone and a coupled pair at +1 and at -1.  The records
     come back in scan order.  A record's expected resonance is its probe's
     on the nominal board with the pair's coupling set, read from one
     uncoupled nominal board: the coupling adds state times
     ``COUPLING_CAPACITANCE_F`` to the probe's Maxwell diagonal, exactly.
-    Chains shorter than ``segment_length`` are refused before any run is
+    Chains shorter than one segment are refused before any run is
     stepped.
     """
     d = device.n_cells
     if d < 2:
         raise ValueError(f"the pairwise fault scan needs at least two cells, got {d}")
-    _require_segment(n_samples, sample_rate, chains, segment_length)
+    _require_segment(n_samples, DEFAULT_SAMPLE_RATE_HZ, chains, _SCAN_SEGMENT)
     tests = []
     for drive in range(d):
         for probe in range(drive, d):
@@ -501,12 +500,11 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
                     matrix[drive, probe] = state
                     matrix[probe, drive] = state
                 mask = np.zeros(d)
-                mask[drive] = drive_level
+                mask[drive] = 1.0
                 tests.append((drive, probe, state, matrix, mask))
     # a generator: each run's whole-board params are dropped once it is prepared
     runs = (device.sample_run(bank_config=bank_config, coupling=matrix, n_samples=n_samples,
-                              sample_rate=sample_rate, seed=seed + i, chains=chains,
-                              noise_mask=mask)
+                              seed=seed + i, chains=chains, noise_mask=mask)
             for i, (_, _, _, matrix, mask) in enumerate(tests))
     nominal = device.nominal_params(bank_config=bank_config)
     records = [None] * len(tests)
@@ -516,21 +514,21 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
         f_exp = 1.0 / (2 * np.pi * math.sqrt(nominal.cells[probe].inductance * c_probe))
         drive_var = float(_cell_values(batch, drive).var(ddof=1))
         probe_var = float(_cell_values(batch, probe).var(ddof=1))
-        has_signal = probe_var > signal_floor * max(drive_var, 1e-300)
+        has_signal = probe_var > 1e-4 * max(drive_var, 1e-300)
         peak_db = -np.inf
         f_peak = None
         if has_signal:
-            spec = estimate_spectrum(batch, segment_length=segment_length, cell=probe)
+            spec = estimate_spectrum(batch, segment_length=_SCAN_SEGMENT, cell=probe)
             med = _median(spec.density)
             f_peak = spec.peak_frequency()
             top = float(spec.density.max())
             peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf
-        found = has_signal and peak_db >= prominence_db
+        found = has_signal and peak_db >= 6.0
         expected = (drive == probe) or state != 0
         flag = None
         if expected and not found:
             flag = "absent"
-        elif expected and found and abs(f_peak - f_exp) > freq_tolerance * f_exp:
+        elif expected and found and abs(f_peak - f_exp) > 0.15 * f_exp:
             flag = "frequency-shifted"
         elif not expected and found:
             flag = "unexpected"
@@ -581,8 +579,11 @@ class LoadingFit:
     flagged: bool     # poor fit (non-monotone or noisy data)
 
 
-def fit_loading_model(variances: np.ndarray, residual_flag: float = 0.05) -> LoadingFit:
-    """Least-squares fit of Sigma_ii = a b / (b + (7 - i) a) to 8 variances."""
+def fit_loading_model(variances: np.ndarray) -> LoadingFit:
+    """Least-squares fit of Sigma_ii = a b / (b + (7 - i) a) to 8 variances.
+
+    The fit is flagged when the RMS relative residual exceeds 0.05.
+    """
     var = np.asarray(variances, dtype=float)
     if var.shape != (8,):
         raise ValueError("the loading model is defined for exactly 8 cells")
@@ -605,4 +606,4 @@ def fit_loading_model(variances: np.ndarray, residual_flag: float = 0.05) -> Loa
     residual = float(np.sqrt(np.mean((fitted / var - 1.0) ** 2)))
     return LoadingFit(a=float(a), b=float(b), residual=residual, fitted=fitted,
                       degenerate=bool(b > 1e4 * a),
-                      flagged=bool(residual > residual_flag))
+                      flagged=bool(residual > 0.05))

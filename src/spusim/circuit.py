@@ -120,14 +120,14 @@ class CouplingConfig:
         np.fill_diagonal(s, 0)
         return cls(s)
 
-    def capacitances(self, step: float = COUPLING_CAPACITANCE_F,
-                     correction: float = 1.0) -> np.ndarray:
-        """Coupling capacitance matrix in farads.
+    def capacitances(self, correction: float = 1.0) -> np.ndarray:
+        """Coupling capacitance matrix in farads: each state times
+        ``COUPLING_CAPACITANCE_F``.
 
         ``correction`` rescales the effective coupling uniformly; the
         default 1.0 takes the nominal value at face value.
         """
-        return self.states.astype(float) * step * correction
+        return self.states.astype(float) * COUPLING_CAPACITANCE_F * correction
 
 
 def maxwell_from_capacitances(in_cell: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -153,15 +153,15 @@ def maxwell_from_capacitances(in_cell: np.ndarray, coupling: np.ndarray) -> np.n
     return m
 
 
-def build_maxwell(cells: Sequence[UnitCell], coupling: CouplingConfig,
-                  coupling_correction: float = 1.0) -> np.ndarray:
-    """Maxwell capacitance matrix of a quantized cell/coupling configuration."""
+def build_maxwell(cells: Sequence[UnitCell], coupling: CouplingConfig) -> np.ndarray:
+    """Maxwell capacitance matrix of a quantized cell/coupling configuration,
+    the couplings at their nominal capacitance."""
     if coupling.dimension != len(cells):
         raise DimensionMismatchError(
             f"{len(cells)} cells but coupling is {coupling.dimension}-dimensional"
         )
     in_cell = np.array([c.capacitance for c in cells])
-    return maxwell_from_capacitances(in_cell, coupling.capacitances(correction=coupling_correction))
+    return maxwell_from_capacitances(in_cell, coupling.capacitances())
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:
@@ -277,10 +277,6 @@ class CircuitParams:
     def kappa_vector(self) -> np.ndarray:
         return np.array([c.noise_psd for c in self.cells])
 
-    @property
-    def in_cell_capacitances(self) -> np.ndarray:
-        return np.array([c.capacitance for c in self.cells])
-
     def with_tolerance(self, rel_sigma: float, seed: int) -> "CircuitParams":
         """Multiplicative component-tolerance perturbation of all L, R, C values.
 
@@ -324,8 +320,9 @@ class CircuitParams:
             out["coupling_capacitances"] = self.coupling_capacitances.tolist()
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """``to_dict`` as JSON, keys sorted, indented by 2."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitParams":

@@ -41,8 +41,9 @@ from .samples import FLOAT_FMT
 from .svgplot import line_plot
 
 
-def load_matrix(path: str, sym_tol: float = 1e-9) -> np.ndarray:
-    """Plain CSV, row-major, no header; validated finite, square and symmetric."""
+def load_matrix(path: str) -> np.ndarray:
+    """Plain CSV, row-major, no header; validated finite, square and symmetric
+    to 1e-9 of its Frobenius norm."""
     try:
         m = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
@@ -52,7 +53,7 @@ def load_matrix(path: str, sym_tol: float = 1e-9) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise MatrixFormatError(f"{path}: matrix must be square, got {m.shape}")
     scale = np.linalg.norm(m) or 1.0
-    if np.linalg.norm(m - m.T) > sym_tol * scale:
+    if np.linalg.norm(m - m.T) > 1e-9 * scale:
         raise MatrixFormatError(f"{path}: matrix is not symmetric within tolerance")
     return 0.5 * (m + m.T)
 

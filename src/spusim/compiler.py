@@ -7,9 +7,8 @@ charge space: C = beta * S makes the charge vector (the integrated-current
 observable) distributed as N(0, S).
 
 To avoid silent unit bugs, the effective temperature is always consistent
-with the circuit: kT = R * kappa0.  Callers may fix either kT or kappa0;
-the other is derived.  The default is the normalized simulation unit
-kT = 1 with R = 1.
+with the circuit: kT = R * kappa0.  Compiled circuits are in normalized
+simulation units, R = L = 1, so kappa0 = kT; kT defaults to 1.
 
 Quantization maps an ideal Maxwell matrix onto the discrete hardware:
 in-cell capacitances snap to the four bank values and couplings to
@@ -135,44 +134,25 @@ class CompilationResult:
         }
 
 
-def _resolve_temperature(resistance: float, kT: float | None, kappa0: float | None):
-    if kT is None and kappa0 is None:
-        kT = 1.0
-    if kT is not None and kappa0 is not None:
-        if not np.isclose(kT, resistance * kappa0, rtol=1e-9):
-            raise ValueError(
-                f"inconsistent temperature: kT={kT} but R*kappa0={resistance * kappa0}"
-            )
-    elif kT is None:
-        kT = resistance * kappa0
-    else:
-        kappa0 = kT / resistance
-    return float(kT), float(kappa0)
-
-
-def compile_precision(precision: np.ndarray, kT: float | None = None,
-                      resistance: float = 1.0, inductance: float = 1.0,
-                      kappa0: float | None = None,
-                      quantize: bool = False, scale_grid: int = 64) -> CompilationResult:
+def compile_precision(precision: np.ndarray, kT: float = 1.0,
+                      quantize: bool = False) -> CompilationResult:
     """Map a precision matrix P to circuit parameters with C = kT * P.
 
-    The compiled circuit's equilibrium voltage covariance is P^-1 in target
-    units (readout_scale converts samples when a quantization rescale was
-    applied).
+    Every cell has R = L = 1, so kappa0 = kT.  The compiled circuit's
+    equilibrium voltage covariance is P^-1 in target units (readout_scale
+    converts samples when a quantization rescale was applied).
     """
     p = _validate_symmetric(precision, "precision matrix")
     _validate_pd(p, "precision matrix")
-    kT, kappa0 = _resolve_temperature(resistance, kT, kappa0)
+    kT = float(kT)
     ideal = kT * p
-    ideal_params = CircuitParams.from_maxwell(ideal, resistance, inductance, kappa0)
+    ideal_params = CircuitParams.from_maxwell(ideal, noise_psd=kT)
     quantized = None
     residual = 0.0
     scale = 1.0
     readout_scale = 1.0
     if quantize:
-        quantized, residual, scale = quantize_to_banks(
-            ideal, resistance=resistance, inductance=inductance,
-            kappa0=kappa0, scale_grid=scale_grid)
+        quantized, residual, scale = quantize_to_banks(ideal, kappa0=kT)
         # hardware C ~= scale * kT * P  =>  cov(V) ~= P^-1 / scale
         readout_scale = float(np.sqrt(scale))
     return CompilationResult(
@@ -184,28 +164,26 @@ def compile_precision(precision: np.ndarray, kT: float | None = None,
 
 
 def compile_covariance(covariance: np.ndarray, beta: float = 1.0,
-                       resistance: float = 1.0, inductance: float = 1.0,
-                       quantize: bool = False, scale_grid: int = 64) -> CompilationResult:
+                       quantize: bool = False) -> CompilationResult:
     """Map a covariance matrix S to circuit parameters with C = beta * S.
 
-    The target distribution lives on the charge vector, i.e. the
-    integrated-current observable (readout "charge"), not on the voltages.
+    Every cell has R = L = 1, so kappa0 = 1 / beta.  The target
+    distribution lives on the charge vector, i.e. the integrated-current
+    observable (readout "charge"), not on the voltages.
     """
     s = _validate_symmetric(covariance, "covariance matrix")
     _validate_pd(s, "covariance matrix")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    kappa0 = 1.0 / (resistance * beta)
+    kappa0 = 1.0 / beta
     ideal = beta * s
-    ideal_params = CircuitParams.from_maxwell(ideal, resistance, inductance, kappa0)
+    ideal_params = CircuitParams.from_maxwell(ideal, noise_psd=kappa0)
     quantized = None
     residual = 0.0
     scale = 1.0
     readout_scale = 1.0
     if quantize:
-        quantized, residual, scale = quantize_to_banks(
-            ideal, resistance=resistance, inductance=inductance,
-            kappa0=kappa0, scale_grid=scale_grid)
+        quantized, residual, scale = quantize_to_banks(ideal, kappa0=kappa0)
         # hardware C ~= scale * beta * S  =>  cov(q) ~= scale * S
         readout_scale = float(1.0 / np.sqrt(scale))
     return CompilationResult(
@@ -229,29 +207,25 @@ def snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def quantize_to_banks(ideal_maxwell: np.ndarray,
-                      resistance: float = 1.0, inductance: float = 1.0,
-                      kappa0: float = 1.0,
-                      bank_values=BANK_CAPACITANCES_F,
-                      coupling_step: float = COUPLING_CAPACITANCE_F,
-                      scale_grid: int = 64,
-                      scale_span: float = 1e2) -> tuple[CircuitParams, float, float]:
+                      kappa0: float = 1.0) -> tuple[CircuitParams, float, float]:
     """Quantize an ideal Maxwell matrix onto the switched hardware values.
 
-    Searches a log-spaced grid of ``scale_grid`` global scale factors
-    spanning [1/scale_span, scale_span] around the natural magnitude match,
-    snapping in-cell capacitances (row sums) to the bank values and
-    couplings to {-x, 0, +x}.  Returns the realizable parameters, the
-    relative Frobenius residual at the chosen scale, and the scale factor.
-    Raises when every candidate is indefinite.
+    Searches a log-spaced grid of 64 global scale factors spanning
+    [1/100, 100] around the natural magnitude match, snapping in-cell
+    capacitances (row sums) to the bank values ``BANK_CAPACITANCES_F`` and
+    couplings to {-x, 0, +x}, x = ``COUPLING_CAPACITANCE_F``.  Every cell
+    has R = L = 1 and noise PSD ``kappa0``.  Returns the realizable
+    parameters, the relative Frobenius residual at the chosen scale, and
+    the scale factor.  Raises when every candidate is indefinite.
     """
     ideal = _validate_symmetric(ideal_maxwell, "ideal Maxwell matrix")
-    bank = np.asarray(bank_values, dtype=float)
+    bank = np.asarray(BANK_CAPACITANCES_F, dtype=float)
     in_cell_ideal = ideal.sum(axis=1)
     center_ref = np.mean(np.abs(in_cell_ideal))
     if center_ref <= 0:
         center_ref = np.mean(np.abs(np.diag(ideal)))
     center = np.mean(bank) / center_ref
-    scales = center * np.logspace(-np.log10(scale_span), np.log10(scale_span), scale_grid)
+    scales = center * np.logspace(-2.0, 2.0, 64)
     # the identity scale is always a candidate so on-grid inputs quantize exactly
     scales = np.concatenate([[1.0], scales])
 
@@ -261,7 +235,8 @@ def quantize_to_banks(ideal_maxwell: np.ndarray,
         cell_caps = snap_to_grid(scaled.sum(axis=1), bank)
         coupling = -scaled.copy()
         np.fill_diagonal(coupling, 0.0)
-        snapped = snap_to_grid(coupling, np.array([-coupling_step, 0.0, coupling_step]))
+        snapped = snap_to_grid(coupling, np.array([-COUPLING_CAPACITANCE_F, 0.0,
+                                                   COUPLING_CAPACITANCE_F]))
         snapped = np.triu(snapped, 1) + np.triu(snapped, 1).T
         m_q = maxwell_from_capacitances(cell_caps, snapped)
         if min_eigenvalue(m_q) <= 0:
@@ -277,7 +252,7 @@ def quantize_to_banks(ideal_maxwell: np.ndarray,
     residual, s, cell_caps, snapped = best
     bank_index = {v: i for i, v in enumerate(bank)}
     cells = tuple(
-        UnitCell(inductance=inductance, resistance=resistance, noise_psd=kappa0,
+        UnitCell(inductance=1.0, resistance=1.0, noise_psd=kappa0,
                  capacitance=c, bank_config=bank_index[c])
         for c in cell_caps
     )
@@ -286,8 +261,8 @@ def quantize_to_banks(ideal_maxwell: np.ndarray,
     return params, residual, float(s)
 
 
-def preprocess_non_psd(matrix: np.ndarray, margin: float = 0.1):
-    """Shift a symmetric matrix to a PSD proxy: A + max(0, margin - lmin(A)) * I.
+def preprocess_non_psd(matrix: np.ndarray):
+    """Shift a symmetric matrix to a PSD proxy: A + max(0, 0.1 - lmin(A)) * I.
 
     Returns ``(proxy, shift)``.  Comfortably PSD inputs pass through
     unchanged with shift 0.0; a positive shift means downstream inversion
@@ -295,8 +270,6 @@ def preprocess_non_psd(matrix: np.ndarray, margin: float = 0.1):
     of scope here.
     """
     a = _validate_symmetric(matrix, "matrix")
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    shift = max(0.0, margin - min_eigenvalue(a))
+    shift = max(0.0, 0.1 - min_eigenvalue(a))
     out = a + shift * np.eye(a.shape[0]) if shift > 0 else a.copy()
     return out, shift

@@ -26,16 +26,18 @@ NOMINAL_NOISE_PSD = 1.0e-13  # A^2/Hz at full drive
 DEFAULT_SAMPLE_RATE_HZ = 12e6
 
 
-def _normalize_coupling(coupling, d: int) -> CouplingConfig:
+def _coupling_states(coupling, d: int) -> np.ndarray:
+    """The state matrix that ``coupling`` names, not yet validated: a preset
+    ("none", "all-positive"), a ``CouplingConfig`` or a matrix of states."""
     if isinstance(coupling, CouplingConfig):
-        return coupling
+        return coupling.states
     if isinstance(coupling, str):
         if coupling == "none":
-            return CouplingConfig.none(d)
+            return np.zeros((d, d), dtype=np.int8)
         if coupling == "all-positive":
-            return CouplingConfig.all_positive(d)
+            return np.ones((d, d), dtype=np.int8) - np.eye(d, dtype=np.int8)
         raise ValueError(f"unknown coupling preset {coupling!r}")
-    return CouplingConfig(np.asarray(coupling))
+    return np.asarray(coupling)
 
 
 @dataclass
@@ -89,30 +91,31 @@ class SpuEmulator:
     def _vec(self, value) -> np.ndarray:
         return np.broadcast_to(np.asarray(value, dtype=float), (self.n_cells,)).copy()
 
-    def nominal_params(self, bank_config=0, coupling="none",
-                       noise_mask=None) -> CircuitParams:
-        """Parameters as the user believes them to be (no imperfections)."""
+    def _configured(self, bank_config, noise_mask) -> tuple:
+        """``(banks, kappa0, L, R)`` per cell as the board is configured, the
+        values its nominal and its true parameters start from."""
         banks = np.broadcast_to(np.asarray(bank_config), (self.n_cells,))
         kappa = self._vec(self.noise_psd)
         if noise_mask is not None:
             kappa = kappa * np.asarray(noise_mask, dtype=float)
-        l_vec = self._vec(self.inductance)
-        r_vec = self._vec(self.resistance)
+        return banks, kappa, self._vec(self.inductance), self._vec(self.resistance)
+
+    def nominal_params(self, bank_config=0, coupling="none") -> CircuitParams:
+        """Parameters as the user believes them to be (no imperfections), every
+        cell driven."""
+        banks, kappa, l_vec, r_vec = self._configured(bank_config, None)
         cells = [UnitCell(l_vec[i], r_vec[i], kappa[i], bank_config=int(banks[i]))
                  for i in range(self.n_cells)]
-        return CircuitParams.build(cells, _normalize_coupling(coupling, self.n_cells))
+        states = _coupling_states(coupling, self.n_cells)
+        return CircuitParams.build(cells, CouplingConfig(states))
 
     def true_params(self, bank_config=0, coupling="none",
                     noise_mask=None) -> CircuitParams:
-        """Parameters with every hidden imperfection applied."""
-        banks = np.broadcast_to(np.asarray(bank_config), (self.n_cells,))
-        kappa = self._vec(self.noise_psd)
-        if noise_mask is not None:
-            kappa = kappa * np.asarray(noise_mask, dtype=float)
+        """Parameters with every hidden imperfection applied.  A dead coupling
+        reads state 0 whatever state it is configured to."""
+        banks, kappa, l_vec, r_vec = self._configured(bank_config, noise_mask)
         for cell in self.dead_cells:
             kappa[cell] = 0.0
-        l_vec = self._vec(self.inductance)
-        r_vec = self._vec(self.resistance)
         if self.coupling_resistance is not None:
             r_vec = np.array([
                 effective_loading(i, r_vec[i], self.coupling_resistance, self.n_cells)
@@ -121,8 +124,7 @@ class SpuEmulator:
         caps = np.array([BANK_CAPACITANCES_F[int(b)] for b in banks])
         for cell, factor in self.capacitance_scale.items():
             caps[cell] *= factor
-        cfg = _normalize_coupling(coupling, self.n_cells)
-        states = cfg.states.copy()
+        states = np.array(_coupling_states(coupling, self.n_cells))
         for i, j in self.dead_couplings:
             states[i, j] = 0
             states[j, i] = 0
@@ -144,9 +146,9 @@ class SpuEmulator:
         return params, cfg
 
     def sample(self, bank_config=0, coupling="none", n_samples: int = 10_000,
-               sample_rate: float = DEFAULT_SAMPLE_RATE_HZ, seed: int = 0,
-               chains: int = 16, noise_mask=None, noise="ideal") -> SampleBatch:
-        """Pull voltage samples from the (imperfect) device."""
-        params, cfg = self.sample_run(bank_config, coupling, n_samples, sample_rate, seed,
-                                      chains, noise_mask)
-        return integrate_circuit(params, cfg, noise=noise, record="voltage")
+               seed: int = 0, chains: int = 16) -> SampleBatch:
+        """Pull voltage samples from the (imperfect) device: every cell driven
+        by the ideal noise source, recorded at ``DEFAULT_SAMPLE_RATE_HZ``."""
+        params, cfg = self.sample_run(bank_config, coupling, n_samples, seed=seed,
+                                      chains=chains)
+        return integrate_circuit(params, cfg, record="voltage")

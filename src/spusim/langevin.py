@@ -429,6 +429,14 @@ def _sub_circuit(params: CircuitParams, cells: np.ndarray) -> CircuitParams:
                    maxwell=params.maxwell[ix], coupling_states=states)
 
 
+def _check_noise(noise) -> None:
+    """Refuse a noise setting other than "ideal", "lfsr-chain" or a
+    ``NoiseChainConfig``."""
+    if not (noise in ("ideal", "lfsr-chain") if isinstance(noise, str)
+            else isinstance(noise, NoiseChainConfig)):
+        raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
+
+
 def _prepared_system(params: CircuitParams, sample_rate: float | None,
                      noise: str | NoiseChainConfig):
     """``(dt, stride, burn-in steps, chain, system)`` of a stepped circuit:
@@ -466,9 +474,7 @@ class _CircuitRun:
             assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
         if record not in ("voltage", "charge", "current"):
             raise ValueError(f"unknown record kind {record!r}")
-        if not (noise in ("ideal", "lfsr-chain") if isinstance(noise, str)
-                else isinstance(noise, NoiseChainConfig)):
-            raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
+        _check_noise(noise)
         d = params.dimension
         chains = cfg.chains
         per_chain = cfg.samples_per_chain

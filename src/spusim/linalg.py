@@ -22,8 +22,9 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import (SPACING_TAUS, TrajectoryConfig, _chain_dt, _refuse_chain_rate,
-                       _voltage_records, correlation_time, integrate_circuit)
+from .langevin import (SPACING_TAUS, TrajectoryConfig, _chain_dt, _check_noise,
+                       _refuse_chain_rate, _voltage_records, correlation_time,
+                       integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
 
@@ -105,7 +106,9 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
                   tolerance_sigma: float = 0.0, chain_seeds: tuple[int, int] | None = None):
     """The circuit run that samples ``spec`` on the emulated device:
     ``(compilation, params, config, noise, factor)``, where ``factor`` turns
-    the run's readout into target samples."""
+    the run's readout into target samples.  A bad noise setting or
+    tolerance is refused before the target is compiled."""
+    _check_noise(noise)
     if not 0.0 <= tolerance_sigma < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tolerance_sigma must be non-negative and finite, got {tolerance_sigma}")
     if spec.kind == "precision":
@@ -251,14 +254,14 @@ def _read_out(cov: np.ndarray, readout: np.ndarray | None) -> np.ndarray:
 
 
 def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
-                  backend: str = "emulated-spu", n_checkpoints: int = 20,
-                  **sample_kwargs) -> InversionResult:
+                  backend: str = "emulated-spu", **sample_kwargs) -> InversionResult:
     """Invert a symmetric positive-definite matrix by equilibrium sampling.
 
     Encodes ``a`` as the precision matrix, samples the circuit at thermal
     equilibrium, and returns the voltage covariance as the inverse
     estimate, together with the relative Frobenius error against the exact
-    dense inverse at logarithmically spaced sample counts.  As on the
+    dense inverse at 20 logarithmically spaced sample counts
+    (``checkpoint_counts``).  As on the
     device, the covariance is accumulated while the run steps: each chunk
     of the run's kept charge records goes into the prefix covariances as it
     is made, so neither the records nor the voltages are ever held whole,
@@ -281,7 +284,7 @@ def invert_matrix(a, plan: SamplingPlan | None = None, seed: int = 0,
             f"cannot invert: {err}", min_eigenvalue=err.min_eigenvalue) from err
     exact = np.linalg.inv(spec.matrix)
     target = exact if basis is None else basis.T @ exact @ basis
-    counts = checkpoint_counts(total, n_checkpoints)
+    counts = checkpoint_counts(total)
     errors = np.empty(len(counts))
     failed = None  # the first checkpoint error that is not finite
     with np.errstate(over="ignore", invalid="ignore"):  # the run steps in this loop
@@ -370,9 +373,11 @@ class StudyResult:
 
 def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
                     seed: int = 0, noise: str | NoiseChainConfig = "ideal",
-                    quantize: bool = False, n_checkpoints: int = 12) -> StudyResult:
+                    quantize: bool = False) -> StudyResult:
     """Error surfaces over noise level or sampling rate, versus sample count.
 
+    Each grid value's errors are read at 12 logarithmically spaced sample
+    counts (``checkpoint_counts``).
     For the rate axis one master trajectory is recorded at the fastest
     requested rate and digitally down-sampled to the slower ones, mirroring
     how the hardware study post-processes a fixed 12 MHz record.  Rows
@@ -394,7 +399,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
             level_plan = replace(plan, noise_level=float(level))
             batch = sample_gaussian(spec, level_plan, seed=seed, noise=noise,
                                     quantize=quantize)
-            report = moment_errors(batch, spec, n_checkpoints)
+            report = moment_errors(batch, spec, 12)
             for n, ce, se, ke in report.rows():
                 result.rows.append(StudyRow(
                     axis="noise_level", value=float(level), n_samples=int(n),
@@ -415,7 +420,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
                              quantize=quantize)
     for rate, stride in zip(rates, strides):
         batch = master.thinned(stride) if stride > 1 else master
-        counts = checkpoint_counts(batch.n_samples, n_checkpoints, start=10)
+        counts = checkpoint_counts(batch.n_samples, 12, start=10)
         if plan.n_samples <= batch.n_samples:
             counts = _sorted_unique(np.append(counts, plan.n_samples))
         for n, cov in prefix_covariances(batch.values, counts, batch.chains):

@@ -150,14 +150,14 @@ def pdm_enable(n: int, duty_cycle: float, offset: int = 0) -> np.ndarray:
     return (np.floor((k + 1) * duty_cycle) - np.floor(k * duty_cycle)).astype(np.int8)
 
 
-def pdm_gate(stream: np.ndarray, duty_cycle: float, offset: int = 0) -> np.ndarray:
-    """AND of a bit stream with the PDM enable pattern.
+def pdm_gate(stream: np.ndarray, duty_cycle: float) -> np.ndarray:
+    """AND of a bit stream with the PDM enable pattern from its first bit.
 
     Works for {0,1} or zero-mean +-1 encodings; in the latter case the
     output RMS scales with sqrt(duty_cycle).
     """
     stream = np.asarray(stream)
-    return stream * pdm_enable(stream.shape[-1], duty_cycle, offset=offset)
+    return stream * pdm_enable(stream.shape[-1], duty_cycle)
 
 
 def rc_filter(stream: np.ndarray, time_constant: float, dt: float,
@@ -271,18 +271,19 @@ class NoiseChainConfig:
             raise ValueError("bit_rate and rc_time_constant must be positive")
 
     @classmethod
-    def matched(cls, tau_corr: float, bits_per_tau: float = 400.0,
-                rc_bits: float = 8.0, **kwargs) -> "NoiseChainConfig":
+    def matched(cls, tau_corr: float, rc_bits: float = 8.0,
+                **kwargs) -> "NoiseChainConfig":
         """Chain settings scaled to a circuit's correlation time.
 
         The absolute defaults describe the physical board; for circuits in
-        normalized units, this keeps the bit rate a fixed multiple of the
-        correlation rate and the RC corner above the resonator band, so the
-        chain is neither absurdly oversampled nor colored in-band.
+        normalized units, this keeps the bit rate at 400 bits a correlation
+        time and the RC corner, ``rc_bits`` bits long, above the resonator
+        band, so the chain is neither absurdly oversampled nor colored
+        in-band.
         """
         if tau_corr <= 0:
             raise ValueError("tau_corr must be positive")
-        bit_rate = bits_per_tau / tau_corr
+        bit_rate = 400.0 / tau_corr
         return cls(bit_rate=bit_rate, rc_time_constant=rc_bits / bit_rate, **kwargs)
 
 

@@ -125,17 +125,16 @@ def load_digital_baseline(path: str | Path | None = None,
     return fit_digital_baseline(table, n_samples=n_samples)
 
 
-def reference_digital_baseline(dims=None, n_samples: int = 10_000) -> np.ndarray:
-    """Qualitative GPU-like baseline table (d, time_s, energy_j).
+def reference_digital_baseline(n_samples: int = 10_000) -> np.ndarray:
+    """Qualitative GPU-like baseline table (d, time_s, energy_j) at 25
+    dimensions spaced geometrically from 100 to 100,000.
 
     Calibrated so the fitted curve is near-cubic over the study range and
     the time crossover against the default device model lands near
     d = 3000.  The underlying measured constants are not published, so this
     table is a documented stand-in, not a measurement.
     """
-    if dims is None:
-        dims = np.unique(np.geomspace(100, 100_000, 25).astype(int))
-    dims = np.asarray(dims, dtype=int)
+    dims = np.unique(np.geomspace(100, 100_000, 25).astype(int))
     cubic = 6.7e-10
     per_sample = 1e-14
     power = 300.0
@@ -145,13 +144,13 @@ def reference_digital_baseline(dims=None, n_samples: int = 10_000) -> np.ndarray
 
 def crossover(spu: SpuCostParams | None = None,
               digital: DigitalCostParams | None = None,
-              n_samples: int = 10_000, d_max: int = 1_000_000) -> int | None:
+              n_samples: int = 10_000) -> int | None:
     """Smallest dimension where the device beats the digital baseline in time.
 
     The time difference digital - spu is eventually monotone (cubic minus
     quadratic); a geometric scan brackets the first sign change and
-    bisection pins it.  Returns None when no crossover exists below
-    ``d_max``.
+    bisection pins it.  Returns None when no crossover exists up to
+    d = 1,000,000.
     """
     spu = spu or SpuCostParams()
     if digital is None:
@@ -164,9 +163,9 @@ def crossover(spu: SpuCostParams | None = None,
     if advantage(1) > 0:
         return 1
     hi = 2
-    while hi <= d_max and advantage(hi) <= 0:
+    while hi <= 1_000_000 and advantage(hi) <= 0:
         hi *= 2
-    if hi > d_max:
+    if hi > 1_000_000:
         return None
     lo = hi // 2
     while hi - lo > 1:

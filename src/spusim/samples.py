@@ -102,7 +102,9 @@ class SampleBatch:
                            self.start_time, self.chains,
                            dict(self.meta, thinned_by=stride))
 
-    def to_csv(self, path: str | Path, sidecar: dict | None = None) -> Path:
+    def to_csv(self, path: str | Path) -> Path:
+        """Write the CSV and its sidecar: the batch's shape, rate, start time
+        and ``meta``."""
         path = Path(path)
         header = "t," + ",".join(f"v{i}" for i in range(self.dimension))
         data = np.column_stack([self.times(), self.values])
@@ -115,8 +117,6 @@ class SampleBatch:
             "dimension": self.dimension,
         }
         side.update(self.meta)
-        if sidecar:
-            side.update(sidecar)
         path.with_suffix(".json").write_text(json.dumps(side, indent=2, sort_keys=True, default=str))
         return path
 

@@ -23,10 +23,10 @@ def _transform(value: float, lo: float, hi: float, out_lo: float, out_hi: float,
 
 def line_plot(path: str | Path, series: list[tuple], title: str = "",
               xlabel: str = "", ylabel: str = "", log_x: bool = False,
-              log_y: bool = False, width: int = 640, height: int = 440) -> Path:
-    """Write an SVG with one polyline per (x, y, label) triple."""
+              log_y: bool = False) -> Path:
+    """Write a 640 x 440 px SVG with one polyline per (x, y, label) triple."""
     path = Path(path)
-    margin = 60
+    width, height, margin = 640, 440, 60
     xs = [float(x) for x, _, _ in series for x in x]
     ys = [float(y) for _, y, _ in series for y in y]
     if log_x:

@@ -148,7 +148,8 @@ class TestCircuitParams:
         m = a @ a.T + 5 * np.eye(5)
         params = CircuitParams.from_maxwell(m, resistance=2.0, inductance=0.5)
         np.testing.assert_allclose(params.maxwell, m, rtol=1e-12)
-        np.testing.assert_allclose(params.in_cell_capacitances, m.sum(axis=1), rtol=1e-12)
+        in_cell = [c.capacitance for c in params.cells]
+        np.testing.assert_allclose(in_cell, m.sum(axis=1), rtol=1e-12)
 
     def test_tolerance_perturbation_seeded(self):
         params = CircuitParams.build([cell(), cell()],
@@ -159,7 +160,7 @@ class TestCircuitParams:
         np.testing.assert_array_equal(a.maxwell, b.maxwell)
         assert not np.array_equal(a.maxwell, c.maxwell)
         # perturbations stay at the few-percent scale
-        ratio = a.in_cell_capacitances / params.in_cell_capacitances
+        ratio = a.maxwell.sum(axis=1) / params.maxwell.sum(axis=1)
         assert np.all(np.abs(ratio - 1) < 0.3)
         np.testing.assert_allclose(a.maxwell, a.maxwell.T)
 

@@ -1026,7 +1026,7 @@ class TestMovingCells:
 
     def test_cells_stepped_counts(self, monkeypatch):
         import spusim.calibration as calibration
-        from spusim.calibration import characterize_cell, two_cell_fault_scan
+        from spusim.calibration import characterize_cells, two_cell_fault_scan
         scanned = {}
         batches = calibration.integrate_circuits
 
@@ -1036,7 +1036,7 @@ class TestMovingCells:
                 yield i, batch
 
         monkeypatch.setattr(calibration, "integrate_circuits", scan_spy)
-        characterize_cell(SpuEmulator(n_cells=4), 2, n_samples=20_000, chains=4)
+        characterize_cells(SpuEmulator(n_cells=4), [2], n_samples=20_000, chains=4)
         assert scanned == {0: 1}
         scanned.clear()
         two_cell_fault_scan(SpuEmulator(n_cells=3), n_samples=16_384)

@@ -96,6 +96,20 @@ class TestSampleGaussian:
         b = sample_gaussian(p, plan, seed=8)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("entry", [sample_gaussian, invert_matrix])
+    def test_unknown_noise_refused_before_any_run(self, monkeypatch, entry):
+        import spusim.langevin as langevin
+        chunks, stepped = langevin._record_chunks, []
+        monkeypatch.setattr(langevin, "_record_chunks",
+                            lambda runs: stepped.append(runs) or chunks(runs))
+        plan = SamplingPlan(n_samples=64, chains=2)
+        with pytest.raises(ValueError, match="noise must be 'ideal', 'lfsr-chain' "
+                                             "or a NoiseChainConfig"):
+            entry(np.eye(2), plan, noise="bogus")
+        assert stepped == []
+        entry(np.eye(2), plan, noise="ideal")  # the spy sees a run that steps
+        assert len(stepped) == 1
+
 
 class TestInvertMatrix:
     def test_identity(self):
