@@ -34,8 +34,7 @@ from .noise import (LfsrState, NoiseChainConfig, gold_bits, lfsr_bits, lfsr_step
                     pdm_gate, rc_filter)
 from .perf import (DigitalCostParams, SpuCostParams, crossover, digital_energy,
                    digital_time, fit_digital_baseline, load_digital_baseline,
-                   performance_curves, reference_digital_baseline, spu_energy,
-                   spu_time)
+                   performance_curves, spu_energy, spu_time)
 from .samples import OnlineCovariance, SampleBatch
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ class UnitCell:
             bank_value = BANK_CAPACITANCES_F[self.bank_config]
             if self.capacitance is None:
                 object.__setattr__(self, "capacitance", bank_value)
-            elif not np.isclose(self.capacitance, bank_value, rtol=1e-9):
+            elif not np.isclose(self.capacitance, bank_value, rtol=1e-9, atol=0.0):
                 raise ValueError(
                     f"capacitance {self.capacitance} disagrees with bank value {bank_value}"
                 )
@@ -113,12 +113,6 @@ class CouplingConfig:
     @classmethod
     def none(cls, d: int) -> "CouplingConfig":
         return cls(np.zeros((d, d), dtype=np.int8))
-
-    @classmethod
-    def all_positive(cls, d: int) -> "CouplingConfig":
-        s = np.ones((d, d), dtype=np.int8)
-        np.fill_diagonal(s, 0)
-        return cls(s)
 
     def capacitances(self, correction: float = 1.0) -> np.ndarray:
         """Coupling capacitance matrix in farads: each state times

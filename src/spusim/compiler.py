@@ -81,7 +81,7 @@ class TargetSpec:
         object.__setattr__(self, "matrix", _validate_symmetric(self.matrix, "target matrix"))
         if self.kind not in ("precision", "covariance"):
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kT <= 0:
+        if not self.kT > 0:  # NaN fails the comparison
             raise ValueError("kT must be positive")
 
     @property
@@ -134,6 +134,31 @@ class CompilationResult:
         }
 
 
+def _compile(matrix: np.ndarray, kind: TargetKind, scale: float, kappa0: float,
+             quantize: bool) -> CompilationResult:
+    """The circuit of ``kind`` target ``matrix`` (validated here): Maxwell
+    matrix C = scale * matrix, every cell R = L = 1 with noise PSD
+    ``kappa0``, so kT = kappa0."""
+    m = _validate_symmetric(matrix, f"{kind} matrix")
+    _validate_pd(m, f"{kind} matrix")
+    target = TargetSpec(m, kind, kappa0)  # refuses a kT that is not positive
+    ideal = scale * m
+    ideal_params = CircuitParams.from_maxwell(ideal, noise_psd=kappa0)
+    quantized, residual, factor, readout_scale = None, 0.0, 1.0, 1.0
+    if quantize:
+        quantized, residual, factor = quantize_to_banks(ideal, kappa0=kappa0)
+        # hardware C ~= factor * scale * matrix  =>  a precision target's
+        # cov(V) ~= P^-1 / factor, a covariance target's cov(q) ~= factor * S
+        readout_scale = (float(np.sqrt(factor)) if kind == "precision"
+                         else float(1.0 / np.sqrt(factor)))
+    return CompilationResult(
+        target=target,
+        ideal_maxwell=ideal, ideal_params=ideal_params, quantized=quantized,
+        residual=residual, scale_factor=factor,
+        readout="voltage" if kind == "precision" else "charge", readout_scale=readout_scale,
+    )
+
+
 def compile_precision(precision: np.ndarray, kT: float = 1.0,
                       quantize: bool = False) -> CompilationResult:
     """Map a precision matrix P to circuit parameters with C = kT * P.
@@ -142,25 +167,8 @@ def compile_precision(precision: np.ndarray, kT: float = 1.0,
     equilibrium voltage covariance is P^-1 in target units (readout_scale
     converts samples when a quantization rescale was applied).
     """
-    p = _validate_symmetric(precision, "precision matrix")
-    _validate_pd(p, "precision matrix")
     kT = float(kT)
-    ideal = kT * p
-    ideal_params = CircuitParams.from_maxwell(ideal, noise_psd=kT)
-    quantized = None
-    residual = 0.0
-    scale = 1.0
-    readout_scale = 1.0
-    if quantize:
-        quantized, residual, scale = quantize_to_banks(ideal, kappa0=kT)
-        # hardware C ~= scale * kT * P  =>  cov(V) ~= P^-1 / scale
-        readout_scale = float(np.sqrt(scale))
-    return CompilationResult(
-        target=TargetSpec(p, "precision", kT),
-        ideal_maxwell=ideal, ideal_params=ideal_params, quantized=quantized,
-        residual=residual, scale_factor=scale,
-        readout="voltage", readout_scale=readout_scale,
-    )
+    return _compile(precision, "precision", kT, kT, quantize)
 
 
 def compile_covariance(covariance: np.ndarray, beta: float = 1.0,
@@ -171,27 +179,9 @@ def compile_covariance(covariance: np.ndarray, beta: float = 1.0,
     distribution lives on the charge vector, i.e. the integrated-current
     observable (readout "charge"), not on the voltages.
     """
-    s = _validate_symmetric(covariance, "covariance matrix")
-    _validate_pd(s, "covariance matrix")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
-    kappa0 = 1.0 / beta
-    ideal = beta * s
-    ideal_params = CircuitParams.from_maxwell(ideal, noise_psd=kappa0)
-    quantized = None
-    residual = 0.0
-    scale = 1.0
-    readout_scale = 1.0
-    if quantize:
-        quantized, residual, scale = quantize_to_banks(ideal, kappa0=kappa0)
-        # hardware C ~= scale * beta * S  =>  cov(q) ~= scale * S
-        readout_scale = float(1.0 / np.sqrt(scale))
-    return CompilationResult(
-        target=TargetSpec(s, "covariance", 1.0 / beta),
-        ideal_maxwell=ideal, ideal_params=ideal_params, quantized=quantized,
-        residual=residual, scale_factor=scale,
-        readout="charge", readout_scale=readout_scale,
-    )
+    return _compile(covariance, "covariance", beta, 1.0 / beta, quantize)
 
 
 def snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:

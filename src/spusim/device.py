@@ -27,15 +27,11 @@ DEFAULT_SAMPLE_RATE_HZ = 12e6
 
 
 def _coupling_states(coupling, d: int) -> np.ndarray:
-    """The state matrix that ``coupling`` names, not yet validated: a preset
-    ("none", "all-positive"), a ``CouplingConfig`` or a matrix of states."""
-    if isinstance(coupling, CouplingConfig):
-        return coupling.states
+    """The state matrix that ``coupling`` names, not yet validated: the
+    preset "none" (no coupling closed) or a matrix of states."""
     if isinstance(coupling, str):
         if coupling == "none":
             return np.zeros((d, d), dtype=np.int8)
-        if coupling == "all-positive":
-            return np.ones((d, d), dtype=np.int8) - np.eye(d, dtype=np.int8)
         raise ValueError(f"unknown coupling preset {coupling!r}")
     return np.asarray(coupling)
 
@@ -44,6 +40,8 @@ def _coupling_states(coupling, d: int) -> np.ndarray:
 class SpuEmulator:
     """An emulated board with optional hidden imperfections.
 
+    Every cell is built with the board's nominal ``NOMINAL_INDUCTANCE_H``,
+    ``NOMINAL_RESISTANCE_OHM`` and ``NOMINAL_NOISE_PSD``.
     ``coupling_resistance`` switches on the parallel-loading non-uniformity
     (lower-numbered cells see more loading).  ``dead_couplings`` behave as
     state 0 regardless of configuration; ``dead_cells`` have a broken noise
@@ -53,9 +51,6 @@ class SpuEmulator:
     """
 
     n_cells: int = 8
-    inductance: float | np.ndarray = NOMINAL_INDUCTANCE_H
-    resistance: float | np.ndarray = NOMINAL_RESISTANCE_OHM
-    noise_psd: float | np.ndarray = NOMINAL_NOISE_PSD
     coupling_resistance: float | None = None
     tolerance_sigma: float = 0.0
     tolerance_seed: int = 0
@@ -88,17 +83,15 @@ class SpuEmulator:
                 raise ValueError(f"capacitance_scale of cell {cell} must be positive and "
                                  f"finite, got {factor}")
 
-    def _vec(self, value) -> np.ndarray:
-        return np.broadcast_to(np.asarray(value, dtype=float), (self.n_cells,)).copy()
-
     def _configured(self, bank_config, noise_mask) -> tuple:
         """``(banks, kappa0, L, R)`` per cell as the board is configured, the
         values its nominal and its true parameters start from."""
-        banks = np.broadcast_to(np.asarray(bank_config), (self.n_cells,))
-        kappa = self._vec(self.noise_psd)
+        n = self.n_cells
+        banks = np.broadcast_to(np.asarray(bank_config), (n,))
+        kappa = np.full(n, NOMINAL_NOISE_PSD)
         if noise_mask is not None:
             kappa = kappa * np.asarray(noise_mask, dtype=float)
-        return banks, kappa, self._vec(self.inductance), self._vec(self.resistance)
+        return banks, kappa, np.full(n, NOMINAL_INDUCTANCE_H), np.full(n, NOMINAL_RESISTANCE_OHM)
 
     def nominal_params(self, bank_config=0, coupling="none") -> CircuitParams:
         """Parameters as the user believes them to be (no imperfections), every

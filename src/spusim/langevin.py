@@ -3,8 +3,8 @@
 The circuit state is carried in flux/charge coordinates (``phi = L I``,
 ``q = C V``), in which the coupled-cell dynamics is an underdamped Langevin
 system with mass matrix C, damping 1/R and quadratic potential
-``U(phi) = phi^T L^-1 phi / 2``.  Voltage and current views are exact linear
-transforms of that state.
+``U(phi) = phi^T L^-1 phi / 2``.  The voltage readout is an exact linear
+transform of that state, ``V = C^-1 q``.
 
 Discretization is a semi-implicit Euler-Maruyama step: the momentum (charge)
 update uses the current position, the position (flux) update uses the fresh
@@ -36,8 +36,8 @@ with the noise factor folded in; the noise is raw standard-normal draws
 with the ideal source, the injected increments with the chain (factor I).
 T follows from the run's shape alone; a large stack steps with T = 1.
 Buffers are reused for the whole run, so the record loop allocates no array
-per record.  A circuit run keeps only the half of each state that its
-readout reads (p for voltage and charge, x for current).  One generator
+per record.  A circuit run reads out voltage or charge, so it keeps only
+the charge half p of each state.  One generator
 of finiteness-checked chunks (``_record_chunks``) makes those halves, and
 two consumers read it.  A batch run copies them once a chunk into records
 shaped (chains, n, K, b/2), and a whole-board run reads them out in place.
@@ -311,10 +311,7 @@ class _LinearSystem:
         )
 
     def compound(self, n_steps: int):
-        """(M, S) of ``n_steps`` composed steps, block by block, by binary doubling."""
-        if n_steps < 1:
-            eye = np.broadcast_to(np.eye(self.m_step.shape[-1]), self.m_step.shape).copy()
-            return eye, np.zeros_like(self.s_step)
+        """(M, S) of ``n_steps`` >= 1 composed steps, block by block, by binary doubling."""
         mk = sk = None
         mc, sc = self.m_step, self.s_step
         n = n_steps
@@ -464,15 +461,15 @@ class _CircuitRun:
     ``systems`` is the lookup of one ``integrate_circuits`` call: runs whose
     stepped circuits and plan inputs are equal (``_prepared_system``) share
     one step size, stride, burn-in and ``_LinearSystem``, and with it its
-    blocked-scan blocks.  Each run keeps its own seeded source, start state,
-    record half and batch."""
+    blocked-scan blocks.  Each run keeps its own seeded source, start state
+    and batch."""
 
     def __init__(self, params: CircuitParams, cfg: TrajectoryConfig,
                  noise: str | NoiseChainConfig = "ideal", record: str = "voltage",
                  systems: dict | None = None):
         if params.maxwell_eigenvalues[0] <= 0:
             assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
-        if record not in ("voltage", "charge", "current"):
+        if record not in ("voltage", "charge"):
             raise ValueError(f"unknown record kind {record!r}")
         _check_noise(noise)
         d = params.dimension
@@ -511,8 +508,7 @@ class _CircuitRun:
         k, b, _ = _stack(sys_.m_step).shape
         rest = np.zeros((k, chains, b))  # every run starts at rest
         self.linear = _LinearRun(sys_, rest, source, per_chain, stride, burn_steps,
-                                 half=0 if record == "current" else 1, board=d)
-        self.l_vector = params.l_vector
+                                 half=1, board=d)
         self.sample_rate, self.start_time = 1.0 / (stride * dt), burn_steps * dt
         self.meta = {
             "dt": dt, "record_stride": stride, "burn_in": self.start_time, "seed": cfg.seed,
@@ -525,8 +521,6 @@ class _CircuitRun:
         """The stepped cells' samples from kept halves (..., d stepped) in the block basis."""
         sys_, record = self.sys_, self.meta["record"]
         values = half if sys_.basis is None else half @ sys_.basis.T
-        if record == "current":
-            return values / self.l_vector
         if record == "voltage":
             # two products, not one by (m_inv @ basis): the pinned readout
             # digests are of this rounding
@@ -590,7 +584,7 @@ def integrate_circuits(runs, record: str = "voltage"):
     ``integrate_circuit`` returns for that run alone.  Every run burns in
     for ``BURN_IN_TAUS`` correlation times, at least 667 of its steps.  Runs
     on either noise source that share the block size, the chain and record
-    counts, the kept half and the chunk step together (``_stacks``): each
+    counts and the chunk step together (``_stacks``): each
     chunk of records then costs one product per block of the stack.  Runs
     whose stepped circuits and plan inputs are equal share their
     preparation (``_prepared_system``): it is made once a call for each
@@ -613,11 +607,12 @@ def integrate_circuit(params: CircuitParams, cfg: TrajectoryConfig,
                       record: str = "voltage") -> SampleBatch:
     """Integrate the coupled-cell SDE from rest and record equilibrium samples.
 
-    ``record`` selects the readout: "voltage" (the standard observable),
+    ``record`` selects the readout: "voltage" (the standard observable) or
     "charge" (the integrated-current observable used for covariance-mode
-    sampling) or "current".  ``noise`` is "ideal" for the exact Gaussian
-    source or a ``NoiseChainConfig`` for the hardware-faithful chain (the
-    string "lfsr-chain" selects that chain with default settings).
+    sampling), the two that a compiled target is read out in.  ``noise``
+    is "ideal" for the exact Gaussian source or a ``NoiseChainConfig`` for
+    the hardware-faithful chain (the string "lfsr-chain" selects that chain
+    with default settings).
     Deterministic under ``cfg.seed``.
 
     Only the cells that can move are stepped: the driven cells and every

@@ -6,7 +6,8 @@ through per-cell ADC channels (linear in sample count, dimension-free
 because channels scale with d), and running the physical dynamics for five
 time constants per decorrelated sample.  The digital baseline is never
 hard-coded: it is fitted to a measured (d, time, energy) table supplied as
-input, with a bundled qualitative reference table for out-of-the-box runs.
+input, with a bundled qualitative reference table
+(``data/digital_baseline.csv``) for out-of-the-box runs.
 
 Every constant is an explicit, overridable assumption; the stage
 decomposition weights in particular are modeling choices, not
@@ -30,23 +31,20 @@ class SpuCostParams:
     ``adc_rate`` the per-channel sampling rate (10 MS/s), and
     ``power_per_cell`` the ADC-dominated draw (5 uW).  The per-element
     compile and load times set the quadratic stage; ``sample_spacing_tau``
-    is the decorrelation spacing in time constants.  ``precision_bits``
-    documents the assumed component precision; it does not enter the time
-    model.
+    is the decorrelation spacing in time constants.
     """
 
     time_constant: float = 1e-6
     adc_rate: float = 1e7
     power_per_cell: float = 5e-6
-    precision_bits: int = 16
     compile_time_per_element: float = 1e-6
     load_time_per_element: float = 1e-6
     sample_spacing_tau: float = 5.0
 
     def __post_init__(self):
         values = (self.time_constant, self.adc_rate, self.power_per_cell,
-                  self.precision_bits, self.compile_time_per_element,
-                  self.load_time_per_element, self.sample_spacing_tau)
+                  self.compile_time_per_element, self.load_time_per_element,
+                  self.sample_spacing_tau)
         if any(v <= 0 for v in values):
             raise ValueError("all cost parameters must be positive")
 
@@ -113,7 +111,15 @@ def fit_digital_baseline(table: np.ndarray, n_samples: int = 10_000) -> DigitalC
 
 def load_digital_baseline(path: str | Path | None = None,
                           n_samples: int = 10_000) -> DigitalCostParams:
-    """Load and fit a baseline CSV (d,time_s,energy_j); bundled table by default."""
+    """Load and fit a baseline CSV (d,time_s,energy_j); bundled table by default.
+
+    The bundled table is a qualitative GPU-like stand-in, not a measurement
+    (the measured constants are not published): time 6.7e-10 d^3 +
+    1e-14 n d^2 seconds (n = 10,000) at 300 W, at 25 dimensions spaced
+    geometrically from 100 to 100,000.  Its fitted curve is near-cubic over
+    that range, and the time crossover against the default device model
+    lands near d = 3000.
+    """
     if path is None:
         ref = importlib.resources.files("spusim.data").joinpath("digital_baseline.csv")
         text = ref.read_text()
@@ -125,27 +131,10 @@ def load_digital_baseline(path: str | Path | None = None,
     return fit_digital_baseline(table, n_samples=n_samples)
 
 
-def reference_digital_baseline(n_samples: int = 10_000) -> np.ndarray:
-    """Qualitative GPU-like baseline table (d, time_s, energy_j) at 25
-    dimensions spaced geometrically from 100 to 100,000.
-
-    Calibrated so the fitted curve is near-cubic over the study range and
-    the time crossover against the default device model lands near
-    d = 3000.  The underlying measured constants are not published, so this
-    table is a documented stand-in, not a measurement.
-    """
-    dims = np.unique(np.geomspace(100, 100_000, 25).astype(int))
-    cubic = 6.7e-10
-    per_sample = 1e-14
-    power = 300.0
-    t = cubic * dims.astype(float) ** 3 + per_sample * n_samples * dims.astype(float) ** 2
-    return np.column_stack([dims, t, power * t])
-
-
-def crossover(spu: SpuCostParams | None = None,
-              digital: DigitalCostParams | None = None,
+def crossover(digital: DigitalCostParams, spu: SpuCostParams | None = None,
               n_samples: int = 10_000) -> int | None:
-    """Smallest dimension where the device beats the digital baseline in time.
+    """Smallest dimension where the device beats the fitted ``digital``
+    baseline (``load_digital_baseline``) in time.
 
     The time difference digital - spu is eventually monotone (cubic minus
     quadratic); a geometric scan brackets the first sign change and
@@ -153,9 +142,6 @@ def crossover(spu: SpuCostParams | None = None,
     d = 1,000,000.
     """
     spu = spu or SpuCostParams()
-    if digital is None:
-        digital = fit_digital_baseline(reference_digital_baseline(n_samples=n_samples),
-                                       n_samples=n_samples)
 
     def advantage(d: int) -> float:
         return digital_time(d, n_samples, digital) - spu_time(d, n_samples, spu)
@@ -184,14 +170,11 @@ def loglog_slope(dims, values) -> float:
     return float(np.polyfit(np.log(dims), np.log(values), 1)[0])
 
 
-def performance_curves(dims, n_samples: int = 10_000,
-                       spu: SpuCostParams | None = None,
-                       digital: DigitalCostParams | None = None) -> np.ndarray:
-    """Table (d, spu_time, digital_time, spu_energy, digital_energy)."""
+def performance_curves(dims, digital: DigitalCostParams, n_samples: int = 10_000,
+                       spu: SpuCostParams | None = None) -> np.ndarray:
+    """Table (d, spu_time, digital_time, spu_energy, digital_energy) against
+    the fitted ``digital`` baseline (``load_digital_baseline``)."""
     spu = spu or SpuCostParams()
-    if digital is None:
-        digital = fit_digital_baseline(reference_digital_baseline(n_samples=n_samples),
-                                       n_samples=n_samples)
     rows = []
     for d in np.asarray(dims, dtype=int):
         rows.append((d, spu_time(d, n_samples, spu), digital_time(d, n_samples, digital),

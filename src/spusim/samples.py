@@ -120,19 +120,6 @@ class SampleBatch:
         path.with_suffix(".json").write_text(json.dumps(side, indent=2, sort_keys=True, default=str))
         return path
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "SampleBatch":
-        path = Path(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        sidecar_path = path.with_suffix(".json")
-        meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-        rate = float(meta.get("sample_rate", 1.0))
-        chains = int(meta.get("chains", 1))
-        start = float(meta.get("start_time", 0.0))
-        known = {"sample_rate", "start_time", "chains", "n_samples", "dimension"}
-        extra = {k: v for k, v in meta.items() if k not in known}
-        return cls(data[:, 1:], rate, start, chains, extra)
-
 
 class OnlineCovariance:
     """One-pass mean/comoment accumulator with exact pairwise merging.

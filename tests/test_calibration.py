@@ -104,8 +104,8 @@ class TestAnalyticSpectrum:
 
 class TestFitCircuitParams:
     def test_plant_and_recover_synthetic(self):
-        device = SpuEmulator(n_cells=1, inductance=1.5e-6, resistance=60.0,
-                             noise_psd=1e-13)
+        device = CircuitParams.build([UnitCell(1.5e-6, 60.0, 1e-13, bank_config=3)],
+                                     CouplingConfig.none(1))
         fit, _ = characterize_cell(device, cell=0, n_samples=400_000, seed=4)
         est = fit.estimate
         assert est.inductance == pytest.approx(1.5e-6, rel=0.10)
@@ -215,8 +215,7 @@ class TestFaultScan:
         (SpuEmulator(n_cells=4, dead_couplings={(1, 3)}, dead_cells={2},
                      capacitance_scale={0: 1.3, 3: 0.8}), 3),
         (SpuEmulator(n_cells=4, dead_couplings={(0, 2)}, capacitance_scale={1: 1.5}), 0),
-        (SpuEmulator(n_cells=5, inductance=2.2e-6, dead_cells={0},
-                     capacitance_scale={4: 0.7}), 1),
+        (SpuEmulator(n_cells=5, dead_cells={0}, capacitance_scale={4: 0.7}), 1),
         (SpuEmulator(n_cells=3, coupling_resistance=400.0), 2),
     ])
     def test_expected_frequency_is_the_coupled_nominal_board(self, device, bank):
@@ -506,6 +505,7 @@ class TestBoardBoundaries:
             characterize_cells(device, [0], n_samples=20_000, chains=4)
 
     def test_undriven_cell_fails_before_the_fit(self):
-        device = SpuEmulator(n_cells=2, noise_psd=np.array([1e-13, 0.0]))
+        device = CircuitParams.build([UnitCell(1.3e-6, 50.0, k, bank_config=3)
+                                      for k in (1e-13, 0.0)], CouplingConfig.none(2))
         with pytest.raises(DeadCellError, match="cell 1 has no noise drive"):
             characterize_cells(device, [1], n_samples=20_000, chains=4)

@@ -9,7 +9,7 @@ from spusim.circuit import (BANK_CAPACITANCES_F, CircuitParams, CouplingConfig,
                             UnitCell, assert_positive_definite, build_maxwell,
                             effective_loading, loading_variance_model,
                             maxwell_from_capacitances, min_eigenvalue)
-from spusim.device import SpuEmulator
+from spusim.device import NOMINAL_RESISTANCE_OHM, SpuEmulator
 from spusim.errors import (DimensionMismatchError, MatrixFormatError,
                            NotPositiveDefiniteError)
 
@@ -38,7 +38,7 @@ class TestMaxwell:
     def test_eight_cell_bank3_all_positive(self):
         # diagonal 6.5 + 7 * 0.47 = 9.79 nF, off-diagonals -0.47 nF
         cells = [UnitCell(1e-6, 50.0, 1e-13, bank_config=3) for _ in range(8)]
-        m = build_maxwell(cells, CouplingConfig.all_positive(8))
+        m = build_maxwell(cells, CouplingConfig(1 - np.eye(8, dtype=np.int8)))
         np.testing.assert_allclose(np.diag(m), np.full(8, 9.79 * NF), rtol=1e-12)
         off = m[~np.eye(8, dtype=bool)]
         np.testing.assert_allclose(off, np.full(56, -0.47 * NF), rtol=1e-12)
@@ -58,11 +58,11 @@ class TestMaxwell:
 
     def test_positive_definiteness_checked_not_assumed(self):
         cells = [cell(1.0 * NF) for _ in range(4)]
-        m = build_maxwell(cells, CouplingConfig.all_positive(4))
+        m = build_maxwell(cells, CouplingConfig(1 - np.eye(4, dtype=np.int8)))
         assert_positive_definite(m)
         # all-negative couplings at this cap/coupling ratio push an eigenvalue
         # negative; the check must catch it rather than assume positivity
-        neg = CouplingConfig(-CouplingConfig.all_positive(4).states)
+        neg = CouplingConfig(np.eye(4, dtype=np.int8) - 1)
         m_neg = build_maxwell(cells, neg)
         if min_eigenvalue(m_neg) <= 0:
             with pytest.raises(NotPositiveDefiniteError) as err:
@@ -173,8 +173,8 @@ class TestCircuitParams:
 
     def test_parallel_loading_applied(self):
         # the board applies the loading to every cell's resistance
-        loaded = SpuEmulator(resistance=100.0, coupling_resistance=1000.0).true_params()
-        expected = [effective_loading(i, 100.0, 1000.0, 8) for i in range(8)]
+        loaded = SpuEmulator(coupling_resistance=1000.0).true_params()
+        expected = [effective_loading(i, NOMINAL_RESISTANCE_OHM, 1000.0, 8) for i in range(8)]
         np.testing.assert_allclose(loaded.r_vector, expected)
 
     def test_json_round_trip_quantized(self):

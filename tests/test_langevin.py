@@ -130,10 +130,13 @@ class TestCoordinates:
         # and zero charge (voltage) in every record
         params = CircuitParams.from_maxwell(random_psd_params(3, 2).maxwell, noise_psd=0.0)
         cfg = TrajectoryConfig(n_samples=40, chains=2, seed=3)
-        for record in ("current", "voltage"):
-            batch = integrate_circuit(params, cfg, record=record)
-            assert batch.meta["cells_stepped"] == 3
-            np.testing.assert_array_equal(batch.values, 0.0)
+        batch = integrate_circuit(params, cfg)
+        assert batch.meta["cells_stepped"] == 3
+        np.testing.assert_array_equal(batch.values, 0.0)
+        run = langevin._CircuitRun(params, cfg).linear
+        recs = _run_linear(run.sys_, run.z, run.source, run.per_chain, run.stride,
+                           run.burn_steps)
+        np.testing.assert_array_equal(recs, 0.0)
 
     def test_two_cell_charge_example(self):
         cells = [UnitCell(1e-6, 50.0, 0.0, capacitance=1.0 * NF) for _ in range(2)]
@@ -295,14 +298,14 @@ class TestCircuitIntegration:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_flux_charge_independent_at_equilibrium(self):
-        # same seed gives the same trajectory, so the two records are views
-        # of one run; the simulated flux/charge cross-covariance vanishes
+        # both halves of one circuit run's records: the simulated
+        # flux/charge cross-covariance vanishes
         params = random_psd_params(3, 30)
         cfg = TrajectoryConfig(n_samples=60_000, seed=31, chains=60)
-        v = integrate_circuit(params, cfg, record="voltage").values
-        i = integrate_circuit(params, cfg, record="current").values
-        phi = i * params.l_vector
-        q = v @ params.maxwell.T
+        run = langevin._CircuitRun(params, cfg).linear
+        recs = _run_linear(run.sys_, run.z, run.source, run.per_chain, run.stride,
+                           run.burn_steps)
+        phi, q = (cells(run.sys_, recs, half).reshape(-1, 3) for half in (0, 1))
         cross = (phi - phi.mean(0)).T @ (q - q.mean(0)) / (len(phi) - 1)
         scale = np.sqrt(np.outer(phi.var(axis=0), q.var(axis=0)))
         assert np.max(np.abs(cross / scale)) < 0.05
@@ -846,7 +849,7 @@ class TestModalEngine:
         rng = np.random.default_rng(55)
         cells = [UnitCell(1e-6 * (1.0 + 0.1 * rng.standard_normal()), 50.0, 1e-13,
                           bank_config=2) for _ in range(5)]
-        coupled = CircuitParams.build(cells, CouplingConfig.all_positive(5))
+        coupled = CircuitParams.build(cells, CouplingConfig(1 - np.eye(5, dtype=np.int8)))
         assert _LinearSystem.from_circuit(coupled, dt).basis is None
         # a driven pair of the fault scan: the noise mask couples the pair's modes
         pair = np.zeros((4, 4), dtype=np.int8)
@@ -964,7 +967,7 @@ class _PaddedChain:
 class TestMovingCells:
     """Only driven and coupled cells are stepped; the rest read exact zeros."""
 
-    @pytest.mark.parametrize("record", ["voltage", "charge", "current"])
+    @pytest.mark.parametrize("record", ["voltage", "charge"])
     def test_zero_noise_matches_full_board(self, monkeypatch, record):
         # cell 0 is driven and drags its partner 1; cells 2 and 3 are neither
         # and get no noise, so they stay at rest.  The whole board, driven by
@@ -1055,7 +1058,6 @@ class TestReadoutDigests:
     TARGET = TestMovingCells.TARGET
     DIGESTS = {
         "charge": "1e547cc4c474ec7a9845b8ffbe5ac74ab6123da971e998782dc1f5eab6ce0282",
-        "current": "252f18417817f03acedffa2a970708357d0487c9f9070ff2c06908bf711f72f4",
         "dense": "bf00dca99969b0aa09894a9b13510491ce593ffbda62968ff00174ad0efb6fe0",
     }
 
@@ -1065,15 +1067,11 @@ class TestReadoutDigests:
             batch = sample_gaussian(TargetSpec(self.TARGET, "covariance"),
                                     SamplingPlan(n_samples=600, chains=3), seed=5)
             assert batch.meta["record"] == "charge"
-        elif case == "current":
-            batch = integrate_circuit(compile_precision(self.TARGET).ideal_params,
-                                      TrajectoryConfig(n_samples=600, chains=3, seed=11),
-                                      record="current")
         else:  # coupled cells with inductance scatter: one dense block
             rng = np.random.default_rng(55)
             cells = [UnitCell(1e-6 * (1.0 + 0.1 * rng.standard_normal()), 50.0, 1e-13,
                               bank_config=2) for _ in range(5)]
-            params = CircuitParams.build(cells, CouplingConfig.all_positive(5))
+            params = CircuitParams.build(cells, CouplingConfig(1 - np.eye(5, dtype=np.int8)))
             assert _LinearSystem.from_circuit(params, 1e-9).basis is None
             batch = integrate_circuit(params, TrajectoryConfig(n_samples=600, chains=3,
                                                                seed=12))
@@ -1263,11 +1261,11 @@ class TestBatchedRuns:
         assert "(record 131)" in str(alone.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    @pytest.mark.parametrize("record", ["current", "voltage"])
+    @pytest.mark.parametrize("record", ["voltage", "charge"])
     def test_non_finite_one_half_run_is_named_as_both_halves(self, monkeypatch, record):
         good, bad = _unstable_runs(monkeypatch)
         run = langevin._CircuitRun(*bad, record=record).linear
-        assert run.half == (0 if record == "current" else 1)
+        assert run.half == 1
         with pytest.raises(NonFiniteStateError) as both:  # records keep x and p
             _run_linear(run.sys_, run.z, np.random.default_rng(bad[1].seed), run.per_chain,
                         run.stride, run.burn_steps)

@@ -1,12 +1,14 @@
 """Tests for the runtime/energy scaling model."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from spusim.perf import (DigitalCostParams, SpuCostParams, crossover,
                          digital_energy, digital_time, fit_digital_baseline,
                          load_digital_baseline, loglog_slope, performance_curves,
-                         reference_digital_baseline, spu_energy, spu_time)
+                         spu_energy, spu_time)
 
 
 class TestSpuTime:
@@ -81,7 +83,7 @@ class TestDigitalBaseline:
 
 class TestCrossover:
     def test_reference_crossover_brackets_three_thousand(self):
-        d_star = crossover()
+        d_star = crossover(load_digital_baseline())
         assert d_star is not None
         assert 1000 <= d_star <= 10_000
 
@@ -109,13 +111,16 @@ class TestCrossover:
 class TestCurves:
     def test_table_shape_and_monotonicity(self):
         dims = [100, 1000, 10_000]
-        table = performance_curves(dims)
+        table = performance_curves(dims, load_digital_baseline())
         assert table.shape == (3, 5)
         assert np.all(np.diff(table[:, 1]) > 0)
         assert np.all(np.diff(table[:, 2]) > 0)
 
     def test_reference_table_round_trips_through_fit(self):
-        table = reference_digital_baseline()
-        params = fit_digital_baseline(table)
+        # the bundled table is the cubic-plus-quadratic model the fit recovers
+        text = importlib.resources.files("spusim.data").joinpath("digital_baseline.csv")
+        table = np.loadtxt(text.read_text().splitlines(), delimiter=",", skiprows=1)
+        assert table.shape == (25, 3)
+        params = load_digital_baseline()
         t_fit = [digital_time(int(d), 10_000, params) for d in table[:, 0]]
         np.testing.assert_allclose(t_fit, table[:, 1], rtol=1e-6)

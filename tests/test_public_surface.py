@@ -1,8 +1,10 @@
 """Every public symbol has a user in the program, or a stated reason to exist."""
 
 import ast
+import importlib
 import pathlib
-import re
+
+from spusim import device, langevin, linalg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "spusim" / "__init__.py"
@@ -13,6 +15,7 @@ INIT = ROOT / "src" / "spusim" / "__init__.py"
 ALLOWED_UNREFERENCED = {
     "build_maxwell": "the paper's Maxwell matrix from cell and coupling capacitances",
     "lfsr_step": "one clock of the 16-bit LFSR that the noise chain is built from",
+    "preprocess_non_psd": "the remedy that the not-positive-definite error names",
     "stationary_state_covariance": "the exact law where the Gibbs formula fails "
                                    "(non-uniform R kappa0)",
     "stationary_voltage_covariance": "the equilibrium law every sampling run targets",
@@ -39,20 +42,32 @@ def definitions(tree):
     return spans
 
 
+def program_trees():
+    """``(path, AST)`` of every module of the package, the demos and the benchmark."""
+    for folder in ("src/spusim", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def references(tree) -> list[tuple[str, int]]:
+    """``(name, line)`` of every name a module's code reads or binds, as a
+    plain name or as an attribute: strings and comments do not count."""
+    return [(node.id, node.lineno) if isinstance(node, ast.Name) else (node.attr, node.lineno)
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
 def test_every_export_is_referenced_or_allowed():
-    sources = [path.read_text() for folder in ("src/spusim", "demos", "perfbench")
-               for path in sorted((ROOT / folder).rglob("*.py")) if path != INIT]
-    assert sources
-    modules = [(text, definitions(ast.parse(text))) for text in sources]
+    modules = [(references(tree), definitions(tree))
+               for path, tree in program_trees() if path != INIT]
+    assert modules
 
     def referenced(name):
         """Named outside its own definition and those of the allowlisted exports."""
-        for text, spans in modules:
+        for refs, spans in modules:
             skipped = [spans[n] for n in {name, *ALLOWED_UNREFERENCED} if n in spans]
-            for match in re.finditer(rf"\b{name}\b", text):
-                line = text.count("\n", 0, match.start()) + 1
-                if not any(first <= line <= last for first, last in skipped):
-                    return True
+            if any(ref == name and not any(first <= line <= last for first, last in skipped)
+                   for ref, line in refs):
+                return True
         return False
 
     unreferenced = {name for name in exported_names() if not referenced(name)}
@@ -61,6 +76,63 @@ def test_every_export_is_referenced_or_allowed():
         f"{sorted(unreferenced - set(ALLOWED_UNREFERENCED))}")
     # an allowlist entry that gains a user, or leaves the exports, goes
     assert set(ALLOWED_UNREFERENCED) <= unreferenced
+
+
+# Public members of public classes that nothing in the package, the demos or
+# the benchmark reads, each kept for a stated reason.
+ALLOWED_UNREAD_MEMBERS = {
+    "circuit.CouplingConfig.none": "the acceptance tests build their uncoupled boards with it",
+    "noise.ChainNoiseSource.increments":
+        "the benchmark's tracer wraps it by name; it moves into the tests with the tracer",
+}
+
+
+def public_members():
+    """``(name, def)`` of every public method, property and classmethod of a
+    public class of the package, named ``module.Class.member``."""
+    for path in sorted((ROOT / "src" / "spusim").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{member.name}", member
+
+
+def test_every_public_member_is_read_or_allowed():
+    modules = [(path, references(tree)) for path, tree in program_trees()]
+    unread = set()
+    for qualname, member in public_members():
+        path = ROOT / "src" / "spusim" / f"{qualname.split('.')[0]}.py"
+        first = min([member.lineno] + [d.lineno for d in member.decorator_list])
+        own = range(first, member.end_lineno + 1)
+        if not any(ref == member.name and not (where == path and line in own)
+                   for where, refs in modules for ref, line in refs):
+            unread.add(qualname)
+    assert unread <= set(ALLOWED_UNREAD_MEMBERS), (
+        "public members that nothing in the program reads: "
+        f"{sorted(unread - set(ALLOWED_UNREAD_MEMBERS))}")
+    # an allowlist entry that gains a reader, or whose member goes, goes
+    assert set(ALLOWED_UNREAD_MEMBERS) <= unread
+
+
+def test_every_traced_target_resolves():
+    """Each ``(module, qualname)`` that the benchmark's tracer wraps names a
+    function of the module or a member defined on its class, as
+    ``perfbench/tracing.py``'s ``install`` reads them."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    listed = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    targets = [(entry.elts[1].value, entry.elts[2].value) for entry in listed.elts]
+    assert len(targets) > 20
+    for module_name, qualname in targets:
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = qualname.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert attr in vars(owner), f"{module_name}.{qualname} is not defined"
+    # install rebinds a function wherever the package holds it by name, and
+    # the benchmark's self-test checks these two
+    assert linalg.integrate_circuit is langevin.integrate_circuit
+    assert device.integrate_circuit is langevin.integrate_circuit
 
 
 # Defaulted parameters that no call in the package, the demos or the
@@ -100,13 +172,12 @@ def defaulted_parameters(fn: ast.FunctionDef) -> list[str]:
 def program_calls() -> dict[str, list[ast.Call]]:
     """Every call in the package, the demos and the benchmark, by called name."""
     calls = {}
-    for folder in ("src/spusim", "demos", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    calls.setdefault(name, []).append(node)
+    for _, tree in program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                calls.setdefault(name, []).append(node)
     return calls
 
 

@@ -1,5 +1,7 @@
 """Tests for sample batches and covariance accumulation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,11 +40,14 @@ class TestSampleBatch:
         batch = make_batch(3)
         batch.meta["dt"] = 1e-9
         path = batch.to_csv(tmp_path / "run.csv")
-        restored = SampleBatch.from_csv(path)
-        np.testing.assert_allclose(restored.values, batch.values, rtol=1e-15)
-        assert restored.chains == batch.chains
-        assert restored.sample_rate == batch.sample_rate
-        assert restored.meta["dt"] == 1e-9
+        assert path.read_text().splitlines()[0] == "t,v0,v1,v2"
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(data[:, 0], batch.times())
+        np.testing.assert_array_equal(data[:, 1:], batch.values)
+        side = json.loads(path.with_suffix(".json").read_text())
+        assert side == {"sample_rate": batch.sample_rate, "start_time": batch.start_time,
+                        "chains": batch.chains, "n_samples": batch.n_samples,
+                        "dimension": 3, "dt": 1e-9}
 
     def test_csv_deterministic_bytes(self, tmp_path):
         batch = make_batch(4)
