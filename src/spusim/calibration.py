@@ -182,7 +182,7 @@ class CellEstimate:
     capacitance: float
 
     def __post_init__(self):
-        if min(self.inductance, self.resistance, self.noise_psd, self.capacitance) <= 0:
+        if not (self.as_array() > 0).all():  # NaN fails the comparison
             raise ValueError("all estimates must be positive")
 
     def as_array(self) -> np.ndarray:

@@ -52,10 +52,11 @@ class UnitCell:
     bank_config: int | None = None
 
     def __post_init__(self):
-        if self.inductance <= 0 or self.resistance <= 0:
-            raise ValueError("inductance and resistance must be strictly positive")
-        if self.noise_psd < 0:
-            raise ValueError("noise_psd must be non-negative")
+        for name, value in (("inductance", self.inductance), ("resistance", self.resistance)):
+            if not 0.0 < value < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.noise_psd < np.inf:
+            raise ValueError(f"noise_psd must be non-negative and finite, got {self.noise_psd}")
         if self.bank_config is not None:
             if self.bank_config not in (0, 1, 2, 3):
                 raise ValueError(f"bank_config must be in 0..3, got {self.bank_config}")

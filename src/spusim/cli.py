@@ -41,13 +41,18 @@ from .samples import FLOAT_FMT
 from .svgplot import line_plot
 
 
+def _read_csv(path: str) -> np.ndarray:
+    """Any input file of a verb (plain CSV, row-major, no header) as a 2-d array."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:
+        raise MatrixFormatError(f"cannot read matrix file {path!r}: {err}") from err
+
+
 def load_matrix(path: str) -> np.ndarray:
     """Plain CSV, row-major, no header; validated finite, square and symmetric
     to 1e-9 of its Frobenius norm."""
-    try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as err:
-        raise MatrixFormatError(f"cannot read matrix file {path!r}: {err}") from err
+    m = _read_csv(path)
     if not np.all(np.isfinite(m)):
         raise MatrixFormatError(f"{path}: matrix has NaN or infinite entries")
     if m.shape[0] != m.shape[1]:
@@ -214,7 +219,7 @@ def _float_list(text: str) -> str:
 def cmd_gpr(args) -> _Run:
     run = _Run(args)
     if args.train:
-        data = np.loadtxt(args.train, delimiter=",", ndmin=2)
+        data = _read_csv(args.train)
         if data.shape[1] != 2:
             raise MatrixFormatError(f"{args.train}: expected two columns x,y")
         train = Dataset1D(data[:, 0], data[:, 1])
@@ -242,14 +247,14 @@ def cmd_gpr(args) -> _Run:
 def cmd_lsq(args) -> _Run:
     run = _Run(args)
     if args.data:
-        data = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        data = _read_csv(args.data)
         if data.shape[1] != 2:
             raise MatrixFormatError(f"{args.data}: expected two columns x,y")
         x, y = data[:, 0], data[:, 1]
         design = np.column_stack([x ** k for k in range(args.degree + 1)])
     elif args.design and args.y:
-        design = np.loadtxt(args.design, delimiter=",", ndmin=2)
-        y = np.loadtxt(args.y, delimiter=",").ravel()
+        design = _read_csv(args.design)
+        y = _read_csv(args.y).ravel()
     else:
         raise MatrixFormatError("provide --data or both --design and --y")
     plan = SamplingPlan(n_samples=args.inverter_samples, chains=args.chains)
@@ -274,7 +279,7 @@ def cmd_sngp_sample(args) -> _Run:
     else:
         if not (args.mean and args.cov):
             raise MatrixFormatError("provide --mean and --cov, or --demo")
-        mean = np.loadtxt(args.mean, delimiter=",").ravel()
+        mean = _read_csv(args.mean).ravel()
         cov = load_matrix(args.cov)
     plan = SamplingPlan(n_samples=max(args.draws, 1000), chains=args.chains)
     draws = sngp_patch_sample(mean, cov, n_draws=args.draws,
@@ -403,9 +408,8 @@ def cmd_study(args) -> _Run:
     grid = [float(v) for v in args.grid.split(",")]
     plan = SamplingPlan(n_samples=args.n, chains=args.chains,
                         decorrelate=not args.no_decorrelate)
-    noise = "lfsr-chain" if args.noise_mode == "lfsr-chain" else "ideal"
     study = parameter_study(args.axis, grid, target, plan, seed=args.seed,
-                            noise=noise, quantize=args.quantize)
+                            noise=args.noise_mode, quantize=args.quantize)
     run.add("study", write_csv(  # a None entry is written as nan
         run.path("study.csv"),
         f"{args.axis},n_samples,cov_err,cov_err_per_element,skew_err,kurt_err,window_s",

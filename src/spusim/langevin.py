@@ -139,10 +139,7 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
     return cinv @ sigma[d:, d:] @ cinv
 
 
-# The 5 tau rule: a run burns in for BURN_IN_TAUS correlation times, and
-# decorrelated records lie SPACING_TAUS correlation times apart.
-BURN_IN_TAUS = 5.0
-SPACING_TAUS = 5.0
+BURN_IN_TAUS = 5.0  # a run burns in for this many correlation times (the 5 tau rule)
 _MAX_CHAIN_STEPS = 100_000_000  # most integrator steps of one chain of a chain-noise run
 
 
@@ -153,14 +150,15 @@ class TrajectoryConfig:
     ``n_samples`` is the total number of recorded states, rounded up to a
     multiple of ``chains`` (independent seeded chains, merged chain-major).
     Every run burns in for ``BURN_IN_TAUS`` correlation times from rest,
-    then records ``sample_rate`` times a second (Hz), or once every
-    ``SPACING_TAUS`` correlation times when it is None.  The run picks its
-    own step (``_resolve_steps``), and the records fall at
-    burn-in + k * stride * dt for k = 1..n.
+    then records ``sample_rate`` times a second (Hz); a plan that spaces
+    its records by correlation times states that spacing as a rate
+    (``linalg.SamplingPlan``).  The run picks its own step and stride
+    (``_resolve_steps``), and the records fall at burn-in + k * stride * dt
+    for k = 1..n.
     """
 
-    n_samples: int = 1000
-    sample_rate: float | None = None
+    n_samples: int
+    sample_rate: float
     seed: int = 0
     chains: int = 1
 
@@ -170,7 +168,7 @@ class TrajectoryConfig:
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         rate = self.sample_rate
-        if rate is not None and not (math.isfinite(rate) and rate > 0):
+        if rate is None or not 0.0 < rate < math.inf:  # NaN fails both comparisons
             raise ValueError(f"sample_rate must be positive and finite, got {rate}")
 
     @property
@@ -255,12 +253,13 @@ class _LinearSystem:
     diagonalizes the mass inverse, the potential, the damping and the
     noise covariance (every compiled target, every uncoupled board), the
     2d-dimensional chain splits into d normal modes: ``basis`` is Q and the
-    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i, and
-    ``m_inv_modes`` is the diagonal of Q^T m_inv Q.  Otherwise ``basis``
-    and ``m_inv_modes`` are None (Q = I, never multiplied, so no sign of a
-    zero flips) and the stack is one dense 2d x 2d block.  The split is
-    measured, never configured: the candidate basis is kept only if the
-    rotated operators are diagonal to ``_DECOUPLED_RTOL``.
+    stack holds one 2 x 2 block per mode over (Q^T x, Q^T p)_i.  Otherwise
+    ``basis`` is None (Q = I, never multiplied, so no sign of a zero flips)
+    and the stack is one dense 2d x 2d block.  The split is measured, never
+    configured: the candidate basis is kept only if the rotated operators
+    are diagonal to ``_DECOUPLED_RTOL``.  ``scale`` is what the charge half
+    is multiplied by to read out a voltage (``readout``): the diagonal lam
+    of Q^T m_inv Q per mode, m_inv itself for a dense block.
 
     ``m_step`` is the transition, ``s_step`` the injected noise covariance
     of the ideal source, and ``n_inject`` maps per-step momentum noise of an
@@ -276,11 +275,10 @@ class _LinearSystem:
         self.dt = dt
         self.blocks = {}  # blocked-scan blocks by (steps, ideal source): _LinearRun.plans
         self.dimension = d
-        self.m_inv = m_inv
         modes = _normal_modes(m_inv, a_mat, gamma_vec, amps)
         if modes is not None:
             self.basis, (lam, alpha, gamma, amps_sq) = modes
-            self.m_inv_modes = lam  # Q^T m_inv Q = diag(lam)
+            self.scale = lam  # Q^T m_inv Q = diag(lam)
             # the dense step below, mode by mode
             dt_lam, damp = dt * lam, 1.0 - dt * (gamma * lam)
             self.m_step = np.stack([np.stack([1.0 - dt_lam * (dt * alpha), dt_lam * damp], -1),
@@ -288,7 +286,7 @@ class _LinearSystem:
             self.n_inject = np.stack([dt_lam, np.ones(d)], -1)[..., None]
             self.s_step = (amps_sq * dt)[:, None, None] * (self.n_inject @ _t(self.n_inject))
             return
-        self.basis = self.m_inv_modes = None
+        self.basis, self.scale = None, m_inv
         eye = np.eye(d)
         gm = gamma_vec[:, None] * m_inv
         dt_minv = dt * m_inv
@@ -309,6 +307,12 @@ class _LinearSystem:
             amps=np.sqrt(2.0 * params.kappa_vector),
             dt=dt,
         )
+
+    def readout(self, record: str):
+        """The map from kept charge halves h, in the block basis, to
+        ``record``: ``(basis, scale)``, the quantity being basis (scale h),
+        with ``self.scale`` for a voltage, V = C^-1 q, and None for a charge."""
+        return self.basis, (self.scale if record == "voltage" else None)
 
     def compound(self, n_steps: int):
         """(M, S) of ``n_steps`` >= 1 composed steps, block by block, by binary doubling."""
@@ -362,41 +366,39 @@ def _chain_dt(params: CircuitParams, chain: NoiseChainConfig) -> float:
     return bit_period / max(1, round(bit_period / suggest_dt(params)))
 
 
-def _refuse_chain_rate(sample_rate: float, dt: float, whole: bool = False) -> None:
+def _refuse_chain_rate(sample_rate: float, dt: float) -> None:
     """Refuse a sample rate that a run on the chain's step ``dt`` cannot
     record at: one above 1/dt, as the chain records at most once a step,
-    and, when ``whole``, one more than rounding (relative 1e-9) from
-    1/(stride dt) for every whole stride."""
+    and one more than rounding (relative 1e-9) from 1/(stride dt) for every
+    whole stride."""
     steps = 1.0 / (sample_rate * dt)  # a record's steps, before rounding
     if steps < 1.0 and not math.isclose(steps, 1.0):
         raise ValueError(
             f"sample rate {sample_rate:g} Hz is above the chain's step rate "
             f"{1.0 / dt:g} Hz: a chain-noise run records at most once a step")
-    if whole and abs(sample_rate - 1.0 / (max(1, round(steps)) * dt)) > 1e-9 * sample_rate:
+    if abs(sample_rate - 1.0 / (round(steps) * dt)) > 1e-9 * sample_rate:
         raise ValueError(
             f"sample rate {sample_rate:g} Hz is not the chain's step rate {1.0 / dt:g} Hz "
             f"over a whole number of steps: the nearest such rates are "
             f"{1.0 / (math.floor(steps) * dt):g} Hz and {1.0 / (math.ceil(steps) * dt):g} Hz")
 
 
-def _resolve_steps(params: CircuitParams, sample_rate: float | None, dt: float,
-                   lock_dt: bool = False):
-    """(dt, stride, burn-in steps) of a run on the step ``dt`` by the 5 tau
-    rule: a stride of ``sample_rate``, or of ``SPACING_TAUS`` correlation
-    times when it is None, and a burn-in of ``BURN_IN_TAUS``.  A sample
-    rate fits dt to a whole stride unless ``lock_dt`` (the chain's step, a
-    fraction of its bit period), which records at most once a step: a rate
-    above 1/dt is refused, and the stride is the nearest whole one."""
-    tau = correlation_time(params)
-    if sample_rate is not None:
-        if lock_dt:
-            _refuse_chain_rate(sample_rate, dt)
-        stride = max(1, round(1.0 / (sample_rate * dt)))
-        if not lock_dt:
-            dt = 1.0 / (sample_rate * stride)
+def _resolve_steps(params: CircuitParams, sample_rate: float,
+                   chain: NoiseChainConfig | None):
+    """(dt, stride, burn-in steps) of a run recording at ``sample_rate`` on
+    the ideal source (``chain`` None) or on the noise chain ``chain``, with
+    a burn-in of ``BURN_IN_TAUS`` correlation times.  The ideal source fits
+    dt to the whole stride of ``suggest_dt`` steps nearest the rate; the
+    chain keeps its step (``_chain_dt``) and refuses a rate off its grid of
+    whole strides (``_refuse_chain_rate``)."""
+    if chain is None:
+        stride = max(1, round(1.0 / (sample_rate * suggest_dt(params))))
+        dt = 1.0 / (sample_rate * stride)
     else:
-        stride = max(1, math.ceil(SPACING_TAUS * tau / dt))
-    return dt, stride, int(round(BURN_IN_TAUS * tau / dt))
+        dt = _chain_dt(params, chain)
+        _refuse_chain_rate(sample_rate, dt)
+        stride = round(1.0 / (sample_rate * dt))
+    return dt, stride, int(round(BURN_IN_TAUS * correlation_time(params) / dt))
 
 
 def _moving_cells(params: CircuitParams) -> np.ndarray | None:
@@ -434,28 +436,25 @@ def _check_noise(noise) -> None:
         raise ValueError("noise must be 'ideal', 'lfsr-chain' or a NoiseChainConfig")
 
 
-def _prepared_system(params: CircuitParams, sample_rate: float | None,
+def _prepared_system(params: CircuitParams, sample_rate: float,
                      noise: str | NoiseChainConfig):
     """``(dt, stride, burn-in steps, chain, system)`` of a stepped circuit:
     what a run's preparation takes from the circuit's Maxwell, L, R and
     kappa0 arrays, its sample rate and its noise setting alone, so runs
     that agree on them share it.  ``chain`` is the run's
     ``NoiseChainConfig``, None on the ideal source."""
-    if noise == "ideal":
-        dt, stride, burn_steps = _resolve_steps(params, sample_rate, suggest_dt(params))
-        chain = None
-    else:
-        chain = (NoiseChainConfig.matched(correlation_time(params)) if noise == "lfsr-chain"
-                 else noise)
-        dt, stride, burn_steps = _resolve_steps(params, sample_rate, _chain_dt(params, chain),
-                                                lock_dt=True)
+    chain = (None if noise == "ideal"
+             else NoiseChainConfig.matched(correlation_time(params)) if noise == "lfsr-chain"
+             else noise)
+    dt, stride, burn_steps = _resolve_steps(params, sample_rate, chain)
     return dt, stride, burn_steps, chain, _LinearSystem.from_circuit(params, dt)
 
 
 class _CircuitRun:
     """One circuit run, prepared for the block engine: the stepped cells'
     ``_LinearRun``, started at rest, and the readout that turns its records
-    into their batch.  The stepped cells are the moving ones
+    into their batch by its system's one readout map
+    (``_LinearSystem.readout``).  The stepped cells are the moving ones
     (``_moving_cells``): the driven cells and those coupled to them.
 
     ``systems`` is the lookup of one ``integrate_circuits`` call: runs whose
@@ -518,14 +517,13 @@ class _CircuitRun:
         }
 
     def values(self, half: np.ndarray) -> np.ndarray:
-        """The stepped cells' samples from kept halves (..., d stepped) in the block basis."""
-        sys_, record = self.sys_, self.meta["record"]
-        values = half if sys_.basis is None else half @ sys_.basis.T
-        if record == "voltage":
-            # two products, not one by (m_inv @ basis): the pinned readout
-            # digests are of this rounding
-            return values @ sys_.m_inv.T
-        return values
+        """The stepped cells' samples from kept halves (..., d stepped) in
+        the block basis, by the system's readout map: one product, by Q
+        after a per-mode scale, or by a dense C^-1."""
+        basis, scale = self.sys_.readout(self.meta["record"])
+        if basis is None:
+            return half if scale is None else half @ scale.T
+        return (half if scale is None else half * scale) @ basis.T
 
     def readout(self, recs: np.ndarray) -> SampleBatch:
         """The batch of the stepped cells from this run's records, shaped
@@ -557,18 +555,16 @@ def _voltage_records(params: CircuitParams, cfg: TrajectoryConfig,
     is, with overflow ignored.  The run is prepared here, so a bad plan is
     refused before any step.
 
-    A modal run's voltages are Q (lam * h), with ``basis`` Q and
-    ``readout`` the per-mode factors lam of C^-1 = Q diag(lam) Q^T; a dense
-    run's are C^-1 h, with ``basis`` None and ``readout`` C^-1.  So the
-    voltage covariance follows from that of the halves, d x d, and no
-    (n, d) voltage array is formed.  Every cell of a compiled target is
-    driven, so its run steps the whole board.
+    ``basis`` and ``readout`` are the voltage readout map that
+    ``_CircuitRun.values`` reads too (``_LinearSystem.readout``): Q and
+    lam (C^-1 = Q diag(lam) Q^T) for a modal run, None and C^-1 for a
+    dense one.  So the voltage covariance follows from that of the halves,
+    d x d, and no (n, d) voltage array is formed.  Every cell of a
+    compiled target is driven, so its run steps the whole board.
     """
     run = _CircuitRun(params, cfg, noise=noise)
-    sys_ = run.sys_
-    readout = sys_.m_inv if sys_.basis is None else sys_.m_inv_modes
     chunks = (kept.transpose(0, 2, 1, 3) for kept in _record_chunks([run.linear]))
-    return chunks, sys_.basis, readout
+    return (chunks,) + run.sys_.readout("voltage")
 
 
 def integrate_circuits(runs, record: str = "voltage"):

@@ -8,8 +8,10 @@ reference backend uses exact factorization-based sampling and serves as the
 oracle in every cross-check.
 
 The decorrelation default keeps samples spaced ``SPACING_TAUS`` (five)
-correlation times apart; ``decorrelate=False`` records at the raw sampling rate instead,
-which reproduces the correlated-sampling regime of the rate studies.
+correlation times apart, a spacing that ``SamplingPlan.trajectory_config``
+states as the run's record rate; ``decorrelate=False`` records at the raw
+sampling rate instead, which reproduces the correlated-sampling regime of
+the rate studies.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import (SPACING_TAUS, TrajectoryConfig, _chain_dt, _check_noise,
-                       _refuse_chain_rate, _voltage_records, correlation_time,
+from .langevin import (TrajectoryConfig, _check_noise, _voltage_records, correlation_time,
                        integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
+
+SPACING_TAUS = 5.0  # decorrelated records lie this many correlation times apart (5 tau rule)
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class SamplingPlan:
     which is exactly what the noise-level study measures.  When
     ``sampling_rate`` is None and ``decorrelate`` is set, samples are
     spaced ``SPACING_TAUS`` correlation times apart; every run burns in
-    for ``BURN_IN_TAUS`` of them.
+    for ``langevin.BURN_IN_TAUS`` of them.
     """
 
     n_samples: int = 10_000
@@ -60,25 +63,18 @@ class SamplingPlan:
             raise ValueError("chains must be >= 1")
 
     def trajectory_config(self, params: CircuitParams, seed: int) -> TrajectoryConfig:
+        """The run plan of ``params``: the one place where the
+        ``SPACING_TAUS`` spacing becomes a record rate."""
         tau = correlation_time(params)
         rate = self.sampling_rate
-        stride = None
-        if rate is not None and self.decorrelate:
-            # thin the requested rate down to the decorrelation spacing
-            keep = max(1, math.ceil(SPACING_TAUS * tau * rate))
-            rate = rate / keep
         if rate is None:
-            if self.decorrelate:
-                spacing = SPACING_TAUS * tau
-                rate = 1.0 / spacing
-            else:
-                rate = 10.0 / tau  # raw-rate default: ten samples per tau
-        return TrajectoryConfig(
-            n_samples=self.n_samples,
-            sample_rate=rate,
-            seed=seed,
-            chains=self.chains,
-        )
+            # the decorrelation spacing, or the raw-rate default of ten samples per tau
+            rate = 1.0 / (SPACING_TAUS * tau) if self.decorrelate else 10.0 / tau
+        elif self.decorrelate:
+            # thin the requested rate down to the decorrelation spacing
+            rate = rate / max(1, math.ceil(SPACING_TAUS * tau * rate))
+        return TrajectoryConfig(n_samples=self.n_samples, sample_rate=rate, seed=seed,
+                                chains=self.chains)
 
 
 def _as_target(target, kind: str = "precision") -> TargetSpec:
@@ -130,9 +126,6 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
         if chain_seeds is not None:
             noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
     cfg = plan.trajectory_config(params, seed)
-    if not isinstance(noise, str):
-        # the plan's rate is the one reported: the chain's records must fall on it
-        _refuse_chain_rate(cfg.sample_rate, _chain_dt(params, noise), whole=True)
     # undo quantization rescale and noise-level scaling in one factor
     level_scale = 1.0 / math.sqrt(plan.noise_level)
     return comp, params, cfg, noise, comp.readout_scale * level_scale
@@ -153,8 +146,8 @@ def sample_gaussian(target, plan: SamplingPlan | None = None,
     returned samples).  ``tolerance_sigma`` perturbs L, R, C components to
     emulate hardware tolerances; ``quantize`` restricts capacitances to the
     switched banks.  On the noise chain, which records once a whole number
-    of its steps, a plan rate more than rounding off those rates is
-    refused (ValueError naming the nearest two).
+    of its steps, the run refuses a plan rate more than rounding off those
+    rates (ValueError naming the nearest two).
     """
     plan = plan or SamplingPlan()
     spec = _as_target(target)
@@ -335,7 +328,7 @@ def moment_errors(batch: SampleBatch, target, n_checkpoints: int = 20) -> Moment
     skew_err = np.empty(len(counts))
     kurt_err = np.empty(len(counts))
     ordered = batch.time_major()
-    for i, (n, cov) in enumerate(prefix_covariances(ordered, counts)):
+    for i, (n, cov) in enumerate(prefix_covariances([ordered[:, None]], counts)):
         cov_err[i] = np.linalg.norm(cov - sigma) / sigma_norm
         xc = ordered[:n] - ordered[:n].mean(axis=0)
         std = xc.std(axis=0)
@@ -423,7 +416,7 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
         counts = checkpoint_counts(batch.n_samples, 12, start=10)
         if plan.n_samples <= batch.n_samples:
             counts = _sorted_unique(np.append(counts, plan.n_samples))
-        for n, cov in prefix_covariances(batch.values, counts, batch.chains):
+        for n, cov in prefix_covariances([batch.per_chain().swapaxes(0, 1)], counts):
             err = relative_frobenius_error(cov, sigma)
             result.rows.append(StudyRow(
                 axis="sampling_rate", value=rate, n_samples=int(n),

@@ -174,16 +174,16 @@ class OnlineCovariance:
         return 0.5 * (cov + cov.T)
 
 
-def prefix_covariances(rows, counts, chains: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+def prefix_covariances(blocks, counts) -> Iterator[tuple[int, np.ndarray]]:
     """Covariance of the first n rows for each n of increasing ``counts``.
 
     The rows are read time-major: record k of every chain before record
-    k+1.  ``rows`` is an iterable of time-major blocks of any size and
+    k+1.  ``blocks`` is an iterable of time-major blocks of any size and
     memory order, each shaped (records, chains, ...), the axes after the
-    second holding a row (a run's chunks, read once each as they come); or
-    an array of chain-major rows of ``chains`` equal chains (a batch's
-    ``values``), whose time-major view is the one block.  Reading stops at
-    the last checkpoint, and rows that run out before it raise ValueError.
+    second holding a row: a run's chunks, read once each as they come, or
+    the one block of a stored batch (``batch.per_chain().swapaxes(0, 1)``).
+    Reading stops at the last checkpoint, and rows that run out before it
+    raise ValueError.
 
     One pass and one slab: rows are copied into a slab of at most
     ``_SLAB_BYTES``, which is centered in place and merged into a single
@@ -196,15 +196,13 @@ def prefix_covariances(rows, counts, chains: int = 1) -> Iterator[tuple[int, np.
     gaps = np.diff(counts, prepend=0)
     if (gaps <= 0).any():
         raise ValueError("checkpoint counts must be strictly increasing")
-    if isinstance(rows, np.ndarray):
-        rows = [rows.reshape(chains, -1, rows.shape[1]).swapaxes(0, 1)]
     pending = iter(counts)
     n = next(pending, None)
     if n is None:
         return
     slab = acc = None
     seen = filled = 0  # rows read; rows in the slab
-    for block in rows:
+    for block in blocks:
         if slab is None:
             d = math.prod(block.shape[2:])
             slab = np.empty((min(int(gaps.max()), max(1, _SLAB_BYTES // (8 * d))), d))

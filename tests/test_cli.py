@@ -247,9 +247,11 @@ class TestSampleVerb:
     # blocked record scan, which moved each by at most 1.4e-15 of the largest
     # (1.1e-12 of itself) from the record-by-record loop, with the chain's
     # RC filter and gain folded into the injection kernels, which moved each
-    # written sample by at most 2.9e-17 of the largest (1.0e-11 of itself)
+    # written sample by at most 2.9e-17 of the largest (1.0e-11 of itself),
+    # and read out by one product per mode, Q (lam h), which moved each by at
+    # most 8.0e-16 of the largest (3.0e-13 of itself) from Q^T, then C^-T
     CHAIN_DIGESTS = {
-        "samples.csv": "101bfb4c7e2b0a3c20a5991dcf534ecb90d6d78867845309c9890f43c7b48bd9",
+        "samples.csv": "ecd268970fa8defb2533a5e4cb662e1fd66a58b5df6d0b18f5cada4e49f1f1ad",
         "noise_stream.csv":
             "29816e8c0d4779e9165ecf33b046994111fc25b26b50d04f2681196d86d16a07",
     }
@@ -325,7 +327,8 @@ class TestInvertVerb:
         a = load_matrix(m)
         batch = sample_gaussian(a, SamplingPlan(n_samples=n, chains=chains), seed=3)
         series = np.loadtxt(out / "error_series.csv", delimiter=",", skiprows=1)
-        covs = list(prefix_covariances(batch.values, series[:, 0].astype(int), chains))
+        covs = list(prefix_covariances([batch.per_chain().swapaxes(0, 1)],
+                                       series[:, 0].astype(int)))
         errors = [relative_frobenius_error(cov, np.linalg.inv(a)) for _, cov in covs]
         np.testing.assert_allclose(series[:, 1], errors, rtol=1e-12, atol=0)
         cov = covs[-1][1]
@@ -816,6 +819,24 @@ class TestSpectroscopyVerb:
         report = json.loads((out / "fit.json").read_text())
         assert report["0"]["resistance_ohm"] == pytest.approx(40.0, rel=0.1)
 
+    @pytest.mark.parametrize("field", ["inductance", "resistance", "noise_psd"])
+    def test_nan_device_value_exits_1_naming_it(self, tmp_path, capsys, field):
+        # JSON reads NaN: the cell refuses it, as it refuses a negative value
+        from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
+        params = CircuitParams.build(
+            [UnitCell(1.5e-6, 40.0, 2e-13, bank_config=3)], CouplingConfig.none(1))
+        data = json.loads(params.to_json())
+        data["cells"][0][field] = float("nan")
+        device_path = tmp_path / "device.json"
+        device_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["spectroscopy", "--device", str(device_path), "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {field} must be "
+                       f"{'non-negative' if field == 'noise_psd' else 'positive'} and finite, "
+                       "got nan\n")
+        assert not (out / "manifest.json").exists()
+
     def test_undriven_device_cell_exit_code(self, tmp_path, capsys, monkeypatch):
         import spusim.langevin as langevin
         from spusim.circuit import CircuitParams, CouplingConfig, UnitCell
@@ -949,6 +970,35 @@ class TestLsqDesignRoute:
         assert code == 0
         beta = np.loadtxt(out / "coefficients.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(beta, [0.5, -1.5], atol=1e-8)
+
+
+class TestInputFiles:
+    """Every input file a verb reads goes through the reader behind
+    ``load_matrix``: one that is missing or has a header line exits 3 naming
+    it, before any output is written."""
+
+    FLAGS = {
+        "gpr --train": lambda bad, good: ["gpr", "--train", bad],
+        "lsq --data": lambda bad, good: ["lsq", "--data", bad],
+        "lsq --design": lambda bad, good: ["lsq", "--design", bad, "--y", good],
+        "lsq --y": lambda bad, good: ["lsq", "--design", good, "--y", bad],
+        "sngp-sample --mean": lambda bad, good: ["sngp-sample", "--mean", bad, "--cov", good],
+    }
+
+    @pytest.mark.parametrize("fault", ["missing", "header"])
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    def test_unreadable_file_exits_3_naming_it(self, tmp_path, capsys, flag, fault):
+        good = tmp_path / "good.csv"
+        np.savetxt(good, np.eye(2), delimiter=",")
+        bad = tmp_path / f"{fault}.csv"
+        if fault == "header":
+            bad.write_text("x,y\n1,2\n3,4\n")
+        out = tmp_path / "out"
+        assert main(self.FLAGS[flag](str(bad), str(good)) + ["--outdir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read matrix file {str(bad)!r}: ")
+        assert len(err.splitlines()) == 1
+        assert not (out / "manifest.json").exists()
 
 
 class TestUnknownFlags:

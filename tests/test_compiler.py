@@ -7,8 +7,8 @@ from spusim.circuit import BANK_CAPACITANCES_F, COUPLING_CAPACITANCE_F
 from spusim.compiler import (TargetSpec, compile_covariance, compile_precision,
                              preprocess_non_psd, quantize_to_banks, snap_to_grid)
 from spusim.errors import MatrixFormatError, NotPositiveDefiniteError
-from spusim.langevin import (TrajectoryConfig, integrate_circuit,
-                             stationary_voltage_covariance)
+from spusim.langevin import integrate_circuit, stationary_voltage_covariance
+from spusim.linalg import SamplingPlan
 
 NF = 1e-9
 
@@ -90,7 +90,8 @@ class TestCompileCovariance:
         sigma = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         res = compile_covariance(sigma, beta=1.0)
         batch = integrate_circuit(res.ideal_params,
-                                  TrajectoryConfig(n_samples=60_000, seed=2, chains=60),
+                                  SamplingPlan(n_samples=60_000, chains=60).trajectory_config(
+                                      res.ideal_params, seed=2),
                                   record="charge")
         assert rel_frobenius(batch.covariance(), sigma) < 0.05
 

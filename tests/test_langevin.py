@@ -15,7 +15,7 @@ from spusim.errors import NonFiniteStateError, NotPositiveDefiniteError, SpuSimE
 from spusim.langevin import (TrajectoryConfig, _factor, _LinearSystem, correlation_time,
                              integrate_circuit, stationary_state_covariance,
                              stationary_voltage_covariance, suggest_dt)
-from spusim.linalg import SamplingPlan, sample_gaussian
+from spusim.linalg import SPACING_TAUS, SamplingPlan, sample_gaussian
 from spusim.noise import ChainNoiseSource, NoiseChainConfig
 
 NF = 1e-9
@@ -32,6 +32,23 @@ def random_psd_params(d, seed, lo=0.5, hi=2.0):
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     m = q @ np.diag(rng.uniform(lo, hi, d)) @ q.T
     return CircuitParams.from_maxwell(0.5 * (m + m.T))
+
+
+def spaced(params, **cfg):
+    """The plan of a run of ``params`` whose records lie ``SPACING_TAUS``
+    correlation times apart, as a decorrelated ``SamplingPlan`` without a
+    rate spaces them."""
+    return TrajectoryConfig(sample_rate=1.0 / (SPACING_TAUS * correlation_time(params)), **cfg)
+
+
+def on_chain_grid(params, cfg):
+    """``cfg`` at the rate nearest its own that the matched chain of the
+    run's stepped cells records at: its step rate over a whole stride."""
+    moving = langevin._moving_cells(params)
+    stepped = params if moving is None else langevin._sub_circuit(params, moving)
+    dt = langevin._chain_dt(stepped, NoiseChainConfig.matched(correlation_time(stepped)))
+    stride = round(1.0 / (cfg.sample_rate * dt))
+    return dataclasses.replace(cfg, sample_rate=1.0 / (stride * dt))
 
 
 def autocorrelation(series, max_lag):
@@ -129,7 +146,7 @@ class TestCoordinates:
         # a run starts at rest, so an undriven board keeps zero flux (current)
         # and zero charge (voltage) in every record
         params = CircuitParams.from_maxwell(random_psd_params(3, 2).maxwell, noise_psd=0.0)
-        cfg = TrajectoryConfig(n_samples=40, chains=2, seed=3)
+        cfg = spaced(params, n_samples=40, chains=2, seed=3)
         batch = integrate_circuit(params, cfg)
         assert batch.meta["cells_stepped"] == 3
         np.testing.assert_array_equal(batch.values, 0.0)
@@ -230,11 +247,11 @@ class TestCircuitIntegration:
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         bad = CircuitParams.from_maxwell(m)
         with pytest.raises(NotPositiveDefiniteError):
-            integrate_circuit(bad, TrajectoryConfig(n_samples=10))
+            integrate_circuit(bad, TrajectoryConfig(n_samples=10, sample_rate=1.0))
 
     def test_single_cell_stationary_variance(self):
         params = CircuitParams.build([UnitCell(**CELL7)], CouplingConfig.none(1))
-        cfg = TrajectoryConfig(n_samples=100_000, seed=9, chains=50)
+        cfg = spaced(params, n_samples=100_000, seed=9, chains=50)
         batch = integrate_circuit(params, cfg)
         var = batch.values.var(ddof=1)
         assert var == pytest.approx(2.33e-3, rel=0.05)
@@ -260,8 +277,8 @@ class TestCircuitIntegration:
             maxwell = np.array([[1.4, -0.4 * sign], [-0.4 * sign, 1.4]])
             params = CircuitParams.from_maxwell(maxwell)
             cov_ref = stationary_voltage_covariance(params)
-            batch = integrate_circuit(params, TrajectoryConfig(n_samples=40_000,
-                                                               seed=10, chains=20))
+            batch = integrate_circuit(params, spaced(params, n_samples=40_000, seed=10,
+                                                     chains=20))
             cov = batch.covariance()
             assert np.sign(cov[0, 1]) == np.sign(cov_ref[0, 1])
             # positive coupling capacitance gives negative off-diagonal in C,
@@ -272,8 +289,8 @@ class TestCircuitIntegration:
     def test_gibbs_convergence(self, d, seed):
         params = random_psd_params(d, seed)
         target = stationary_voltage_covariance(params)
-        batch = integrate_circuit(params, TrajectoryConfig(n_samples=60_000,
-                                                           seed=seed, chains=60))
+        batch = integrate_circuit(params, spaced(params, n_samples=60_000, seed=seed,
+                                                 chains=60))
         assert rel_frobenius(batch.covariance(), target) < 0.05
 
     def test_discrete_law_matches_fast_path(self, monkeypatch):
@@ -282,17 +299,19 @@ class TestCircuitIntegration:
         params = random_psd_params(3, 14)
         dt = suggest_dt(params) * 8  # coarse on purpose: visible discretization bias
         monkeypatch.setattr(langevin, "suggest_dt", lambda params: dt)
-        cfg = TrajectoryConfig(n_samples=150_000, seed=15, chains=100)
+        cfg = spaced(params, n_samples=150_000, seed=15, chains=100)
         batch = integrate_circuit(params, cfg)
         d = params.dimension
-        sig = discrete_stationary_covariance(params, dt)
+        # the rate fits the step to a whole stride: the chain of the run's own dt
+        assert batch.meta["dt"] == pytest.approx(dt, rel=1e-2)
+        sig = discrete_stationary_covariance(params, batch.meta["dt"])
         cinv = np.linalg.inv(params.maxwell)
         sig_v = cinv @ sig[d:, d:] @ cinv
         assert rel_frobenius(batch.covariance(), sig_v) < 0.02
 
     def test_determinism(self):
         params = random_psd_params(4, 16)
-        cfg = TrajectoryConfig(n_samples=500, seed=77, chains=4)
+        cfg = spaced(params, n_samples=500, seed=77, chains=4)
         a = integrate_circuit(params, cfg)
         b = integrate_circuit(params, cfg)
         np.testing.assert_array_equal(a.values, b.values)
@@ -301,7 +320,7 @@ class TestCircuitIntegration:
         # both halves of one circuit run's records: the simulated
         # flux/charge cross-covariance vanishes
         params = random_psd_params(3, 30)
-        cfg = TrajectoryConfig(n_samples=60_000, seed=31, chains=60)
+        cfg = spaced(params, n_samples=60_000, seed=31, chains=60)
         run = langevin._CircuitRun(params, cfg).linear
         recs = _run_linear(run.sys_, run.z, run.source, run.per_chain, run.stride,
                            run.burn_steps)
@@ -320,7 +339,7 @@ class TestCircuitIntegration:
         from spusim.noise import NoiseChainConfig
         tau = correlation_time(params)
         chain_cfg = NoiseChainConfig(bit_rate=400.0 / tau, rc_time_constant=tau / 50.0)
-        cfg = TrajectoryConfig(n_samples=40_000, seed=17, chains=40)
+        cfg = spaced(params, n_samples=40_000, seed=17, chains=40)
         fast = integrate_circuit(params, cfg)
         slow = integrate_circuit(params, cfg, noise=chain_cfg)
         assert rel_frobenius(slow.covariance(), fast.covariance()) < 0.08
@@ -615,7 +634,7 @@ class TestBlockEngine:
         params = random_psd_params(2, 43)
         stacks = []
         monkeypatch.setattr(langevin, "_run_stack", stacks.append)
-        cfg = TrajectoryConfig(n_samples=200_000, seed=44, chains=1)
+        cfg = spaced(params, n_samples=200_000, seed=44, chains=1)
         with pytest.raises(ValueError, match=r"of 200,000 records a chain needs 400,\d{3},\d{3} "
                                              r"integrator steps a chain, over the limit of "
                                              r"100,000,000; more chains make each chain shorter"):
@@ -674,7 +693,7 @@ class TestChainLaw:
         params = CircuitParams.from_maxwell(np.eye(1), resistance=1.0, inductance=1.0,
                                             noise_psd=1.0)
         chain = NoiseChainConfig.matched(correlation_time(params), rc_bits=rc_bits)
-        cfg = TrajectoryConfig(n_samples=64_000, chains=64, seed=3001)
+        cfg = spaced(params, n_samples=64_000, chains=64, seed=3001)
         batch = integrate_circuit(params, cfg, noise=chain)
         assert batch.meta["dt"] == pytest.approx(1.0 / chain.bit_rate, rel=1e-12)
         ratio = self.predicted_ratio(params, chain, batch.meta["dt"])
@@ -1005,11 +1024,14 @@ class TestMovingCells:
     # of the largest) on the lfsr chain.  The lfsr-chain digest is that of
     # the chain's RC filter and gain folded into the injection kernels,
     # which moved each sample by at most 8.3e-14 of itself (2.0e-15 of the
-    # largest).
+    # largest).  Both compiled-target digests are those of the one-product
+    # modal readout, Q (lam h), which moved each sample from the two products
+    # by Q^T and C^-T by at most 9.4e-16 of the largest (3.2e-13 of itself)
+    # on the ideal source and 9.7e-16 (1.1e-14) on the lfsr chain.
     TARGET = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     DIGESTS = {
-        "ideal": "81639e207bf39fc00dbf421769541cec146e9232c9e15334a5d2ffd25bd465d1",
-        "lfsr-chain": "44133f2a6d32f2c22acb8bdab4e1992c49ba54959586262e7c014c5ddb5faa8d",
+        "ideal": "293da8dfdd8116fd2f8789fc032a934b0a24dff71ad75b82640b579fdbc0ddaf",
+        "lfsr-chain": "b356828ccdd661a585a43d6cdb313e54db59317413ad4a2f17da11d3f2c8b599",
         "calibrate": "9e8c3099d42ecc014b2ea9c8e76ae44a512c91594333315d8498e1a4505755d7",
     }
 
@@ -1053,12 +1075,15 @@ class TestReadoutDigests:
     """SHA-256 of the samples of each readout and of a dense board, as written
     by the blocked record scan (numpy 2.4, OpenBLAS, x86-64), which moved each
     sample by at most 1.4e-13 of itself (2.6e-16 of the largest) from the
-    per-record loop that kept both halves of every state."""
+    per-record loop that kept both halves of every state.  The dense board
+    records 5 correlation times apart by its rate (``spaced``), a stride of
+    2722 steps of 6.10764e-10 s; the digest of that plan is the one the
+    earlier two-product readout wrote too."""
 
     TARGET = TestMovingCells.TARGET
     DIGESTS = {
         "charge": "1e547cc4c474ec7a9845b8ffbe5ac74ab6123da971e998782dc1f5eab6ce0282",
-        "dense": "bf00dca99969b0aa09894a9b13510491ce593ffbda62968ff00174ad0efb6fe0",
+        "dense": "e2b72c06ca72d83f034aafd63fa4cfc879aa72af18f7158c513e50c2a0533248",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -1073,8 +1098,7 @@ class TestReadoutDigests:
                               bank_config=2) for _ in range(5)]
             params = CircuitParams.build(cells, CouplingConfig(1 - np.eye(5, dtype=np.int8)))
             assert _LinearSystem.from_circuit(params, 1e-9).basis is None
-            batch = integrate_circuit(params, TrajectoryConfig(n_samples=600, chains=3,
-                                                               seed=12))
+            batch = integrate_circuit(params, spaced(params, n_samples=600, chains=3, seed=12))
             assert batch.meta["cells_stepped"] == 5
         digest = hashlib.sha256(np.ascontiguousarray(batch.values).tobytes()).hexdigest()
         assert digest == self.DIGESTS[case]
@@ -1107,8 +1131,8 @@ class TestBatchedRuns:
                              noise_mask=cell[3]),
             board.sample_run(3, "none", 500, seed=6, chains=1, noise_mask=cell[1]),
             board.sample_run(1, "none", 500, seed=7, chains=1, noise_mask=cell[3]),
-            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8)),
-            (compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=10), "lfsr-chain"),
+            (compiled, spaced(compiled, n_samples=4000, chains=8, seed=8)),
+            (compiled, spaced(compiled, n_samples=4000, chains=8, seed=10), "lfsr-chain"),
         ]
 
     def spy_stacks(self, monkeypatch):
@@ -1155,8 +1179,11 @@ class TestBatchedRuns:
         # one blocked scan for both sources: runs on the noise chain share a
         # stack with ideal-source runs of the same shape
         board, cell = self.BOARD, np.eye(4)
-        runs = [(*board.sample_run(3, "none", 2000, seed=30 + i, chains=8, noise_mask=cell[i]),
-                 "lfsr-chain" if i % 2 else "ideal") for i in range(4)]
+        runs = [board.sample_run(3, "none", 2000, seed=30 + i, chains=8, noise_mask=cell[i])
+                for i in range(4)]
+        # the chain runs record on its grid, at the rate nearest 12 MHz
+        runs = [(params, on_chain_grid(params, cfg), "lfsr-chain") if i % 2 else (params, cfg)
+                for i, (params, cfg) in enumerate(runs)]
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
         assert sizes == [4]
@@ -1169,7 +1196,7 @@ class TestBatchedRuns:
         pairs = [board.sample_run(3, self.pair(0, 1 + s, 1), 4000, seed=10 + s, chains=8,
                                   noise_mask=cell[0]) for s in range(3)]
         compiled = compile_precision(self.TARGET).ideal_params
-        runs = ones + pairs + [(compiled, TrajectoryConfig(n_samples=4000, chains=8, seed=8))]
+        runs = ones + pairs + [(compiled, spaced(compiled, n_samples=4000, chains=8, seed=8))]
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))
         # 1-cell runs: four fill the board, two more start a stack that has no
@@ -1238,7 +1265,7 @@ class TestBatchedRuns:
         runs = [(params, cfg), (params, dataclasses.replace(cfg, seed=41)),
                 (params, dataclasses.replace(cfg, seed=42, sample_rate=6e6)),
                 (params, dataclasses.replace(cfg, seed=43, n_samples=2000)),
-                (params, dataclasses.replace(cfg, seed=44), "lfsr-chain")]
+                (params, on_chain_grid(params, dataclasses.replace(cfg, seed=44)), "lfsr-chain")]
         made = self.spy_systems(monkeypatch)
         sizes = self.spy_stacks(monkeypatch)
         batched = dict(langevin.integrate_circuits(runs))

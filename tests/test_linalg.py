@@ -110,6 +110,18 @@ class TestSampleGaussian:
         entry(np.eye(2), plan, noise="ideal")  # the spy sees a run that steps
         assert len(stepped) == 1
 
+    @pytest.mark.parametrize("noise", ["ideal", "lfsr-chain"])
+    def test_one_step_rule_per_run(self, monkeypatch, noise):
+        # the run plans its step and checks a chain rate once, in langevin:
+        # the chain's step is suggest_dt's over whole substeps of a bit
+        import spusim.langevin as langevin
+        calls, suggest_dt = [], langevin.suggest_dt
+        monkeypatch.setattr(langevin, "suggest_dt",
+                            lambda params: calls.append(1) or suggest_dt(params))
+        sample_gaussian(random_psd(8, 3), SamplingPlan(n_samples=64, chains=2), seed=3,
+                        noise=noise)
+        assert len(calls) == 1
+
 
 class TestInvertMatrix:
     def test_identity(self):
@@ -285,7 +297,7 @@ class TestModalEstimatorOracle:
         exact = np.linalg.inv(a)
         counts = checkpoint_counts(batch.n_samples)
         errors, cov = [], None
-        for _, cov in prefix_covariances(batch.values, counts, batch.chains):
+        for _, cov in prefix_covariances([batch.per_chain().swapaxes(0, 1)], counts):
             errors.append(relative_frobenius_error(cov, exact))
         return np.array(errors), cov
 

@@ -203,3 +203,37 @@ def test_every_default_is_set_by_the_program_or_allowed():
         f"{sorted(unset - set(ALLOWED_UNSET))}")
     # an allowlist entry that gains a caller, or whose parameter goes, goes
     assert set(ALLOWED_UNSET) <= unset
+
+
+# Private names that one module of the package imports from another, each
+# shared for a stated reason; any other private name stays in its module.
+ALLOWED_PRIVATE_IMPORTS = {
+    "apps <- compiler._validate_symmetric":
+        "the digital inverter refuses a kernel matrix as the compiler refuses a target",
+    "apps <- compiler._validate_pd":
+        "the digital inverter refuses an indefinite kernel matrix as the compiler does",
+    "linalg <- langevin._check_noise":
+        "a bad noise setting is refused before the target is compiled",
+    "linalg <- langevin._voltage_records":
+        "the inversion streams a run's records into its prefix covariances",
+}
+
+
+def private_imports():
+    """``importer <- module.name`` of every private name (one underscore, not
+    a dunder) that a module of the package imports from another, at any
+    depth of its code."""
+    for path in sorted((ROOT / "src" / "spusim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        yield f"{path.stem} <- {node.module}.{alias.name}"
+
+
+def test_every_private_import_is_allowed():
+    imported = set(private_imports())
+    assert imported <= set(ALLOWED_PRIVATE_IMPORTS), (
+        f"private names imported across modules: {sorted(imported - set(ALLOWED_PRIVATE_IMPORTS))}")
+    # an allowlist entry whose import goes, goes
+    assert set(ALLOWED_PRIVATE_IMPORTS) <= imported

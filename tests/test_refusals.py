@@ -63,6 +63,9 @@ LIBRARY = {
     "calibration.CellEstimate": (
         lambda tmp: calibration.CellEstimate(1e-6, 50.0, 0.0, 1e-9),
         ValueError, "all estimates must be positive"),
+    "calibration.CellEstimate-nan": (
+        lambda tmp: calibration.CellEstimate(np.nan, 50.0, 1e-13, 1e-9),
+        ValueError, "all estimates must be positive"),
     "calibration.ScalingVector": (
         lambda tmp: calibration.ScalingVector(np.array([1.0, -1.0])),
         ValueError, "scaling values must be strictly positive"),
@@ -75,6 +78,18 @@ LIBRARY = {
     "circuit.UnitCell-bank": (
         lambda tmp: circuit.UnitCell(1e-6, 50.0, 0.0, capacitance=2e-9, bank_config=0),
         ValueError, "capacitance 2e-09 disagrees with bank value 1e-09"),
+    "circuit.UnitCell-inductance-nan": (
+        lambda tmp: circuit.UnitCell(np.nan, 50.0, 0.0, capacitance=1e-9),
+        ValueError, "inductance must be positive and finite, got nan"),
+    "circuit.UnitCell-resistance-nan": (
+        lambda tmp: circuit.UnitCell(1e-6, np.nan, 0.0, capacitance=1e-9),
+        ValueError, "resistance must be positive and finite, got nan"),
+    "circuit.UnitCell-resistance-inf": (
+        lambda tmp: circuit.UnitCell(1e-6, np.inf, 0.0, capacitance=1e-9),
+        ValueError, "resistance must be positive and finite, got inf"),
+    "circuit.UnitCell-noise_psd-nan": (
+        lambda tmp: circuit.UnitCell(1e-6, 50.0, np.nan, capacitance=1e-9),
+        ValueError, "noise_psd must be non-negative and finite, got nan"),
     "circuit.UnitCell-finite": (
         lambda tmp: circuit.UnitCell(1e-6, 50.0, 0.0, capacitance=np.inf),
         ValueError, "capacitance must be finite"),
@@ -140,9 +155,22 @@ LIBRARY = {
         lambda tmp: langevin.stationary_voltage_covariance(
             circuit.CircuitParams.from_maxwell(EYE2), method="bogus"),
         ValueError, "unknown method 'bogus'"),
+    "langevin.TrajectoryConfig-rate-missing": (
+        lambda tmp: langevin.TrajectoryConfig(n_samples=8),
+        TypeError, "missing 1 required positional argument: 'sample_rate'"),
+    "langevin.TrajectoryConfig-rate": (
+        lambda tmp: langevin.TrajectoryConfig(n_samples=8, sample_rate=None),
+        ValueError, "sample_rate must be positive and finite, got None"),
+    "langevin.integrate_circuit-chain-rate": (
+        lambda tmp: langevin.integrate_circuit(circuit.CircuitParams.from_maxwell(EYE2),
+                                               langevin.TrajectoryConfig(n_samples=8,
+                                                                         sample_rate=300.0),
+                                               noise="lfsr-chain"),
+        ValueError, "sample rate 300 Hz is not the chain's step rate 400 Hz over a whole "
+                    "number of steps: the nearest such rates are 400 Hz and 200 Hz"),
     "langevin.integrate_circuit-record": (
         lambda tmp: langevin.integrate_circuit(circuit.CircuitParams.from_maxwell(EYE2),
-                                               langevin.TrajectoryConfig(n_samples=8),
+                                               langevin.TrajectoryConfig(n_samples=8, sample_rate=1.0),
                                                record="current"),
         ValueError, "unknown record kind 'current'"),
     "linalg.sample_gaussian-backend": (

@@ -85,6 +85,12 @@ class TestOnlineCovariance:
             OnlineCovariance(3).add(np.zeros((5, 2)))
 
 
+def one_block(rows, chains=1):
+    """Chain-major rows of ``chains`` equal chains as the one time-major
+    block of a stored batch, as the program passes them."""
+    return [SampleBatch(rows, 1.0, chains=chains).per_chain().swapaxes(0, 1)]
+
+
 class TestPrefixCovariances:
     @staticmethod
     def shifted_rows():
@@ -99,7 +105,7 @@ class TestPrefixCovariances:
     ])
     def test_matches_np_cov_on_each_prefix(self, counts):
         rows = self.shifted_rows()
-        series = list(prefix_covariances(rows, counts))
+        series = list(prefix_covariances(one_block(rows), counts))
         assert [n for n, _ in series] == counts.tolist()
         for n, cov in series:
             np.testing.assert_array_equal(cov, cov.T)
@@ -114,7 +120,7 @@ class TestPrefixCovariances:
         counts = np.unique(np.append(checkpoint_counts(1000, 12, start=10), 333))
         time_major = SampleBatch(rows, 1.0, chains=chains).time_major()
         acc, start = OnlineCovariance(4), 0
-        for n, cov in prefix_covariances(rows, counts, chains):
+        for n, cov in prefix_covariances(one_block(rows, chains), counts):
             acc.add(time_major[start:n])
             start = n
             np.testing.assert_array_equal(cov, acc.covariance())
@@ -122,7 +128,7 @@ class TestPrefixCovariances:
 
     def test_counts_must_increase(self):
         with pytest.raises(ValueError):
-            list(prefix_covariances(self.shifted_rows(), [10, 10]))
+            list(prefix_covariances(one_block(self.shifted_rows()), [10, 10]))
 
     @pytest.mark.parametrize("chains", [1, 3])
     def test_slabs_match_one_gather(self, monkeypatch, chains):
@@ -133,9 +139,9 @@ class TestPrefixCovariances:
 
         rows = self.shifted_rows()[:999]
         counts = [60, 999]
-        (_, first), (_, last) = prefix_covariances(rows, counts, chains)
+        (_, first), (_, last) = prefix_covariances(one_block(rows, chains), counts)
         monkeypatch.setattr(spusim.samples, "_SLAB_BYTES", 100 * rows.itemsize * 4)
-        (_, first_slabbed), (_, last_slabbed) = prefix_covariances(rows, counts, chains)
+        (_, first_slabbed), (_, last_slabbed) = prefix_covariances(one_block(rows, chains), counts)
         np.testing.assert_array_equal(first_slabbed, first)
         assert not np.array_equal(last_slabbed, last)  # ten slabs merged, not one gather
         np.testing.assert_allclose(last_slabbed, last, rtol=1e-12, atol=0)
@@ -172,7 +178,8 @@ class TestPrefixCovariances:
                 yield np.ascontiguousarray(block.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
 
         streamed = list(prefix_covariances(blocks(), counts))
-        gathered = list(prefix_covariances(chain_major.reshape(-1, d), counts, chains))
+        gathered = list(prefix_covariances(one_block(chain_major.reshape(-1, d), chains),
+                                           counts))
         assert [n for n, _ in streamed] == counts
         for (_, cov), (_, ref) in zip(streamed, gathered):
             np.testing.assert_array_equal(cov, ref)
