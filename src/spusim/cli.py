@@ -42,19 +42,20 @@ from .svgplot import line_plot
 
 
 def _read_csv(path: str) -> np.ndarray:
-    """Any input file of a verb (plain CSV, row-major, no header) as a 2-d array."""
+    """Any input file of a verb (plain CSV, row-major, no header) as a finite 2-d array."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        m = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise MatrixFormatError(f"cannot read matrix file {path!r}: {err}") from err
+    if not np.all(np.isfinite(m)):
+        raise MatrixFormatError(f"{path}: matrix has NaN or infinite entries")
+    return m
 
 
 def load_matrix(path: str) -> np.ndarray:
     """Plain CSV, row-major, no header; validated finite, square and symmetric
     to 1e-9 of its Frobenius norm."""
     m = _read_csv(path)
-    if not np.all(np.isfinite(m)):
-        raise MatrixFormatError(f"{path}: matrix has NaN or infinite entries")
     if m.shape[0] != m.shape[1]:
         raise MatrixFormatError(f"{path}: matrix must be square, got {m.shape}")
     scale = np.linalg.norm(m) or 1.0

@@ -974,8 +974,9 @@ class TestLsqDesignRoute:
 
 class TestInputFiles:
     """Every input file a verb reads goes through the reader behind
-    ``load_matrix``: one that is missing or has a header line exits 3 naming
-    it, before any output is written."""
+    ``load_matrix``: one that is missing, has a header line or holds a NaN
+    exits 3 naming it, before any output is written (a NaN in ``--y`` or
+    ``--mean`` used to give NaN coefficients or draws with exit 0)."""
 
     FLAGS = {
         "gpr --train": lambda bad, good: ["gpr", "--train", bad],
@@ -985,18 +986,19 @@ class TestInputFiles:
         "sngp-sample --mean": lambda bad, good: ["sngp-sample", "--mean", bad, "--cov", good],
     }
 
-    @pytest.mark.parametrize("fault", ["missing", "header"])
+    @pytest.mark.parametrize("fault", ["missing", "header", "nan"])
     @pytest.mark.parametrize("flag", sorted(FLAGS))
     def test_unreadable_file_exits_3_naming_it(self, tmp_path, capsys, flag, fault):
         good = tmp_path / "good.csv"
         np.savetxt(good, np.eye(2), delimiter=",")
         bad = tmp_path / f"{fault}.csv"
-        if fault == "header":
-            bad.write_text("x,y\n1,2\n3,4\n")
+        if fault != "missing":
+            bad.write_text("x,y\n1,2\n3,4\n" if fault == "header" else "1,2\nnan,4\n")
         out = tmp_path / "out"
         assert main(self.FLAGS[flag](str(bad), str(good)) + ["--outdir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read matrix file {str(bad)!r}: ")
+        assert err.startswith(f"error: {bad}: matrix has NaN or infinite entries" if fault == "nan"
+                              else f"error: cannot read matrix file {str(bad)!r}: ")
         assert len(err.splitlines()) == 1
         assert not (out / "manifest.json").exists()
 
