@@ -302,7 +302,7 @@ class TestCircuitIntegration:
         cfg = spaced(params, n_samples=150_000, seed=15, chains=100)
         batch = integrate_circuit(params, cfg)
         d = params.dimension
-        # the rate fits the step to a whole stride: the chain of the run's own dt
+        # the rate fits the step to a whole stride, so the law is that of the run's own dt
         assert batch.meta["dt"] == pytest.approx(dt, rel=1e-2)
         sig = discrete_stationary_covariance(params, batch.meta["dt"])
         cinv = np.linalg.inv(params.maxwell)
