@@ -31,10 +31,10 @@ from .compiler import TargetSpec
 from .device import SpuEmulator
 from .errors import (DimensionMismatchError, MatrixFormatError,
                      NotPositiveDefiniteError, SpuSimError)
-from .langevin import correlation_time
+from .langevin import _chain_source, correlation_time
 from .linalg import (SamplingPlan, invert_matrix, moment_errors, parameter_study,
                      sample_gaussian)
-from .noise import ChainNoiseSource, NoiseChainConfig
+from .noise import NoiseChainConfig
 from .perf import (SpuCostParams, crossover, load_digital_baseline,
                    performance_curves)
 from .samples import FLOAT_FMT
@@ -163,9 +163,7 @@ def _lane0_noise(args, params) -> np.ndarray:
     """
     chain = NoiseChainConfig.matched(correlation_time(params), duty_cycle=args.noise_level,
                                      seed_a=args.chain_seed_a, seed_b=args.chain_seed_b)
-    source = ChainNoiseSource(chain, seed=args.seed + 1, dimension=params.dimension,
-                              kappa0=params.kappa_vector, dt=1.0 / chain.bit_rate,
-                              chains=args.chains)
+    source = _chain_source(params, chain, args.seed, args.chains)
     n = args.export_noise
     blocks = [[stage[0].copy() for stage in source.stages(min(8192, n - k))]
               for k in range(0, n, 8192)]

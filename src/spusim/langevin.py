@@ -25,9 +25,11 @@ bits, and the filter and the current gain are folded into the kernels:
 the circuit step augmented with the filter state (the colored-noise view
 of an OU process, Gardiner, "Handbook of Stochastic Methods"), its
 kernels summed back over the filter's lags, with the filter state carried
-from block to block.  A saturated chain, or one with substeps, hands its
-filtered values, and the fold is the identity, M^(n-1-j) N.  This
-reproduces the stepped chain at the record times exactly, to rounding.
+from block to block.  A saturated chain hands its filtered values, and
+the fold is the identity, M^(n-1-j) N.  A chain run steps once a bit: s
+EM substeps under one held bit compound to M^s and sum_(i<s) M^i N / s
+(``_LinearSystem.hold``).  This reproduces the substepped chain at the
+record times exactly, to rounding.
 So a record is one step of either source, and a chunk of T
 records is one product per block, the chunked form of a linear-recurrence
 scan (Blelloch 1990; Martin & Cundy 2018): the start state and the chunk's
@@ -140,7 +142,7 @@ def stationary_voltage_covariance(params: CircuitParams, method: str = "auto") -
 
 
 BURN_IN_TAUS = 5.0  # a run burns in for this many correlation times (the 5 tau rule)
-_MAX_CHAIN_STEPS = 100_000_000  # most integrator steps of one chain of a chain-noise run
+_MAX_CHAIN_STEPS = 100_000_000  # most steps (bits) of one chain of a chain-noise run
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ class TrajectoryConfig:
     its records by correlation times states that spacing as a rate
     (``linalg.SamplingPlan``).  The run picks its own step and stride
     (``_resolve_steps``), and the records fall at burn-in + k * stride * dt
-    for k = 1..n.
+    for k = 1..n; a chain-noise run steps once a bit.
     """
 
     n_samples: int
@@ -272,7 +274,6 @@ class _LinearSystem:
 
     def __init__(self, m_inv, a_mat, gamma_vec, amps, dt):
         d = m_inv.shape[0]
-        self.dt = dt
         self.blocks = {}  # blocked-scan blocks by (steps, ideal source): _LinearRun.plans
         self.dimension = d
         modes = _normal_modes(m_inv, a_mat, gamma_vec, amps)
@@ -307,6 +308,15 @@ class _LinearSystem:
             amps=np.sqrt(2.0 * params.kappa_vector),
             dt=dt,
         )
+
+    def hold(self, substeps: int) -> None:
+        """Make this, in place, the step of ``substeps`` steps under one held
+        input, of which each takes 1/s: M <- M^s, S <- S_s and N <- the
+        kernels of an s-step block (``_kernel_stack``) summed, over s."""
+        k, b, r = _stack(self.n_inject).shape
+        lags = _kernel_stack(self, substeps, 0.0, 1.0).reshape(k, b, substeps, r)
+        self.n_inject = (lags.sum(axis=2) / substeps).reshape(self.n_inject.shape)
+        self.m_step, self.s_step = self.compound(substeps)
 
     def readout(self, record: str):
         """The map from kept charge halves h, in the block basis, to
@@ -359,28 +369,26 @@ def _factor(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _chain_dt(params: CircuitParams, chain: NoiseChainConfig) -> float:
-    """The step of a chain-noise run: the chain's bit period over the whole
-    number of substeps nearest to it over ``suggest_dt``."""
-    bit_period = 1.0 / chain.bit_rate
-    return bit_period / max(1, round(bit_period / suggest_dt(params)))
+def _refuse_off_grid(rate: float, top: float, name: str, unit: str) -> None:
+    """Refuse a sample rate more than rounding (relative 1e-9) from ``top``,
+    ``name``, over every whole number of ``unit``s, naming the nearest two."""
+    k = top / rate
+    if abs(rate - top / round(k)) > 1e-9 * rate:
+        raise ValueError(
+            f"sample rate {rate:g} Hz is not {name} {top:g} Hz over a whole number of "
+            f"{unit}s: the nearest such rates are {top / math.floor(k):g} Hz and "
+            f"{top / math.ceil(k):g} Hz")
 
 
-def _refuse_chain_rate(sample_rate: float, dt: float) -> None:
-    """Refuse a sample rate that a run on the chain's step ``dt`` cannot
-    record at: one above 1/dt, as the chain records at most once a step,
-    and one more than rounding (relative 1e-9) from 1/(stride dt) for every
-    whole stride."""
-    steps = 1.0 / (sample_rate * dt)  # a record's steps, before rounding
-    if steps < 1.0 and not math.isclose(steps, 1.0):
+def _refuse_chain_rate(sample_rate: float, bit_rate: float) -> None:
+    """Refuse a sample rate that a chain of ``bit_rate`` bits a second
+    cannot record at: one above the bit rate, as a chain records at most
+    once a bit, or one off its grid of whole bits."""
+    if sample_rate > bit_rate and not math.isclose(sample_rate, bit_rate):
         raise ValueError(
-            f"sample rate {sample_rate:g} Hz is above the chain's step rate "
-            f"{1.0 / dt:g} Hz: a chain-noise run records at most once a step")
-    if abs(sample_rate - 1.0 / (round(steps) * dt)) > 1e-9 * sample_rate:
-        raise ValueError(
-            f"sample rate {sample_rate:g} Hz is not the chain's step rate {1.0 / dt:g} Hz "
-            f"over a whole number of steps: the nearest such rates are "
-            f"{1.0 / (math.floor(steps) * dt):g} Hz and {1.0 / (math.ceil(steps) * dt):g} Hz")
+            f"sample rate {sample_rate:g} Hz is above the chain's bit rate "
+            f"{bit_rate:g} Hz: a chain-noise run records at most once a bit")
+    _refuse_off_grid(sample_rate, bit_rate, "the chain's bit rate", "bit")
 
 
 def _resolve_steps(params: CircuitParams, sample_rate: float,
@@ -389,14 +397,14 @@ def _resolve_steps(params: CircuitParams, sample_rate: float,
     the ideal source (``chain`` None) or on the noise chain ``chain``, with
     a burn-in of ``BURN_IN_TAUS`` correlation times.  The ideal source fits
     dt to the whole stride of ``suggest_dt`` steps nearest the rate; the
-    chain keeps its step (``_chain_dt``) and refuses a rate off its grid of
-    whole strides (``_refuse_chain_rate``)."""
+    chain steps once a bit and refuses a rate off its grid of whole
+    strides (``_refuse_chain_rate``)."""
     if chain is None:
         stride = max(1, round(1.0 / (sample_rate * suggest_dt(params))))
         dt = 1.0 / (sample_rate * stride)
     else:
-        dt = _chain_dt(params, chain)
-        _refuse_chain_rate(sample_rate, dt)
+        _refuse_chain_rate(sample_rate, chain.bit_rate)
+        dt = 1.0 / chain.bit_rate
         stride = round(1.0 / (sample_rate * dt))
     return dt, stride, int(round(BURN_IN_TAUS * correlation_time(params) / dt))
 
@@ -442,12 +450,26 @@ def _prepared_system(params: CircuitParams, sample_rate: float,
     what a run's preparation takes from the circuit's Maxwell, L, R and
     kappa0 arrays, its sample rate and its noise setting alone, so runs
     that agree on them share it.  ``chain`` is the run's
-    ``NoiseChainConfig``, None on the ideal source."""
+    ``NoiseChainConfig``, None on the ideal source.  A chain's step is one
+    bit of the whole number of EM substeps nearest it over ``suggest_dt``
+    (``_LinearSystem.hold``)."""
     chain = (None if noise == "ideal"
              else NoiseChainConfig.matched(correlation_time(params)) if noise == "lfsr-chain"
              else noise)
     dt, stride, burn_steps = _resolve_steps(params, sample_rate, chain)
-    return dt, stride, burn_steps, chain, _LinearSystem.from_circuit(params, dt)
+    substeps = 1 if chain is None else max(1, round(dt / suggest_dt(params)))
+    sys_ = _LinearSystem.from_circuit(params, dt / substeps)
+    if substeps > 1:
+        sys_.hold(substeps)
+    return dt, stride, burn_steps, chain, sys_
+
+
+def _chain_source(params: CircuitParams, chain: NoiseChainConfig, seed: int,
+                  chains: int) -> ChainNoiseSource:
+    """The chain source that ``chains`` chains of a run of ``params``
+    seeded ``seed`` drive: one lane per (chain, cell), seeded ``seed + 1``."""
+    return ChainNoiseSource(chain, seed=seed + 1, dimension=params.dimension,
+                            kappa0=params.kappa_vector, chains=chains)
 
 
 class _CircuitRun:
@@ -501,8 +523,7 @@ class _CircuitRun:
                     f"a chain-noise run of {per_chain:,} records a chain needs {steps:,} "
                     f"integrator steps a chain, over the limit of {_MAX_CHAIN_STEPS:,}; "
                     "more chains make each chain shorter")
-            source = ChainNoiseSource(chain, seed=cfg.seed + 1, dimension=params.dimension,
-                                      kappa0=params.kappa_vector, dt=dt, chains=chains)
+            source = _chain_source(params, chain, cfg.seed, chains)
         self.sys_ = sys_
         k, b, _ = _stack(sys_.m_step).shape
         rest = np.zeros((k, chains, b))  # every run starts at rest

@@ -24,8 +24,8 @@ import numpy as np
 from .circuit import CircuitParams
 from .compiler import TargetSpec, compile_covariance, compile_precision
 from .errors import NotPositiveDefiniteError
-from .langevin import (TrajectoryConfig, _check_noise, _voltage_records, correlation_time,
-                       integrate_circuit)
+from .langevin import (TrajectoryConfig, _check_noise, _refuse_chain_rate, _refuse_off_grid,
+                       _voltage_records, correlation_time, integrate_circuit)
 from .noise import NoiseChainConfig
 from .samples import SampleBatch, prefix_covariances
 
@@ -62,15 +62,19 @@ class SamplingPlan:
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 
-    def trajectory_config(self, params: CircuitParams, seed: int) -> TrajectoryConfig:
-        """The run plan of ``params``: the one place where the
-        ``SPACING_TAUS`` spacing becomes a record rate."""
+    def trajectory_config(self, params: CircuitParams, seed: int,
+                          chain: NoiseChainConfig | None = None) -> TrajectoryConfig:
+        """The run plan of ``params``, on the chain ``chain`` if given: the one
+        place where the ``SPACING_TAUS`` spacing becomes a record rate.  A
+        chain refuses a requested rate off its bit grid before it is thinned."""
         tau = correlation_time(params)
         rate = self.sampling_rate
         if rate is None:
             # the decorrelation spacing, or the raw-rate default of ten samples per tau
             rate = 1.0 / (SPACING_TAUS * tau) if self.decorrelate else 10.0 / tau
         elif self.decorrelate:
+            if chain is not None:
+                _refuse_chain_rate(rate, chain.bit_rate)
             # thin the requested rate down to the decorrelation spacing
             rate = rate / max(1, math.ceil(SPACING_TAUS * tau * rate))
         return TrajectoryConfig(n_samples=self.n_samples, sample_rate=rate, seed=seed,
@@ -125,7 +129,8 @@ def _compiled_run(spec: TargetSpec, plan: SamplingPlan, seed: int,
         noise = replace(noise, duty_cycle=plan.noise_level)
         if chain_seeds is not None:
             noise = replace(noise, seed_a=chain_seeds[0], seed_b=chain_seeds[1])
-    cfg = plan.trajectory_config(params, seed)
+    chain = noise if isinstance(noise, NoiseChainConfig) else None
+    cfg = plan.trajectory_config(params, seed, chain)
     # undo quantization rescale and noise-level scaling in one factor
     level_scale = 1.0 / math.sqrt(plan.noise_level)
     return comp, params, cfg, noise, comp.readout_scale * level_scale
@@ -146,7 +151,7 @@ def sample_gaussian(target, plan: SamplingPlan | None = None,
     returned samples).  ``tolerance_sigma`` perturbs L, R, C components to
     emulate hardware tolerances; ``quantize`` restricts capacitances to the
     switched banks.  On the noise chain, which records once a whole number
-    of its steps, the run refuses a plan rate more than rounding off those
+    of its bits, the run refuses a plan rate more than rounding off those
     rates (ValueError naming the nearest two).
     """
     plan = plan or SamplingPlan()
@@ -373,7 +378,8 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
     counts (``checkpoint_counts``).
     For the rate axis one master trajectory is recorded at the fastest
     requested rate and digitally down-sampled to the slower ones, mirroring
-    how the hardware study post-processes a fixed 12 MHz record.  Rows
+    how the hardware study post-processes a fixed 12 MHz record; a slower
+    rate off the fastest over a whole stride is refused before any run.  Rows
     carry both error normalizations and, for the rate axis, the elapsed
     sampling window so fixed-time comparisons can be read off directly.
     """
@@ -405,7 +411,9 @@ def parameter_study(axis: str, grid, target, plan: SamplingPlan | None = None,
     if not all(math.isfinite(r) and r > 0 for r in rates):
         raise ValueError(f"sampling rates must be positive and finite, got {grid}")
     fastest = rates[-1]
-    strides = [max(1, round(fastest / r)) for r in rates]
+    for r in rates:  # each rate is the fastest one thinned by a whole stride
+        _refuse_off_grid(r, fastest, "the study's fastest rate", "record")
+    strides = [round(fastest / r) for r in rates]
     # record enough fast samples that the slowest rate still reaches n_samples
     master_plan = replace(plan, sampling_rate=fastest, decorrelate=False,
                           n_samples=plan.n_samples * max(strides))

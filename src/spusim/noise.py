@@ -6,7 +6,9 @@ modulation to set the effective noise variance, and smoothed by a
 first-order RC low-pass so the marginal distribution approaches a
 Gaussian.  Algorithm-level experiments default to exact Gaussian noise,
 which the integrator in ``langevin`` draws itself; the chain is the opt-in
-mode for studying noise-source non-idealities.
+mode for studying noise-source non-idealities.  The chain runs on its bit
+clock alone: ``ChainNoiseSource`` makes one value a bit per lane, and how
+many integrator substeps a bit spans is decided in ``langevin``.
 
 The LFSR is a Fibonacci (external-XOR) register with feedback taps at bit
 positions 16, 15, 13 and 4, i.e. the primitive polynomial
@@ -298,39 +300,30 @@ class ChainNoiseSource:
     of the XORed registers; each lane reads its bits at that one phase.  The
     bit stream is PDM-gated, RC-filtered, optionally soft-saturated, and
     scaled by ``step_gain`` so its in-band current PSD matches duty_cycle *
-    kappa0 at full duty calibration.  Bits are piecewise constant over
-    ``substeps_per_bit`` integrator steps.  ``increments`` gives the
-    per-step charge increments the integrator injects, step-major;
+    kappa0 at full duty calibration.  The source knows bits only, and
+    ``increments`` gives the charge increments of each bit, step-major;
     ``stages`` exposes the per-bit values of every stage, lane-major.  All
     lanes are filtered together, time-major (bits on axis 0), by the
     blocked one-pole filter of ``rc_filter``, so increments need no
     transpose.
 
-    ``drive`` is what the block engine reads instead: the input before the
-    gain and, where it is linear, before the filter.  The RC filter is
-    linear, time-invariant and the same on every lane, so the engine folds
-    it into its injection kernels, together with the gain; a linear chain
-    stepped once a bit then never runs the filter here.
+    ``drive`` is what the block engine, which steps once a bit, reads
+    instead: the input before the gain and, where it is linear, before the
+    filter.  The RC filter is linear, time-invariant and the same on every
+    lane, so the engine folds it into its injection kernels, together with
+    the gain; a linear chain then never runs the filter here.
     """
 
     def __init__(self, config: NoiseChainConfig, seed: int, dimension: int,
-                 kappa0, dt: float, chains: int = 1):
+                 kappa0, chains: int = 1):
         self.config = config
         self.dimension = dimension
         self.chains = chains
-        self.dt = dt
         kappa0 = np.broadcast_to(np.asarray(kappa0, dtype=float), (dimension,))
-        bit_period = 1.0 / config.bit_rate
-        sub = max(1, round(bit_period / dt))
-        if not np.isclose(sub * dt, bit_period, rtol=1e-6):
-            raise ValueError(
-                f"dt ({dt:.3e}) must divide the bit period ({bit_period:.3e}); "
-                f"round it to bit_period / {sub}"
-            )
-        self.substeps_per_bit = sub
         # In-band two-sided current PSD of the gated +-1 stream is duty / bit_rate;
         # this gain makes it equal 2 * duty * kappa0 (temperature scales with duty).
-        self.step_gain = np.sqrt(2.0 * kappa0 * config.bit_rate) * dt  # current * dt per cell
+        bit_period = 1.0 / config.bit_rate
+        self.step_gain = np.sqrt(2.0 * kappa0 * config.bit_rate) * bit_period  # charge a bit
         rng = np.random.default_rng(seed)
         lanes = chains * dimension
         _, phase = _cycle()
@@ -344,7 +337,6 @@ class ChainNoiseSource:
         self._phase = phase[_registers(self._phase_a) ^ _registers(self._phase_b)]
         self._bit_index = 0
         self._rc_state: np.ndarray | None = np.zeros(lanes)  # None once ``drive`` holds it
-        self._leftover: np.ndarray | None = None
         self._work: np.ndarray | None = None  # gated bits, reused when not returned
 
     def stages(self, n_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,67 +396,46 @@ class ChainNoiseSource:
             filtered *= v
         return signed, gated if keep_gated else None, filtered
 
-    def _held(self, n_steps: int) -> np.ndarray:
-        """The filtered (and saturated) values of the next ``n_steps`` steps,
-        (n_steps, lanes), each bit held over its substeps.  The filtered
-        bits come time-major, so whole runs of steps are sliced out without
-        a copy."""
-        parts, have = [], 0
-        if self._leftover is not None:
-            parts.append(self._leftover[:n_steps])
-            have = len(parts[0])
-            self._leftover = self._leftover[have:] if have < len(self._leftover) else None
-        while have < n_steps:
-            n_bits = max(1, min(8192, -(-(n_steps - have) // self.substeps_per_bit)))
-            vals = self._advance(n_bits, keep_gated=False)[2]
-            if self.substeps_per_bit > 1:
-                vals = np.repeat(vals, self.substeps_per_bit, axis=0)
-            take = min(n_steps - have, len(vals))
-            parts.append(vals[:take])
-            if take < len(vals):
-                self._leftover = vals[take:]
-            have += take
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def increments(self, n_steps: int) -> np.ndarray:
-        """Charge increments current * dt of shape (n_steps, chains, dimension):
-        the per-step reference of what ``drive`` feeds the engine."""
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        shape = (n_steps, self.chains, self.dimension)
-        if n_steps == 0:
-            return np.empty(shape)
-        out = self._held(n_steps).reshape(shape)
+    def increments(self, n_bits: int) -> np.ndarray:
+        """Charge increments, current times the bit period, of shape (n_bits,
+        chains, dimension): the per-bit reference of what ``drive`` feeds
+        the engine.  The bits are filtered at most 8192 a call."""
+        if n_bits < 0:
+            raise ValueError(f"n_bits must be non-negative, got {n_bits}")
+        out = np.empty((n_bits, self.chains, self.dimension))
+        lanes = out.reshape(n_bits, self.chains * self.dimension)
+        for k in range(0, n_bits, 8192):
+            lanes[k:k + 8192] = self._advance(min(8192, n_bits - k), keep_gated=False)[2]
         out *= self.step_gain
         return out
 
-    def drive(self, n_steps: int) -> tuple[np.ndarray, tuple[float, float]]:
-        """The block engine's input for the next ``n_steps`` steps, shaped
-        (n_steps, chains, dimension) in either memory order, and its
+    def drive(self, n_bits: int) -> tuple[np.ndarray, tuple[float, float]]:
+        """The block engine's input for the next ``n_bits`` bits, shaped
+        (n_bits, chains, dimension) in either memory order, and its
         prefilter (pole, gain).
 
         The increments are ``step_gain`` times the input filtered by
         y[n] = pole y[n-1] + gain x[n], from y[-1] = 0.  A linear chain
-        stepped once a bit hands its gated +-1 bits with the chain's RC
-        filter (1 - alpha, alpha), so the engine runs the filter, and from
-        then on holds its state: ``stages`` and ``increments`` refuse to
-        follow, and the filter must be at rest on the first call.  A
-        saturated chain, or one with substeps, hands its filtered (and
-        saturated) values held over the substeps with the identity
-        prefilter (0, 1).  The gated bits are a buffer that the next call
-        overwrites.  At most one LFSR period of steps is read per call.
+        hands its gated +-1 bits with the chain's RC filter (1 - alpha,
+        alpha), so the engine runs the filter, and from then on holds its
+        state: ``stages`` and ``increments`` refuse to follow, and the
+        filter must be at rest on the first call.  A saturated chain hands
+        its filtered and saturated values with the identity prefilter
+        (0, 1).  The gated bits are a buffer that the next call overwrites.
+        At most one LFSR period of bits is read per call.
         """
-        if not 0 < n_steps <= LFSR_PERIOD:
-            raise ValueError(f"n_steps must be in [1, {LFSR_PERIOD}], got {n_steps}")
-        if self.substeps_per_bit > 1 or self.config.saturation is not None:
-            return self._held(n_steps).reshape(n_steps, self.chains, self.dimension), (0.0, 1.0)
+        if not 0 < n_bits <= LFSR_PERIOD:
+            raise ValueError(f"n_bits must be in [1, {LFSR_PERIOD}], got {n_bits}")
+        if self.config.saturation is not None:
+            filtered = self._advance(n_bits, keep_gated=False)[2]
+            return filtered.reshape(n_bits, self.chains, self.dimension), (0.0, 1.0)
         if self._rc_state is not None and self._rc_state.any():
             raise RuntimeError("drive() starts the engine's RC filter at rest, "
                                "but this source's filter has moved")
         self._rc_state = None
         alpha = _rc_alpha(self.config)
-        gated = self._gate(n_steps, keep=False)[1]
-        lanes = gated.reshape(self.chains, self.dimension, n_steps)
+        gated = self._gate(n_bits, keep=False)[1]
+        lanes = gated.reshape(self.chains, self.dimension, n_bits)
         return lanes.transpose(2, 0, 1), (1.0 - alpha, alpha)
 
 

@@ -146,8 +146,8 @@ class TestSampleVerb:
         assert samples("c", "0xACE1", "0x1D2F") != first
 
     def test_chain_rate_above_its_step_rate_refused(self, tmp_path, capsys):
-        # the chain records at most once a step, here once a bit; half the
-        # bit rate records every other bit
+        # the chain steps and records at most once a bit; half the bit rate
+        # records every other bit
         from spusim.compiler import compile_precision
         from spusim.langevin import correlation_time
         from spusim.noise import NoiseChainConfig
@@ -159,8 +159,8 @@ class TestSampleVerb:
         out = tmp_path / "fast"
         assert main(argv + ["--rate", "1e6", "--outdir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == (f"error: sample rate 1e+06 Hz is above the chain's step rate "
-                       f"{bit_rate:g} Hz: a chain-noise run records at most once a step\n")
+        assert err == (f"error: sample rate 1e+06 Hz is above the chain's bit rate "
+                       f"{bit_rate:g} Hz: a chain-noise run records at most once a bit\n")
         assert not (out / "manifest.json").exists()
         out = tmp_path / "half"
         assert main(argv + ["--rate", repr(bit_rate / 2), "--outdir", str(out)]) == 0
@@ -168,8 +168,8 @@ class TestSampleVerb:
         np.testing.assert_allclose(np.diff(times), 2.0 / bit_rate, rtol=1e-9)
 
     def test_chain_rate_between_strides_refused(self, tmp_path, capsys):
-        # the chain records once a whole number of its steps, here bits: three
-        # quarters of the bit rate lies between strides 1 and 2, half of it on 2
+        # the chain records once a whole number of its bits: three quarters
+        # of the bit rate lies between strides 1 and 2, half of it on 2
         from spusim.compiler import compile_precision
         from spusim.langevin import correlation_time
         from spusim.noise import NoiseChainConfig
@@ -181,8 +181,8 @@ class TestSampleVerb:
         out = tmp_path / "between"
         assert main(argv + ["--rate", repr(0.75 * bit_rate), "--outdir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == (f"error: sample rate {0.75 * bit_rate:g} Hz is not the chain's step "
-                       f"rate {bit_rate:g} Hz over a whole number of steps: the nearest such "
+        assert err == (f"error: sample rate {0.75 * bit_rate:g} Hz is not the chain's bit "
+                       f"rate {bit_rate:g} Hz over a whole number of bits: the nearest such "
                        f"rates are {bit_rate:g} Hz and {bit_rate / 2:g} Hz\n")
         assert not (out / "manifest.json").exists()
         out = tmp_path / "half"
@@ -190,6 +190,30 @@ class TestSampleVerb:
         assert json.loads((out / "samples.json").read_text())["sample_rate"] == bit_rate / 2
         times = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:32, 0]
         np.testing.assert_allclose(np.diff(times), 2.0 / bit_rate, rtol=1e-9)
+
+    def test_chain_refuses_the_rate_asked_for_before_it_is_thinned(self, tmp_path, capsys):
+        # a decorrelated plan thins the rate it is given to the 5 tau
+        # spacing; the chain names the rate asked for, not the thinned one,
+        # and a rate on its bit grid thins to one on the grid
+        from spusim.compiler import compile_precision
+        from spusim.langevin import correlation_time
+        from spusim.noise import NoiseChainConfig
+        m = write_matrix(tmp_path / "p.csv", random_psd_matrix(8, 29))
+        tau = correlation_time(compile_precision(load_matrix(m)).ideal_params)
+        bit_rate = NoiseChainConfig.matched(tau).bit_rate
+        assert 1e5 > bit_rate
+        argv = ["sample", "--precision", m, "--noise-mode", "lfsr-chain", "--n", "64",
+                "--chains", "2"]
+        out = tmp_path / "fast"
+        assert main(argv + ["--rate", "1e5", "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sample rate 100000 Hz is above the chain's bit rate {bit_rate:g} Hz: "
+            "a chain-noise run records at most once a bit\n")
+        assert not (out / "manifest.json").exists()
+        out = tmp_path / "third"
+        assert main(argv + ["--rate", repr(bit_rate / 3), "--outdir", str(out)]) == 0
+        rate = json.loads((out / "samples.json").read_text())["sample_rate"]
+        assert rate == pytest.approx(bit_rate / 2001, rel=1e-12)  # 667 records of 3 bits
 
     def test_export_noise_is_lane_zero_of_the_run(self, tmp_path):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
@@ -208,7 +232,7 @@ class TestSampleVerb:
         # lane 0 of the source a seed-1 run drives: source seed 2, 2 chains x 2
         # cells, unit gain so increments are the per-bit filtered values
         chain = NoiseChainConfig(duty_cycle=level, bit_rate=1.0, rc_time_constant=8.0)
-        source = ChainNoiseSource(chain, seed=2, dimension=2, kappa0=0.5, dt=1.0, chains=2)
+        source = ChainNoiseSource(chain, seed=2, dimension=2, kappa0=0.5, chains=2)
         np.testing.assert_allclose(first[:, 3], source.increments(n_bits)[:, 0, 0],
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(first[:, 0], np.arange(n_bits))
@@ -762,6 +786,16 @@ class TestStudyVerb:
         assert code == 0
         rows = np.loadtxt(out / "study.csv", delimiter=",", skiprows=1)
         assert set(np.unique(rows[:, 0])) == {0.5, 1.0}
+
+    def test_off_grid_sampling_rate_exit_code(self, tmp_path, capsys):
+        # 2 Hz is not 3 Hz thinned by a whole stride: refused before any run
+        out = tmp_path / "o"
+        assert main(["study", "--axis", "sampling_rate", "--grid", "2,3", "--identity", "2",
+                     "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sample rate 2 Hz is not the study's fastest rate 3 Hz over a whole number "
+            "of records: the nearest such rates are 3 Hz and 1.5 Hz\n")
+        assert not (out / "manifest.json").exists()
 
     def test_zero_sampling_rate_exit_code(self, tmp_path, capsys):
         assert main(["study", "--axis", "sampling_rate", "--grid", "0",

@@ -43,10 +43,13 @@ def spaced(params, **cfg):
 
 def on_chain_grid(params, cfg):
     """``cfg`` at the rate nearest its own that the matched chain of the
-    run's stepped cells records at: its step rate over a whole stride."""
+    run's stepped cells records at: its step rate over a whole stride.  The
+    step is read from the run's own preparation at the 5 tau spacing, a
+    whole number of the matched chain's bits."""
     moving = langevin._moving_cells(params)
     stepped = params if moving is None else langevin._sub_circuit(params, moving)
-    dt = langevin._chain_dt(stepped, NoiseChainConfig.matched(correlation_time(stepped)))
+    dt = langevin._prepared_system(stepped, spaced(stepped, n_samples=1).sample_rate,
+                                   "lfsr-chain")[0]
     stride = round(1.0 / (cfg.sample_rate * dt))
     return dataclasses.replace(cfg, sample_rate=1.0 / (stride * dt))
 
@@ -438,14 +441,17 @@ class TestBurnInRule:
         assert first.var(ddof=1) == pytest.approx(target, rel=0.02)
 
 
-def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps):
-    """Per-step oracle for the block engine: one transition per integrator step."""
-    total = burn_steps + per_chain * stride
-    eta = source.increments(total)
+def _stepped_reference(sys_, z, source, per_chain, stride, burn_steps, sub=1):
+    """Per-step oracle for the block engine: one transition per integrator
+    step, ``sub`` steps a bit, each of which injects 1/``sub`` of the bit's
+    increment."""
+    total = burn_steps + per_chain * stride  # bits
+    eta = source.increments(total) / sub
     recs = []
-    for step in range(total):
-        z = z @ sys_.m_step.T + eta[step] @ sys_.n_inject.T
-        if step >= burn_steps and (step + 1 - burn_steps) % stride == 0:
+    for bit in range(total):
+        for _ in range(sub):
+            z = z @ sys_.m_step.T + eta[bit] @ sys_.n_inject.T
+        if bit >= burn_steps and (bit + 1 - burn_steps) % stride == 0:
             recs.append(z)
     return np.stack(recs, axis=1)
 
@@ -503,22 +509,35 @@ class TestBlockEngine:
                     gamma_vec=np.full(d, 1.0), amps=np.full(d, 1.3), dt=self.DT)
 
     def source(self, chains, d=3, sub=1, kappa0=0.7, rc_bits=8.0, **chain_kw):
+        """A chain of ``sub`` steps of DT a bit."""
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         bit_period = sub * self.DT
         chain = NoiseChainConfig(bit_rate=1.0 / bit_period,
                                  rc_time_constant=rc_bits * bit_period, **chain_kw)
-        return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=kappa0, dt=self.DT,
-                                chains=chains)
+        return ChainNoiseSource(chain, seed=41, dimension=d, kappa0=kappa0, chains=chains)
 
-    def compare(self, sys_, chains, per_chain, stride, burn_steps, reference=None, **src_kw):
+    @staticmethod
+    def held(sys_, sub):
+        """``sys_`` as the engine steps it on a chain of ``sub`` of its steps a bit."""
+        if sub > 1:
+            sys_ = copy.deepcopy(sys_)
+            sys_.hold(sub)
+        return sys_
+
+    def compare(self, sys_, chains, per_chain, stride, burn_steps, reference=None, sub=1,
+                **src_kw):
         """``_run_linear`` on ``sys_`` against the stepped chain on ``reference``
-        (``sys_`` itself by default, which is then dense), in the cell basis."""
+        (``sys_`` itself by default, which is then dense), in the cell basis.
+        The chain's bit spans ``sub`` steps of ``sys_``: the engine steps
+        ``sys_`` held over them (``held``), the reference each of them."""
         z0 = np.random.default_rng(42).standard_normal((chains, 2 * sys_.dimension))
         args = (per_chain, stride, burn_steps)
-        got = _run_linear(sys_, to_blocks(sys_, z0.copy()), self.source(chains, **src_kw), *args)
-        got = np.concatenate([cells(sys_, got, 0), cells(sys_, got, 1)], axis=-1)
+        engine = self.held(sys_, sub)
+        got = _run_linear(engine, to_blocks(engine, z0.copy()),
+                          self.source(chains, sub=sub, **src_kw), *args)
+        got = np.concatenate([cells(engine, got, 0), cells(engine, got, 1)], axis=-1)
         want = _stepped_reference(sys_ if reference is None else reference, z0.copy(),
-                                  self.source(chains, **src_kw), *args)
+                                  self.source(chains, sub=sub, **src_kw), *args, sub=sub)
         assert got.shape == want.shape == (chains, per_chain, 2 * sys_.dimension)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -528,7 +547,7 @@ class TestBlockEngine:
         (8, 8, 3, 2000, 2000, {}),  # stride = width = 2000, as a d = 8 sampling run
         (3, 2, 6, 90, 40, {"duty_cycle": 0.3}),  # gated-off bits enter the kernels raw
         (3, 2, 6, 90, 40, {"duty_cycle": 0.3, "saturation": 1.2}),  # filtered, identity fold
-        (3, 2, 7, 37, 50, {"sub": 3}),  # filtered values held over substeps, identity fold
+        (3, 2, 7, 37, 50, {"sub": 3}),  # raw bits, each held over three steps of the system
     ], ids=["blocks", "underflow", "d8", "duty", "saturated", "substeps"])
     def test_modal_layout_folds_the_filter(self, monkeypatch, d, chains, per_chain, stride,
                                            burn_steps, src_kw):
@@ -544,11 +563,12 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("src_kw,filtered", [({}, False), ({"duty_cycle": 0.3}, False),
                                                  ({"saturation": 1.2}, True),
-                                                 ({"sub": 3}, True)],
+                                                 ({"sub": 3}, False)],
                              ids=["linear", "duty", "saturated", "substeps"])
     def test_linear_chain_hands_its_raw_bits_to_the_engine(self, monkeypatch, src_kw,
                                                            filtered):
-        # a linear chain stepped once a bit is never filtered by the source
+        # a linear chain, a bit held over several steps too, is never
+        # filtered by the source
         import spusim.noise as noise
         x, prefilter = self.source(2, **src_kw).drive(10)
         assert x.shape == (10, 2, 3)
@@ -557,8 +577,8 @@ class TestBlockEngine:
         calls, one_pole = [], noise._one_pole
         monkeypatch.setattr(noise, "_one_pole",
                             lambda *a, **k: calls.append(1) or one_pole(*a, **k))
-        _run_linear(self.system(), np.zeros((2, 6)), self.source(2, **src_kw), per_chain=3,
-                    stride=40, burn_steps=20)
+        _run_linear(self.held(self.system(), src_kw.get("sub", 1)), np.zeros((2, 6)),
+                    self.source(2, **src_kw), per_chain=3, stride=40, burn_steps=20)
         assert bool(calls) == filtered
 
     def test_stride_above_block_and_not_a_multiple(self, monkeypatch):
@@ -706,6 +726,52 @@ class TestChainLaw:
             assert 1.0 - per_chain.mean() > 8.0 * spread
 
 
+class TestSubsteppedChain:
+    """A chain whose bit takes several EM substeps steps once a bit, through
+    the program path: the substeps are compounded into the bit's step."""
+
+    TARGET = np.diag([0.3, 2.0])  # tau / 400 is 10/3 of suggest_dt: three substeps a bit
+
+    def test_sample_run_steps_raw_bits_once_a_bit(self, monkeypatch):
+        import spusim.noise as noise
+        held, bits, filtered = [], [], []
+        hold, drive, one_pole = _LinearSystem.hold, ChainNoiseSource.drive, noise._one_pole
+        monkeypatch.setattr(_LinearSystem, "hold",
+                            lambda sys_, n: held.append(n) or hold(sys_, n))
+        monkeypatch.setattr(ChainNoiseSource, "drive",
+                            lambda src, n: bits.append(n) or drive(src, n))
+        monkeypatch.setattr(noise, "_one_pole",
+                            lambda *a, **k: filtered.append(1) or one_pole(*a, **k))
+        # an RC corner of half a bit: at the default 8 bits the fast cell,
+        # 60 bits a correlation time, runs 12% cold by the chain's
+        # colored-noise law (``TestChainLaw``), far outside the band
+        params = compile_precision(self.TARGET).ideal_params
+        chain = NoiseChainConfig.matched(correlation_time(params), rc_bits=0.5)
+        batch = sample_gaussian(self.TARGET, SamplingPlan(n_samples=16_000, chains=16),
+                                seed=7, noise=chain)
+        assert held == [3]
+        assert filtered == []  # the chain hands over its raw bits
+        meta = batch.meta
+        burn, stride = round(meta["burn_in"] / meta["dt"]), meta["record_stride"]
+        assert (burn, stride) == (2000, 2000)  # 5 tau at 400 bits a tau
+        assert sum(bits) == burn + batch.samples_per_chain * stride  # bits a chain
+        sigma = np.linalg.inv(self.TARGET)
+        fro2 = np.sum(sigma * sigma)
+        wishart = np.sqrt((np.trace(sigma) ** 2 + fro2) / (batch.n_samples - 1) / fro2)
+        error = rel_frobenius(np.cov(batch.values, rowvar=False), sigma)
+        assert 0.5 <= error / wishart <= 2.0
+
+    def test_rate_above_the_bit_rate_refused(self):
+        # three substeps a bit no longer make a record grid three times finer
+        params = compile_precision(self.TARGET).ideal_params
+        bit_rate = NoiseChainConfig.matched(correlation_time(params)).bit_rate
+        cfg = TrajectoryConfig(n_samples=8, sample_rate=3.0 * bit_rate)
+        with pytest.raises(ValueError, match="above the chain's bit rate .* at most once a bit"):
+            integrate_circuit(params, cfg, noise="lfsr-chain")
+        assert integrate_circuit(params, dataclasses.replace(cfg, sample_rate=bit_rate),
+                                 noise="lfsr-chain").meta["record_stride"] == 1
+
+
 def _dense_twin(monkeypatch, **system_kw):
     """The same step with the modal split refused, i.e. one dense 2d x 2d block."""
     with monkeypatch.context() as m:
@@ -747,8 +813,7 @@ class TestModalEngine:
     def chain(self, chains, d, kappa0=0.7):
         from spusim.noise import ChainNoiseSource, NoiseChainConfig
         cfg = NoiseChainConfig(bit_rate=1.0 / self.DT, rc_time_constant=8.0 * self.DT)
-        return ChainNoiseSource(cfg, seed=51, dimension=d, kappa0=kappa0, dt=self.DT,
-                                chains=chains)
+        return ChainNoiseSource(cfg, seed=51, dimension=d, kappa0=kappa0, chains=chains)
 
     @pytest.mark.parametrize("n", [1, 2, 777, 4000])
     def test_compound_rotated_back_matches_dense(self, monkeypatch, n):
@@ -969,9 +1034,8 @@ class _PaddedChain:
 
     cells = 2
 
-    def __init__(self, config, seed, dimension, kappa0, dt, chains):
-        self.source = ChainNoiseSource(config, seed, self.cells, kappa0[:self.cells], dt,
-                                       chains)
+    def __init__(self, config, seed, dimension, kappa0, chains):
+        self.source = ChainNoiseSource(config, seed, self.cells, kappa0[:self.cells], chains)
         self.shape = (chains, dimension)
         self.step_gain = np.zeros(dimension)
         self.step_gain[:self.cells] = self.source.step_gain

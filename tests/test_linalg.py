@@ -466,6 +466,23 @@ class TestParameterStudy:
         with pytest.raises(ValueError):
             parameter_study("noise_level", [], np.eye(2))
 
+    @pytest.mark.parametrize("grid,refused,near", [([2.0, 3.0], "2", "3 Hz and 1.5 Hz"),
+                                                   ([3.0, 1.0, 1.4], "1.4", "1.5 Hz and 1 Hz")])
+    def test_off_grid_sampling_rate_rejected_before_sampling(self, monkeypatch, grid, refused,
+                                                             near):
+        # a slower rate must be the fastest over a whole stride, or its rows
+        # would be labelled with a rate their records do not keep
+        import spusim.linalg as la
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the rates")
+
+        monkeypatch.setattr(la, "sample_gaussian", no_sampling)
+        with pytest.raises(ValueError, match=f"^sample rate {refused} Hz is not the study's "
+                                             f"fastest rate 3 Hz over a whole number of "
+                                             f"records: the nearest such rates are {near}$"):
+            parameter_study("sampling_rate", grid, np.eye(2))
+
     @pytest.mark.parametrize("rate", [0.0, -1e6, float("nan"), float("inf")])
     def test_bad_sampling_rate_rejected_before_sampling(self, monkeypatch, rate):
         import spusim.linalg as la

@@ -117,7 +117,7 @@ class TestGold:
     @pytest.mark.parametrize("seed_a,seed_b", SEED_PAIRS)
     def test_source_reads_each_lane_at_its_one_phase(self, seed_a, seed_b):
         cfg = NoiseChainConfig(seed_a=seed_a, seed_b=seed_b, bit_rate=1.0, rc_time_constant=8.0)
-        src = ChainNoiseSource(cfg, seed=21, dimension=3, kappa0=1.0, dt=1.0, chains=2)
+        src = ChainNoiseSource(cfg, seed=21, dimension=3, kappa0=1.0, chains=2)
         register = registers_by_phase()
         _, phase = _cycle()
         reg_a, reg_b = register[src._phase_a], register[src._phase_b]
@@ -247,8 +247,8 @@ class TestChainSource:
         # one-sided Welch estimate should read 4 * duty * kappa0
         kappa0, duty = 2.5, 0.4
         cfg = NoiseChainConfig(duty_cycle=duty, bit_rate=1.0, rc_time_constant=4.0)
-        src = ChainNoiseSource(cfg, seed=3, dimension=1, kappa0=kappa0, dt=1.0, chains=8)
-        inc = src.increments(400_000)[:, :, 0].T  # (chains, n), current * dt with dt=1
+        src = ChainNoiseSource(cfg, seed=3, dimension=1, kappa0=kappa0, chains=8)
+        inc = src.increments(400_000)[:, :, 0].T  # (chains, n), current * bit period 1
         from scipy import signal
         f, psd = signal.welch(inc, fs=1.0, nperseg=8192, axis=1)
         band = (f > 0.001) & (f < 0.01)  # well below the RC corner at 1/(2 pi 4)
@@ -257,26 +257,26 @@ class TestChainSource:
 
     def test_deterministic(self):
         cfg = NoiseChainConfig(duty_cycle=0.5)
-        kw = dict(seed=9, dimension=2, kappa0=1e-13, dt=1.0 / 96e6, chains=2)
+        kw = dict(seed=9, dimension=2, kappa0=1e-13, chains=2)
         a = ChainNoiseSource(cfg, **kw).increments(5000)
         b = ChainNoiseSource(cfg, **kw).increments(5000)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_and_negative_counts(self):
         cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0)
-        kw = dict(seed=5, dimension=3, kappa0=0.5, dt=0.5, chains=2)
+        kw = dict(seed=5, dimension=3, kappa0=0.5, chains=2)
         src = ChainNoiseSource(cfg, **kw)
         assert src.increments(0).shape == (0, 2, 3)
-        with pytest.raises(ValueError, match="n_steps.*-3"):
+        with pytest.raises(ValueError, match="n_bits.*-3"):
             src.increments(-3)
-        # an empty or refused draw leaves the stream where it was, leftover included
+        # an empty or refused draw leaves the stream where it was
         got = [src.increments(5), src.increments(0), src.increments(7)]
         want = ChainNoiseSource(cfg, **kw)
         np.testing.assert_array_equal(np.concatenate(got),
                                       np.concatenate([want.increments(5), want.increments(7)]))
 
     def test_saturation_compresses_variance(self):
-        kw = dict(seed=2, dimension=1, kappa0=1.0, dt=1.0, chains=4)
+        kw = dict(seed=2, dimension=1, kappa0=1.0, chains=4)
         free = ChainNoiseSource(NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0), **kw)
         sat = ChainNoiseSource(NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0,
                                                 saturation=1.0), **kw)
@@ -286,9 +286,9 @@ class TestChainSource:
 
     def test_stages_are_lane_major_and_feed_increments(self):
         # stages keeps its (lanes, n_bits) layout; increments are the same
-        # filtered values step-major, times the current gain and dt (1 here)
+        # filtered values step-major, times the current gain and the bit period (1 here)
         cfg = NoiseChainConfig(duty_cycle=0.7, bit_rate=1.0, rc_time_constant=8.0)
-        kw = dict(seed=4, dimension=3, kappa0=0.5, dt=1.0, chains=2)
+        kw = dict(seed=4, dimension=3, kappa0=0.5, chains=2)
         bits, gated, filtered = ChainNoiseSource(cfg, **kw).stages(300)
         assert bits.shape == gated.shape == filtered.shape == (6, 300)
         assert set(np.unique(bits)) == {0, 1}
@@ -299,34 +299,33 @@ class TestChainSource:
 
     def test_increments_match_per_lane_reference(self):
         # equal to the chain assembled lane by lane from lfsr_bits, over
-        # uneven call sizes (which split bits across calls) and past the
+        # uneven call sizes and past the
         # 2^16 - 1 cycle wrap; to rounding only, since the blocked RC filter's
         # rounding depends on where the calls split the stream (a wrong bit,
         # phase, gate or gain moves a value by about 0.1, not 1e-16)
         from spusim.noise import _cycle, _filtered_rms
         cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
                                saturation=1.5)
-        sub, chains, d, dt = 3, 2, 2, 1.0 / 3
+        chains, d = 2, 2
         kappa0 = np.array([0.7, 1.9])
-        src = ChainNoiseSource(cfg, seed=12, dimension=d, kappa0=kappa0, dt=dt, chains=chains)
+        src = ChainNoiseSource(cfg, seed=12, dimension=d, kappa0=kappa0, chains=chains)
         sizes = [1, 5, 24_575, 2, 100_000, 85_417]
         got = np.concatenate([src.increments(n) for n in sizes])
-        n_steps = sum(sizes)
-        n_bits = -(-n_steps // sub)
+        n_bits = sum(sizes)
         assert n_bits > LFSR_PERIOD
         _, phase = _cycle()
         register = np.empty(LFSR_PERIOD, dtype=np.int64)
         register[phase[1:]] = np.arange(1, LFSR_PERIOD + 1)
         v = cfg.saturation * _filtered_rms(cfg)
-        want = np.empty((n_steps, chains * d))
+        want = np.empty((n_bits, chains * d))
         for lane in range(chains * d):
             bits = (lfsr_bits(int(register[src._phase_a[lane]]), n_bits)
                     ^ lfsr_bits(int(register[src._phase_b[lane]]), n_bits))
             gated = (bits.astype(float) * 2.0 - 1.0) * pdm_enable(n_bits, cfg.duty_cycle)
             filtered = rc_filter(gated, cfg.rc_time_constant, 1.0 / cfg.bit_rate)
-            want[:, lane] = np.repeat(v * np.tanh(filtered / v), sub)[:n_steps]
-        want = want.reshape(n_steps, chains, d)
-        want *= np.sqrt(2.0 * kappa0 * cfg.bit_rate) * dt
+            want[:, lane] = v * np.tanh(filtered / v)
+        want = want.reshape(n_bits, chains, d)
+        want *= np.sqrt(2.0 * kappa0 * cfg.bit_rate) / cfg.bit_rate
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
@@ -339,7 +338,7 @@ class TestDrive:
     @pytest.mark.parametrize("duty", [1.0, 0.6])
     def test_linear_chain_hands_raw_gated_bits(self, duty):
         cfg = NoiseChainConfig(duty_cycle=duty, bit_rate=1.0, rc_time_constant=8.0)
-        src = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        src = ChainNoiseSource(cfg, **self.KW)
         sizes = [1, 700, 4096, 65_535, 3]  # past the 2^16 - 1 cycle wrap
         parts = [src.drive(n) for n in sizes]
         assert all(pre == parts[0][1] for _, pre in parts)
@@ -347,34 +346,34 @@ class TestDrive:
         assert (pole, gain) == pytest.approx((8.0 / 9.0, 1.0 / 9.0), rel=1e-15)
         assert set(np.unique(x)) == ({-1.0, 1.0} if duty == 1.0 else {-1.0, 0.0, 1.0})
         filtered = rc_filter(x.reshape(len(x), -1).T, 8.0, 1.0).T.reshape(x.shape)
-        want = ChainNoiseSource(cfg, dt=1.0, **self.KW).increments(len(x))
+        want = ChainNoiseSource(cfg, **self.KW).increments(len(x))
         np.testing.assert_allclose(filtered * src.step_gain, want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("cfg_kw,dt", [({"saturation": 1.5}, 1.0), ({}, 1.0 / 3)])
-    def test_filtered_chain_hands_its_increments_before_the_gain(self, cfg_kw, dt):
-        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0, **cfg_kw)
-        src = ChainNoiseSource(cfg, dt=dt, **self.KW)
+    def test_saturated_chain_hands_its_increments_before_the_gain(self):
+        cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
+                               saturation=1.5)
+        src = ChainNoiseSource(cfg, **self.KW)
         sizes = (5, 1000, 17)  # the blocked filter rounds by where calls split
         x = np.concatenate([src.drive(n)[0] for n in sizes])
         assert src.drive(1)[1] == (0.0, 1.0)
-        twin = ChainNoiseSource(cfg, dt=dt, **self.KW)
+        twin = ChainNoiseSource(cfg, **self.KW)
         want = np.concatenate([twin.increments(n) for n in sizes])
         np.testing.assert_array_equal(x * src.step_gain, want)
 
     def test_the_engine_holds_the_filter_state(self):
         cfg = NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0)
-        src = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        src = ChainNoiseSource(cfg, **self.KW)
         src.drive(10)
         for read in (src.increments, src.stages):
             with pytest.raises(RuntimeError, match="handed to the engine"):
                 read(5)
-        moved = ChainNoiseSource(cfg, dt=1.0, **self.KW)
+        moved = ChainNoiseSource(cfg, **self.KW)
         moved.increments(3)
         with pytest.raises(RuntimeError, match="at rest"):
             moved.drive(10)
-        with pytest.raises(ValueError, match="n_steps"):
-            ChainNoiseSource(cfg, dt=1.0, **self.KW).drive(0)
+        with pytest.raises(ValueError, match="n_bits"):
+            ChainNoiseSource(cfg, **self.KW).drive(0)
 
 
 class TestChainDigests:
@@ -395,17 +394,36 @@ class TestChainDigests:
         "one-lane": "a2a3eeac8823facb4778d7cab10a7f863c07aa9a03c47c5935cffbcd6c1aa270",
     }
 
+    @staticmethod
+    def held_over_substeps(src, kappa0, sizes, sub):
+        """The stream of a source that held each bit over ``sub`` integrator
+        steps and was read ``sizes`` steps a call: the filtered values of
+        ``drive``, bits filtered in that source's calls of at most 8192,
+        each held over ``sub`` steps, times the current and the step."""
+        calls, left = [], 0
+        for n in sizes:
+            have = min(left, n)
+            left -= have
+            while have < n:
+                bits = max(1, min(8192, -(-(n - have) // sub)))
+                calls.append(bits)
+                take = min(n - have, bits * sub)
+                left, have = bits * sub - take, have + take
+        held = np.repeat(np.concatenate([src.drive(n)[0] for n in calls]), sub, axis=0)
+        return held[:sum(sizes)] * (np.sqrt(2.0 * kappa0 * src.config.bit_rate) * (1.0 / sub))
+
     @pytest.mark.parametrize("case", sorted(INCREMENTS))
     def test_increments_over_uneven_calls(self, case):
-        if case == "gated":  # duty < 1, saturation, three substeps a bit
+        if case == "gated":  # duty < 1, saturation, each bit held over three steps
             cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0,
                                    saturation=1.5)
-            src = ChainNoiseSource(cfg, seed=12, dimension=2, kappa0=np.array([0.7, 1.9]),
-                                   dt=1.0 / 3, chains=2)
+            kappa0 = np.array([0.7, 1.9])
+            src = ChainNoiseSource(cfg, seed=12, dimension=2, kappa0=kappa0, chains=2)
+            parts = [self.held_over_substeps(src, kappa0, self.SIZES, 3)]
         else:  # full duty, one bit a step
             cfg = NoiseChainConfig(bit_rate=1.0, rc_time_constant=8.0)
-            src = ChainNoiseSource(cfg, seed=13, dimension=1, kappa0=0.4, dt=1.0)
-        parts = [src.increments(n) for n in self.SIZES]
+            src = ChainNoiseSource(cfg, seed=13, dimension=1, kappa0=0.4)
+            parts = [src.increments(n) for n in self.SIZES]
         assert all(p.shape[1:] == (src.chains, src.dimension) for p in parts)
         assert self.digest(*parts) == self.INCREMENTS[case]
 
@@ -417,7 +435,7 @@ class TestChainDigests:
 
     def test_stages_in_successive_calls(self):
         cfg = NoiseChainConfig(duty_cycle=0.6, bit_rate=1.0, rc_time_constant=8.0)
-        src = ChainNoiseSource(cfg, seed=14, dimension=3, kappa0=0.5, dt=1.0, chains=2)
+        src = ChainNoiseSource(cfg, seed=14, dimension=3, kappa0=0.5, chains=2)
         for n_bits, want in self.STAGES.items():
             bits, gated, filtered = src.stages(n_bits)
             assert bits.dtype == np.uint8 and bits.shape == (6, n_bits)

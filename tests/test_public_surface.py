@@ -216,6 +216,12 @@ ALLOWED_PRIVATE_IMPORTS = {
         "a bad noise setting is refused before the target is compiled",
     "linalg <- langevin._voltage_records":
         "the inversion streams a run's records into its prefix covariances",
+    "linalg <- langevin._refuse_chain_rate":
+        "a chain run refuses the rate a plan asks for before the plan thins it",
+    "linalg <- langevin._refuse_off_grid":
+        "a rate study refuses a rate off its grid as a chain refuses one off its bits",
+    "cli <- langevin._chain_source":
+        "the exported noise stream is read from the source the run itself builds",
 }
 
 

@@ -34,9 +34,9 @@ def noisy_posterior():
                               plan=linalg.SamplingPlan(n_samples=200, chains=2))
 
 
-def chain_source(dt):
+def chain_source():
     return noise.ChainNoiseSource(noise.NoiseChainConfig(bit_rate=1.0), seed=0, dimension=1,
-                                  kappa0=1.0, dt=dt)
+                                  kappa0=1.0)
 
 
 LIBRARY = {
@@ -166,8 +166,8 @@ LIBRARY = {
                                                langevin.TrajectoryConfig(n_samples=8,
                                                                          sample_rate=300.0),
                                                noise="lfsr-chain"),
-        ValueError, "sample rate 300 Hz is not the chain's step rate 400 Hz over a whole "
-                    "number of steps: the nearest such rates are 400 Hz and 200 Hz"),
+        ValueError, "sample rate 300 Hz is not the chain's bit rate 400 Hz over a whole "
+                    "number of bits: the nearest such rates are 400 Hz and 200 Hz"),
     "langevin.integrate_circuit-record": (
         lambda tmp: langevin.integrate_circuit(circuit.CircuitParams.from_maxwell(EYE2),
                                                langevin.TrajectoryConfig(n_samples=8, sample_rate=1.0),
@@ -203,12 +203,8 @@ LIBRARY = {
     "noise.NoiseChainConfig.matched": (
         lambda tmp: noise.NoiseChainConfig.matched(0.0),
         ValueError, "tau_corr must be positive"),
-    "noise.ChainNoiseSource-dt": (
-        lambda tmp: chain_source(0.7),
-        ValueError, "dt (7.000e-01) must divide the bit period (1.000e+00); "
-                    "round it to bit_period / 1"),
     "noise.ChainNoiseSource.stages": (
-        lambda tmp: chain_source(1.0).stages(0),
+        lambda tmp: chain_source().stages(0),
         ValueError, f"n_bits must be in [1, {noise.LFSR_PERIOD}], got 0"),
     "perf.SpuCostParams": (
         lambda tmp: perf.SpuCostParams(adc_rate=0.0),
