@@ -19,14 +19,15 @@ the same factors to subsequent experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import COUPLING_CAPACITANCE_F, CircuitParams, loading_variance_model
+from .circuit import (COUPLING_CAPACITANCE_F, CircuitParams, assert_positive_definite,
+                      loading_variance_model)
 from .device import DEFAULT_SAMPLE_RATE_HZ, SpuEmulator
 from .errors import DeadCellError
-from .langevin import TrajectoryConfig, integrate_circuits
+from .langevin import TrajectoryConfig, _moving_cells, integrate_circuits
 from .samples import SampleBatch
 
 
@@ -437,7 +438,8 @@ class FaultRecord:
 
 @dataclass
 class FaultScanReport:
-    records: list[FaultRecord] = field(default_factory=list)
+    records: list[FaultRecord]
+    runs_stepped: int  # the other runs' probes could not leave rest
 
     @property
     def flags(self) -> list[FaultRecord]:
@@ -453,6 +455,49 @@ class FaultScanReport:
                 for r in self.flags
             ],
         }
+
+
+def _probe_can_move(params: CircuitParams, probe: int) -> bool:
+    """Whether a run of ``params`` from rest can move cell ``probe``: some
+    cell is driven and the probe is among the moving cells
+    (``_moving_cells``).  Any other probe reads exactly 0.0."""
+    moving = _moving_cells(params)
+    return bool((params.kappa_vector > 0).any() and (moving is None or probe in moving))
+
+
+def _scan_record(nominal: CircuitParams, drive: int, probe: int, state: int,
+                 batch: SampleBatch | None) -> FaultRecord:
+    """The record of one scan run from its stepped ``batch``, or from none
+    when its probe cannot leave rest (``_probe_can_move``): such a probe's
+    variance is exactly 0, so it has no signal.  The expected resonance is
+    read from the uncoupled ``nominal`` board."""
+    c_probe = nominal.maxwell[probe, probe] + state * COUPLING_CAPACITANCE_F
+    f_exp = 1.0 / (2 * np.pi * math.sqrt(nominal.cells[probe].inductance * c_probe))
+    has_signal = False
+    if batch is not None:
+        drive_var = float(_cell_values(batch, drive).var(ddof=1))
+        probe_var = float(_cell_values(batch, probe).var(ddof=1))
+        has_signal = probe_var > 1e-4 * max(drive_var, 1e-300)
+    peak_db = -np.inf
+    f_peak = None
+    if has_signal:
+        spec = estimate_spectrum(batch, segment_length=_SCAN_SEGMENT, cell=probe)
+        med = _median(spec.density)
+        f_peak = spec.peak_frequency()
+        top = float(spec.density.max())
+        peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf
+    found = has_signal and peak_db >= 6.0
+    expected = (drive == probe) or state != 0
+    flag = None
+    if expected and not found:
+        flag = "absent"
+    elif expected and found and abs(f_peak - f_exp) > 0.15 * f_exp:
+        flag = "frequency-shifted"
+    elif not expected and found:
+        flag = "unexpected"
+    return FaultRecord(drive=drive, probe=probe, coupling=state, expected_peak=expected,
+                       peak_found=found, peak_frequency=f_peak, expected_frequency=f_exp,
+                       peak_db=float(peak_db), flag=flag)
 
 
 def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
@@ -473,18 +518,22 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
     frequency-shifted.
 
     Each run is the device's ``sample`` run at ``DEFAULT_SAMPLE_RATE_HZ``
-    with ``chains`` chains and seed ``seed`` plus its index.  It steps only
-    the cells that can move: the driven cell and, when the pair is coupled,
-    the probe; the step size follows them.  The other cells, and an
-    uncoupled probe, read exact zeros.  All runs go to one
-    ``integrate_circuits`` call, which steps runs of equal shape as one
-    stack and prepares each distinct stepped circuit once: a scan of a healthy uniform board prepares three, the
-    driven cell alone and a coupled pair at +1 and at -1.  The records
-    come back in scan order.  A record's expected resonance is its probe's
-    on the nominal board with the pair's coupling set, read from one
-    uncoupled nominal board: the coupling adds state times
-    ``COUPLING_CAPACITANCE_F`` to the probe's Maxwell diagonal, exactly.
-    Chains shorter than one segment are refused before any run is
+    with ``chains`` chains and seed ``seed`` plus its index.  A run whose
+    probe cannot leave rest (``_probe_can_move``: an uncoupled or dead pair,
+    or a dead driven cell) reads exact zeros there, so it has no signal; it
+    is not stepped, and its record is made without samples.  Its Maxwell
+    matrix is still refused when it is not positive definite, as a stepped
+    run's is.  The other runs go to one ``integrate_circuits`` call, which
+    steps only the cells that can move (the driven cell and its coupled
+    probe, the step size following them), steps runs of equal shape as one
+    stack and prepares each distinct stepped circuit once: a scan of a
+    healthy uniform board prepares three, the driven cell alone and a
+    coupled pair at +1 and at -1.  The records come back in scan order, and
+    ``runs_stepped`` counts the stepped runs.  A record's expected
+    resonance is its probe's on the nominal board with the pair's coupling
+    set, read from one uncoupled nominal board: the coupling adds state
+    times ``COUPLING_CAPACITANCE_F`` to the probe's Maxwell diagonal,
+    exactly.  Chains shorter than one segment are refused before any run is
     stepped.
     """
     d = device.n_cells
@@ -502,42 +551,31 @@ def two_cell_fault_scan(device: SpuEmulator, bank_config: int = 3,
                 mask = np.zeros(d)
                 mask[drive] = 1.0
                 tests.append((drive, probe, state, matrix, mask))
-    # a generator: each run's whole-board params are dropped once it is prepared
-    runs = (device.sample_run(bank_config=bank_config, coupling=matrix, n_samples=n_samples,
-                              seed=seed + i, chains=chains, noise_mask=mask)
-            for i, (_, _, _, matrix, mask) in enumerate(tests))
     nominal = device.nominal_params(bank_config=bank_config)
     records = [None] * len(tests)
-    for i, batch in integrate_circuits(runs):
-        drive, probe, state, _, _ = tests[i]
-        c_probe = nominal.maxwell[probe, probe] + state * COUPLING_CAPACITANCE_F
-        f_exp = 1.0 / (2 * np.pi * math.sqrt(nominal.cells[probe].inductance * c_probe))
-        drive_var = float(_cell_values(batch, drive).var(ddof=1))
-        probe_var = float(_cell_values(batch, probe).var(ddof=1))
-        has_signal = probe_var > 1e-4 * max(drive_var, 1e-300)
-        peak_db = -np.inf
-        f_peak = None
-        if has_signal:
-            spec = estimate_spectrum(batch, segment_length=_SCAN_SEGMENT, cell=probe)
-            med = _median(spec.density)
-            f_peak = spec.peak_frequency()
-            top = float(spec.density.max())
-            peak_db = 10.0 * math.log10(top / med) if med > 0 else np.inf
-        found = has_signal and peak_db >= 6.0
-        expected = (drive == probe) or state != 0
-        flag = None
-        if expected and not found:
-            flag = "absent"
-        elif expected and found and abs(f_peak - f_exp) > 0.15 * f_exp:
-            flag = "frequency-shifted"
-        elif not expected and found:
-            flag = "unexpected"
-        records[i] = FaultRecord(drive=drive, probe=probe, coupling=state,
-                                 expected_peak=expected, peak_found=found,
-                                 peak_frequency=f_peak, expected_frequency=f_exp,
-                                 peak_db=float(peak_db), flag=flag)
+    stepped = []  # the scan index of each run sent to be stepped
+
+    def moving_runs():
+        """The runs whose probe can move, each whole-board params made as
+        it is read and dropped once it is prepared; the other runs'
+        records are made here."""
+        for i, (drive, probe, state, matrix, mask) in enumerate(tests):
+            params, cfg = device.sample_run(bank_config=bank_config, coupling=matrix,
+                                            n_samples=n_samples, seed=seed + i,
+                                            chains=chains, noise_mask=mask)
+            if _probe_can_move(params, probe):
+                stepped.append(i)
+                yield params, cfg
+            else:
+                if params.maxwell_eigenvalues[0] <= 0:
+                    assert_positive_definite(params.maxwell, "Maxwell capacitance matrix")
+                records[i] = _scan_record(nominal, drive, probe, state, None)
+
+    for j, batch in integrate_circuits(moving_runs()):
+        i = stepped[j]
+        records[i] = _scan_record(nominal, *tests[i][:3], batch)
         del batch  # a view of its stack's records: let them go before the next stack
-    return FaultScanReport(records)
+    return FaultScanReport(records, runs_stepped=len(stepped))
 
 
 @dataclass(frozen=True)

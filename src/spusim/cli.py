@@ -374,6 +374,7 @@ def cmd_faultscan(args) -> _Run:
     path.write_text(json.dumps(report.summary(), indent=2, sort_keys=True))
     run.add("faultscan", path)
     run.results["flag_count"] = len(report.flags)
+    run.results["runs_stepped"] = report.runs_stepped
     return run
 
 

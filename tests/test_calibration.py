@@ -18,7 +18,7 @@ from spusim.calibration import (CellEstimate, LoadingFit, PowerSpectrum,
 from spusim.circuit import CircuitParams, CouplingConfig, UnitCell, loading_variance_model
 from spusim.device import SpuEmulator
 from spusim.errors import DeadCellError
-from spusim.langevin import TrajectoryConfig, integrate_circuit
+from spusim.langevin import TrajectoryConfig, integrate_circuit, integrate_circuits
 from spusim.samples import SampleBatch
 
 
@@ -196,6 +196,45 @@ class TestFaultScan:
         device = SpuEmulator(n_cells=3)
         for seed in range(10):
             assert two_cell_fault_scan(device, seed=seed).flags == []
+
+    @pytest.mark.parametrize("device, skipped", [
+        (SpuEmulator(n_cells=4), 6),
+        (SpuEmulator(n_cells=4, dead_couplings={(1, 3)}), 8),
+        (SpuEmulator(n_cells=4, dead_cells={0}), 13),
+        (SpuEmulator(n_cells=4, capacitance_scale={1: 1.5}), 6),
+        (SpuEmulator(n_cells=4, tolerance_sigma=0.05), 6),
+    ])
+    def test_skipped_runs_equal_their_stepped_runs(self, device, skipped, monkeypatch):
+        # every run the scan does not step, stepped here from the scan's own
+        # sample_run arguments and seed: its probe reads exactly 0.0, and the
+        # classification of its samples gives the scan's record
+        runs = []
+        sample_run = device.sample_run
+
+        def spy(**kwargs):
+            runs.append(sample_run(**kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(device, "sample_run", spy)
+        report = two_cell_fault_scan(device, n_samples=4096, seed=6, chains=2)
+        assert len(runs) == len(report.records) == 22
+        nominal = device.nominal_params(bank_config=3)
+        stepped = 0
+        for (params, cfg), record in zip(runs, report.records):
+            if calibration._probe_can_move(params, record.probe):
+                stepped += 1
+                continue
+            [(_, batch)] = integrate_circuits([(params, cfg)])
+            cells = batch.meta["cells"]
+            if record.probe in cells:
+                assert np.all(batch.values[:, cells.index(record.probe)] == 0.0)
+            stepped_record = calibration._scan_record(nominal, record.drive, record.probe,
+                                                      record.coupling, batch)
+            assert stepped_record == record
+            assert (record.peak_found, record.peak_frequency, record.peak_db) == (
+                False, None, -np.inf)
+            assert record.flag == ("absent" if record.expected_peak else None)
+        assert report.runs_stepped == stepped == 22 - skipped
 
     # SHA-256 of every record of a seeded 4-cell scan, as written by the
     # blocked record scan (numpy 2.4, OpenBLAS, x86-64); against the per-record

@@ -473,6 +473,56 @@ class TestFaultscanVerb:
         written = (tmp_path / "default" / "faultscan.json").read_bytes()
         assert hashlib.sha256(written).hexdigest() == self.DEFAULT_DIGEST
 
+    # SHA-256 of the faultscan.json of the benchmark's seed-7 scan and of a
+    # scan of two dead cells, as written when every run was stepped (numpy
+    # 2.4, OpenBLAS, x86-64)
+    BENCHMARK_DIGEST = "c1f29d3c33e9ec6a764e5942382ad6d63c4eb0fad2103e98d9abf844a29e9b99"
+    DEAD_CELLS_DIGEST = "5249a9145e87c056a0f64ee1a2cd442387ec1f9dd36d5e5d1f71388b59c1db00"
+
+    def test_benchmark_scan_steps_the_runs_whose_probe_can_move(self, tmp_path):
+        import hashlib
+        out = tmp_path / "out"
+        assert main(["faultscan", "--kill-coupling", "3,5", "--seed", "7",
+                     "--outdir", str(out)]) == 0
+        # 92 runs less the 28 uncoupled pairs and the dead pair's two couplings
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results == {"flag_count": 2, "runs_stepped": 62}
+        written = (out / "faultscan.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.BENCHMARK_DIGEST
+
+    def test_scan_of_dead_cells_steps_nothing(self, tmp_path, monkeypatch):
+        import hashlib
+
+        import spusim.langevin as langevin
+        assert list(langevin.integrate_circuits([])) == []
+        stacks = []
+        monkeypatch.setattr(langevin, "_run_stack", stacks.append)
+        out = tmp_path / "out"
+        assert main(["faultscan", "--cells", "2", "--kill-cell", "0", "--kill-cell", "1",
+                     "--outdir", str(out)]) == 0
+        assert stacks == []
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results == {"flag_count": 4, "runs_stepped": 0}
+        written = (out / "faultscan.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.DEAD_CELLS_DIGEST
+
+    # on the second board every cell is dead, so no run's probe can move and
+    # none is stepped: the Maxwell matrix is refused all the same
+    @pytest.mark.parametrize("dead", [[], ["--kill-cell", "0", "--kill-cell", "1",
+                                           "--kill-cell", "2"]])
+    def test_indefinite_maxwell_refused_before_stepping(self, tmp_path, capsys, monkeypatch,
+                                                        dead):
+        import spusim.langevin as langevin
+        stacks = []
+        monkeypatch.setattr(langevin, "_run_stack", stacks.append)
+        out = tmp_path / "out"
+        assert main(["faultscan", "--cells", "3", "--scale-cap", "1:1e-6", *dead,
+                     "--outdir", str(out)]) == 4
+        assert capsys.readouterr().err == ("error: Maxwell capacitance matrix is not positive "
+                                           "definite (min eigenvalue -5.03802e-10)\n")
+        assert not (out / "manifest.json").exists()
+        assert stacks == []
+
     def test_chains_shorter_than_a_segment_refused_before_stepping(self, tmp_path, capsys,
                                                                    monkeypatch):
         import spusim.langevin as langevin

@@ -220,6 +220,8 @@ ALLOWED_PRIVATE_IMPORTS = {
         "a chain run refuses the rate a plan asks for before the plan thins it",
     "linalg <- langevin._refuse_off_grid":
         "a rate study refuses a rate off its grid as a chain refuses one off its bits",
+    "calibration <- langevin._moving_cells":
+        "the fault scan skips a run whose probe the stepping rule leaves at rest",
     "cli <- langevin._chain_source":
         "the exported noise stream is read from the source the run itself builds",
 }
